@@ -15,6 +15,9 @@
 //! equal iff they plan equal, which is the property the cache needs:
 //! equal fingerprints → byte-identical schedules (up to the 128-bit
 //! collision bound), different fingerprints → at worst a needless miss.
+//! [`cache_key_from_edges`] computes the same key from the raw tuple, so a
+//! server can probe its cache straight from a decoded frame and build the
+//! instance only on a miss.
 //!
 //! The hash is two independent 64-bit FNV-1a streams over the same byte
 //! sequence, concatenated into a `u128`. FNV is not cryptographic; the
@@ -23,7 +26,7 @@
 //! collision is below any operational concern).
 
 use crate::problem::Instance;
-use bipartite::Graph;
+use bipartite::Weight;
 
 /// 64-bit FNV-1a offset basis.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -84,6 +87,28 @@ pub fn cache_key(inst: &Instance, tag: u64) -> u128 {
     h.digest()
 }
 
+/// The streaming form of [`cache_key`]: the **same `u128`** computed from
+/// the raw tuple `(tag, n1, n2, m, (l, r, ticks)*, k, β)` instead of a built
+/// [`Instance`]. `edges` must yield the `m` edges in edge-id order — for a
+/// canonically constructed instance that is row-major `(sender, receiver)`
+/// order, which is exactly how a CSR matrix stores its cells — so a server
+/// can key its plan cache straight from a decoded frame and only build the
+/// instance (dense matrix, adjacency lists) when the probe misses.
+pub fn cache_key_from_edges(
+    tag: u64,
+    n1: usize,
+    n2: usize,
+    m: usize,
+    edges: impl IntoIterator<Item = (usize, usize, Weight)>,
+    k: usize,
+    beta: Weight,
+) -> u128 {
+    let mut h = Fnv2::new();
+    h.write_u64(tag);
+    write_tuple(&mut h, n1, n2, m, edges, k, beta);
+    h.digest()
+}
+
 /// Domain separator mixed into every [`session_cache_key`], so a
 /// session-generation key can never alias a plain [`cache_key`] (not even
 /// at generation 0) or a bare [`fingerprint`].
@@ -104,20 +129,39 @@ pub fn session_cache_key(inst: &Instance, tag: u64, generation: u64) -> u128 {
 }
 
 fn write_instance(h: &mut Fnv2, inst: &Instance) {
-    write_graph(h, &inst.graph);
-    h.write_u64(inst.k as u64);
-    h.write_u64(inst.beta);
+    let g = &inst.graph;
+    write_tuple(
+        h,
+        g.left_count(),
+        g.right_count(),
+        g.edge_count(),
+        g.edges().map(|(_, l, r, w)| (l, r, w)),
+        inst.k,
+        inst.beta,
+    );
 }
 
-fn write_graph(h: &mut Fnv2, g: &Graph) {
-    h.write_u64(g.left_count() as u64);
-    h.write_u64(g.right_count() as u64);
-    h.write_u64(g.edge_count() as u64);
-    for (_, l, r, w) in g.edges() {
+/// The one definition of the hashed byte sequence; every key in this
+/// module, instance-based or streaming, goes through it.
+fn write_tuple(
+    h: &mut Fnv2,
+    n1: usize,
+    n2: usize,
+    m: usize,
+    edges: impl IntoIterator<Item = (usize, usize, Weight)>,
+    k: usize,
+    beta: Weight,
+) {
+    h.write_u64(n1 as u64);
+    h.write_u64(n2 as u64);
+    h.write_u64(m as u64);
+    for (l, r, w) in edges {
         h.write_u64(l as u64);
         h.write_u64(r as u64);
         h.write_u64(w);
     }
+    h.write_u64(k as u64);
+    h.write_u64(beta);
 }
 
 #[cfg(test)]
@@ -182,6 +226,18 @@ mod tests {
         let a = inst(&[(0, 0, 5)], 1, 0);
         assert_ne!(cache_key(&a, 0), cache_key(&a, 1));
         assert_ne!(fingerprint(&a), cache_key(&a, 0));
+    }
+
+    #[test]
+    fn streaming_key_equals_instance_key() {
+        let edges = [(0, 0, 5), (1, 2, 3), (3, 1, 9)];
+        let a = inst(&edges, 2, 1);
+        for tag in [0, 1, 7] {
+            assert_eq!(
+                cache_key_from_edges(tag, 4, 4, edges.len(), edges, 2, 1),
+                cache_key(&a, tag)
+            );
+        }
     }
 
     #[test]

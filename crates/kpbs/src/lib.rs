@@ -75,7 +75,7 @@ pub mod wrgp;
 
 pub use batch::{plan_many, plan_many_with, BatchReport};
 pub use delta::{DeltaPlanner, MatrixDelta, RepairLevel, ReplanOutcome};
-pub use fingerprint::{cache_key, fingerprint, session_cache_key};
+pub use fingerprint::{cache_key, cache_key_from_edges, fingerprint, session_cache_key};
 pub use ggp::ggp;
 pub use hier::{hier, hier_report, HierConfig, HierReport};
 pub use lower_bound::lower_bound;

@@ -37,6 +37,20 @@ impl TickScale {
         (seconds * self.ticks_per_second).ceil().max(1.0) as Weight
     }
 
+    /// [`TickScale::to_ticks`] for durations that come from outside the
+    /// program: `None` where `to_ticks` would panic (negative or non-finite
+    /// seconds) or silently saturate (a tick count that does not fit
+    /// `u64`); otherwise exactly `to_ticks`.
+    pub fn try_to_ticks(&self, seconds: f64) -> Option<Weight> {
+        if !(seconds >= 0.0 && seconds.is_finite()) {
+            return None;
+        }
+        // `u64::MAX as f64` rounds up to 2^64, the first value the cast
+        // below would saturate.
+        let ticks = seconds * self.ticks_per_second;
+        (ticks < u64::MAX as f64).then(|| self.to_ticks(seconds))
+    }
+
     /// Converts ticks back to seconds.
     pub fn to_seconds(&self, ticks: Weight) -> f64 {
         ticks as f64 / self.ticks_per_second
@@ -49,11 +63,57 @@ impl TickScale {
 /// delta-planning server can patch instance weights consistently with the
 /// cold construction (zero bytes → zero ticks, i.e. "no edge").
 pub fn message_ticks(platform: &Platform, scale: TickScale, bytes: u64) -> Weight {
+    scale.to_ticks(message_seconds(platform, bytes))
+}
+
+/// [`message_ticks`] for sizes and speeds that come from outside the
+/// program: `None` where `message_ticks` would panic or saturate (see
+/// [`TickScale::try_to_ticks`]), otherwise exactly `message_ticks`.
+pub fn try_message_ticks(platform: &Platform, scale: TickScale, bytes: u64) -> Option<Weight> {
+    scale.try_to_ticks(message_seconds(platform, bytes))
+}
+
+fn message_seconds(platform: &Platform, bytes: u64) -> f64 {
     if bytes == 0 {
-        return 0;
+        return 0.0;
     }
     let speed_bytes_per_s = platform.transfer_speed() * 1e6 / 8.0;
-    scale.to_ticks(bytes as f64 / speed_bytes_per_s)
+    bytes as f64 / speed_bytes_per_s
+}
+
+/// Headroom the planners need under `u64::MAX` ticks (see
+/// [`plan_ticks_fit`]).
+pub const MAX_PLAN_TICKS: Weight = u64::MAX / 4;
+
+/// Whether an instance of `n1 × n2` nodes, `m` edges of `total_ticks`
+/// summed weight, parallelism `k` and setup delay `beta` can be planned
+/// without any tick arithmetic overflowing `u64`.
+///
+/// The planners form `k·W(G)` and `k·⌈P/k⌉` on β-normalised weights
+/// (each `≤ w/β + 1`, so their sum is at most `P + m`), and schedule costs
+/// `Σ(β + step)` that the 2-approximation keeps within twice the sequential
+/// cost `P + m·β` plus one β of rounding per regularised node. All of these
+/// stay below `(k + 1)·(P + (m + n1 + n2 + 1)·(β + 1))`, which this
+/// function requires to fit [`MAX_PLAN_TICKS`]. Library callers building
+/// instances by hand are not held to it; servers check it on every matrix
+/// that arrives from a socket.
+pub fn plan_ticks_fit(
+    n1: usize,
+    n2: usize,
+    k: usize,
+    m: usize,
+    total_ticks: Weight,
+    beta: Weight,
+) -> bool {
+    let terms = (m as u64)
+        .saturating_add(n1 as u64)
+        .saturating_add(n2 as u64)
+        .saturating_add(1);
+    beta.checked_add(1)
+        .and_then(|b| b.checked_mul(terms))
+        .and_then(|setup| setup.checked_add(total_ticks))
+        .and_then(|span| span.checked_mul((k as u64).saturating_add(1)))
+        .is_some_and(|v| v <= MAX_PLAN_TICKS)
 }
 
 /// A dense traffic matrix in bytes, row-major (`n1` senders × `n2`
@@ -178,6 +238,42 @@ mod tests {
         // Tiny but non-zero durations round up to one tick.
         assert_eq!(s.to_ticks(1e-9), 1);
         assert!((s.to_seconds(2500) - 2.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn checked_conversions_agree_or_refuse() {
+        let s = TickScale::MILLIS;
+        for seconds in [0.0, 1e-9, 1.5, 1e15] {
+            assert_eq!(s.try_to_ticks(seconds), Some(s.to_ticks(seconds)));
+        }
+        for seconds in [-1.0, f64::NAN, f64::INFINITY, 1e17, 1e300] {
+            assert_eq!(s.try_to_ticks(seconds), None, "{seconds}");
+        }
+        let p = Platform::new(2, 2, 100.0, 100.0, 200.0);
+        for bytes in [0, 1, 25_000_000, u64::MAX] {
+            assert_eq!(
+                try_message_ticks(&p, s, bytes),
+                Some(message_ticks(&p, s, bytes))
+            );
+        }
+        // Speeds that pass `Topology::validate` but make durations
+        // non-finite (1e-300) or saturate u64 ticks (1e-3 with a huge cell).
+        let glacial = Platform::new(2, 2, 1e-300, 1e-300, 1.0);
+        assert_eq!(try_message_ticks(&glacial, s, u64::MAX), None);
+        let slow = Platform::new(2, 2, 1e-3, 1e-3, 1.0);
+        assert_eq!(try_message_ticks(&slow, s, u64::MAX), None);
+        assert_eq!(try_message_ticks(&slow, s, 0), Some(0));
+    }
+
+    #[test]
+    fn tick_budget_bounds_totals_and_beta() {
+        assert!(plan_ticks_fit(32, 32, 8, 1024, 1 << 40, 50));
+        assert!(plan_ticks_fit(1, 1, 1, 0, 0, 0));
+        // k · Σticks overflows.
+        assert!(!plan_ticks_fit(4, 4, 4, 2, u64::MAX / 4, 0));
+        // β alone overflows the per-step setup charge.
+        assert!(!plan_ticks_fit(4, 4, 1, 2, 10, u64::MAX));
+        assert!(!plan_ticks_fit(4, 4, 1, 2, 10, u64::MAX / 8));
     }
 
     #[test]

@@ -372,8 +372,19 @@ impl<V> ShardedLru<V> {
     /// probe, `Arc` clone, unpin. A hit marks the entry's second-chance
     /// bit (the lock-free stand-in for LRU recency refresh).
     pub fn get(&self, key: u128) -> Option<Arc<V>> {
-        if self.per_shard_capacity == 0 {
+        let found = self.get_if_present(key);
+        if found.is_none() {
             self.misses.fetch_add(1, Ordering::Relaxed);
+        }
+        found
+    }
+
+    /// [`ShardedLru::get`] that counts a hit but leaves an absent key
+    /// uncounted — for a first probe whose miss is re-probed with `get`
+    /// later (admission, then the worker), so `hits + misses` stays one per
+    /// request.
+    pub fn get_if_present(&self, key: u128) -> Option<Arc<V>> {
+        if self.per_shard_capacity == 0 {
             return None;
         }
         let shard = self.shard_of(key);
@@ -398,16 +409,10 @@ impl<V> ShardedLru<V> {
                 unsafe { Self::probe(t, key) }
             }
         };
-        match found {
-            Some(v) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(v)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
+        if found.is_some() {
+            self.hits.fetch_add(1, Ordering::Relaxed);
         }
+        found
     }
 
     /// Stamps `item` with the current epoch and queues it for freeing

@@ -16,7 +16,10 @@
 //! [`FrameDecoder`], decoded messages queue in a small `pending` ring,
 //! and at most **one** frame per connection is in flight on the worker
 //! pool at a time — which is what keeps responses in request order
-//! without any sequencing machinery. Workers hand finished responses
+//! without any sequencing machinery. Admission answers cache hits,
+//! rejections and decode errors on this thread (the pump appends their
+//! frames straight to the write buffer); only misses and session ops
+//! travel to a worker. Workers hand finished responses
 //! back as pre-encoded bytes via [`CompletionSink`]: an [`Inbox`] push
 //! plus an eventfd wake, so the owning thread wakes from `epoll_wait`
 //! and copies the bytes into the connection's write buffer.
@@ -508,9 +511,7 @@ impl IoLoop {
                     match crate::server::admit_frame(&self.shared, &payload, move || {
                         Reply::Event(sink)
                     }) {
-                        Admission::Immediate(resp, version) => {
-                            wire::encode_response(&resp, version)
-                        }
+                        Admission::Immediate(frame) => frame,
                         Admission::Queued { .. } => {
                             self.conns[slot].as_mut().unwrap().in_flight = true;
                             Vec::new()

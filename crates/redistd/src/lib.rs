@@ -18,8 +18,10 @@
 //!   unbounded [`queue::Inbox`] mailboxes of the event core;
 //! * [`cache`] — a sharded plan cache keyed by [`mod@kpbs::fingerprint`]'s
 //!   canonical instance hash, with a lock-free read path (epoch-reclaimed
-//!   published tables) and second-chance-clock eviction; hits return
-//!   byte-identical schedules to a cold run;
+//!   published tables) and second-chance-clock eviction; the server keys
+//!   it straight from the decoded wire matrix and stores plans already
+//!   encoded, so a hit is answered at admission — byte-identical to a cold
+//!   run — without a worker hop;
 //! * [`session`] — live delta-planning sessions: each wire-v3 `OPEN`
 //!   pins a [`kpbs::DeltaPlanner`] that repairs its committed schedule
 //!   in place under `DELTA` batches (repair → re-peel → cold-fallback

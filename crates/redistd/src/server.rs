@@ -9,21 +9,34 @@
 //!                        │  thread core: one thread   │
 //!                        │  per connection (baseline) │
 //!                        └──────────┬─────────────────┘
-//!                                   │ decode + admission
-//!                                   │ reject: queue_full / matrix_too_large
-//!                                   │ try_push (never blocks)
+//!                                   │ decode + validate
+//!                                   │ reject: matrix_too_large
+//!                                   │ key from the wire matrix, probe ──▶ cache
+//!                                   │ hit: reply now (no queue, no worker)
+//!                                   │ miss: try_push (never blocks)
+//!                                   │ reject: queue_full
 //!                        ┌──────────▼─────────────┐
 //!                        │ BoundedQueue<Job>      │  ← backpressure boundary
 //!                        └──────────┬─────────────┘
 //!                                   │ pop
 //!                        ┌──────────▼─────────────┐   ┌────────────────┐
 //!                        │ worker pool (N threads)│ ⇄ │ sharded cache  │
-//!                        │ fingerprint → plan     │   │ lock-free gets │
+//!                        │ re-probe → plan →      │   │ lock-free gets │
+//!                        │ encode once → insert   │   │ encoded plans  │
 //!                        └──────────┬─────────────┘   └────────────────┘
 //!                                   │ Reply: mpsc (thread core) or
 //!                                   │ Inbox + eventfd (event core)
 //!                        front-end writes the response frame
 //! ```
+//!
+//! A plan request's cache key is streamed from the decoded CSR matrix
+//! ([`wire::PlanRequest::cache_key`]) and probed in `admit_frame`, on the
+//! thread that decoded the frame. A hit is answered there — a decode, a
+//! hash and a copy of the cached, already encoded schedule — and never
+//! sees the queue, a worker wake-up or the completion hand-off; **hits
+//! therefore bypass a full queue**. A miss carries its key to the worker,
+//! which probes once more (a duplicate queued behind the request that
+//! planned the matrix still hits) and only then builds the instance.
 //!
 //! Two serving cores share this admission/worker machinery (selected by
 //! [`ServingCore`]): the **event core** (`event.rs`) multiplexes every
@@ -53,8 +66,7 @@ use crate::wire::{
     self, Algo, Incoming, PlanRequest, PlanResponse, RejectReason, Request, SessionLevel,
     SessionOp, SessionRejectReason, SessionRequest,
 };
-use kpbs::traffic::TickScale;
-use kpbs::{DeltaPlanner, Platform, RepairLevel, Schedule};
+use kpbs::{DeltaPlanner, RepairLevel};
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -175,29 +187,45 @@ impl Default for ServerConfig {
     }
 }
 
-/// A cached (or fresh) planning outcome.
-#[derive(Debug, Clone)]
+/// A planning outcome as the cache holds it: the schedule already in its
+/// wire form, so a hit copies bytes instead of cloning and re-encoding one
+/// `Vec` per step.
+#[derive(Debug)]
 struct PlanOutcome {
-    schedule: Schedule,
+    /// [`wire::encode_schedule`] bytes.
+    schedule: Vec<u8>,
     cost: u64,
     lower_bound: u64,
 }
 
-/// Where a finished response goes, per serving core.
+/// Where a finished response frame goes, per serving core.
 pub(crate) enum Reply {
     /// Thread core: the connection thread blocks on the receiving end.
-    Sync(mpsc::Sender<PlanResponse>),
-    /// Event core: the worker encodes the response and hands the bytes to
-    /// the connection's I/O thread.
+    Sync(mpsc::Sender<Vec<u8>>),
+    /// Event core: the bytes go to the connection's I/O thread.
     #[cfg(target_os = "linux")]
     Event(event::CompletionSink),
 }
 
+impl Reply {
+    /// A dead route means the connection died; the plan is still cached,
+    /// so the work is not wasted.
+    fn send(self, frame: Vec<u8>) {
+        match self {
+            Reply::Sync(tx) => {
+                let _ = tx.send(frame);
+            }
+            #[cfg(target_os = "linux")]
+            Reply::Event(sink) => sink.complete(frame),
+        }
+    }
+}
+
 /// What admission control decided about one decoded frame.
 pub(crate) enum Admission {
-    /// Answer now (decode error or rejection), encoded in `version`.
-    /// Boxed so the variant stays small next to `Queued`.
-    Immediate(Box<PlanResponse>, u16),
+    /// Answer now with this response frame: a cache hit, a rejection or a
+    /// decode error.
+    Immediate(Vec<u8>),
     /// Accepted onto the worker queue; the [`Reply`] answers later. The
     /// ids let the thread core build its worker-failure fallback.
     Queued {
@@ -207,16 +235,25 @@ pub(crate) enum Admission {
     },
 }
 
+/// What a queued frame asks of the worker.
+enum Work {
+    /// A plan request that missed at admission, with the key it missed on.
+    Plan {
+        req: PlanRequest,
+        key: u128,
+    },
+    Session(SessionRequest),
+}
+
 struct Job {
-    req: Request,
+    work: Work,
     reply: Reply,
-    /// Server-minted request id — the correlation key across the response
-    /// (`server_id`), spans (`rid` arg), and the flight record.
-    rid: u64,
-    /// When admission succeeded; worker pickup measures queue wait from it.
+    /// When admission started; queue wait and service time run from it.
     admitted: Instant,
-    /// Queue depth observed at admission (this job excluded).
-    depth_at_admission: usize,
+    /// The flight record admission began (rid — the correlation key across
+    /// the response's `server_id`, spans and this record — client id,
+    /// shape, queue depth); the worker completes and pushes it.
+    rec: FlightRecord,
 }
 
 /// The server's registered instruments — the single source of truth for
@@ -332,7 +369,7 @@ impl ServerMetrics {
             ),
             queue_wait_us: r.summary(
                 "redistd_queue_wait_us",
-                "Admission to worker pickup, microseconds.",
+                "Admission to worker pickup, microseconds; only requests that queued (cache hits answered at admission never do).",
                 &[],
             ),
             plan_us: r.summary(
@@ -433,6 +470,26 @@ impl Shared {
         self.refresh_gauges();
         self.registry.render()
     }
+
+    /// Books one answered request — outcome counter, flight record, and
+    /// service time (admission to response-ready; what remains is byte
+    /// shuffling on the front-end) — wherever it was answered.
+    fn record_served(&self, rec: FlightRecord, admitted: Instant) {
+        match rec.outcome {
+            FlightOutcome::CacheHit => self.metrics.requests_cache_hit.inc(),
+            FlightOutcome::Planned => {
+                self.metrics.requests_planned.inc();
+                self.metrics.plan_us.observe(rec.plan_us);
+            }
+            _ => {}
+        }
+        self.flight.push(rec);
+        self.metrics.service_us.observe(micros_since(admitted));
+    }
+}
+
+fn micros_since(t: Instant) -> u64 {
+    t.elapsed().as_micros().min(u64::MAX as u128) as u64
 }
 
 /// A point-in-time operational report (the typed form of `STATS`).
@@ -460,7 +517,8 @@ pub struct ServerStats {
     pub p99_us: u64,
     /// Mean service time in microseconds.
     pub mean_us: u64,
-    /// Queue-wait p50 in microseconds (admission to worker pickup).
+    /// Queue-wait p50 in microseconds (admission to worker pickup; only
+    /// requests that queued — hits answered at admission are not sampled).
     pub queue_wait_p50_us: u64,
     /// Queue-wait p99 in microseconds.
     pub queue_wait_p99_us: u64,
@@ -800,8 +858,7 @@ fn connection_loop_inner(shared: &Arc<Shared>, mut stream: TcpStream) {
                 return;
             }
             Ok(Incoming::Frame(payload)) => {
-                let (resp, version) = handle_frame(shared, &payload);
-                if wire::write_all(&mut stream, &wire::encode_response(&resp, version)).is_err() {
+                if wire::write_all(&mut stream, &handle_frame(shared, &payload)).is_err() {
                     return;
                 }
             }
@@ -819,41 +876,43 @@ fn connection_loop_inner(shared: &Arc<Shared>, mut stream: TcpStream) {
 }
 
 /// Decodes, admits and executes one request, blocking until its response
-/// is ready (or producing a rejection immediately). Returns the response
-/// and the wire version to encode it in (the request's own version, so an
-/// old client never sees v2 fields). Thread core only; the event core
-/// calls [`admit_frame`] and gets the response asynchronously.
-fn handle_frame(shared: &Arc<Shared>, payload: &[u8]) -> (PlanResponse, u16) {
+/// frame is ready (a cache hit or rejection produces it immediately).
+/// Thread core only; the event core calls [`admit_frame`] and gets queued
+/// responses asynchronously.
+fn handle_frame(shared: &Arc<Shared>, payload: &[u8]) -> Vec<u8> {
     let (tx, rx) = mpsc::channel();
     match admit_frame(shared, payload, move || Reply::Sync(tx)) {
-        Admission::Immediate(resp, version) => (*resp, version),
+        Admission::Immediate(frame) => frame,
         Admission::Queued {
             rid,
             request_id,
             version,
         } => {
             // The worker pool drains every accepted job (even through
-            // shutdown), so this recv only fails if a worker panicked.
-            let resp = rx.recv().unwrap_or_else(|_| PlanResponse::Error {
-                request_id,
-                message: "worker failed".into(),
-            });
-            if !matches!(resp, PlanResponse::Ok { .. }) {
-                // A worker failure after admission; the worker never pushed
-                // a flight record, so account for the request here.
+            // shutdown), so this recv only fails if a worker panicked —
+            // before it pushed a flight record, so account for the
+            // request here.
+            rx.recv().unwrap_or_else(|_| {
                 shared.metrics.requests_error.inc();
                 let mut rec = FlightRecord::new(rid, FlightOutcome::Error);
                 rec.client_id = request_id;
                 shared.flight.push(rec);
-            }
-            (resp, version)
+                wire::encode_response(
+                    &PlanResponse::Error {
+                        request_id,
+                        message: "worker failed".into(),
+                    },
+                    version,
+                )
+            })
         }
     }
 }
 
 /// Decodes and admits one frame — the single admission path both serving
-/// cores share. `make_reply` is only invoked if the frame is actually
-/// queued, with the core-appropriate [`Reply`] route.
+/// cores share: decode → validate → key → probe → {reply | queue}.
+/// `make_reply` is only invoked if the frame is actually queued, with the
+/// core-appropriate [`Reply`] route.
 pub(crate) fn admit_frame(
     shared: &Arc<Shared>,
     payload: &[u8],
@@ -872,25 +931,30 @@ pub(crate) fn admit_frame(
             rec.client_id = client_id;
             rec.queue_depth = shared.queue.len() as u32;
             shared.flight.push(rec);
-            return Admission::Immediate(
-                Box::new(PlanResponse::Error {
+            return Admission::Immediate(wire::encode_response(
+                &PlanResponse::Error {
                     request_id: client_id,
                     message: e.0,
-                }),
+                },
                 peek_version(payload),
-            );
+            ));
         }
     };
     let request_id = req.request_id();
     let version = req.wire_version();
     let matrix = request_matrix(&req);
-    let bytes: u64 = matrix.map_or(0, |m| m.bytes.iter().sum());
     let mut rec = FlightRecord::new(rid, FlightOutcome::Error);
     rec.client_id = request_id;
-    rec.bytes = bytes;
+    rec.bytes = matrix.map_or(0, |m| m.total_bytes());
     rec.n1 = matrix.map_or(0, |m| m.n1);
     rec.n2 = matrix.map_or(0, |m| m.n2);
     rec.queue_depth = shared.queue.len() as u32;
+    let reject = |reason| {
+        Admission::Immediate(wire::encode_response(
+            &PlanResponse::Rejected { request_id, reason },
+            version,
+        ))
+    };
 
     // Admission control, cheapest check first. Rejections answer
     // immediately — the whole point is never to buffer beyond the bound.
@@ -901,36 +965,40 @@ pub(crate) fn admit_frame(
         shared.metrics.requests_shed_too_large.inc();
         rec.outcome = FlightOutcome::ShedTooLarge;
         shared.flight.push(rec);
-        return Admission::Immediate(
-            Box::new(PlanResponse::Rejected {
-                request_id,
-                reason: RejectReason::MatrixTooLarge,
-            }),
-            version,
-        );
+        return reject(RejectReason::MatrixTooLarge);
     }
+    shared.metrics.request_bytes.add(rec.bytes);
 
-    shared.metrics.request_bytes.add(bytes);
+    let work = match req {
+        Request::Plan(req) => {
+            // The decoder bounded every tick conversion, so the key is
+            // total — nothing a socket sends can panic this thread.
+            let key = req.cache_key();
+            if let Some(hit) = shared.cache.get_if_present(key) {
+                counters::incr(Counter::ServeRequests);
+                rec.outcome = FlightOutcome::CacheHit;
+                let frame = hit_frame(&req, &hit, rid);
+                shared.record_served(rec, start);
+                return Admission::Immediate(frame);
+            }
+            Work::Plan { req, key }
+        }
+        Request::Session(req) => Work::Session(req),
+    };
     let job = Job {
-        req,
+        work,
         reply: make_reply(),
-        rid,
         admitted: start,
-        depth_at_admission: shared.queue.len(),
+        rec,
     };
     match shared.queue.try_push(job) {
-        Err(PushError::Full(_)) | Err(PushError::Closed(_)) => {
+        Err(PushError::Full(job)) | Err(PushError::Closed(job)) => {
             counters::incr(Counter::ServeRejected);
             shared.metrics.requests_shed_queue_full.inc();
+            let mut rec = job.rec;
             rec.outcome = FlightOutcome::ShedQueueFull;
             shared.flight.push(rec);
-            Admission::Immediate(
-                Box::new(PlanResponse::Rejected {
-                    request_id,
-                    reason: RejectReason::QueueFull,
-                }),
-                version,
-            )
+            reject(RejectReason::QueueFull)
         }
         Ok(()) => Admission::Queued {
             rid,
@@ -942,73 +1010,43 @@ pub(crate) fn admit_frame(
 
 fn worker_loop(shared: &Arc<Shared>, worker: u32) {
     while let Some(job) = shared.queue.pop() {
-        let queue_wait_us = job.admitted.elapsed().as_micros().min(u64::MAX as u128) as u64;
-        shared.metrics.queue_wait_us.observe(queue_wait_us);
+        let Job {
+            work,
+            reply,
+            admitted,
+            mut rec,
+        } = job;
+        rec.queue_wait_us = micros_since(admitted);
+        shared.metrics.queue_wait_us.observe(rec.queue_wait_us);
         if shared.config.worker_think_ms > 0 {
             std::thread::sleep(Duration::from_millis(shared.config.worker_think_ms));
         }
         let plan_start = Instant::now();
-        let resp = match &job.req {
-            Request::Plan(req) => plan_request(shared, req, job.rid),
-            Request::Session(req) => session_request(shared, req, job.rid),
-        };
-        let plan_us = plan_start.elapsed().as_micros().min(u64::MAX as u128) as u64;
-
-        // Session successes count as planned work (repairs *are* planning);
-        // refusals and errors are neither planned nor cached.
-        let outcome = match &resp {
-            PlanResponse::Ok { cached: true, .. } => FlightOutcome::CacheHit,
-            PlanResponse::Ok { .. } | PlanResponse::Session { .. } => FlightOutcome::Planned,
-            _ => FlightOutcome::Error,
-        };
-        match outcome {
-            FlightOutcome::CacheHit => shared.metrics.requests_cache_hit.inc(),
-            FlightOutcome::Planned => {
-                shared.metrics.requests_planned.inc();
-                shared.metrics.plan_us.observe(plan_us);
+        let (frame, outcome) = match &work {
+            Work::Plan { req, key } => plan_request(shared, req, *key, rec.rid),
+            Work::Session(req) => {
+                let resp = session_request(shared, req, rec.rid);
+                // Session successes count as planned work (repairs *are*
+                // planning); refusals are tallied by `sessions_rejected`
+                // inside `session_request`, protocol errors here.
+                let outcome = match &resp {
+                    PlanResponse::Session { .. } => FlightOutcome::Planned,
+                    PlanResponse::Error { .. } => {
+                        shared.metrics.requests_error.inc();
+                        FlightOutcome::Error
+                    }
+                    _ => FlightOutcome::Error,
+                };
+                (wire::encode_response(&resp, req.wire_version), outcome)
             }
-            // Session refusals are tallied by `sessions_rejected` inside
-            // `session_request`; protocol errors by `requests_error`.
-            _ => {
-                if matches!(resp, PlanResponse::Error { .. }) {
-                    shared.metrics.requests_error.inc();
-                }
-            }
+        };
+        rec.outcome = outcome;
+        if outcome != FlightOutcome::CacheHit {
+            rec.plan_us = micros_since(plan_start);
         }
-        let mut rec = FlightRecord::new(job.rid, outcome);
-        let matrix = request_matrix(&job.req);
-        rec.client_id = job.req.request_id();
-        rec.bytes = matrix.map_or(0, |m| m.bytes.iter().sum());
-        rec.n1 = matrix.map_or(0, |m| m.n1);
-        rec.n2 = matrix.map_or(0, |m| m.n2);
-        rec.queue_depth = job.depth_at_admission as u32;
-        rec.queue_wait_us = queue_wait_us;
-        rec.plan_us = if outcome == FlightOutcome::CacheHit {
-            0
-        } else {
-            plan_us
-        };
         rec.worker = worker;
-        shared.flight.push(rec);
-
-        // Admission to response-ready: the response exists now; what
-        // remains is byte shuffling on the front-end.
-        shared
-            .metrics
-            .service_us
-            .observe(job.admitted.elapsed().as_micros().min(u64::MAX as u128) as u64);
-
-        // A dead reply route means the connection died; the plan is
-        // still cached, so the work is not wasted.
-        match job.reply {
-            Reply::Sync(tx) => {
-                let _ = tx.send(resp);
-            }
-            #[cfg(target_os = "linux")]
-            Reply::Event(sink) => {
-                sink.complete(wire::encode_response(&resp, job.req.wire_version()));
-            }
-        }
+        shared.record_served(rec, admitted);
+        reply.send(frame);
     }
 }
 
@@ -1035,41 +1073,51 @@ fn work_since(before: &telemetry::counters::Snapshot) -> [u64; COUNTER_COUNT] {
     work
 }
 
-/// Plans one admitted request: canonical instance, cache lookup, cold plan
-/// on a miss. Pure per request — the response does not depend on which
-/// worker ran it. `rid` labels the span timeline and the response's
-/// `server_id`, tying both to the flight record.
-fn plan_request(shared: &Arc<Shared>, req: &PlanRequest, rid: u64) -> PlanResponse {
+/// Counts a served hit (`ServeCacheHits`, the `redistd.cache_hit` instant)
+/// and builds the `Ok` frame answering `req` from cache entry `hit` — at
+/// admission or on a worker's re-probe. A hit does no planning work, so the
+/// work delta is genuinely zero; `rid` becomes the response's `server_id`,
+/// tying it to the span timeline and the flight record.
+fn hit_frame(req: &PlanRequest, hit: &PlanOutcome, rid: u64) -> Vec<u8> {
+    counters::incr(Counter::ServeCacheHits);
+    telemetry::instant_with("redistd.cache_hit", &[("rid", rid)]);
+    wire::encode_ok(
+        req.wire_version,
+        req.request_id,
+        true,
+        &hit.schedule,
+        hit.cost,
+        hit.lower_bound,
+        &[0; COUNTER_COUNT],
+        rid,
+    )
+}
+
+/// Serves one queued plan request: re-probe with the admission-time `key`
+/// (a duplicate queued behind the request that planned this matrix hits
+/// here), and only on a miss build the canonical instance, plan, encode the
+/// schedule once and use those bytes for both the cache entry and the
+/// reply. Pure per request — the response does not depend on which worker
+/// ran it.
+fn plan_request(
+    shared: &Arc<Shared>,
+    req: &PlanRequest,
+    key: u128,
+    rid: u64,
+) -> (Vec<u8>, FlightOutcome) {
     let _span = telemetry::span_with("redistd.plan", &[("rid", rid)]);
     counters::incr(Counter::ServeRequests);
-    let platform = Platform::new(
-        req.platform.n1 as usize,
-        req.platform.n2 as usize,
-        req.platform.t1,
-        req.platform.t2,
-        req.platform.backbone,
-    );
-    let traffic = req.matrix.to_traffic();
-    let (inst, _endpoints) =
-        traffic.to_instance(&platform, req.platform.beta_seconds, TickScale::MILLIS);
-    let key = kpbs::cache_key(&inst, req.algo as u64);
-
     if let Some(hit) = shared.cache.get(key) {
-        counters::incr(Counter::ServeCacheHits);
-        telemetry::instant_with("redistd.cache_hit", &[("rid", rid)]);
-        return PlanResponse::Ok {
-            request_id: req.request_id,
-            cached: true,
-            schedule: hit.schedule.clone(),
-            cost: hit.cost,
-            lower_bound: hit.lower_bound,
-            // A hit does no planning work; the delta is genuinely zero.
-            work: [0; COUNTER_COUNT],
-            server_id: rid,
-        };
+        return (hit_frame(req, &hit, rid), FlightOutcome::CacheHit);
     }
     telemetry::instant_with("redistd.cache_miss", &[("rid", rid)]);
 
+    let (inst, _endpoints) = req.matrix.to_traffic().to_instance(
+        &req.platform.to_platform(),
+        req.platform.beta_seconds,
+        wire::TICK_SCALE,
+    );
+    debug_assert_eq!(key, kpbs::cache_key(&inst, req.algo as u64));
     let before = counters::local_snapshot();
     let schedule = match req.algo {
         Algo::Oggp => kpbs::oggp(&inst),
@@ -1077,20 +1125,22 @@ fn plan_request(shared: &Arc<Shared>, req: &PlanRequest, rid: u64) -> PlanRespon
     };
     let work = work_since(&before);
     let outcome = Arc::new(PlanOutcome {
+        schedule: wire::encode_schedule(&schedule),
         cost: schedule.cost(),
         lower_bound: kpbs::lower_bound(&inst),
-        schedule,
     });
     shared.cache.insert(key, outcome.clone());
-    PlanResponse::Ok {
-        request_id: req.request_id,
-        cached: false,
-        schedule: outcome.schedule.clone(),
-        cost: outcome.cost,
-        lower_bound: outcome.lower_bound,
-        work,
-        server_id: rid,
-    }
+    let frame = wire::encode_ok(
+        req.wire_version,
+        req.request_id,
+        false,
+        &outcome.schedule,
+        outcome.cost,
+        outcome.lower_bound,
+        &work,
+        rid,
+    );
+    (frame, FlightOutcome::Planned)
 }
 
 /// Executes one session op on the worker. `OPEN` cold-plans the matrix
@@ -1124,16 +1174,11 @@ fn session_request(shared: &Arc<Shared>, req: &SessionRequest, rid: u64) -> Plan
                     message: "sessions require the oggp algorithm (incremental repair reuses its warm matching engine)".into(),
                 };
             }
-            let p = Platform::new(
-                platform.n1 as usize,
-                platform.n2 as usize,
-                platform.t1,
-                platform.t2,
-                platform.backbone,
-            );
-            let traffic = matrix.to_traffic();
+            let p = platform.to_platform();
             let (inst, _endpoints) =
-                traffic.to_instance(&p, platform.beta_seconds, TickScale::MILLIS);
+                matrix
+                    .to_traffic()
+                    .to_instance(&p, platform.beta_seconds, wire::TICK_SCALE);
             let before = counters::local_snapshot();
             let planner = DeltaPlanner::new(inst);
             let work = work_since(&before);
@@ -1143,7 +1188,7 @@ fn session_request(shared: &Arc<Shared>, req: &SessionRequest, rid: u64) -> Plan
             let session = Session {
                 algo: *algo,
                 platform: p,
-                scale: TickScale::MILLIS,
+                scale: wire::TICK_SCALE,
                 planner,
             };
             match shared.sessions.open(session) {
@@ -1178,7 +1223,7 @@ fn session_request(shared: &Arc<Shared>, req: &SessionRequest, rid: u64) -> Plan
             let mut s = sess.lock().unwrap();
             let converted = match s.convert_deltas(deltas, shared.config.max_cells) {
                 Ok(v) => v,
-                Err(DeltaError::OutOfRange(message)) => {
+                Err(DeltaError::OutOfRange(message) | DeltaError::TickOverflow(message)) => {
                     return PlanResponse::Error {
                         request_id,
                         message,
@@ -1237,7 +1282,7 @@ fn session_request(shared: &Arc<Shared>, req: &SessionRequest, rid: u64) -> Plan
             shared.cache.insert(
                 key,
                 Arc::new(PlanOutcome {
-                    schedule: schedule.clone(),
+                    schedule: wire::encode_schedule(&schedule),
                     cost,
                     lower_bound,
                 }),

@@ -16,7 +16,7 @@
 //! behind a per-session mutex while leaving the table free for others.
 
 use crate::wire::{Algo, WireDelta};
-use kpbs::traffic::{message_ticks, TickScale};
+use kpbs::traffic::{plan_ticks_fit, try_message_ticks, TickScale};
 use kpbs::{DeltaPlanner, MatrixDelta, Platform};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -45,6 +45,10 @@ pub enum DeltaError {
     /// Growth would push the session's cell count past the server's
     /// `max_cells` admission limit (answered as `matrix_too_large`).
     TooLarge,
+    /// A cell's duration does not fit the tick range on the session's
+    /// platform, or the edited matrix would exceed the planner's tick
+    /// budget (answered as a protocol error; the session is untouched).
+    TickOverflow(String),
 }
 
 impl Session {
@@ -54,15 +58,21 @@ impl Session {
     /// `GrowNodes` may be addressed by later cells in the same batch).
     ///
     /// Validation happens *before* [`DeltaPlanner::replan`] ever runs —
-    /// the planner panics on out-of-range indices, and a panicked worker
-    /// is a lost worker — so a malformed batch leaves the session intact.
+    /// the planner panics on out-of-range indices and overflowing tick
+    /// sums, and a panicked worker is a lost worker — so a malformed batch
+    /// leaves the session intact. The tick budget is checked against an
+    /// upper bound of the edited instance (every `SetCell` counted as a new
+    /// edge on top of the current total), the same
+    /// [`kpbs::traffic::plan_ticks_fit`] the frame decoder applies.
     pub fn convert_deltas(
         &self,
         deltas: &[WireDelta],
         max_cells: u64,
     ) -> Result<Vec<MatrixDelta>, DeltaError> {
-        let g = &self.planner.instance().graph;
+        let inst = self.planner.instance();
+        let g = &inst.graph;
         let (mut n1, mut n2) = (g.left_count(), g.right_count());
+        let (mut edges, mut total) = (g.edge_count(), Some(inst.total_weight()));
         let mut out = Vec::with_capacity(deltas.len());
         for d in deltas {
             match *d {
@@ -81,10 +91,18 @@ impl Session {
                             "delta receiver {receiver} out of range (session has {n2} receivers)"
                         )));
                     }
+                    let ticks =
+                        try_message_ticks(&self.platform, self.scale, bytes).ok_or_else(|| {
+                            DeltaError::TickOverflow(format!(
+                                "cell ({sender}, {receiver}) duration overflows the tick range"
+                            ))
+                        })?;
+                    edges += 1;
+                    total = total.and_then(|t| t.checked_add(ticks));
                     out.push(MatrixDelta::Set {
                         sender: sender as usize,
                         receiver: receiver as usize,
-                        ticks: message_ticks(&self.platform, self.scale, bytes),
+                        ticks,
                     });
                 }
                 WireDelta::GrowNodes { senders, receivers } => {
@@ -115,6 +133,11 @@ impl Session {
                     out.push(MatrixDelta::DropReceiver(j as usize));
                 }
             }
+        }
+        if !total.is_some_and(|t| plan_ticks_fit(n1, n2, inst.k, edges, t, inst.beta)) {
+            return Err(DeltaError::TickOverflow(
+                "deltas exceed the planner's tick budget".into(),
+            ));
         }
         Ok(out)
     }
@@ -262,7 +285,7 @@ mod tests {
                 1 << 20,
             )
             .unwrap();
-        let want = message_ticks(&s.platform, s.scale, 25_000_000);
+        let want = kpbs::traffic::message_ticks(&s.platform, s.scale, 25_000_000);
         assert_eq!(
             out,
             vec![MatrixDelta::Set {
@@ -272,6 +295,28 @@ mod tests {
             }]
         );
         assert!(want > 0);
+    }
+
+    #[test]
+    fn convert_refuses_cells_that_overflow_the_tick_range_or_budget() {
+        let cell = |bytes| WireDelta::SetCell {
+            sender: 0,
+            receiver: 1,
+            bytes,
+        };
+        // 1e-300 Mbit/s passes platform validation; a cell's duration on it
+        // is not finite.
+        let mut s = session(2, 2);
+        s.platform = Platform::new(2, 2, 1e-300, 1e-300, 1.0);
+        let err = s.convert_deltas(&[cell(u64::MAX)], 1 << 20).unwrap_err();
+        assert!(matches!(err, DeltaError::TickOverflow(_)), "{err:?}");
+        // Each cell fits on its own; together they overflow k·Σticks.
+        let s = session(2, 2);
+        let big = 1u64 << 59; // ≈ 4.6e13 ticks per cell at 100 Mbit/s
+        assert!(s.convert_deltas(&[cell(big)], 1 << 20).is_ok());
+        let many = vec![cell(u64::MAX); 200_000];
+        let err = s.convert_deltas(&many, 1 << 20).unwrap_err();
+        assert!(matches!(err, DeltaError::TickOverflow(_)), "{err:?}");
     }
 
     #[test]

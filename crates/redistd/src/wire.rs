@@ -80,7 +80,8 @@
 //! plan cache on [`mod@kpbs::fingerprint`] — equal matrices always decode into
 //! identical instances (see that module's docs).
 
-use kpbs::{Schedule, TrafficMatrix};
+use kpbs::traffic::{self, TickScale};
+use kpbs::{Platform, Schedule, TrafficMatrix};
 use std::io::{self, Read, Write};
 use telemetry::counters::COUNTER_COUNT;
 
@@ -95,6 +96,10 @@ pub const MIN_VERSION: u16 = 1;
 /// Hard ceiling on any frame payload (16 MiB) — a malformed length prefix
 /// must not make the server allocate unboundedly.
 pub const MAX_FRAME: u32 = 16 << 20;
+/// The discretisation every frame is planned at: bytes and β seconds become
+/// millisecond ticks. Fixed here because the decoder's tick-budget check,
+/// the admission-time cache key and the worker's instance must all agree.
+pub const TICK_SCALE: TickScale = TickScale::MILLIS;
 /// The plaintext admin command requesting the human-readable stats report.
 pub const STATS_COMMAND: &[u8] = b"STATS\n";
 /// The plaintext admin command requesting Prometheus text exposition.
@@ -136,6 +141,21 @@ pub struct WirePlatform {
     pub backbone: f64,
     /// Per-step setup delay, seconds.
     pub beta_seconds: f64,
+}
+
+impl WirePlatform {
+    /// The [`kpbs::Platform`] these parameters describe. Decoded platforms
+    /// have passed `Topology::validate`, so the constructor's positivity
+    /// assertions hold.
+    pub fn to_platform(&self) -> Platform {
+        Platform::new(
+            self.n1 as usize,
+            self.n2 as usize,
+            self.t1,
+            self.t2,
+            self.backbone,
+        )
+    }
 }
 
 /// A CSR-encoded traffic matrix: `row_ptr[i]..row_ptr[i+1]` indexes the
@@ -198,6 +218,76 @@ impl CsrMatrix {
         self.n1 as u64 * self.n2 as u64
     }
 
+    /// Total payload bytes, saturating (entries are arbitrary `u64`s off
+    /// the wire; the figure only feeds metrics and flight records).
+    pub fn total_bytes(&self) -> u64 {
+        self.bytes.iter().fold(0, |acc, &b| acc.saturating_add(b))
+    }
+
+    /// The plan-cache key of this matrix on `platform`: the same `u128` as
+    /// `kpbs::cache_key(&self.to_traffic().to_instance(platform,
+    /// beta_seconds, scale).0, tag)`, streamed straight from the CSR arrays
+    /// — no dense matrix, no graph. Row-major CSR order *is* the canonical
+    /// edge order, and ticks go through the same
+    /// [`kpbs::traffic::message_ticks`] choke point.
+    pub fn cache_key(
+        &self,
+        platform: &Platform,
+        beta_seconds: f64,
+        scale: TickScale,
+        tag: u64,
+    ) -> u128 {
+        let edges = (0..self.n1 as usize).flat_map(|i| {
+            (self.row_ptr[i] as usize..self.row_ptr[i + 1] as usize).map(move |e| {
+                let ticks = traffic::message_ticks(platform, scale, self.bytes[e]);
+                (i, self.cols[e] as usize, ticks)
+            })
+        });
+        kpbs::cache_key_from_edges(
+            tag,
+            self.n1 as usize,
+            self.n2 as usize,
+            self.cols.len(),
+            edges,
+            platform.k(),
+            scale.to_ticks(beta_seconds),
+        )
+    }
+
+    /// Rejects a matrix whose tick conversion is not total on `platform`:
+    /// a cell (or β) whose duration is non-finite or does not fit `u64`
+    /// ticks, or totals beyond [`kpbs::traffic::plan_ticks_fit`]. Speeds
+    /// like `1e-300` pass `Topology::validate` yet make
+    /// [`kpbs::traffic::message_ticks`] panic, and merely slow ones
+    /// overflow `k·W(G)` inside the planner; after this check neither the
+    /// admission-time key nor the worker's plan can.
+    ///
+    /// Ticks are monotone in bytes, so the largest cell speaks for every
+    /// cell, and `Σ ticks(bᵢ) ≤ ticks(Σ bᵢ) + nnz` (each cell rounds up by
+    /// less than one tick) bounds the total — one integer pass and two
+    /// conversions instead of a division per cell. The float rounding in
+    /// that bound is parts in 10¹⁵ against the budget's factor-4 headroom.
+    fn check_tick_budget(&self, platform: &Platform, beta_seconds: f64) -> Result<(), WireError> {
+        let beta = TICK_SCALE
+            .try_to_ticks(beta_seconds)
+            .ok_or_else(|| WireError::new("beta overflows the tick range"))?;
+        let largest = self.bytes.iter().copied().max().unwrap_or(0);
+        traffic::try_message_ticks(platform, TICK_SCALE, largest)
+            .ok_or_else(|| WireError::new("cell duration overflows the tick range"))?;
+        let over_budget = || WireError::new("matrix exceeds the planner's tick budget");
+        let nnz = self.bytes.len();
+        let total = u64::try_from(self.bytes.iter().map(|&b| b as u128).sum::<u128>())
+            .ok()
+            .and_then(|sum| traffic::try_message_ticks(platform, TICK_SCALE, sum))
+            .and_then(|ticks| ticks.checked_add(nnz as u64))
+            .ok_or_else(over_budget)?;
+        let (n1, n2) = (self.n1 as usize, self.n2 as usize);
+        if !traffic::plan_ticks_fit(n1, n2, platform.k(), nnz, total, beta) {
+            return Err(over_budget());
+        }
+        Ok(())
+    }
+
     /// Structural validation: offsets monotone and in range, columns
     /// strictly ascending per row and `< n2`, byte counts positive.
     pub fn validate(&self) -> Result<(), WireError> {
@@ -247,6 +337,19 @@ pub struct PlanRequest {
     pub platform: WirePlatform,
     /// The traffic matrix.
     pub matrix: CsrMatrix,
+}
+
+impl PlanRequest {
+    /// The plan-cache key of this request at the server's [`TICK_SCALE`]
+    /// (see [`CsrMatrix::cache_key`]). Total for any decoded request.
+    pub fn cache_key(&self) -> u128 {
+        self.matrix.cache_key(
+            &self.platform.to_platform(),
+            self.platform.beta_seconds,
+            TICK_SCALE,
+            self.algo as u64,
+        )
+    }
 }
 
 /// One sparse matrix edit carried by a `DELTA` frame. Cell amounts are in
@@ -567,6 +670,22 @@ fn put_f64(out: &mut Vec<u8>, v: f64) {
     put_u64(out, v.to_bits());
 }
 
+/// Starts a frame: a placeholder for the length prefix, the magic and the
+/// protocol version. [`finish_frame`] fills the prefix in.
+fn begin_frame(capacity: usize, version: u16) -> Vec<u8> {
+    let mut p = Vec::with_capacity(capacity);
+    p.extend_from_slice(&[0; 4]);
+    p.extend_from_slice(&MAGIC);
+    put_u16(&mut p, version);
+    p
+}
+
+fn finish_frame(mut p: Vec<u8>) -> Vec<u8> {
+    let len = (p.len() - 4) as u32;
+    p[..4].copy_from_slice(&len.to_be_bytes());
+    p
+}
+
 fn check_header(c: &mut Cursor) -> Result<u16, WireError> {
     if c.take(4)? != MAGIC {
         return Err(WireError::new("bad magic"));
@@ -582,9 +701,8 @@ fn check_header(c: &mut Cursor) -> Result<u16, WireError> {
 
 /// Encodes a request as a full frame (length prefix included).
 pub fn encode_request(req: &PlanRequest) -> Vec<u8> {
-    let mut p = Vec::with_capacity(64 + 12 * req.matrix.cols.len());
-    p.extend_from_slice(&MAGIC);
-    put_u16(&mut p, req.wire_version);
+    let capacity = 64 + 4 * req.matrix.row_ptr.len() + 12 * req.matrix.cols.len();
+    let mut p = begin_frame(capacity, req.wire_version);
     p.push(0); // kind: plan
     put_u64(&mut p, req.request_id);
     p.push(req.algo as u8);
@@ -602,15 +720,13 @@ pub fn encode_request(req: &PlanRequest) -> Vec<u8> {
         put_u32(&mut p, c);
         put_u64(&mut p, b);
     }
-    frame(p)
+    finish_frame(p)
 }
 
 /// Encodes a session request as a full frame (length prefix included).
 pub fn encode_session_request(req: &SessionRequest) -> Vec<u8> {
     debug_assert!(req.wire_version >= SESSION_MIN_VERSION);
-    let mut p = Vec::with_capacity(64);
-    p.extend_from_slice(&MAGIC);
-    put_u16(&mut p, req.wire_version);
+    let mut p = begin_frame(64, req.wire_version);
     match &req.op {
         SessionOp::Open {
             algo,
@@ -679,7 +795,7 @@ pub fn encode_session_request(req: &SessionRequest) -> Vec<u8> {
             put_u64(&mut p, *session_id);
         }
     }
-    frame(p)
+    finish_frame(p)
 }
 
 /// Decodes any binary request payload — a stateless plan (kind 0) or a
@@ -817,25 +933,24 @@ fn decode_plan_body(
         bytes,
     };
     matrix.validate()?;
-    Ok((
-        algo,
-        WirePlatform {
-            n1,
-            n2,
-            t1,
-            t2,
-            backbone,
-            beta_seconds,
-        },
-        matrix,
-    ))
+    let platform = WirePlatform {
+        n1,
+        n2,
+        t1,
+        t2,
+        backbone,
+        beta_seconds,
+    };
+    matrix.check_tick_budget(&platform.to_platform(), beta_seconds)?;
+    Ok((algo, platform, matrix))
 }
 
 /// The deterministic byte encoding of a schedule — the exact bytes an `Ok`
 /// response carries, exposed so tests (and the cache-consistency check) can
 /// byte-compare a served schedule against a cold plan.
 pub fn encode_schedule(s: &Schedule) -> Vec<u8> {
-    let mut out = Vec::new();
+    let transfers: usize = s.steps.iter().map(|step| step.transfers.len()).sum();
+    let mut out = Vec::with_capacity(12 + 4 * s.steps.len() + 12 * transfers);
     put_u64(&mut out, s.beta);
     put_u32(&mut out, s.steps.len() as u32);
     for step in &s.steps {
@@ -846,6 +961,47 @@ pub fn encode_schedule(s: &Schedule) -> Vec<u8> {
         }
     }
     out
+}
+
+/// The cost / lower-bound / work-counter section that follows the schedule
+/// in `Ok` and session responses.
+fn put_outcome(p: &mut Vec<u8>, cost: u64, lower_bound: u64, work: &[u64; COUNTER_COUNT]) {
+    put_u64(p, cost);
+    put_u64(p, lower_bound);
+    p.push(COUNTER_COUNT as u8);
+    for &w in work {
+        put_u64(p, w);
+    }
+}
+
+/// Encodes an `Ok` response frame around an **already encoded** schedule
+/// section ([`encode_schedule`] bytes) — the one encoder of the `Ok` frame
+/// layout. [`encode_response`] calls it for `PlanResponse::Ok`; the server
+/// calls it directly with the bytes its plan cache holds, so a cache hit is
+/// a copy of the schedule section rather than a re-encode, and is
+/// byte-identical to `encode_response` of the decoded response.
+#[allow(clippy::too_many_arguments)]
+pub fn encode_ok(
+    version: u16,
+    request_id: u64,
+    cached: bool,
+    schedule: &[u8],
+    cost: u64,
+    lower_bound: u64,
+    work: &[u64; COUNTER_COUNT],
+    server_id: u64,
+) -> Vec<u8> {
+    debug_assert!((MIN_VERSION..=VERSION).contains(&version));
+    let mut p = begin_frame(48 + schedule.len() + 8 * COUNTER_COUNT, version);
+    put_u64(&mut p, request_id);
+    p.push(0);
+    p.push(u8::from(cached));
+    p.extend_from_slice(schedule);
+    put_outcome(&mut p, cost, lower_bound, work);
+    if version >= 2 {
+        put_u64(&mut p, server_id);
+    }
+    finish_frame(p)
 }
 
 fn decode_schedule(c: &mut Cursor) -> Result<Schedule, WireError> {
@@ -873,10 +1029,7 @@ fn decode_schedule(c: &mut Cursor) -> Result<Schedule, WireError> {
 /// so an old client never sees fields it cannot parse.
 pub fn encode_response(resp: &PlanResponse, version: u16) -> Vec<u8> {
     debug_assert!((MIN_VERSION..=VERSION).contains(&version));
-    let mut p = Vec::new();
-    p.extend_from_slice(&MAGIC);
-    put_u16(&mut p, version);
-    match resp {
+    let p = match resp {
         PlanResponse::Ok {
             request_id,
             cached,
@@ -886,35 +1039,36 @@ pub fn encode_response(resp: &PlanResponse, version: u16) -> Vec<u8> {
             work,
             server_id,
         } => {
-            put_u64(&mut p, *request_id);
-            p.push(0);
-            p.push(u8::from(*cached));
-            p.extend_from_slice(&encode_schedule(schedule));
-            put_u64(&mut p, *cost);
-            put_u64(&mut p, *lower_bound);
-            p.push(COUNTER_COUNT as u8);
-            for &w in work.iter() {
-                put_u64(&mut p, w);
-            }
-            if version >= 2 {
-                put_u64(&mut p, *server_id);
-            }
+            return encode_ok(
+                version,
+                *request_id,
+                *cached,
+                &encode_schedule(schedule),
+                *cost,
+                *lower_bound,
+                work,
+                *server_id,
+            )
         }
         PlanResponse::Rejected { request_id, reason } => {
+            let mut p = begin_frame(32, version);
             put_u64(&mut p, *request_id);
             p.push(match reason {
                 RejectReason::QueueFull => 1,
                 RejectReason::MatrixTooLarge => 2,
             });
+            p
         }
         PlanResponse::Error {
             request_id,
             message,
         } => {
+            let mut p = begin_frame(32 + message.len(), version);
             put_u64(&mut p, *request_id);
             p.push(3);
             put_u32(&mut p, message.len() as u32);
             p.extend_from_slice(message.as_bytes());
+            p
         }
         PlanResponse::Session {
             request_id,
@@ -928,19 +1082,17 @@ pub fn encode_response(resp: &PlanResponse, version: u16) -> Vec<u8> {
             server_id,
         } => {
             debug_assert!(version >= SESSION_MIN_VERSION);
+            let schedule = encode_schedule(schedule);
+            let mut p = begin_frame(64 + schedule.len() + 8 * COUNTER_COUNT, version);
             put_u64(&mut p, *request_id);
             p.push(4);
             put_u64(&mut p, *session_id);
             put_u64(&mut p, *generation);
             p.push(*level as u8);
-            p.extend_from_slice(&encode_schedule(schedule));
-            put_u64(&mut p, *cost);
-            put_u64(&mut p, *lower_bound);
-            p.push(COUNTER_COUNT as u8);
-            for &w in work.iter() {
-                put_u64(&mut p, w);
-            }
+            p.extend_from_slice(&schedule);
+            put_outcome(&mut p, *cost, *lower_bound, work);
             put_u64(&mut p, *server_id);
+            p
         }
         PlanResponse::SessionRejected {
             request_id,
@@ -948,13 +1100,15 @@ pub fn encode_response(resp: &PlanResponse, version: u16) -> Vec<u8> {
             reason,
         } => {
             debug_assert!(version >= SESSION_MIN_VERSION);
+            let mut p = begin_frame(32, version);
             put_u64(&mut p, *request_id);
             p.push(5);
             put_u64(&mut p, *session_id);
             p.push(*reason as u8);
+            p
         }
-    }
-    frame(p)
+    };
+    finish_frame(p)
 }
 
 /// Decodes a response payload (no length prefix).
@@ -1055,13 +1209,6 @@ pub fn decode_response(payload: &[u8]) -> Result<PlanResponse, WireError> {
     };
     c.done()?;
     Ok(resp)
-}
-
-fn frame(payload: Vec<u8>) -> Vec<u8> {
-    let mut out = Vec::with_capacity(payload.len() + 4);
-    put_u32(&mut out, payload.len() as u32);
-    out.extend_from_slice(&payload);
-    out
 }
 
 // ------------------------------------------------------------------- i/o
@@ -1442,6 +1589,123 @@ mod tests {
             bytes: vec![0],
         };
         assert!(m.validate().is_err());
+    }
+
+    /// A 2×2 request with every cell `bytes` on NICs of `speed` Mbit/s.
+    fn extreme_request(speed: f64, backbone: f64, beta_seconds: f64, bytes: u64) -> PlanRequest {
+        let t = TrafficMatrix::from_rows(2, 2, vec![bytes; 4]);
+        PlanRequest {
+            wire_version: VERSION,
+            request_id: 9,
+            algo: Algo::Oggp,
+            platform: WirePlatform {
+                n1: 2,
+                n2: 2,
+                t1: speed,
+                t2: speed,
+                backbone,
+                beta_seconds,
+            },
+            matrix: CsrMatrix::from_traffic(&t),
+        }
+    }
+
+    fn decode_error(req: &PlanRequest) -> String {
+        decode_request(&encode_request(req)[4..]).unwrap_err().0
+    }
+
+    #[test]
+    fn non_finite_cell_duration_rejected() {
+        // 1e-300 Mbit/s passes `Topology::validate`; u64::MAX bytes over it
+        // is an infinite number of seconds.
+        let err = decode_error(&extreme_request(1e-300, 1.0, 0.05, u64::MAX));
+        assert!(err.contains("cell duration overflows"), "{err}");
+    }
+
+    #[test]
+    fn saturating_cell_ticks_rejected() {
+        // 1e-3 Mbit/s is 125 B/s: a finite 1.5e17 s that does not fit u64
+        // millisecond ticks.
+        let err = decode_error(&extreme_request(1e-3, 1.0, 0.05, u64::MAX));
+        assert!(err.contains("cell duration overflows"), "{err}");
+    }
+
+    #[test]
+    fn tick_total_times_k_overflow_rejected() {
+        // 1e17 bytes at 125 B/s is 8e17 ticks — each cell fits, and so
+        // does their sum, but not (k + 1)·Σ under the planner's headroom.
+        let req = extreme_request(1e-3, 1.0, 0.0, 100_000_000_000_000_000);
+        assert_eq!(req.platform.to_platform().k(), 2);
+        let err = decode_error(&req);
+        assert!(err.contains("tick budget"), "{err}");
+        // The same cells with the budget to spare decode.
+        let ok = extreme_request(1e-3, 1.0, 0.0, 1_000_000_000_000_000);
+        assert_eq!(decode_request(&encode_request(&ok)[4..]).unwrap(), ok);
+    }
+
+    #[test]
+    fn byte_total_beyond_u64_rejected() {
+        // Four cells of u64::MAX bytes are plannable one by one on a fast
+        // platform, but their byte sum leaves u64.
+        let err = decode_error(&extreme_request(1e12, 1e12, 0.0, u64::MAX));
+        assert!(err.contains("tick budget"), "{err}");
+    }
+
+    #[test]
+    fn overflowing_beta_rejected() {
+        let err = decode_error(&extreme_request(100.0, 200.0, 1e300, 1_000_000));
+        assert!(err.contains("beta overflows"), "{err}");
+        // 1e15 s is 1e18 ticks: fits u64, but one β per step does not fit
+        // the budget.
+        let err = decode_error(&extreme_request(100.0, 200.0, 1e15, 1_000_000));
+        assert!(err.contains("tick budget"), "{err}");
+    }
+
+    #[test]
+    fn total_bytes_saturates() {
+        let m = extreme_request(100.0, 200.0, 0.0, u64::MAX).matrix;
+        assert_eq!(m.total_bytes(), u64::MAX);
+    }
+
+    #[test]
+    fn encode_ok_is_the_ok_arm_of_encode_response() {
+        let schedule = Schedule {
+            steps: vec![Step {
+                transfers: vec![Transfer {
+                    edge: bipartite::EdgeId(1),
+                    amount: 4,
+                }],
+            }],
+            beta: 3,
+        };
+        let mut work = [0u64; COUNTER_COUNT];
+        work[2] = 8;
+        for version in MIN_VERSION..=VERSION {
+            for cached in [false, true] {
+                let resp = PlanResponse::Ok {
+                    request_id: 5,
+                    cached,
+                    schedule: schedule.clone(),
+                    cost: 7,
+                    lower_bound: 6,
+                    work,
+                    server_id: 12,
+                };
+                assert_eq!(
+                    encode_ok(
+                        version,
+                        5,
+                        cached,
+                        &encode_schedule(&schedule),
+                        7,
+                        6,
+                        &work,
+                        12
+                    ),
+                    encode_response(&resp, version)
+                );
+            }
+        }
     }
 
     #[test]

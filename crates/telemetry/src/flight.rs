@@ -69,14 +69,17 @@ pub struct FlightRecord {
     /// Admission-queue depth observed when this request was admitted
     /// (sheds record the depth that rejected them).
     pub queue_depth: u32,
-    /// Microseconds from admission to worker pickup (0 for sheds).
+    /// Microseconds from admission to worker pickup (0 for sheds and for
+    /// hits answered at admission, which never queue).
     pub queue_wait_us: u64,
     /// Microseconds spent planning (0 for cache hits and sheds).
     pub plan_us: u64,
     /// How the request left the system.
     pub outcome: FlightOutcome,
-    /// Worker that served the request (`u32::MAX` when no worker touched
-    /// it, i.e. sheds and pre-admission errors).
+    /// Worker that served the request, or [`FlightRecord::NO_WORKER`] when
+    /// none touched it: sheds, pre-admission errors, and — with outcome
+    /// [`FlightOutcome::CacheHit`] — a hit **answered at admission**, on
+    /// the thread that decoded the frame.
     pub worker: u32,
     /// Execution retries (meaningful for [`FlightOutcome::Executed`]).
     pub retries: u32,
@@ -89,6 +92,9 @@ pub struct FlightRecord {
 }
 
 impl FlightRecord {
+    /// The `worker` value of a request no worker touched; rendered `-1`.
+    pub const NO_WORKER: u32 = u32::MAX;
+
     /// A record for a request no worker served yet: everything zeroed,
     /// worker marked absent. Callers fill in what they know.
     pub fn new(rid: u64, outcome: FlightOutcome) -> Self {
@@ -102,7 +108,7 @@ impl FlightRecord {
             queue_wait_us: 0,
             plan_us: 0,
             outcome,
-            worker: u32::MAX,
+            worker: Self::NO_WORKER,
             retries: 0,
             replans: 0,
             faults: 0,
@@ -129,7 +135,7 @@ impl FlightRecord {
             self.queue_depth,
             self.queue_wait_us,
             self.plan_us,
-            if self.worker == u32::MAX {
+            if self.worker == Self::NO_WORKER {
                 -1i64
             } else {
                 self.worker as i64

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Repository gate: formatting, lints, release build, the full test suite,
-# the deterministic work-counter regression check and the serving-layer
-# load test. Fails fast: the first failing step aborts the run with a
+# the deterministic work-counter regression check, the serving-layer
+# load test and the end-to-end benchmark crate's tests and smoke run. Fails fast: the first failing step aborts the run with a
 # banner naming it.
 # Usage: scripts/check.sh
 set -euo pipefail
@@ -104,5 +104,12 @@ banner "heterogeneous-topology smoke (hetero_bench --smoke)"
 # error, delivery violation, or a cost beating the heterogeneity-aware
 # lower bound. The homogeneous arm is byte-compared to the Platform oracle.
 cargo run --release -p bench --bin hetero_bench -- --smoke > /dev/null
+
+banner "end-to-end benchmark crate (its tests + --smoke against the current product API)"
+# `benchmark/` is a package of its own that compiles against the product
+# crates' public API; building and smoke-running it here makes an API
+# change that breaks it fail this gate instead of the next benchmark run.
+cargo test --offline --manifest-path benchmark/Cargo.toml
+cargo run --release --offline --manifest-path benchmark/Cargo.toml -- --smoke
 
 printf '\nAll checks passed.\n'
