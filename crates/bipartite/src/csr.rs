@@ -116,27 +116,6 @@ impl CsrAdj {
         }
     }
 
-    /// Sizes an empty *transposed* layout from `g`: one row per **right**
-    /// node, with capacity for its full live degree. Rows are left empty —
-    /// content arrives by [`push`](CsrAdj::push)ing `(left node, edge id)`
-    /// pairs. Like [`clone_layout`](CsrAdj::clone_layout) this is layout
-    /// bookkeeping, not a counted rebuild.
-    pub fn build_transposed_layout(&mut self, g: &Graph) {
-        let nr = g.right_count();
-        self.offsets.clear();
-        self.offsets.reserve(nr + 1);
-        let mut acc = 0u32;
-        self.offsets.push(0);
-        for r in 0..nr {
-            acc += g.degree_right(r) as u32;
-            self.offsets.push(acc);
-        }
-        self.len.clear();
-        self.len.resize(nr, 0);
-        self.targets.clear();
-        self.targets.resize(acc as usize, (0, EdgeId(0)));
-    }
-
     /// Adopts `other`'s row layout (offsets and capacity) with every row
     /// empty. Does *not* count as a rebuild: no graph scan happens, and the
     /// probe adjacencies using this share the one layout built per run.
@@ -222,28 +201,6 @@ impl CsrAdj {
     /// assertions checking the adjacency tracks the graph.
     pub fn live_entries(&self) -> usize {
         self.len.iter().map(|&n| n as usize).sum()
-    }
-
-    /// Saves the live length of every row into `out` (cleared first).
-    /// Together with [`restore_lens`](CsrAdj::restore_lens) this checkpoints
-    /// the adjacency in O(rows): as long as rows only *grow* (by
-    /// [`push`](CsrAdj::push)) after the save, truncating them back restores
-    /// the exact previous contents — pushes append past the saved length and
-    /// never overwrite a saved slot.
-    pub fn save_lens(&self, out: &mut Vec<u32>) {
-        out.clear();
-        out.extend_from_slice(&self.len);
-    }
-
-    /// Rewinds every row to a length saved by [`save_lens`](CsrAdj::save_lens).
-    /// Only valid if rows have not shrunk below the saved lengths since.
-    pub fn restore_lens(&mut self, saved: &[u32]) {
-        debug_assert_eq!(saved.len(), self.len.len());
-        debug_assert!(
-            saved.iter().zip(&self.len).all(|(&s, &n)| s <= n),
-            "rows shrank since the checkpoint; contents are gone"
-        );
-        self.len.copy_from_slice(saved);
     }
 }
 
@@ -410,24 +367,6 @@ mod tests {
         probe.remove(2, EdgeId(2));
         probe.insert_by_id(2, 1, EdgeId(2));
         assert_eq!(probe.row(2), adj.row(2));
-    }
-
-    #[test]
-    fn save_restore_lens_rewinds_pushes() {
-        let g = ladder();
-        let mut adj = CsrAdj::new();
-        adj.build_where(&g, |e| g.weight(e) >= 4); // row 2: only edge 3
-        let mut saved = Vec::new();
-        adj.save_lens(&mut saved);
-        adj.push(0, 0, EdgeId(0));
-        adj.push(2, 1, EdgeId(2));
-        assert_eq!(adj.live_entries(), 3);
-        adj.restore_lens(&saved);
-        assert_eq!(adj.row(0), &[]);
-        assert_eq!(adj.row(2), &[(2, EdgeId(3))]);
-        // Re-pushing after a rewind overwrites the rewound slots.
-        adj.push(2, 1, EdgeId(2));
-        assert_eq!(adj.row(2), &[(2, EdgeId(3)), (1, EdgeId(2))]);
     }
 
     #[test]

@@ -2,14 +2,25 @@
 //! against exhaustive brute force on small graphs.
 
 use bipartite::coloring::konig_coloring;
-use bipartite::{bottleneck, greedy, hopcroft_karp, properties, EdgeId, Graph, Weight};
+use bipartite::{
+    bottleneck, greedy, hopcroft_karp, properties, EdgeId, Graph, MatchingEngine, Weight,
+};
 use proptest::prelude::*;
 
-/// Strategy: a small bipartite multigraph.
+/// Strategy: a small bipartite multigraph with weights in `1..50`.
 fn graph_strategy(max_side: usize, max_edges: usize) -> impl Strategy<Value = Graph> {
+    weighted_graph_strategy(max_side, max_edges, 49)
+}
+
+/// Strategy: a small bipartite multigraph with weights in `1..=max_weight`.
+fn weighted_graph_strategy(
+    max_side: usize,
+    max_edges: usize,
+    max_weight: Weight,
+) -> impl Strategy<Value = Graph> {
     (1..=max_side, 1..=max_side)
         .prop_flat_map(move |(nl, nr)| {
-            let edges = proptest::collection::vec((0..nl, 0..nr, 1u64..50), 0..=max_edges);
+            let edges = proptest::collection::vec((0..nl, 0..nr, 1..=max_weight), 0..=max_edges);
             (Just((nl, nr)), edges)
         })
         .prop_map(|((nl, nr), edges)| {
@@ -138,6 +149,33 @@ proptest! {
                 properties::total_weight(&h),
                 p_before - w * m.len() as u64
             );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(500))]
+
+    /// Irregular graphs with few distinct weights: unequal sides and
+    /// isolated nodes leave lefts free for good (`target < side`, so parked
+    /// trees persist), the maximum cardinality drops mid-run (a cold sweep
+    /// over a still-valid split) and every weight is a large tie group
+    /// (trees meet, block and wake each other within one group).
+    #[test]
+    fn engine_max_min_equals_cold_on_irregular_graphs(
+        g in weighted_graph_strategy(12, 40, 4)
+    ) {
+        let mut g = g;
+        let mut engine = MatchingEngine::for_graph(&g);
+        while !g.is_empty() {
+            let expect = bottleneck::max_min_matching(&g);
+            let got = engine.max_min_matching(&g);
+            prop_assert_eq!(got.edges(), expect.edges());
+            let quantum = got.min_weight(&g).expect("non-empty graph yields a matching");
+            for &e in got.edges() {
+                g.decrease_weight(e, quantum);
+            }
+            engine.observe_peel(&g, &got, quantum);
         }
     }
 }

@@ -121,6 +121,40 @@ fn work_counters_are_deterministic_across_runs() {
     assert!(s.get(Counter::MergePasses) > 0);
 }
 
+/// A cold first peel starts one tree per left of the regularised graph and
+/// resumes at most one per inserted edge (a wake-up needs an augmentation,
+/// and those are bounded by the side too): linear in `side + m`, where an
+/// augment-and-rescan sweep pays a pass over the free lefts per
+/// augmentation — quadratic in the side.
+#[test]
+fn cold_first_peel_is_linear_in_kuhn_attempts() {
+    use bipartite::MatchingEngine;
+    use telemetry::Counter;
+    let _guard = LOCK.lock().unwrap();
+    let mut rng = SmallRng::seed_from_u64(0xc01d);
+    let inst = kpbs::instances::sparse_clustered(&mut rng, 128, 8, 8, 0.1, 10_000, 16, 1);
+    let g = kpbs::regularize::regularize(&inst.graph, inst.effective_k()).graph;
+    let (side, m) = (g.left_count() as u64, g.edge_count() as u64);
+    assert!(side >= 128);
+    let mut engine = MatchingEngine::for_graph(&g);
+    counters::enable();
+    let before = counters::local_snapshot();
+    let first = engine.max_min_matching(&g);
+    let delta = counters::local_snapshot().delta(&before);
+    counters::disable();
+    assert_eq!(
+        first.len() as u64,
+        side,
+        "regular graphs peel perfect matchings"
+    );
+    assert_eq!(delta.get(Counter::ThresholdProbes), 1);
+    let attempts = delta.get(Counter::KuhnAttempts);
+    assert!(
+        attempts <= side + m,
+        "{attempts} kuhn_attempts for side {side}, {m} edges"
+    );
+}
+
 #[test]
 fn disabled_telemetry_records_nothing() {
     let _guard = LOCK.lock().unwrap();

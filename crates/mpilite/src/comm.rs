@@ -107,28 +107,20 @@ impl World {
     {
         let shared = &self.shared;
         let start = std::time::Instant::now();
+        let ranks = (0..shared.senders)
+            .map(Rank::Sender)
+            .chain((0..shared.receivers).map(Rank::Receiver));
         std::thread::scope(|scope| {
-            for s in 0..shared.senders {
+            for rank in ranks {
                 let f = &f;
                 scope.spawn(move || {
-                    let comm = Comm {
-                        rank: Rank::Sender(s),
-                        shared,
-                    };
+                    let comm = Comm { rank, shared };
                     // Align all ranks before doing timed work.
                     comm.barrier();
                     f(&comm);
-                });
-            }
-            for d in 0..shared.receivers {
-                let f = &f;
-                scope.spawn(move || {
-                    let comm = Comm {
-                        rank: Rank::Receiver(d),
-                        shared,
-                    };
-                    comm.barrier();
-                    f(&comm);
+                    // The scope returns once `f` has, not once this
+                    // thread's TLS destructors have flushed its counters.
+                    telemetry::counters::flush_local();
                 });
             }
         });

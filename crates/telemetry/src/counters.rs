@@ -13,7 +13,10 @@
 //! * A single global enable flag gates every increment: when disabled,
 //!   [`add`]/[`incr`] cost one relaxed atomic load and a branch.
 //! * Increments land in plain thread-local cells (no atomic RMW on the hot
-//!   path). When a thread exits, its cells flush into global atomic totals.
+//!   path). When a thread exits, its cells flush into global atomic totals
+//!   — but a thread-local destructor may run *after* `join` or
+//!   `std::thread::scope` has returned, so a worker whose counts must be
+//!   visible the moment it is joined ends with [`flush_local`].
 //! * [`local_snapshot`] reads the calling thread's cells only — immune to
 //!   concurrent threads, which is what tests should diff.
 //!   [`global_snapshot`] adds the flushed totals of exited threads, which
@@ -29,12 +32,15 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 pub enum Counter {
     /// Hopcroft–Karp BFS/DFS phases (`hk_augment_to_maximum` loop turns).
     HkPhases,
-    /// Kuhn augmenting-path searches started from a free left node.
+    /// Augmenting-path searches from a free left node: one per Kuhn DFS
+    /// started, and in the engine's threshold search one per alternating
+    /// tree started or resumed.
     KuhnAttempts,
-    /// Edges examined by augmenting-path DFS (Hopcroft–Karp and Kuhn).
+    /// Adjacency-row entries scanned by augmenting-path searches
+    /// (Hopcroft–Karp and Kuhn DFS, and the threshold search's tree growth).
     DfsEdgeVisits,
-    /// Max–min bottleneck threshold probes (warm batches, descending-sweep
-    /// steps and binary-search probes all count one each).
+    /// Max–min bottleneck threshold probes: one per threshold search of the
+    /// incremental engine, one per binary-search probe of the cold path.
     ThresholdProbes,
     /// O(m) sorted-order merge passes repairing the engine's edge order.
     MergePasses,
@@ -195,14 +201,21 @@ struct LocalCounters {
     vals: [Cell<u64>; COUNTER_COUNT],
 }
 
-impl Drop for LocalCounters {
-    fn drop(&mut self) {
+impl LocalCounters {
+    /// Moves every cell into its global total, leaving the cells zero.
+    fn flush(&self) {
         for (cell, total) in self.vals.iter().zip(GLOBAL.iter()) {
-            let v = cell.get();
+            let v = cell.replace(0);
             if v != 0 {
                 total.fetch_add(v, Ordering::Relaxed);
             }
         }
+    }
+}
+
+impl Drop for LocalCounters {
+    fn drop(&mut self) {
+        self.flush();
     }
 }
 
@@ -246,6 +259,16 @@ pub fn add(c: Counter, n: u64) {
 #[inline]
 pub fn incr(c: Counter) {
     add(c, 1);
+}
+
+/// Moves the calling thread's cells into the global totals now instead of
+/// at thread exit. A spawning thread that reads [`global_snapshot`] right
+/// after `join` or `std::thread::scope` races the worker's thread-local
+/// destructor, which the standard library does not order before either;
+/// a worker that calls this as its last counted act is ordered by the join
+/// itself. [`local_snapshot`] on the calling thread restarts from zero.
+pub fn flush_local() {
+    let _ = LOCAL.try_with(LocalCounters::flush);
 }
 
 /// A point-in-time copy of counter values. Obtain one via
@@ -385,6 +408,28 @@ mod tests {
         let d = global_snapshot().delta(&before);
         disable();
         assert_eq!(d.get(Counter::BarrierWaits), 7);
+    }
+
+    #[test]
+    fn flush_local_is_visible_right_after_a_scope() {
+        let _g = LOCK.lock().unwrap();
+        enable();
+        // Many short rounds: without the flush the scope returns before the
+        // workers' TLS destructors about every other time.
+        for _ in 0..200 {
+            let before = global_snapshot();
+            std::thread::scope(|scope| {
+                for _ in 0..4 {
+                    scope.spawn(|| {
+                        add(Counter::BarrierWaits, 3);
+                        flush_local();
+                    });
+                }
+            });
+            let d = global_snapshot().delta(&before);
+            assert_eq!(d.get(Counter::BarrierWaits), 12);
+        }
+        disable();
     }
 
     #[test]
