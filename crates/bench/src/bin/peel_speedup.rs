@@ -111,7 +111,7 @@ fn cases() -> Vec<Case> {
 /// dropped from the schedule).
 fn peel_count(inst: &Instance) -> usize {
     let norm = normalize(inst);
-    let reg = regularize(&norm.graph, inst.effective_k());
+    let reg = regularize(&norm.graph, norm.k);
     let mut work = reg.graph;
     peel_all_incremental(&mut work, &mut IncrementalMaxMin::new()).len()
 }

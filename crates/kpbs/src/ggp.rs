@@ -47,7 +47,7 @@ pub fn schedule_with<S: MatchingStrategy>(inst: &Instance, strategy: &S) -> Sche
     };
     let reg = {
         let _s = telemetry::span("kpbs.regularize");
-        regularize(&norm.graph, inst.effective_k())
+        regularize(&norm.graph, norm.k)
     };
     // Peeling consumes the regular graph in place (extraction only needs the
     // edge kinds), so the embedding is never cloned.
@@ -72,10 +72,11 @@ pub fn schedule_with_mut<S: MatchingStrategyMut>(inst: &Instance, strategy: &mut
         let _s = telemetry::span("kpbs.normalize");
         normalize(inst)
     };
-    // Step 2: add nodes and edges to build a weight-regular graph J.
+    // Step 2: add nodes and edges to build a weight-regular graph J over the
+    // traffic-carrying nodes.
     let reg = {
         let _s = telemetry::span("kpbs.regularize");
-        regularize(&norm.graph, inst.effective_k())
+        regularize(&norm.graph, norm.k)
     };
     // Step 3: peel J with WRGP, consuming it in place (extraction only needs
     // the edge kinds, so the embedding is never cloned).

@@ -13,33 +13,44 @@ use crate::problem::Instance;
 use crate::schedule::{Schedule, Step, Transfer};
 use bipartite::{Graph, Weight};
 
-/// The normalised view of an instance: same graph structure with weights
-/// `⌈w/unit⌉`, plus the unit to map back. `unit = β` when `β > 0`, else 1
-/// (no normalisation — setups are free so arbitrary preemption is safe).
+/// The normalised view of an instance: its live edges with weights
+/// `⌈w/unit⌉`, the unit to map back, and the parallelism to plan with.
+/// `unit = β` when `β > 0`, else 1 (no normalisation — setups are free so
+/// arbitrary preemption is safe).
+///
+/// Only nodes that carry traffic survive: left and right nodes are
+/// renumbered densely, in index order, over the endpoints of live edges, so
+/// an isolated sender or receiver never reaches the weight-regular graph
+/// (where it would otherwise be raised to weight `R` with pad edges of its
+/// own). Edge ids are unchanged, which is all the later stages look at.
 #[derive(Debug, Clone)]
 pub struct Normalized {
-    /// Graph with normalised weights. Edge ids coincide with the original's.
+    /// Graph with normalised weights over the traffic-carrying nodes. Edge
+    /// ids coincide with the original's; node indices do not.
     pub graph: Graph,
     /// Number of real ticks per normalised weight unit.
     pub unit: Weight,
+    /// The parallelism to regularise for: [`Instance::effective_k`] clamped
+    /// to the live nodes of each side (at least 1), so `k ≤ side` holds for
+    /// [`crate::regularize::regularize`].
+    pub k: usize,
 }
 
 /// Normalises an instance's graph.
 pub fn normalize(inst: &Instance) -> Normalized {
     let unit = if inst.beta > 0 { inst.beta } else { 1 };
-    let mut graph = Graph::new(inst.graph.left_count(), inst.graph.right_count());
+    let src = &inst.graph;
+    let (left, n1) = dense_ranks(src.left_count(), |l| src.degree_left(l) > 0);
+    let (right, n2) = dense_ranks(src.right_count(), |r| src.degree_right(r) > 0);
+    let k = inst.effective_k().min(n1).min(n2).max(1);
+    let mut graph = Graph::new(n1, n2);
     // Preserve edge ids: iterate ids in order, reproducing tombstones.
-    let max_id = inst
-        .graph
-        .edge_ids()
-        .map(|e| e.index() + 1)
-        .max()
-        .unwrap_or(0);
+    let max_id = src.edge_ids().map(|e| e.index() + 1).max().unwrap_or(0);
     for idx in 0..max_id {
         let e = bipartite::EdgeId(idx as u32);
-        if inst.graph.is_alive(e) {
-            let w = inst.graph.weight(e).div_ceil(unit);
-            let id = graph.add_edge(inst.graph.left_of(e), inst.graph.right_of(e), w.max(1));
+        if src.is_alive(e) {
+            let w = src.weight(e).div_ceil(unit);
+            let id = graph.add_edge(left[src.left_of(e)], right[src.right_of(e)], w.max(1));
             debug_assert_eq!(id, e);
         } else {
             // Keep id numbering aligned with the original graph.
@@ -47,7 +58,22 @@ pub fn normalize(inst: &Instance) -> Normalized {
             graph.remove_edge(id);
         }
     }
-    Normalized { graph, unit }
+    Normalized { graph, unit, k }
+}
+
+/// Numbers the nodes `0..n` for which `live` holds densely, in index order:
+/// returns each node's new index (meaningful for live nodes only) and the
+/// live count.
+fn dense_ranks(n: usize, live: impl Fn(usize) -> bool) -> (Vec<usize>, usize) {
+    let mut count = 0;
+    let ranks = (0..n)
+        .map(|v| {
+            let rank = count;
+            count += usize::from(live(v));
+            rank
+        })
+        .collect();
+    (ranks, count)
 }
 
 /// Maps a schedule over normalised weights back to real ticks.

@@ -5,6 +5,7 @@
 
 use bipartite::{hopcroft_karp, EdgeId, Graph, Matching};
 use kpbs::ggp::{ggp, ggp_seeded, schedule_with, schedule_with_mut};
+use kpbs::normalize::normalize;
 use kpbs::oggp::{oggp, oggp_reference};
 use kpbs::regularize::regularize;
 use kpbs::wrgp::{
@@ -95,8 +96,10 @@ proptest! {
     fn peels_identical_on_regularized_graphs(inst in instance_strategy(7, 25, 30, 0)) {
         // Drive the peeling kernel directly on the regularised graph, so the
         // filler/pad edges of Section 4.2.2 are part of the matchings and of
-        // the incremental bookkeeping.
-        let reg = regularize(&inst.graph, inst.effective_k());
+        // the incremental bookkeeping. The graph is the one the planners
+        // peel: normalised, isolated nodes dropped, `k` clamped to match.
+        let norm = normalize(&inst);
+        let reg = regularize(&norm.graph, norm.k);
         let endpoints: Vec<(usize, usize)> = reg
             .graph
             .edges()

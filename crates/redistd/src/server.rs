@@ -69,6 +69,7 @@ use crate::wire::{
 use kpbs::{DeltaPlanner, RepairLevel};
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
@@ -243,6 +244,16 @@ enum Work {
         key: u128,
     },
     Session(SessionRequest),
+}
+
+impl Work {
+    /// The client's request id and wire version: what any answer echoes.
+    fn reply_to(&self) -> (u64, u16) {
+        match self {
+            Work::Plan { req, .. } => (req.request_id, req.wire_version),
+            Work::Session(req) => (req.request_id, req.wire_version),
+        }
+    }
 }
 
 struct Job {
@@ -889,9 +900,9 @@ fn handle_frame(shared: &Arc<Shared>, payload: &[u8]) -> Vec<u8> {
             version,
         } => {
             // The worker pool drains every accepted job (even through
-            // shutdown), so this recv only fails if a worker panicked —
-            // before it pushed a flight record, so account for the
-            // request here.
+            // shutdown) and answers a panicking one with an error, so this
+            // recv failing is defensive only; it would mean no flight
+            // record was pushed, so account for the request here.
             rx.recv().unwrap_or_else(|_| {
                 shared.metrics.requests_error.inc();
                 let mut rec = FlightRecord::new(rid, FlightOutcome::Error);
@@ -1022,24 +1033,18 @@ fn worker_loop(shared: &Arc<Shared>, worker: u32) {
             std::thread::sleep(Duration::from_millis(shared.config.worker_think_ms));
         }
         let plan_start = Instant::now();
-        let (frame, outcome) = match &work {
-            Work::Plan { req, key } => plan_request(shared, req, *key, rec.rid),
-            Work::Session(req) => {
-                let resp = session_request(shared, req, rec.rid);
-                // Session successes count as planned work (repairs *are*
-                // planning); refusals are tallied by `sessions_rejected`
-                // inside `session_request`, protocol errors here.
-                let outcome = match &resp {
-                    PlanResponse::Session { .. } => FlightOutcome::Planned,
-                    PlanResponse::Error { .. } => {
-                        shared.metrics.requests_error.inc();
-                        FlightOutcome::Error
-                    }
-                    _ => FlightOutcome::Error,
-                };
-                (wire::encode_response(&resp, req.wire_version), outcome)
-            }
-        };
+        // A panic in the planner must cost one request, not the worker and
+        // not the connection waiting on `reply`: answer it with an error.
+        let served = panic::catch_unwind(AssertUnwindSafe(|| serve(shared, &work, rec.rid)));
+        let (frame, outcome) = served.unwrap_or_else(|_| {
+            shared.metrics.requests_error.inc();
+            let (request_id, version) = work.reply_to();
+            let resp = PlanResponse::Error {
+                request_id,
+                message: "worker panicked while serving the request".into(),
+            };
+            (wire::encode_response(&resp, version), FlightOutcome::Error)
+        });
         rec.outcome = outcome;
         if outcome != FlightOutcome::CacheHit {
             rec.plan_us = micros_since(plan_start);
@@ -1047,6 +1052,32 @@ fn worker_loop(shared: &Arc<Shared>, worker: u32) {
         rec.worker = worker;
         shared.record_served(rec, admitted);
         reply.send(frame);
+    }
+}
+
+/// Runs one queued job to its response frame and flight outcome.
+fn serve(shared: &Arc<Shared>, work: &Work, rid: u64) -> (Vec<u8>, FlightOutcome) {
+    #[cfg(test)]
+    if work.reply_to().0 == tests::PANIC_REQUEST_ID {
+        panic!("injected worker panic");
+    }
+    match work {
+        Work::Plan { req, key } => plan_request(shared, req, *key, rid),
+        Work::Session(req) => {
+            let resp = session_request(shared, req, rid);
+            // Session successes count as planned work (repairs *are*
+            // planning); refusals are tallied by `sessions_rejected`
+            // inside `session_request`, protocol errors here.
+            let outcome = match &resp {
+                PlanResponse::Session { .. } => FlightOutcome::Planned,
+                PlanResponse::Error { .. } => {
+                    shared.metrics.requests_error.inc();
+                    FlightOutcome::Error
+                }
+                _ => FlightOutcome::Error,
+            };
+            (wire::encode_response(&resp, req.wire_version), outcome)
+        }
     }
 }
 
@@ -1347,4 +1378,56 @@ fn peek_version(payload: &[u8]) -> u16 {
         }
     }
     wire::MIN_VERSION
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::{self, Client};
+    use kpbs::TrafficMatrix;
+
+    /// A request carrying this id makes the worker that serves it panic.
+    pub(super) const PANIC_REQUEST_ID: u64 = 0xdead_beef_0bad_cafe;
+
+    /// A worker panic answers its request with an error frame, the
+    /// connection keeps working, and the pool keeps all of its threads.
+    #[test]
+    fn worker_panic_answers_error_and_keeps_serving() {
+        for core in [ServingCore::EventLoop, ServingCore::Threads] {
+            let handle = start(ServerConfig {
+                workers: 2,
+                core,
+                ..ServerConfig::default()
+            })
+            .unwrap();
+            let platform = kpbs::Platform::new(4, 4, 100.0, 100.0, 200.0);
+            let mut traffic = TrafficMatrix::zeros(4, 4);
+            traffic.set(0, 1, 3_000_000);
+            traffic.set(2, 3, 5_000_000);
+            let mut conn = Client::connect(handle.addr()).unwrap();
+
+            let poison = client::request(PANIC_REQUEST_ID, Algo::Oggp, &traffic, &platform, 0.05);
+            match conn.plan(&poison).unwrap() {
+                PlanResponse::Error { request_id, .. } => assert_eq!(request_id, PANIC_REQUEST_ID),
+                other => panic!("{core:?}: expected an error frame, got {other:?}"),
+            }
+            let next = client::request(7, Algo::Oggp, &traffic, &platform, 0.05);
+            match conn.plan(&next).unwrap() {
+                PlanResponse::Ok { request_id, .. } => assert_eq!(request_id, 7),
+                other => panic!("{core:?}: the connection stopped serving: {other:?}"),
+            }
+            let poisoned = format!("client_id={PANIC_REQUEST_ID} outcome=error");
+            assert!(
+                handle.flight_text().contains(&poisoned),
+                "{core:?}: no flight record"
+            );
+            assert_eq!(handle.workers.len(), 2);
+            assert!(
+                handle.workers.iter().all(|w| !w.is_finished()),
+                "{core:?}: a worker died"
+            );
+            let stats = handle.shutdown();
+            assert_eq!(stats.errors, 1, "{core:?}");
+        }
+    }
 }

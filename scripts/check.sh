@@ -30,6 +30,9 @@ cargo build --release
 banner "test suite (cargo test --workspace -q)"
 cargo test --workspace -q
 
+banner "wall-clock loopback tests (ignored by the default suite)"
+cargo test -p redistd --test loopback -q -- --ignored
+
 banner "work-counter regression (fixed-seed campaign vs BENCH_counters.json)"
 cargo run --release -p bench --bin counters_baseline -- --check
 
