@@ -1,5 +1,10 @@
 //! Shared helpers for the figure-regeneration binaries and criterion
-//! benches: tiny CLI parsing and table printing (kept dependency-free).
+//! benches: tiny CLI parsing and table printing (kept dependency-free),
+//! plus the fixed-seed work-counter campaign ([`counters_campaign`]).
+
+#![forbid(unsafe_code)]
+
+pub mod counters_campaign;
 
 /// Parses `--name value` style options from `std::env::args`, falling back
 /// to `default` when absent or malformed.

@@ -22,6 +22,7 @@
 //! * [`trace`] — time-series of allocations for tests and plots.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod engine;
 pub mod executor;

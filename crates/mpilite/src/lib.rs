@@ -21,6 +21,7 @@
 //! (who waits on whom, what is shaped where) matches the paper's setup.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod barrier;
 pub mod collective;

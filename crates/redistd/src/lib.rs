@@ -17,8 +17,8 @@
 //!   policy: `try_push` or reject, never buffer unboundedly — plus the
 //!   unbounded [`queue::Inbox`] mailboxes of the event core;
 //! * [`cache`] — a sharded plan cache keyed by [`mod@kpbs::fingerprint`]'s
-//!   canonical instance hash, with a lock-free read path (epoch-reclaimed
-//!   published tables) and second-chance-clock eviction; the server keys
+//!   canonical instance hash: one mutex-guarded `HashMap` and clock ring
+//!   per shard, second-chance-clock eviction; the server keys
 //!   it straight from the decoded wire matrix and stores plans already
 //!   encoded, so a hit is answered at admission — byte-identical to a cold
 //!   run — without a worker hop;
@@ -45,7 +45,9 @@
 //! frames and (on Linux) a ~200-line raw `epoll` shim are entirely
 //! sufficient for a planner whose unit of work is milliseconds of
 //! matching, and the absence of a dependency tree keeps the serving
-//! layer as auditable as the scheduler it wraps.
+//! layer as auditable as the scheduler it wraps. The library denies
+//! `unsafe` everywhere except that shim (`sys`); the only other
+//! `unsafe` in the workspace is the `redistd` binary's `signal(2)` hookup.
 //!
 //! # Quickstart
 //!
@@ -73,6 +75,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod cache;
 pub mod client;
@@ -82,6 +85,7 @@ pub mod queue;
 pub mod server;
 pub mod session;
 #[cfg(target_os = "linux")]
+#[allow(unsafe_code)]
 pub(crate) mod sys;
 pub mod wire;
 

@@ -21,7 +21,7 @@
 //!                                   │ pop
 //!                        ┌──────────▼─────────────┐   ┌────────────────┐
 //!                        │ worker pool (N threads)│ ⇄ │ sharded cache  │
-//!                        │ re-probe → plan →      │   │ lock-free gets │
+//!                        │ re-probe → plan →      │   │ mutex per shard│
 //!                        │ encode once → insert   │   │ encoded plans  │
 //!                        └──────────┬─────────────┘   └────────────────┘
 //!                                   │ Reply: mpsc (thread core) or

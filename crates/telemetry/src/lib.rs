@@ -74,6 +74,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod counters;
 pub mod export;

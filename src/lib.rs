@@ -36,6 +36,8 @@
 //! assert!(report.total_seconds > 0.0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use bipartite;
 pub use flowsim;
 pub use kpbs;
