@@ -21,10 +21,14 @@
 //!    pairs.
 //! 3. **Block plans** (`hier_block_plans`): every active pair's
 //!    sub-instance (its nodes and edges only, `k` split evenly across the
-//!    pairs sharing a macro-step) is planned independently with OGGP
-//!    through the [`crate::batch`] parallel discipline — the flat-CSR
-//!    `MatchingEngine` runs per block, on instances of block size rather
-//!    than `n`.
+//!    pairs sharing a macro-step) is planned independently with OGGP —
+//!    the flat-CSR `MatchingEngine` runs per block, on instances of block
+//!    size rather than `n`. The plans fan out over
+//!    [`crate::batch::parallel_map`] on `HierConfig::jobs` workers
+//!    (every core by default, the caller included), largest pair first;
+//!    each worker builds the sub-instance it plans, and each schedule is
+//!    put back by its composition index, so the output does not depend
+//!    on `jobs`.
 //! 4. **Compose** (`hier_compose`): within a macro-step the active pairs
 //!    touch disjoint node sets, so their sub-schedules zip together step
 //!    by step — the union of matchings over disjoint blocks is a matching,
@@ -40,11 +44,12 @@
 //! ratio rises — `BENCH_scale.json` tracks both the ratio paid and the
 //! (empirically sub-quadratic) planning-time scaling bought.
 
-use crate::batch::plan_many_with;
+use crate::batch::parallel_map;
 use crate::oggp::oggp;
 use crate::problem::Instance;
 use crate::schedule::{Schedule, Step, Transfer};
 use bipartite::{partition_affinity, Bipartition, EdgeId, Graph, Weight};
+use std::sync::OnceLock;
 use telemetry::counters::{self, Counter};
 
 /// Coarse edge weights are scaled into `1..=COARSE_SCALE` so the coarse
@@ -61,14 +66,18 @@ pub struct HierConfig {
     pub blocks: usize,
     /// Affinity-refinement sweeps of the partition pass.
     pub sweeps: usize,
-    /// Worker threads for the per-block planning fan-out. The composed
-    /// schedule is identical for every value (see [`crate::batch`]).
+    /// Workers for the per-block planning fan-out, the calling thread
+    /// included. The composed schedule, the report and the work counted on
+    /// the calling thread are identical for every value (see
+    /// [`crate::batch`]).
     pub jobs: usize,
 }
 
 impl HierConfig {
     /// A config with `blocks` blocks, the default 2 refinement sweeps and
-    /// sequential block planning.
+    /// block planning on every available core
+    /// ([`std::thread::available_parallelism`]). Called inside another
+    /// [`crate::batch`] fan-out, the block plans run inline instead.
     ///
     /// # Panics
     ///
@@ -78,15 +87,23 @@ impl HierConfig {
         HierConfig {
             blocks,
             sweeps: 2,
-            jobs: 1,
+            jobs: available_jobs(),
         }
     }
 
-    /// Overrides the worker-thread count for block planning.
+    /// Overrides the worker count for block planning (`1` plans every
+    /// block on the calling thread).
     pub fn with_jobs(mut self, jobs: usize) -> Self {
         self.jobs = jobs.max(1);
         self
     }
+}
+
+/// The cores this process may run on, read once: the query can cost a few
+/// file reads (cgroup quotas), and configs are built per plan.
+fn available_jobs() -> usize {
+    static JOBS: OnceLock<usize> = OnceLock::new();
+    *JOBS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// The block count [`hier`] defaults to for an `n × n` instance: `⌈√n⌉`
@@ -180,21 +197,28 @@ pub fn hier_report(inst: &Instance, cfg: &HierConfig) -> HierReport {
             chunks.push(chunk.to_vec());
         }
     }
-    let sub_instances: Vec<Instance> = {
+    let sub_schedules: Vec<Schedule> = {
         let _s = telemetry::span("kpbs.hier_block_plans");
-        chunks
+        // One (pair, k_pair) job per sub-plan, in composition order.
+        let jobs: Vec<(usize, usize)> = chunks
             .iter()
             .flat_map(|chunk| {
                 let k_pair = (k / chunk.len()).max(1);
-                chunk.iter().map(move |&p| (p, k_pair)).collect::<Vec<_>>()
+                chunk.iter().map(move |&p| (p, k_pair))
             })
-            .map(|(p, k_pair)| sub_instance(inst, &pairs[p], &node_maps, k_pair))
-            .collect()
-    };
-    counters::add(Counter::HierBlockPlans, sub_instances.len() as u64);
-    let sub_schedules = {
-        let _s = telemetry::span("kpbs.hier_block_plans");
-        plan_many_with(&sub_instances, cfg.jobs, oggp).schedules
+            .collect();
+        counters::add(Counter::HierBlockPlans, jobs.len() as u64);
+        // Hand the jobs out largest pair first so the fan-out's tail is
+        // short; each worker builds its own sub-instance, so only the ones
+        // in flight are alive. Results go back by job index.
+        let mut order: Vec<usize> = (0..jobs.len()).collect();
+        order.sort_by_key(|&j| std::cmp::Reverse(pairs[jobs[j].0].edges.len()));
+        let mut planned = parallel_map(&order, cfg.jobs, |&j| {
+            let (p, k_pair) = jobs[j];
+            (j, oggp(&sub_instance(inst, &pairs[p], &node_maps, k_pair)))
+        });
+        planned.sort_unstable_by_key(|&(j, _)| j);
+        planned.into_iter().map(|(_, s)| s).collect()
     };
 
     // Phase 4: compose. Pairs of one chunk are node-disjoint, so zipping
@@ -388,16 +412,46 @@ mod tests {
 
     #[test]
     fn jobs_invariant_schedules() {
+        let _guard = crate::testutil::COUNTER_LOCK.lock().unwrap();
         let mut rng = SmallRng::seed_from_u64(5);
         let inst = instances::sparse_clustered(&mut rng, 32, 4, 6, 0.2, 80, 8, 1);
-        let base = hier(&inst, &HierConfig::new(4));
-        for jobs in [2usize, 8] {
+        counters::enable();
+        let run = |cfg: HierConfig| {
+            let before = counters::local_snapshot();
+            let r = hier_report(&inst, &cfg);
+            (r, counters::local_snapshot().delta(&before))
+        };
+        let (base, base_work) = run(HierConfig::new(4).with_jobs(1));
+        let others: Vec<_> = [
+            ("jobs=2", HierConfig::new(4).with_jobs(2)),
+            ("jobs=8", HierConfig::new(4).with_jobs(8)),
+            ("default jobs", HierConfig::new(4)),
+        ]
+        .into_iter()
+        .map(|(label, cfg)| (label, run(cfg)))
+        .collect();
+        counters::disable();
+        assert!(base.active_pairs > 1, "the fan-out must have work to split");
+        assert!(base_work.get(Counter::Peels) > 0);
+        for (label, (r, work)) in others {
+            assert_eq!(r.schedule, base.schedule, "{label} changed the schedule");
+            assert_eq!(r.blocks, base.blocks, "{label}");
+            assert_eq!(r.active_pairs, base.active_pairs, "{label}");
+            assert_eq!(r.macro_steps, base.macro_steps, "{label}");
             assert_eq!(
-                hier(&inst, &HierConfig::new(4).with_jobs(jobs)),
-                base,
-                "jobs={jobs} changed the schedule"
+                r.diagonal_fraction.to_bits(),
+                base.diagonal_fraction.to_bits(),
+                "{label}"
             );
+            assert_eq!(work, base_work, "{label} moved the caller's counters");
         }
+    }
+
+    #[test]
+    fn default_jobs_use_every_core() {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(HierConfig::new(3).jobs, cores);
+        assert_eq!(HierConfig::new(3).with_jobs(0).jobs, 1);
     }
 
     #[test]

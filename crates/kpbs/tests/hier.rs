@@ -3,10 +3,12 @@
 //! deliver exactly the input traffic (checked through the residual-matrix
 //! machinery the executor uses), and stay within a fixed cost factor of the
 //! flat plan; with one block the pipeline must reproduce flat OGGP
-//! byte-for-byte.
+//! byte-for-byte. Extreme inputs (k=1, β=0, empty, 1×n, more blocks than
+//! nodes, one active pair) must validate with the same schedule for every
+//! worker count.
 
 use bipartite::Graph;
-use kpbs::hier::{hier, HierConfig};
+use kpbs::hier::{hier, hier_report, HierConfig, HierReport};
 use kpbs::residual::residual_matrix;
 use kpbs::validate::validate;
 use kpbs::{lower_bound, oggp, Instance, TrafficMatrix};
@@ -68,6 +70,61 @@ fn delivered_by(inst: &Instance, schedule: &kpbs::Schedule) -> TrafficMatrix {
         }
     }
     t
+}
+
+/// Plans `inst` with the default worker count and with 1 and 8 workers:
+/// every schedule validates and all three are byte-equal.
+fn plan_jobs_invariant(case: &str, inst: &Instance, blocks: usize) -> HierReport {
+    let report = hier_report(inst, &HierConfig::new(blocks));
+    validate(inst, &report.schedule).unwrap_or_else(|e| panic!("{case}: {e}"));
+    for jobs in [1usize, 8] {
+        let s = hier(inst, &HierConfig::new(blocks).with_jobs(jobs));
+        assert_eq!(
+            s, report.schedule,
+            "{case}: jobs={jobs} changed the schedule"
+        );
+    }
+    report
+}
+
+/// A graph from `(sender, receiver, ticks)` triples.
+fn graph(n1: usize, n2: usize, msgs: &[(usize, usize, u64)]) -> Graph {
+    let mut g = Graph::new(n1, n2);
+    for &(l, r, w) in msgs {
+        g.add_edge(l, r, w);
+    }
+    g
+}
+
+/// Extreme inputs at the hierarchical planner's entry point.
+#[test]
+fn extreme_inputs_validate_and_are_jobs_invariant() {
+    let spread: Vec<(usize, usize, u64)> = (0..40)
+        .map(|i| (i * 7 % 12, i * 5 % 12, 1 + (i as u64 * 13) % 29))
+        .collect();
+
+    let r = plan_jobs_invariant("k=1", &Instance::new(graph(12, 12, &spread), 1, 2), 3);
+    assert!(r.schedule.max_width() <= 1);
+    plan_jobs_invariant("beta=0", &Instance::new(graph(12, 12, &spread), 4, 0), 3);
+
+    for (n1, n2) in [(0usize, 0usize), (5, 5)] {
+        let r = plan_jobs_invariant("empty", &Instance::new(Graph::new(n1, n2), 2, 1), 4);
+        assert_eq!(r.schedule.num_steps(), 0);
+        assert_eq!(r.active_pairs, 0);
+    }
+
+    let row: Vec<(usize, usize, u64)> = (0..9).map(|j| (0, j, 3 + j as u64)).collect();
+    plan_jobs_invariant("1xn", &Instance::new(graph(1, 9, &row), 4, 1), 3);
+    let col: Vec<(usize, usize, u64)> = row.iter().map(|&(l, r, w)| (r, l, w)).collect();
+    plan_jobs_invariant("nx1", &Instance::new(graph(9, 1, &col), 4, 1), 3);
+
+    let small: Vec<(usize, usize, u64)> = (0..6).map(|i| (i, (i + 1) % 6, 5)).collect();
+    let r = plan_jobs_invariant("blocks>n", &Instance::new(graph(6, 6, &small), 3, 1), 20);
+    assert!(r.blocks <= 6);
+
+    let one_pair = Instance::new(graph(8, 8, &[(2, 6, 40), (2, 6, 15)]), 3, 1);
+    let r = plan_jobs_invariant("single active pair", &one_pair, 4);
+    assert_eq!(r.active_pairs, 1);
 }
 
 proptest! {

@@ -14,9 +14,11 @@
 //!   [`add`]/[`incr`] cost one relaxed atomic load and a branch.
 //! * Increments land in plain thread-local cells (no atomic RMW on the hot
 //!   path). When a thread exits, its cells flush into global atomic totals
-//!   — but a thread-local destructor may run *after* `join` or
-//!   `std::thread::scope` has returned, so a worker whose counts must be
-//!   visible the moment it is joined ends with [`flush_local`].
+//!   — but a thread-local destructor may run *after* `std::thread::scope`
+//!   has returned for a thread it joins implicitly, and std runs them only
+//!   on a best-effort basis, so a worker whose counts must be visible the
+//!   moment it is joined ends with [`flush_local`], or hands its cells to
+//!   the joiner with [`take_local`] / [`add_local`].
 //! * [`local_snapshot`] reads the calling thread's cells only — immune to
 //!   concurrent threads, which is what tests should diff.
 //!   [`global_snapshot`] adds the flushed totals of exited threads, which
@@ -271,6 +273,30 @@ pub fn flush_local() {
     let _ = LOCAL.try_with(LocalCounters::flush);
 }
 
+/// Takes the calling thread's cells, leaving them zero. A spawned worker
+/// returns this to the thread that joins it, which credits it with
+/// [`add_local`]: the work then shows in the joiner's [`local_snapshot`]
+/// deltas, and nothing is left to the worker's thread-local destructor.
+pub fn take_local() -> Snapshot {
+    let mut s = Snapshot::default();
+    let _ = LOCAL.try_with(|l| {
+        for (v, cell) in s.vals.iter_mut().zip(l.vals.iter()) {
+            *v = cell.replace(0);
+        }
+    });
+    s
+}
+
+/// Adds `s` into the calling thread's cells — the other half of
+/// [`take_local`]. Not gated by [`enabled`]: the work was counted already.
+pub fn add_local(s: &Snapshot) {
+    let _ = LOCAL.try_with(|l| {
+        for (cell, &v) in l.vals.iter().zip(s.vals.iter()) {
+            cell.set(cell.get() + v);
+        }
+    });
+}
+
 /// A point-in-time copy of counter values. Obtain one via
 /// [`local_snapshot`] or [`global_snapshot`]; subtract snapshots with
 /// [`Snapshot::delta`] to isolate one region's work.
@@ -430,6 +456,31 @@ mod tests {
             assert_eq!(d.get(Counter::BarrierWaits), 12);
         }
         disable();
+    }
+
+    #[test]
+    fn take_local_hands_a_workers_cells_to_the_joiner() {
+        let _g = LOCK.lock().unwrap();
+        enable();
+        let local = local_snapshot();
+        let global = global_snapshot();
+        let taken = std::thread::spawn(|| {
+            add(Counter::BarrierWaits, 5);
+            let s = take_local();
+            assert!(local_snapshot().is_zero(), "take_local zeroes the cells");
+            s
+        })
+        .join()
+        .unwrap();
+        add_local(&taken);
+        disable();
+        let local = local_snapshot().delta(&local);
+        let global = global_snapshot().delta(&global);
+        // Leave nothing for this thread's exit to flush into the global
+        // totals that other tests diff.
+        take_local();
+        assert_eq!(local.get(Counter::BarrierWaits), 5);
+        assert_eq!(global.get(Counter::BarrierWaits), 5);
     }
 
     #[test]

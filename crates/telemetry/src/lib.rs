@@ -9,7 +9,7 @@
 //!
 //! * [`spans`] — a lightweight span/event API. Each thread records into a
 //!   thread-local buffer; buffers flush into a global registry when the
-//!   thread exits (or on [`spans::drain_all`]). Recording is gated by one
+//!   thread exits (or on [`spans::flush_local`]). Recording is gated by one
 //!   global atomic flag: when spans are disabled, [`spans::span`] costs a
 //!   relaxed atomic load and a branch, touches no thread-local storage, and
 //!   allocates nothing.
@@ -22,7 +22,8 @@
 //!   machine-checkable perf-regression signal (`BENCH_counters.json`,
 //!   enforced by `scripts/check.sh`). Counters are thread-local on the hot
 //!   path (no atomic contention) and aggregate into global totals when a
-//!   thread exits.
+//!   thread exits, or into the joining thread's cells when a worker hands
+//!   them over ([`counters::take_local`]).
 //!
 //! * [`export`] — exporters: Chrome trace-event JSON (loadable in Perfetto
 //!   or `chrome://tracing`) for span timelines, and human-readable summary

@@ -5,8 +5,10 @@
 //! [`span`] returns an inert guard after a relaxed load and a branch — no
 //! thread-local access, no allocation, no clock read. When enabled, events
 //! accumulate in a per-thread buffer (no locking on the hot path); a
-//! thread's buffer flushes into a global registry when the thread exits, so
-//! after worker threads are joined [`drain_all`] sees everything.
+//! thread's buffer flushes into a global registry when the thread exits, or
+//! earlier through [`flush_local`]. A worker whose events must be visible
+//! the moment it is joined ends with [`flush_local`]; then a [`drain_all`]
+//! after the join sees everything.
 //!
 //! # Clocks
 //!
@@ -148,15 +150,20 @@ impl LocalSpans {
             args,
         });
     }
-}
 
-impl Drop for LocalSpans {
-    fn drop(&mut self) {
+    /// Moves the buffered events into the global registry.
+    fn flush(&mut self) {
         if !self.events.is_empty() {
             if let Ok(mut g) = GLOBAL.lock() {
                 g.append(&mut self.events);
             }
         }
+    }
+}
+
+impl Drop for LocalSpans {
+    fn drop(&mut self) {
+        self.flush();
     }
 }
 
@@ -249,6 +256,16 @@ pub fn instant_with(name: &'static str, args: &[(&'static str, u64)]) {
         return;
     }
     record(name, SpanPhase::Instant, SpanArgs::new(args));
+}
+
+/// Moves the calling thread's events into the global registry now instead
+/// of at thread exit — the mirror of [`crate::counters::flush_local`]. The
+/// standard library runs thread-local destructors on a best-effort basis,
+/// and after `std::thread::scope` has returned for threads it joins
+/// implicitly; a worker that calls this as its last traced act is ordered
+/// before [`drain_all`] by the join itself.
+pub fn flush_local() {
+    let _ = LOCAL.try_with(|l| l.borrow_mut().flush());
 }
 
 /// Takes (and clears) the calling thread's recorded events. Unaffected by
