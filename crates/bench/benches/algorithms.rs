@@ -9,7 +9,7 @@ use bipartite::generate::{random_graph, GraphParams};
 use bipartite::Graph;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use kpbs::ggp::ggp_seeded;
-use kpbs::{baselines, coloring, exact, ggp, lower_bound, oggp, regularize, Instance};
+use kpbs::{coloring, exact, lower_bound, oggp, regularize, Algo, Instance};
 use rand::{rngs::SmallRng, SeedableRng};
 use std::hint::black_box;
 
@@ -29,26 +29,13 @@ fn bench_schedulers(c: &mut Criterion) {
         let g = fixture(nodes, edges, 42);
         let k = (g.left_count().min(g.right_count()) / 2).max(1);
         let inst = Instance::new(g, k, 1);
-        group.bench_with_input(
-            BenchmarkId::new("ggp", format!("{nodes}n_{edges}m")),
-            &inst,
-            |b, inst| b.iter(|| black_box(ggp(inst))),
-        );
-        group.bench_with_input(
-            BenchmarkId::new("oggp", format!("{nodes}n_{edges}m")),
-            &inst,
-            |b, inst| b.iter(|| black_box(oggp(inst))),
-        );
-        group.bench_with_input(
-            BenchmarkId::new("list", format!("{nodes}n_{edges}m")),
-            &inst,
-            |b, inst| b.iter(|| black_box(baselines::nonpreemptive_list(inst))),
-        );
-        group.bench_with_input(
-            BenchmarkId::new("greedy", format!("{nodes}n_{edges}m")),
-            &inst,
-            |b, inst| b.iter(|| black_box(baselines::preemptive_greedy(inst))),
-        );
+        for algo in [Algo::Ggp, Algo::Oggp, Algo::List, Algo::Greedy] {
+            group.bench_with_input(
+                BenchmarkId::new(algo.to_string(), format!("{nodes}n_{edges}m")),
+                &inst,
+                |b, inst| b.iter(|| black_box(algo.plan(inst))),
+            );
+        }
         group.bench_with_input(
             BenchmarkId::new("ggp_seeded", format!("{nodes}n_{edges}m")),
             &inst,

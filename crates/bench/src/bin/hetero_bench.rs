@@ -27,7 +27,7 @@
 
 use bench::{arg_or, flag};
 use kpbs::traffic::TickScale;
-use kpbs::{oggp, plan_topology, Platform, TopoAlgo, Topology, TrafficMatrix};
+use kpbs::{oggp, plan_topology, Algo, Platform, Topology, TrafficMatrix};
 use rand::{rngs::SmallRng, SeedableRng};
 use redistexec::{plan_and_execute_topo, ExecConfig, FaultPlan, FaultSpec, SimTransport};
 
@@ -65,7 +65,7 @@ fn run_scenario(
 ) -> ScenarioResult {
     topo.validate()
         .unwrap_or_else(|e| die(&format!("{name}: invalid topology: {e}")));
-    let plan = plan_topology(traffic, topo, BETA, TickScale::MILLIS, TopoAlgo::Oggp)
+    let plan = plan_topology(traffic, topo, BETA, TickScale::MILLIS, Algo::Oggp)
         .unwrap_or_else(|e| die(&format!("{name}: planning failed: {e}")));
     plan.schedule
         .validate(&plan.instance)
@@ -152,14 +152,8 @@ fn main() {
     let homo = Topology::from_platform(&platform);
     let homo_traffic = kpbs::instances::routable_traffic(&mut rng, &homo, 20);
     {
-        let plan = plan_topology(
-            &homo_traffic,
-            &homo,
-            BETA,
-            TickScale::MILLIS,
-            TopoAlgo::Oggp,
-        )
-        .unwrap_or_else(|e| die(&format!("homogeneous: planning failed: {e}")));
+        let plan = plan_topology(&homo_traffic, &homo, BETA, TickScale::MILLIS, Algo::Oggp)
+            .unwrap_or_else(|e| die(&format!("homogeneous: planning failed: {e}")));
         let (inst, endpoints) = homo_traffic.to_instance(&platform, BETA, TickScale::MILLIS);
         if plan.schedule != oggp(&inst) || plan.endpoints != endpoints {
             die("homogeneous topology plan diverged from the Platform oracle");

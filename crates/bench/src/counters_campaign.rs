@@ -96,7 +96,7 @@ pub fn run(jobs: usize) -> String {
                 &topo,
                 0.05,
                 TickScale::MILLIS,
-                kpbs::TopoAlgo::Oggp,
+                kpbs::Algo::Oggp,
             )
             .expect("fixed-seed topology plan"),
         );

@@ -81,21 +81,10 @@ pub fn preemptive_greedy(inst: &Instance) -> Schedule {
     s
 }
 
-/// Convenience: all baselines by name, for benches and examples.
-pub fn by_name(name: &str, inst: &Instance) -> Option<Schedule> {
-    match name {
-        "sequential" => Some(sequential(inst)),
-        "list" => Some(nonpreemptive_list(inst)),
-        "greedy" => Some(preemptive_greedy(inst)),
-        "ggp" => Some(crate::ggp::ggp(inst)),
-        "oggp" => Some(crate::oggp::oggp(inst)),
-        _ => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algo::Algo;
     use crate::lower_bound::lower_bound;
     use bipartite::generate::{random_graph, GraphParams};
     use bipartite::Graph;
@@ -150,19 +139,11 @@ mod tests {
             let g = random_graph(&mut rng, &params);
             let k = rng.gen_range(1..=g.left_count().min(g.right_count()));
             let inst = Instance::new(g, k, rng.gen_range(0..3));
-            for name in ["sequential", "list", "greedy"] {
-                let s = by_name(name, &inst).unwrap();
-                s.validate(&inst)
-                    .unwrap_or_else(|e| panic!("{name} invalid: {e}"));
+            for algo in [Algo::Sequential, Algo::List, Algo::Greedy] {
+                algo.plan(&inst)
+                    .validate(&inst)
+                    .unwrap_or_else(|e| panic!("{algo} invalid: {e}"));
             }
         }
-    }
-
-    #[test]
-    fn by_name_unknown_is_none() {
-        let inst = sample();
-        assert!(by_name("nope", &inst).is_none());
-        assert!(by_name("ggp", &inst).is_some());
-        assert!(by_name("oggp", &inst).is_some());
     }
 }

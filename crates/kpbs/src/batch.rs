@@ -2,11 +2,10 @@
 //!
 //! A production redistribution planner rarely sees one request at a time: a
 //! campaign sweep, a `--compare` run or a traffic replay schedules dozens of
-//! independent [`Instance`]s. They share no state — every scheduler in this
-//! crate takes `&Instance` and builds its own graphs — so the batch is
-//! embarrassingly parallel. This module provides the one fan-out primitive
-//! ([`parallel_map`]) and the planner entry points built on it
-//! ([`plan_many`], [`plan_many_with`]).
+//! independent [`Instance`](crate::Instance)s. They share no state — every
+//! scheduler in this crate takes `&Instance` and builds its own graphs — so
+//! the batch is embarrassingly parallel. This module provides the one
+//! fan-out primitive, [`parallel_map`].
 //!
 //! # Determinism
 //!
@@ -31,9 +30,9 @@
 //! # Telemetry across threads
 //!
 //! Work counters are thread-local cells (see [`telemetry::counters`]), which
-//! makes per-instance measurement exact under parallelism: a worker
-//! snapshots its own cells around each instance, and the coordinator
-//! merges the deltas with [`Snapshot::sum`] after joining. Each spawned
+//! makes per-instance measurement exact under parallelism: an item that
+//! snapshots its own worker's cells around its run measures only itself,
+//! and [`Snapshot::sum`] merges such deltas after the join. Each spawned
 //! worker ends by handing its cells to the caller
 //! ([`counters::take_local`]), which adds them into its own
 //! ([`counters::add_local`]) before `parallel_map` returns. So the caller's
@@ -44,25 +43,10 @@
 //! ([`spans::flush_local`]) before it is joined, so a `drain_all` after a
 //! batch sees every worker's spans.
 
-use crate::problem::Instance;
-use crate::schedule::Schedule;
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use telemetry::counters::{self, Snapshot};
 use telemetry::spans;
-
-/// A scheduled batch: the plans in input order, the exact work-counter delta
-/// of each instance, and the batch-wide merged delta.
-#[derive(Debug, Clone)]
-pub struct BatchReport {
-    /// One schedule per input instance, in input order.
-    pub schedules: Vec<Schedule>,
-    /// Per-instance work-counter deltas, in input order. All zero when
-    /// counting is disabled.
-    pub work: Vec<Snapshot>,
-    /// Sum of `work` — the whole batch's counters, independent of `jobs`.
-    pub merged: Snapshot,
-}
 
 thread_local! {
     /// Set while this thread works through the items of a fan-out.
@@ -154,49 +138,12 @@ where
     tagged.into_iter().map(|(_, r)| r).collect()
 }
 
-/// Schedules every instance with `plan` on `jobs` threads, measuring each
-/// instance's exact work-counter delta (zero if counting is disabled).
-///
-/// The schedules, the per-instance deltas and the merged delta are all
-/// independent of `jobs` — see the module docs.
-pub fn plan_many_with<F>(instances: &[Instance], jobs: usize, plan: F) -> BatchReport
-where
-    F: Fn(&Instance) -> Schedule + Sync,
-{
-    let results = parallel_map(instances, jobs, |inst| {
-        // Local snapshots see only this worker's cells, so the delta is the
-        // instance's own work even with siblings running concurrently.
-        let before = counters::local_snapshot();
-        let schedule = plan(inst);
-        let work = counters::local_snapshot().delta(&before);
-        (schedule, work)
-    });
-    let mut schedules = Vec::with_capacity(results.len());
-    let mut work = Vec::with_capacity(results.len());
-    for (s, w) in results {
-        schedules.push(s);
-        work.push(w);
-    }
-    let merged = Snapshot::sum(&work);
-    BatchReport {
-        schedules,
-        work,
-        merged,
-    }
-}
-
-/// Schedules every instance with [OGGP](crate::oggp::oggp) — the paper's
-/// best algorithm and this crate's default planner — on `jobs` threads.
-/// Output is identical for every `jobs` value.
-pub fn plan_many(instances: &[Instance], jobs: usize) -> Vec<Schedule> {
-    plan_many_with(instances, jobs, crate::oggp::oggp).schedules
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::problem::Instance;
+    use crate::schedule::Schedule;
     use bipartite::generate::{random_graph, GraphParams};
-    use bipartite::Graph;
     use rand::{rngs::SmallRng, Rng, SeedableRng};
     use std::panic::AssertUnwindSafe;
     use std::time::{Duration, Instant};
@@ -349,54 +296,43 @@ mod tests {
     }
 
     #[test]
-    fn plan_many_matches_sequential_oggp() {
-        let instances = campaign(24, 11);
-        let expect: Vec<Schedule> = instances.iter().map(crate::oggp::oggp).collect();
-        for jobs in [1, 4, 8] {
-            let got = plan_many(&instances, jobs);
-            assert_eq!(got, expect, "jobs = {jobs} changed the schedules");
-        }
-        for (inst, s) in instances.iter().zip(&expect) {
-            s.validate(inst).unwrap();
-        }
-    }
-
-    #[test]
-    fn plan_many_handles_trivial_instances() {
-        let instances = vec![
-            Instance::new(Graph::new(2, 2), 1, 1),
-            Instance::new(Graph::new(0, 0), 1, 0),
-        ];
-        let out = plan_many(&instances, 4);
-        assert_eq!(out.len(), 2);
-        assert_eq!(out[0].num_steps(), 0);
-        assert_eq!(out[1].num_steps(), 0);
-    }
-
-    #[test]
     fn merged_work_is_jobs_invariant() {
         let _guard = crate::testutil::COUNTER_LOCK.lock().unwrap();
         let instances = campaign(16, 12);
+        let expect: Vec<Schedule> = instances.iter().map(crate::oggp::oggp).collect();
         counters::enable();
-        let baseline = plan_many_with(&instances, 1, crate::oggp::oggp);
-        assert!(
-            !baseline.merged.is_zero(),
-            "scheduling must count some work"
+        // Each item measures its own worker's cells, so the per-instance
+        // deltas and the caller's delta around the fan-out are exact under
+        // any worker count.
+        let run = |jobs: usize| {
+            let before = counters::local_snapshot();
+            let planned = parallel_map(&instances, jobs, |inst| {
+                let before = counters::local_snapshot();
+                let schedule = crate::oggp::oggp(inst);
+                (schedule, counters::local_snapshot().delta(&before))
+            });
+            let caller = counters::local_snapshot().delta(&before);
+            let (schedules, work): (Vec<Schedule>, Vec<Snapshot>) = planned.into_iter().unzip();
+            (schedules, work, caller)
+        };
+        let (schedules, work, caller) = run(1);
+        assert!(!caller.is_zero(), "scheduling must count some work");
+        assert_eq!(
+            Snapshot::sum(&work),
+            caller,
+            "the caller's delta is the sum"
         );
         for jobs in [4, 8] {
-            let report = plan_many_with(&instances, jobs, crate::oggp::oggp);
-            assert_eq!(report.schedules, baseline.schedules);
-            assert_eq!(
-                report.work, baseline.work,
-                "per-instance work must not depend on jobs"
-            );
-            assert_eq!(report.merged, baseline.merged);
+            let got = run(jobs);
+            assert_eq!(got.0, schedules, "jobs = {jobs} changed the schedules");
+            assert_eq!(got.1, work, "per-instance work must not depend on jobs");
+            assert_eq!(got.2, caller);
         }
         counters::disable();
-        assert_eq!(
-            Snapshot::sum(&baseline.work),
-            baseline.merged,
-            "merged is the sum of the per-instance deltas"
-        );
+        counters::take_local();
+        assert_eq!(schedules, expect, "a fan-out plans what a loop plans");
+        for (inst, s) in instances.iter().zip(&expect) {
+            s.validate(inst).unwrap();
+        }
     }
 }

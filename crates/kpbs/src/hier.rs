@@ -59,10 +59,11 @@ use telemetry::counters::{self, Counter};
 const COARSE_SCALE: Weight = 8;
 
 /// Configuration of the hierarchical planner.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HierConfig {
     /// Number of blocks per side (clamped to `min(n1, n2)`; `1` reproduces
-    /// flat OGGP byte-for-byte).
+    /// flat OGGP byte-for-byte; `0` picks [`default_blocks`] of the larger
+    /// side of each instance planned).
     pub blocks: usize,
     /// Affinity-refinement sweeps of the partition pass.
     pub sweeps: usize,
@@ -74,16 +75,11 @@ pub struct HierConfig {
 }
 
 impl HierConfig {
-    /// A config with `blocks` blocks, the default 2 refinement sweeps and
-    /// block planning on every available core
-    /// ([`std::thread::available_parallelism`]). Called inside another
+    /// A config with `blocks` blocks (`0`: sized per instance), the
+    /// default 2 refinement sweeps and block planning on every available
+    /// core ([`std::thread::available_parallelism`]). Called inside another
     /// [`crate::batch`] fan-out, the block plans run inline instead.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `blocks == 0`.
     pub fn new(blocks: usize) -> Self {
-        assert!(blocks >= 1, "blocks must be at least 1");
         HierConfig {
             blocks,
             sweeps: 2,
@@ -106,7 +102,8 @@ fn available_jobs() -> usize {
     *JOBS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
-/// The block count [`hier`] defaults to for an `n × n` instance: `⌈√n⌉`
+/// The block count [`hier`] picks for an `n × n` instance when
+/// [`HierConfig::blocks`] is `0`: `⌈√n⌉`
 /// balances coarse work (`b²`) against block work (`(n/b)²` per block),
 /// clamped to `[1, 64]` so the coarse instance itself stays small.
 pub fn default_blocks(n: usize) -> usize {
@@ -137,10 +134,14 @@ pub fn hier(inst: &Instance, cfg: &HierConfig) -> Schedule {
 /// [`hier`], returning the decomposition diagnostics too.
 pub fn hier_report(inst: &Instance, cfg: &HierConfig) -> HierReport {
     let _s = telemetry::span("kpbs.hier");
+    let blocks = match cfg.blocks {
+        0 => default_blocks(inst.graph.left_count().max(inst.graph.right_count())),
+        b => b,
+    };
     if inst.is_trivial() {
         return HierReport {
             schedule: Schedule::new(inst.beta),
-            blocks: cfg.blocks.max(1),
+            blocks,
             active_pairs: 0,
             macro_steps: 0,
             diagonal_fraction: 1.0,
@@ -150,7 +151,7 @@ pub fn hier_report(inst: &Instance, cfg: &HierConfig) -> HierReport {
     // Phase 1: block partition.
     let part = {
         let _s = telemetry::span("kpbs.hier_partition");
-        partition_affinity(&inst.graph, cfg.blocks, cfg.sweeps)
+        partition_affinity(&inst.graph, blocks, cfg.sweeps)
     };
     let b = part.blocks;
 
@@ -473,6 +474,19 @@ mod tests {
         assert_eq!(default_blocks(1024), 32);
         assert_eq!(default_blocks(4096), 64);
         assert_eq!(default_blocks(1 << 20), 64, "clamped");
+    }
+
+    #[test]
+    fn zero_blocks_sizes_from_the_larger_side() {
+        let mut rng = SmallRng::seed_from_u64(13);
+        let inst = instances::sparse_uniform(&mut rng, 30, 5, 60, 4, 1);
+        let n = inst.graph.left_count().max(inst.graph.right_count());
+        let auto = hier_report(&inst, &HierConfig::new(0));
+        let explicit = hier_report(&inst, &HierConfig::new(default_blocks(n)));
+        assert_eq!(auto.blocks, explicit.blocks);
+        assert_eq!(auto.schedule, explicit.schedule);
+        let empty = hier_report(&Instance::new(Graph::new(0, 0), 1, 0), &HierConfig::new(0));
+        assert_eq!(empty.blocks, 1);
     }
 
     #[test]

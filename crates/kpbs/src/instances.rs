@@ -404,8 +404,8 @@ mod tests {
 
     #[test]
     fn topology_generators_validate_and_plan() {
-        use crate::topo::{plan_topology, TopoAlgo};
         use crate::traffic::TickScale;
+        use crate::{plan_topology, Algo};
         use rand::{rngs::SmallRng, SeedableRng};
         let mut rng = SmallRng::seed_from_u64(99);
         let star = star_topology(&mut rng, 5, 4, 10.0, 100.0, 200.0);
@@ -413,7 +413,7 @@ mod tests {
         for topo in [&star, &twob] {
             topo.validate().unwrap();
             let m = routable_traffic(&mut rng, topo, 8);
-            let plan = plan_topology(&m, topo, 0.05, TickScale::MILLIS, TopoAlgo::Oggp).unwrap();
+            let plan = plan_topology(&m, topo, 0.05, TickScale::MILLIS, Algo::Oggp).unwrap();
             plan.schedule.validate(&plan.instance).unwrap();
             assert!(plan.schedule.cost() >= plan.lower_bound);
         }

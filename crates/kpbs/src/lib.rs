@@ -18,7 +18,8 @@
 //! (β-normalisation), [`mod@lower_bound`] (the Cohen–Jeannot–Padoy bound used as
 //! the denominator of the paper's *evaluation ratio*), [`exact`] (an optimal
 //! branch-and-bound solver for tiny instances), [`baselines`], [`mod@hier`] (the
-//! hierarchical block-decomposed planner for large sparse instances), and
+//! hierarchical block-decomposed planner for large sparse instances),
+//! [`Algo`] (the one choice among the planners), and
 //! the future-work extensions [`adaptive`] (time-varying `k`) and [`relax`]
 //! (barrier weakening). [`mod@topo`] generalises the platform model to
 //! heterogeneous multi-backbone topologies with a per-bottleneck `k_b`.
@@ -47,6 +48,7 @@
 #![forbid(unsafe_code)]
 
 pub mod adaptive;
+pub mod algo;
 pub mod baselines;
 pub mod batch;
 pub mod coloring;
@@ -74,7 +76,9 @@ pub mod validate;
 pub mod wdm;
 pub mod wrgp;
 
-pub use batch::{plan_many, plan_many_with, BatchReport};
+/// Alias of [`Algo`] for callers that name it `TopoAlgo`.
+pub use algo::Algo as TopoAlgo;
+pub use algo::Algo;
 pub use delta::{DeltaPlanner, MatrixDelta, RepairLevel, ReplanOutcome};
 pub use fingerprint::{cache_key, cache_key_from_edges, fingerprint, session_cache_key};
 pub use ggp::ggp;
@@ -86,8 +90,7 @@ pub use problem::Instance;
 pub use residual::{residual_matrix, restrict_matrix, surviving_residual};
 pub use schedule::{Schedule, Step, Transfer};
 pub use topo::{
-    plan_topology, topo_lower_bound, BackboneSpec, NodeSpec, TopoAlgo, TopoError, TopoPlan,
-    Topology,
+    plan_topology, topo_lower_bound, BackboneSpec, NodeSpec, TopoError, TopoPlan, Topology,
 };
 pub use traffic::TrafficMatrix;
 

@@ -14,8 +14,8 @@
 //!   fastest pair speed the link can see — instead of the global
 //!   [`Platform::k`];
 //! * [`plan_topology`] routes each traffic-matrix cell to its governing
-//!   backbone, plans every backbone's sub-instance independently (GGP, OGGP
-//!   or the hierarchical planner) under that backbone's `k_b`, and composes
+//!   backbone, plans every backbone's sub-instance independently (with any
+//!   [`Algo`]) under that backbone's `k_b`, and composes
 //!   the per-backbone schedules — zipping backbones that touch disjoint
 //!   clusters, concatenating the rest — into one [`Schedule`] validated
 //!   against the global instance;
@@ -28,13 +28,13 @@
 //! instances and schedules — the differential proptests in `tests/topo.rs`
 //! pin that reduction.
 
-use crate::hier::{hier, HierConfig};
+use crate::algo::Algo;
+use crate::lower_bound;
 use crate::platform::Platform;
 use crate::problem::Instance;
 use crate::schedule::{Schedule, Step, Transfer};
 use crate::traffic::{TickScale, TrafficMatrix};
 use crate::validate::ValidationError;
-use crate::{ggp, lower_bound, oggp};
 use bipartite::{properties, EdgeId, Graph, Weight};
 use serde::{Deserialize, Serialize};
 use telemetry::counters::{self, Counter};
@@ -371,6 +371,23 @@ impl Topology {
         ))
     }
 
+    /// A two-cluster platform no faster than any sender–receiver pair of
+    /// this (valid) topology, under an unconstrained backbone: its tick
+    /// conversions bound every pair's, and its `k = min(n1, n2)` bounds
+    /// every link's `k_b` and the composed width. Checking a matrix on it
+    /// ([`TrafficMatrix::check_tick_budget`]) therefore covers
+    /// [`plan_topology`].
+    pub fn slowest_platform(&self) -> Platform {
+        let slowest = |speeds: Vec<f64>| speeds.into_iter().fold(f64::INFINITY, f64::min);
+        Platform::new(
+            self.senders(),
+            self.receivers(),
+            slowest(self.sender_speeds()),
+            slowest(self.receiver_speeds()),
+            f64::INFINITY,
+        )
+    }
+
     /// Parses the simple text format the `--topo FILE` CLI flag accepts:
     ///
     /// ```text
@@ -457,27 +474,6 @@ impl Topology {
             let _ = writeln!(out, "link {} {} {}", l.capacity, l.connects.0, l.connects.1);
         }
         out
-    }
-}
-
-/// Which scheduler plans each backbone's sub-instance.
-#[derive(Debug, Clone, Copy)]
-pub enum TopoAlgo {
-    /// Optimised Generic Graph Peeling (the default).
-    Oggp,
-    /// Generic Graph Peeling.
-    Ggp,
-    /// The hierarchical block-decomposed planner.
-    Hier(HierConfig),
-}
-
-impl TopoAlgo {
-    fn plan(&self, inst: &Instance) -> Schedule {
-        match self {
-            TopoAlgo::Oggp => oggp(inst),
-            TopoAlgo::Ggp => ggp(inst),
-            TopoAlgo::Hier(cfg) => hier(inst, cfg),
-        }
     }
 }
 
@@ -628,7 +624,7 @@ pub fn plan_topology(
     topo: &Topology,
     beta_seconds: f64,
     scale: TickScale,
-    algo: TopoAlgo,
+    algo: Algo,
 ) -> Result<TopoPlan, TopoError> {
     let _s = telemetry::span("kpbs.topo_plan");
     let routing = route(traffic, topo, scale)?;
@@ -798,6 +794,7 @@ pub fn topo_lower_bound(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oggp;
 
     fn demo_traffic(n1: usize, n2: usize) -> TrafficMatrix {
         let mut m = TrafficMatrix::zeros(n1, n2);
@@ -891,7 +888,7 @@ mod tests {
         let topo = Topology::from_platform(&p);
         let m = demo_traffic(6, 4);
         let (inst, endpoints) = m.to_instance(&p, 0.05, TickScale::MILLIS);
-        let plan = plan_topology(&m, &topo, 0.05, TickScale::MILLIS, TopoAlgo::Oggp).unwrap();
+        let plan = plan_topology(&m, &topo, 0.05, TickScale::MILLIS, Algo::Oggp).unwrap();
         assert_eq!(plan.instance.k, inst.k);
         assert_eq!(plan.instance.beta, inst.beta);
         assert_eq!(plan.endpoints, endpoints);
@@ -903,7 +900,7 @@ mod tests {
     fn star_plan_validates_and_beats_nothing() {
         let topo = Topology::star(&[10.0, 40.0, 100.0], &[100.0, 20.0], 80.0);
         let m = demo_traffic(3, 2);
-        let plan = plan_topology(&m, &topo, 0.05, TickScale::MILLIS, TopoAlgo::Oggp).unwrap();
+        let plan = plan_topology(&m, &topo, 0.05, TickScale::MILLIS, Algo::Oggp).unwrap();
         plan.schedule.validate(&plan.instance).unwrap();
         assert!(plan.schedule.cost() >= plan.lower_bound);
         assert!(plan.evaluation_ratio() >= 1.0);
@@ -958,7 +955,7 @@ mod tests {
                 m.set(2 + i, 2 + j, 6_000_000);
             }
         }
-        let plan = plan_topology(&m, &topo, 0.05, TickScale::MILLIS, TopoAlgo::Oggp).unwrap();
+        let plan = plan_topology(&m, &topo, 0.05, TickScale::MILLIS, Algo::Oggp).unwrap();
         plan.schedule.validate(&plan.instance).unwrap();
         assert!(plan.schedule.cost() >= plan.lower_bound);
         assert_eq!(plan.link_plans[0].messages, 4);
@@ -973,7 +970,7 @@ mod tests {
         // An unroutable cell errors.
         let mut bad = m.clone();
         bad.set(0, 3, 1);
-        match plan_topology(&bad, &topo, 0.05, TickScale::MILLIS, TopoAlgo::Oggp) {
+        match plan_topology(&bad, &topo, 0.05, TickScale::MILLIS, Algo::Oggp) {
             Err(TopoError::Unroutable {
                 sender: 0,
                 receiver: 3,
@@ -1009,11 +1006,11 @@ mod tests {
         let topo = Topology::two_cluster(2, 2, 100.0, 100.0, 100.0);
         let m = TrafficMatrix::zeros(3, 2);
         assert!(matches!(
-            plan_topology(&m, &topo, 0.0, TickScale::MILLIS, TopoAlgo::Oggp),
+            plan_topology(&m, &topo, 0.0, TickScale::MILLIS, Algo::Oggp),
             Err(TopoError::DimensionMismatch(_))
         ));
         let empty = TrafficMatrix::zeros(2, 2);
-        let plan = plan_topology(&empty, &topo, 0.0, TickScale::MILLIS, TopoAlgo::Oggp).unwrap();
+        let plan = plan_topology(&empty, &topo, 0.0, TickScale::MILLIS, Algo::Oggp).unwrap();
         assert_eq!(plan.schedule.num_steps(), 0);
         assert_eq!(plan.lower_bound, 0);
         assert_eq!(plan.evaluation_ratio(), 1.0);
@@ -1027,10 +1024,7 @@ mod tests {
     fn hier_and_ggp_algos_compose_validly() {
         let topo = Topology::star(&[50.0, 100.0, 25.0, 80.0], &[100.0, 60.0, 40.0], 150.0);
         let m = demo_traffic(4, 3);
-        for algo in [
-            TopoAlgo::Ggp,
-            TopoAlgo::Hier(crate::hier::HierConfig::new(2)),
-        ] {
+        for algo in [Algo::Ggp, Algo::Hier(crate::hier::HierConfig::new(2))] {
             let plan = plan_topology(&m, &topo, 0.05, TickScale::MILLIS, algo).unwrap();
             plan.schedule.validate(&plan.instance).unwrap();
             assert!(plan.schedule.cost() >= plan.lower_bound);

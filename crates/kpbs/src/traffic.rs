@@ -223,6 +223,39 @@ impl TrafficMatrix {
         let beta = scale.to_ticks(beta_seconds);
         (Instance::new(g, platform.k(), beta), endpoints)
     }
+
+    /// The checks `redistd`'s frame decoder applies, for a matrix and β
+    /// that come from outside the program: β and every message convert to
+    /// ticks on `platform` without panicking or saturating, and the
+    /// instance [`to_instance`](Self::to_instance) would build fits
+    /// [`plan_ticks_fit`]. After `Ok`, planning it cannot overflow.
+    pub fn check_tick_budget(
+        &self,
+        platform: &Platform,
+        beta_seconds: f64,
+        scale: TickScale,
+    ) -> Result<(), &'static str> {
+        let beta = scale
+            .try_to_ticks(beta_seconds)
+            .ok_or("beta must be a finite, non-negative number of seconds within the tick range")?;
+        let mut total: Weight = 0;
+        for &b in self.bytes.iter().filter(|&&b| b > 0) {
+            total = try_message_ticks(platform, scale, b)
+                .and_then(|ticks| total.checked_add(ticks))
+                .ok_or("message durations overflow the tick range")?;
+        }
+        if !plan_ticks_fit(
+            self.n1,
+            self.n2,
+            platform.k(),
+            self.message_count(),
+            total,
+            beta,
+        ) {
+            return Err("the matrix and beta exceed the planner's tick budget");
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -263,6 +296,23 @@ mod tests {
         let slow = Platform::new(2, 2, 1e-3, 1e-3, 1.0);
         assert_eq!(try_message_ticks(&slow, s, u64::MAX), None);
         assert_eq!(try_message_ticks(&slow, s, 0), Some(0));
+    }
+
+    #[test]
+    fn check_tick_budget_rejects_what_the_decoder_rejects() {
+        let p = Platform::new(2, 2, 1e-3, 100.0, 200.0);
+        let mut m = TrafficMatrix::zeros(2, 2);
+        // 8e17 ticks per cell at 125 B/s: one cell fits, and k = 2 triples
+        // the sum of two past the budget.
+        m.set(0, 1, 100_000_000_000_000_000);
+        assert_eq!(m.check_tick_budget(&p, 0.05, TickScale::MILLIS), Ok(()));
+        for beta in [-1.0, f64::NAN, f64::INFINITY, 1e300] {
+            assert!(m.check_tick_budget(&p, beta, TickScale::MILLIS).is_err());
+        }
+        m.set(1, 0, 100_000_000_000_000_000);
+        assert!(m.check_tick_budget(&p, 0.0, TickScale::MILLIS).is_err());
+        let crawl = Platform::new(2, 2, 1e-300, 100.0, 200.0);
+        assert!(m.check_tick_budget(&crawl, 0.0, TickScale::MILLIS).is_err());
     }
 
     #[test]

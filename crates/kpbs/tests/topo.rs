@@ -1,6 +1,7 @@
 //! Differential proptests of the topology subsystem.
 //!
-//! Three invariants over 200 random cases each:
+//! Three invariants over 200 random cases each, the first two for every
+//! [`kpbs::Algo`]:
 //!
 //! * **Oracle**: on a homogeneous two-cluster topology, planning through
 //!   [`kpbs::plan_topology`] is **byte-identical** to planning through the
@@ -15,7 +16,7 @@
 
 use kpbs::residual::residual_matrix;
 use kpbs::traffic::TickScale;
-use kpbs::{oggp, plan_topology, topo_lower_bound, Platform, TopoAlgo, Topology, TrafficMatrix};
+use kpbs::{plan_topology, topo_lower_bound, Algo, Platform, Topology, TrafficMatrix};
 use proptest::prelude::*;
 
 /// A random homogeneous workload: cluster sizes, uniform speeds, a backbone
@@ -93,50 +94,52 @@ proptest! {
         let topo = Topology::from_platform(&platform);
         let reduced = topo.as_platform();
         prop_assert_eq!(reduced.as_ref(), Some(&platform));
-        let plan = plan_topology(&traffic, &topo, beta, TickScale::MILLIS, TopoAlgo::Oggp)
-            .map_err(|e| TestCaseError::fail(format!("topo planning failed: {e}")))?;
-
         let (instance, endpoints) = traffic.to_instance(&platform, beta, TickScale::MILLIS);
-        let oracle = oggp(&instance);
-        prop_assert_eq!(plan.instance.k, instance.k, "k diverged");
-        prop_assert_eq!(plan.instance.beta, instance.beta, "beta diverged");
-        prop_assert_eq!(&plan.endpoints, &endpoints, "edge numbering diverged");
-        prop_assert_eq!(&plan.schedule, &oracle, "schedules diverged");
-        prop_assert_eq!(
-            plan.lower_bound,
-            kpbs::lower_bound(&instance),
-            "lower bounds diverged"
-        );
+        for algo in Algo::NAMES.map(|n| n.parse::<Algo>().unwrap()) {
+            let plan = plan_topology(&traffic, &topo, beta, TickScale::MILLIS, algo)
+                .map_err(|e| TestCaseError::fail(format!("{algo}: topo planning failed: {e}")))?;
+            prop_assert_eq!(plan.instance.k, instance.k, "k diverged");
+            prop_assert_eq!(plan.instance.beta, instance.beta, "beta diverged");
+            prop_assert_eq!(&plan.endpoints, &endpoints, "edge numbering diverged");
+            prop_assert_eq!(&plan.schedule, &algo.plan(&instance), "{} schedules diverged", algo);
+            prop_assert_eq!(
+                plan.lower_bound,
+                kpbs::lower_bound(&instance),
+                "lower bounds diverged"
+            );
+        }
     }
 
     #[test]
     fn heterogeneous_plans_validate_and_deliver_exactly(
         (topo, traffic, beta) in heterogeneous_strategy(),
     ) {
-        let plan = plan_topology(&traffic, &topo, beta, TickScale::MILLIS, TopoAlgo::Oggp)
-            .map_err(|e| TestCaseError::fail(format!("topo planning failed: {e}")))?;
-        prop_assert!(
-            plan.schedule.validate(&plan.instance).is_ok(),
-            "composed schedule failed kpbs::validate"
-        );
-        // Exact delivery: expanding the schedule into byte slices and
-        // subtracting from the demand leaves nothing outstanding.
-        let mut delivered = TrafficMatrix::zeros(traffic.senders(), traffic.receivers());
-        for slices in plan.schedule.byte_slices(&plan.instance, &plan.bytes) {
-            for (edge, bytes) in slices {
-                let (i, j) = plan.endpoints[edge.index()];
-                delivered.set(i, j, delivered.get(i, j) + bytes);
+        for algo in Algo::NAMES.map(|n| n.parse::<Algo>().unwrap()) {
+            let plan = plan_topology(&traffic, &topo, beta, TickScale::MILLIS, algo)
+                .map_err(|e| TestCaseError::fail(format!("{algo}: topo planning failed: {e}")))?;
+            prop_assert!(
+                plan.schedule.validate(&plan.instance).is_ok(),
+                "{} composed schedule failed kpbs::validate", algo
+            );
+            // Exact delivery: expanding the schedule into byte slices and
+            // subtracting from the demand leaves nothing outstanding.
+            let mut delivered = TrafficMatrix::zeros(traffic.senders(), traffic.receivers());
+            for slices in plan.schedule.byte_slices(&plan.instance, &plan.bytes) {
+                for (edge, bytes) in slices {
+                    let (i, j) = plan.endpoints[edge.index()];
+                    delivered.set(i, j, delivered.get(i, j) + bytes);
+                }
             }
+            prop_assert_eq!(&delivered, &traffic, "{} byte coverage", algo);
+            prop_assert_eq!(residual_matrix(&traffic, &delivered).total_bytes(), 0);
         }
-        prop_assert_eq!(&delivered, &traffic, "byte coverage");
-        prop_assert_eq!(residual_matrix(&traffic, &delivered).total_bytes(), 0);
     }
 
     #[test]
     fn cost_never_beats_the_heterogeneous_lower_bound(
         (topo, traffic, beta) in heterogeneous_strategy(),
     ) {
-        let plan = plan_topology(&traffic, &topo, beta, TickScale::MILLIS, TopoAlgo::Oggp)
+        let plan = plan_topology(&traffic, &topo, beta, TickScale::MILLIS, Algo::Oggp)
             .map_err(|e| TestCaseError::fail(format!("topo planning failed: {e}")))?;
         let bound = topo_lower_bound(&traffic, &topo, beta, TickScale::MILLIS)
             .map_err(|e| TestCaseError::fail(format!("bound failed: {e}")))?;

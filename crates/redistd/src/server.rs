@@ -1150,10 +1150,7 @@ fn plan_request(
     );
     debug_assert_eq!(key, kpbs::cache_key(&inst, req.algo as u64));
     let before = counters::local_snapshot();
-    let schedule = match req.algo {
-        Algo::Oggp => kpbs::oggp(&inst),
-        Algo::Ggp => kpbs::ggp(&inst),
-    };
+    let schedule = kpbs::Algo::from(req.algo).plan(&inst);
     let work = work_since(&before);
     let outcome = Arc::new(PlanOutcome {
         schedule: wire::encode_schedule(&schedule),

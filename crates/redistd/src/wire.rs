@@ -107,7 +107,8 @@ pub const METRICS_COMMAND: &[u8] = b"METRICS\n";
 /// The plaintext admin command requesting a flight-recorder dump.
 pub const FLIGHT_COMMAND: &[u8] = b"FLIGHT\n";
 
-/// Scheduling algorithm requested on the wire.
+/// Scheduling algorithm requested on the wire: the one-byte code table of
+/// the planners a request may name (see `From<Algo> for kpbs::Algo`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Algo {
     /// Optimised Generic Graph Peeling — the default planner.
@@ -122,6 +123,16 @@ impl Algo {
             0 => Ok(Algo::Oggp),
             1 => Ok(Algo::Ggp),
             other => Err(WireError::new(format!("unknown algorithm {other}"))),
+        }
+    }
+}
+
+/// The planner a wire code names.
+impl From<Algo> for kpbs::Algo {
+    fn from(algo: Algo) -> kpbs::Algo {
+        match algo {
+            Algo::Oggp => kpbs::Algo::Oggp,
+            Algo::Ggp => kpbs::Algo::Ggp,
         }
     }
 }

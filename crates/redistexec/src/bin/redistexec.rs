@@ -2,12 +2,17 @@
 //!
 //! Usage: redistexec [--n 8] [--t1 100] [--t2 100] [--backbone 400]
 //!            [--beta 0.05] [--lo-mb 5] [--hi-mb 30] [--seed 1]
-//!            [--algo oggp|ggp] [--transport loopback|sim]
+//!            [--algo NAME] [--transport loopback|sim]
 //!            [--faults SEED] [--timeout SECS] [--trace out.json]
 //!            [--rid N] [--metrics out.prom]
 //!        redistexec --topo topo.txt [--beta 0.05] [--lo-mb 5] [--hi-mb 30]
-//!            [--seed 1] [--algo oggp|ggp] [--faults SEED] [--timeout SECS]
+//!            [--seed 1] [--algo NAME] [--faults SEED] [--timeout SECS]
 //!        redistexec --bench [--seeds 40] [--out BENCH_exec.json]
+//!
+//! `--algo` takes any `kpbs::Algo` name (default `oggp`); a bad name is
+//! rejected with the list of valid ones. The matrix and `--beta` pass the
+//! tick-budget checks `redistd` applies to a request before anything is
+//! planned; a failure exits with status 2.
 //!
 //! `--topo FILE` executes over a heterogeneous topology instead of the
 //! uniform platform: the file holds `node OUT IN CLUSTER [COUNT]` and
@@ -33,10 +38,10 @@
 //! delivery invariant, with retry/replan/fault/splice counter totals.
 
 use kpbs::traffic::TickScale;
-use kpbs::{Platform, Topology, TrafficMatrix};
+use kpbs::{Algo, Platform, Topology, TrafficMatrix};
 use redistexec::{
     plan_and_execute_observed, plan_and_execute_topo, ExecConfig, ExecMetrics, ExecReport,
-    FaultPlan, FaultSpec, LoopbackTransport, PlanRecord, ReplanAlgo, SimTransport, Transport,
+    FaultPlan, FaultSpec, LoopbackTransport, PlanRecord, SimTransport, Transport,
 };
 use telemetry::counters::{self, Counter};
 use telemetry::metrics::Registry;
@@ -72,20 +77,35 @@ fn uniform_matrix(seed: u64, n: usize, lo_mb: u64, hi_mb: u64) -> TrafficMatrix 
     m
 }
 
-fn arg<T: std::str::FromStr>(name: &str, default: T) -> T {
+fn arg<T: std::str::FromStr>(name: &str, default: T) -> T
+where
+    T::Err: std::fmt::Display,
+{
     let mut args = std::env::args();
     while let Some(a) = args.next() {
         if a == format!("--{name}") {
             if let Some(v) = args.next() {
-                if let Ok(parsed) = v.parse() {
-                    return parsed;
+                match v.parse() {
+                    Ok(parsed) => return parsed,
+                    Err(e) => die(&format!("bad value for --{name}: {e}")),
                 }
-                eprintln!("redistexec: bad value for --{name}");
-                std::process::exit(2);
             }
         }
     }
     default
+}
+
+fn die(msg: &str) -> ! {
+    eprintln!("redistexec: {msg}");
+    std::process::exit(2);
+}
+
+/// Refuses a matrix or β the planner cannot take in ticks, the way
+/// `redistd`'s decoder refuses such a request.
+fn check_ticks(traffic: &TrafficMatrix, platform: &Platform, beta: f64) {
+    if let Err(e) = traffic.check_tick_budget(platform, beta, TickScale::MILLIS) {
+        die(&format!("cannot plan: {e}"));
+    }
 }
 
 fn arg_str(name: &str) -> Option<String> {
@@ -247,39 +267,24 @@ fn routable_matrix(seed: u64, topo: &Topology, lo_mb: u64, hi_mb: u64) -> Traffi
 }
 
 fn run_topo(topo_path: &str) {
-    let text = std::fs::read_to_string(topo_path).unwrap_or_else(|e| {
-        eprintln!("redistexec: cannot read {topo_path}: {e}");
-        std::process::exit(2);
-    });
-    let topo = Topology::parse(&text).unwrap_or_else(|e| {
-        eprintln!("redistexec: {topo_path}: {e}");
-        std::process::exit(2);
-    });
+    let text = std::fs::read_to_string(topo_path)
+        .unwrap_or_else(|e| die(&format!("cannot read {topo_path}: {e}")));
+    let topo = Topology::parse(&text).unwrap_or_else(|e| die(&format!("{topo_path}: {e}")));
     let beta: f64 = arg("beta", 0.05);
     let lo_mb: u64 = arg("lo-mb", 5);
     let hi_mb: u64 = arg("hi-mb", 30);
     let seed: u64 = arg("seed", 1);
     let timeout: f64 = arg("timeout", 3_600.0);
-    let algo = match arg("algo", "oggp".to_string()).as_str() {
-        "oggp" => ReplanAlgo::Oggp,
-        "ggp" => ReplanAlgo::Ggp,
-        other => {
-            eprintln!("redistexec: unknown --algo {other} (want oggp|ggp)");
-            std::process::exit(2);
-        }
-    };
+    let algo: Algo = arg("algo", Algo::Oggp);
     if lo_mb == 0 || lo_mb > hi_mb {
-        eprintln!("redistexec: need 1 <= --lo-mb <= --hi-mb");
-        std::process::exit(2);
+        die("need 1 <= --lo-mb <= --hi-mb");
     }
     let (n1, n2) = (topo.senders(), topo.receivers());
     let traffic = routable_matrix(seed, &topo, lo_mb, hi_mb);
+    check_ticks(&traffic, &topo.slowest_platform(), beta);
     let faults = match arg_str("faults") {
         Some(s) => {
-            let fseed: u64 = s.parse().unwrap_or_else(|_| {
-                eprintln!("redistexec: bad value for --faults");
-                std::process::exit(2);
-            });
+            let fseed: u64 = s.parse().unwrap_or_else(|_| die("bad value for --faults"));
             let spec = FaultSpec {
                 nic_slowdowns: 2,
                 link_degradations: 2,
@@ -296,10 +301,8 @@ fn run_topo(topo_path: &str) {
         step_timeout_seconds: timeout,
         ..ExecConfig::default()
     };
-    let transport = SimTransport::for_topology(&topo).unwrap_or_else(|e| {
-        eprintln!("redistexec: {topo_path}: {e}");
-        std::process::exit(2);
-    });
+    let transport =
+        SimTransport::for_topology(&topo).unwrap_or_else(|e| die(&format!("{topo_path}: {e}")));
     let (initial, report) = match plan_and_execute_topo(
         &traffic,
         &topo,
@@ -374,17 +377,9 @@ fn main() {
     let hi_mb: u64 = arg("hi-mb", 30);
     let seed: u64 = arg("seed", 1);
     let timeout: f64 = arg("timeout", 3_600.0);
-    let algo = match arg("algo", "oggp".to_string()).as_str() {
-        "oggp" => ReplanAlgo::Oggp,
-        "ggp" => ReplanAlgo::Ggp,
-        other => {
-            eprintln!("redistexec: unknown --algo {other} (want oggp|ggp)");
-            std::process::exit(2);
-        }
-    };
+    let algo: Algo = arg("algo", Algo::Oggp);
     if n == 0 || lo_mb == 0 || lo_mb > hi_mb {
-        eprintln!("redistexec: need --n >= 1 and 1 <= --lo-mb <= --hi-mb");
-        std::process::exit(2);
+        die("need --n >= 1 and 1 <= --lo-mb <= --hi-mb");
     }
 
     let trace_path = arg_str("trace");
@@ -402,12 +397,10 @@ fn main() {
 
     let platform = Platform::new(n, n, t1, t2, backbone);
     let traffic = uniform_matrix(seed, n, lo_mb, hi_mb);
+    check_ticks(&traffic, &platform, beta);
     let faults = match arg_str("faults") {
         Some(s) => {
-            let fseed: u64 = s.parse().unwrap_or_else(|_| {
-                eprintln!("redistexec: bad value for --faults");
-                std::process::exit(2);
-            });
+            let fseed: u64 = s.parse().unwrap_or_else(|_| die("bad value for --faults"));
             FaultPlan::generate(fseed, n, n, &FaultSpec::default())
         }
         None => FaultPlan::none(),
@@ -442,8 +435,7 @@ fn main() {
             rid,
         ),
         other => {
-            eprintln!("redistexec: unknown --transport {other} (want loopback|sim)");
-            std::process::exit(2);
+            die(&format!("unknown --transport {other} (want loopback|sim)"));
         }
     };
 

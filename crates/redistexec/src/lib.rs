@@ -16,8 +16,8 @@
 //! Whenever a failure cannot be retried away, the runtime computes the
 //! *residual* traffic matrix — original demand minus the transport's
 //! delivery ledger, restricted to surviving nodes (see [`kpbs::residual`])
-//! — re-plans it through GGP/OGGP, validates the fresh schedule and splices
-//! its steps in place of everything not yet executed.
+//! — re-plans it with the configured [`kpbs::Algo`], validates the fresh
+//! schedule and splices its steps in place of everything not yet executed.
 //!
 //! The delivery invariant, enforced across a 200-seed fault campaign by
 //! proptest: pairs whose endpoints survive receive **exactly** their bytes,
@@ -56,7 +56,7 @@ pub mod runtime;
 pub mod transport;
 
 pub use faults::{FaultPlan, FaultSpec, NodeRef};
-pub use replan::{plan, plan_topo, PlanRecord, ReplanAlgo};
+pub use replan::{plan, plan_topo, PlanRecord};
 pub use residual::{outstanding, Liveness};
 pub use runtime::{
     plan_and_execute, plan_and_execute_observed, plan_and_execute_topo, ExecConfig, ExecError,

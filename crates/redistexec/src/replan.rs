@@ -1,37 +1,16 @@
-//! Planning and re-planning traffic through GGP/OGGP.
+//! Planning and re-planning traffic with any [`Algo`].
 //!
 //! Both the initial plan and every residual replan go through the same entry
-//! point: matrix → [`kpbs::TrafficMatrix::to_instance`] → scheduler →
-//! [`kpbs::Schedule::validate`] → byte-valued steps. Planning runs under the
-//! [`kpbs::batch`] discipline (`plan_many_with` with a single instance) so
-//! the work-counter deltas recorded per plan follow the same local-snapshot
-//! rules as every other planner in the workspace.
+//! point: matrix → [`kpbs::TrafficMatrix::to_instance`] → [`Algo::plan`] →
+//! [`kpbs::Schedule::validate`] → byte-valued steps. Each plan records the
+//! caller's `local_snapshot` work-counter delta, which includes the work of
+//! any fan-out inside the planner (see [`kpbs::batch`]).
 
 use crate::transport::TransferOp;
 use kpbs::validate::ValidationError;
-use kpbs::{ggp, oggp, plan_topology};
-use kpbs::{plan_many_with, Instance, Platform, Schedule, TrafficMatrix};
-use kpbs::{TopoAlgo, TopoError, Topology};
+use kpbs::{plan_topology, Algo, Instance, Platform, Schedule, TrafficMatrix};
+use kpbs::{TopoError, Topology};
 use telemetry::counters::{self, Snapshot};
-
-/// Which scheduler plans (and re-plans) the traffic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReplanAlgo {
-    /// Optimised Generic Graph Peeling (Section 4.3) — the default.
-    Oggp,
-    /// Generic Graph Peeling (Section 4.2).
-    Ggp,
-}
-
-impl ReplanAlgo {
-    /// Runs the chosen scheduler on one instance.
-    pub fn plan(self, inst: &Instance) -> Schedule {
-        match self {
-            ReplanAlgo::Oggp => oggp(inst),
-            ReplanAlgo::Ggp => ggp(inst),
-        }
-    }
-}
 
 /// One planning round: the instance it scheduled, the mapping from edge id
 /// to `(sender, receiver)`, the validated schedule, and the work it cost.
@@ -79,19 +58,20 @@ pub fn plan(
     platform: &Platform,
     beta_seconds: f64,
     scale: kpbs::traffic::TickScale,
-    algo: ReplanAlgo,
+    algo: Algo,
 ) -> Result<PlanRecord, ValidationError> {
     let (instance, endpoints) = traffic.to_instance(platform, beta_seconds, scale);
     let bytes: Vec<u64> = endpoints.iter().map(|&(i, j)| traffic.get(i, j)).collect();
-    let report = plan_many_with(std::slice::from_ref(&instance), 1, |inst| algo.plan(inst));
-    let schedule = report.schedules.into_iter().next().expect("one instance");
+    let before = counters::local_snapshot();
+    let schedule = algo.plan(&instance);
+    let work = counters::local_snapshot().delta(&before);
     schedule.validate(&instance)?;
     Ok(PlanRecord {
         instance,
         endpoints,
         bytes,
         schedule,
-        work: report.merged,
+        work,
     })
 }
 
@@ -100,20 +80,16 @@ pub fn plan(
 /// planned under that backbone's own preemption bound `k_b`, and the
 /// per-link schedules are composed and validated ([`kpbs::plan_topology`]).
 /// The work snapshot captures the planning round's counter delta the same
-/// way [`plan`] does through the batch discipline.
+/// way [`plan`] does.
 pub fn plan_topo(
     traffic: &TrafficMatrix,
     topo: &Topology,
     beta_seconds: f64,
     scale: kpbs::traffic::TickScale,
-    algo: ReplanAlgo,
+    algo: Algo,
 ) -> Result<PlanRecord, TopoError> {
-    let topo_algo = match algo {
-        ReplanAlgo::Oggp => TopoAlgo::Oggp,
-        ReplanAlgo::Ggp => TopoAlgo::Ggp,
-    };
     let before = counters::local_snapshot();
-    let plan = plan_topology(traffic, topo, beta_seconds, scale, topo_algo)?;
+    let plan = plan_topology(traffic, topo, beta_seconds, scale, algo)?;
     let work = counters::local_snapshot().delta(&before);
     Ok(PlanRecord {
         instance: plan.instance,
@@ -141,7 +117,7 @@ mod tests {
     #[test]
     fn plan_validates_and_covers_bytes() {
         let (m, p) = traffic();
-        for algo in [ReplanAlgo::Oggp, ReplanAlgo::Ggp] {
+        for algo in Algo::NAMES.map(|n| n.parse::<Algo>().unwrap()) {
             let rec = plan(&m, &p, 0.05, TickScale::MILLIS, algo).unwrap();
             assert!(rec.schedule.validate(&rec.instance).is_ok());
             // Per-pair byte sums across step ops equal the matrix exactly.
@@ -159,7 +135,7 @@ mod tests {
     fn plan_topo_homogeneous_matches_platform_plan() {
         let (m, p) = traffic();
         let topo = Topology::from_platform(&p);
-        for algo in [ReplanAlgo::Oggp, ReplanAlgo::Ggp] {
+        for algo in Algo::NAMES.map(|n| n.parse::<Algo>().unwrap()) {
             let flat = plan(&m, &p, 0.05, TickScale::MILLIS, algo).unwrap();
             let via_topo = plan_topo(&m, &topo, 0.05, TickScale::MILLIS, algo).unwrap();
             assert_eq!(via_topo.schedule, flat.schedule, "{algo:?} oracle");
@@ -176,7 +152,7 @@ mod tests {
         m.set(1, 0, 4_000_000);
         m.set(2, 3, 6_000_000);
         m.set(3, 2, 2_000_000);
-        let rec = plan_topo(&m, &topo, 0.05, TickScale::MILLIS, ReplanAlgo::Oggp).unwrap();
+        let rec = plan_topo(&m, &topo, 0.05, TickScale::MILLIS, Algo::Oggp).unwrap();
         rec.schedule.validate(&rec.instance).unwrap();
         let mut seen = TrafficMatrix::zeros(4, 4);
         for step in rec.step_ops() {
@@ -188,7 +164,7 @@ mod tests {
 
         // Unroutable traffic is a planning error, not a silent drop.
         m.set(0, 3, 1_000_000);
-        let err = plan_topo(&m, &topo, 0.05, TickScale::MILLIS, ReplanAlgo::Oggp).unwrap_err();
+        let err = plan_topo(&m, &topo, 0.05, TickScale::MILLIS, Algo::Oggp).unwrap_err();
         assert!(matches!(err, TopoError::Unroutable { .. }), "{err}");
     }
 
@@ -200,7 +176,7 @@ mod tests {
             &p,
             0.05,
             TickScale::MILLIS,
-            ReplanAlgo::Oggp,
+            Algo::Oggp,
         )
         .unwrap();
         assert_eq!(rec.schedule.num_steps(), 0);

@@ -15,10 +15,10 @@
 //!
 //! A *replan* computes the residual matrix (original demand minus the
 //! transport's delivery ledger, restricted to surviving nodes — see
-//! [`kpbs::residual`]), schedules it through GGP/OGGP under the
-//! [`kpbs::batch`] discipline, validates the result, and splices the new
-//! steps in place of everything not yet executed. Execution slots keep
-//! counting across splices, so later fault events land on spliced steps.
+//! [`kpbs::residual`]), schedules it with [`ExecConfig::algo`], validates
+//! the result, and splices the new steps in place of everything not yet
+//! executed. Execution slots keep counting across splices, so later fault
+//! events land on spliced steps.
 //!
 //! Termination is structural: every replan is triggered by the consumption
 //! of at least one event of the (finite) fault plan, and a budget —
@@ -34,12 +34,12 @@
 use std::collections::VecDeque;
 
 use crate::faults::FaultPlan;
-use crate::replan::{self, PlanRecord, ReplanAlgo};
+use crate::replan::{self, PlanRecord};
 use crate::residual::{outstanding, Liveness};
 use crate::transport::{TransferOp, Transport};
 use kpbs::traffic::TickScale;
 use kpbs::validate::ValidationError;
-use kpbs::{Platform, Schedule, Topology, TrafficMatrix};
+use kpbs::{Algo, Platform, Schedule, Topology, TrafficMatrix};
 use telemetry::counters::{self, Counter};
 use telemetry::metrics::{CounterHandle, Registry};
 use telemetry::spans;
@@ -47,8 +47,8 @@ use telemetry::spans;
 /// Retry, backoff, timeout and re-planning knobs.
 #[derive(Debug, Clone)]
 pub struct ExecConfig {
-    /// Scheduler used for residual re-planning.
-    pub algo: ReplanAlgo,
+    /// Planner for the initial plan and every residual replan.
+    pub algo: Algo,
     /// Attempts per transfer before a transient failure turns permanent
     /// (≥ 1; the first attempt counts).
     pub max_attempts: u32,
@@ -67,7 +67,7 @@ pub struct ExecConfig {
 impl Default for ExecConfig {
     fn default() -> Self {
         ExecConfig {
-            algo: ReplanAlgo::Oggp,
+            algo: Algo::Oggp,
             max_attempts: 4,
             backoff_base_ticks: 50,
             backoff_cap_ticks: 1_600,
@@ -722,7 +722,7 @@ mod tests {
     #[test]
     fn zero_faults_is_plain_execution() {
         let (m, p) = workload();
-        let initial = replan::plan(&m, &p, 0.05, TickScale::MILLIS, ReplanAlgo::Oggp).unwrap();
+        let initial = replan::plan(&m, &p, 0.05, TickScale::MILLIS, Algo::Oggp).unwrap();
         let transport = LoopbackTransport::for_platform(&p);
         let mut rt = Runtime::new(transport, FaultPlan::none(), ExecConfig::default());
         let report = rt

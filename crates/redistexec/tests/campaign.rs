@@ -11,11 +11,9 @@
 //!   [`kpbs::Schedule::byte_slices`] expansion of the initial plan.
 
 use kpbs::traffic::TickScale;
-use kpbs::{Platform, TrafficMatrix};
+use kpbs::{Algo, Platform, TrafficMatrix};
 use proptest::prelude::*;
-use redistexec::{
-    plan_and_execute, ExecConfig, FaultPlan, FaultSpec, LoopbackTransport, ReplanAlgo,
-};
+use redistexec::{plan_and_execute, ExecConfig, FaultPlan, FaultSpec, LoopbackTransport};
 
 /// A random workload small enough to plan 200 times but rich enough to
 /// yield multi-step schedules: up to 6×6 nodes, cells up to 30 MB.
@@ -72,7 +70,7 @@ proptest! {
             &spec,
         );
         let config = ExecConfig {
-            algo: if algo_bit == 1 { ReplanAlgo::Ggp } else { ReplanAlgo::Oggp },
+            algo: if algo_bit == 1 { Algo::Ggp } else { Algo::Oggp },
             ..ExecConfig::default()
         };
         let transport = LoopbackTransport::for_platform(&platform);

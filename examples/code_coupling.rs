@@ -14,7 +14,7 @@
 use rand::{rngs::SmallRng, SeedableRng};
 use redistribute::flowsim::{brute_force_time, NetworkSpec, SimConfig, TcpModel};
 use redistribute::kpbs::{Platform, TrafficMatrix};
-use redistribute::{Algorithm, Planner};
+use redistribute::{Algo, Planner};
 
 fn main() {
     // The paper's testbed: 10 + 10 nodes, NICs shaped to 100/k Mbit/s,
@@ -44,7 +44,7 @@ fn main() {
     let brute = brute_force_time(&traffic, &spec, &lossy);
     println!("brute-force TCP : {:>8.2} s", brute.total_seconds);
 
-    for algo in [Algorithm::Ggp, Algorithm::Oggp] {
+    for algo in [Algo::Ggp, Algo::Oggp] {
         let plan = Planner::new(algo).plan(&traffic, &platform);
         let run = plan.simulate(&spec, &lossy);
         println!(

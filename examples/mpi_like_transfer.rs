@@ -9,7 +9,7 @@
 
 use redistribute::kpbs::{Platform, TrafficMatrix};
 use redistribute::mpilite::{run_brute_force, FabricConfig};
-use redistribute::{Algorithm, Planner};
+use redistribute::{Algo, Planner};
 
 fn main() {
     // 4x4 nodes; volumes kept small because these bytes really move between
@@ -39,7 +39,7 @@ fn main() {
         chunk_bytes: 16 * 1024,
     };
 
-    let plan = Planner::new(Algorithm::Oggp)
+    let plan = Planner::new(Algo::Oggp)
         .with_beta(0.0)
         .plan(&traffic, &platform);
     let scheduled = plan.execute_threaded(fabric);

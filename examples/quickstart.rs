@@ -6,7 +6,7 @@
 //! ```
 
 use redistribute::kpbs::{Platform, TrafficMatrix};
-use redistribute::{Algorithm, Planner};
+use redistribute::{Algo, Planner};
 
 fn main() {
     // Two clusters of 4 nodes each, 100 Mbit/s NICs, a 200 Mbit/s backbone:
@@ -34,7 +34,7 @@ fn main() {
         traffic.total_bytes() as f64 / 1e6
     );
 
-    for algo in [Algorithm::Oggp, Algorithm::Ggp, Algorithm::Sequential] {
+    for algo in [Algo::Oggp, Algo::Ggp, Algo::Sequential] {
         let plan = Planner::new(algo).plan(&traffic, &platform);
         plan.schedule
             .validate(&plan.instance)
@@ -50,7 +50,7 @@ fn main() {
     }
 
     // Show the OGGP schedule step by step.
-    let plan = Planner::new(Algorithm::Oggp).plan(&traffic, &platform);
+    let plan = Planner::new(Algo::Oggp).plan(&traffic, &platform);
     println!("\nOGGP schedule (β = {} s):", plan.beta_seconds);
     for (i, step) in plan.schedule.steps.iter().enumerate() {
         let slices: Vec<String> = step

@@ -2,7 +2,7 @@
 //!
 //! ```sh
 //! redistplan --matrix traffic.csv --t1 100 --t2 100 --backbone 300 \
-//!            [--beta 0.05] [--algo oggp|ggp|list|greedy|sequential|hier] \
+//!            [--beta 0.05] [--algo oggp|ggp|hier|sequential|list|greedy] \
 //!            [--blocks B] [--jobs N] [--gantt] [--simulate] [--compare] \
 //!            [--trace out.json] [--counters]
 //! ```
@@ -16,6 +16,11 @@
 //! per instance and results are printed in input order, so the output is
 //! identical for every `--jobs` value — only the wall time changes.
 //!
+//! `--algo` takes any `kpbs::Algo` name, on the platform and the `--topo`
+//! path alike. The matrices and `--beta` pass the tick-budget checks
+//! `redistd` applies to a request before anything is planned; a failure
+//! exits with status 2.
+//!
 //! `--trace <path>` records telemetry spans through planning and simulation
 //! (it implies `--simulate`) and writes a Chrome trace-event JSON loadable
 //! in Perfetto (<https://ui.perfetto.dev>) or `chrome://tracing`.
@@ -25,21 +30,16 @@
 
 use redistribute::cli::{opt_flag, opt_value, opt_values, parse_matrix_csv};
 use redistribute::kpbs::batch::parallel_map;
+use redistribute::kpbs::hier::HierConfig;
 use redistribute::kpbs::traffic::TickScale;
-use redistribute::kpbs::{plan_topology, Platform, TopoAlgo, Topology, TrafficMatrix};
+use redistribute::kpbs::{plan_topology, Platform, Topology, TrafficMatrix};
 use redistribute::telemetry::{counters, export, spans};
-use redistribute::{Algorithm, Plan, Planner};
+use redistribute::{Algo, Plan, Planner};
 
-fn algo_from(name: &str) -> Option<Algorithm> {
-    match name {
-        "ggp" => Some(Algorithm::Ggp),
-        "oggp" => Some(Algorithm::Oggp),
-        "sequential" => Some(Algorithm::Sequential),
-        "list" => Some(Algorithm::List),
-        "greedy" => Some(Algorithm::Greedy),
-        "hier" => Some(Algorithm::Hier),
-        _ => None,
-    }
+/// The planner's name as the report lines print it ("Oggp", "Hier", …).
+fn label(algo: Algo) -> String {
+    let name = algo.to_string();
+    name[..1].to_uppercase() + &name[1..]
 }
 
 fn main() {
@@ -49,7 +49,7 @@ fn main() {
             "redistplan — plan a data redistribution from the command line\n\
              \n\
              usage: redistplan --matrix traffic.csv --t1 100 --t2 100 --backbone 300\n\
-             \x20                [--beta 0.05] [--algo oggp|ggp|list|greedy|sequential|hier]\n\
+             \x20                [--beta 0.05] [--algo {}]\n\
              \x20                [--blocks B] [--jobs N] [--gantt] [--simulate] [--compare]\n\
              \x20                [--trace out.json] [--counters]\n\
              \n\
@@ -65,15 +65,16 @@ fn main() {
              \x20               'link CAP SRC DST' lines ('#' comments allowed);\n\
              \x20               each traffic block is planned under its own\n\
              \x20               backbone's preemption bound k_b and the per-link\n\
-             \x20               schedules are composed (--algo oggp|ggp|hier)\n\
-             --blocks B      block count for --algo hier (default: auto, ~sqrt(n);\n\
-             \x20               1 reproduces flat oggp)\n\
+             \x20               schedules are composed\n\
+             --blocks B      block count for --algo hier (default: auto, ~sqrt(n)\n\
+             \x20               of each instance planned; 1 reproduces flat oggp)\n\
              --jobs N        plan batches and --compare sweeps on N threads;\n\
              \x20               output is identical to --jobs 1\n\
              --trace <path>  record spans and write Chrome trace-event JSON\n\
              \x20               (open in Perfetto or chrome://tracing; implies\n\
              \x20               --simulate)\n\
-             --counters      print the deterministic work-counter table"
+             --counters      print the deterministic work-counter table",
+            Algo::NAMES.join("|")
         );
         return;
     }
@@ -120,9 +121,9 @@ fn main() {
     });
     let beta: f64 =
         opt_value(&args, "beta").map_or(0.05, |v| v.parse().unwrap_or_else(|_| die("bad --beta")));
-    let algo = opt_value(&args, "algo")
-        .map(|v| algo_from(v).unwrap_or_else(|| die("unknown --algo")))
-        .unwrap_or(Algorithm::Oggp);
+    let algo: Algo = opt_value(&args, "algo").map_or(Algo::Oggp, |v| {
+        v.parse().unwrap_or_else(|e| die(&format!("--algo: {e}")))
+    });
     let jobs: usize = opt_value(&args, "jobs").map_or(1, |v| {
         let n = v.parse().unwrap_or_else(|_| die("bad --jobs"));
         if n == 0 {
@@ -137,6 +138,10 @@ fn main() {
         }
         b
     });
+    let algo = match algo {
+        Algo::Hier(cfg) => Algo::Hier(HierConfig { blocks, ..cfg }),
+        other => other,
+    };
 
     // Telemetry must be armed before planning so the spans and counters see
     // the scheduler's work (worker threads observe the same global switches).
@@ -153,25 +158,16 @@ fn main() {
         let text = std::fs::read_to_string(path)
             .unwrap_or_else(|e| die(&format!("cannot read {path}: {e}")));
         let topo = Topology::parse(&text).unwrap_or_else(|e| die(&format!("{path}: {e}")));
-        let topo_algo = match algo {
-            Algorithm::Oggp => TopoAlgo::Oggp,
-            Algorithm::Ggp => TopoAlgo::Ggp,
-            Algorithm::Hier => {
-                let b = if blocks > 0 {
-                    blocks
-                } else {
-                    redistribute::kpbs::hier::default_blocks(topo.senders().min(topo.receivers()))
-                };
-                TopoAlgo::Hier(redistribute::kpbs::hier::HierConfig::new(b))
-            }
-            other => die(&format!("--topo supports oggp|ggp|hier, not {other:?}")),
-        };
+        let slowest = topo.slowest_platform();
+        for traffic in &traffics {
+            check_ticks(traffic, &slowest, beta);
+        }
         for (i, traffic) in traffics.iter().enumerate() {
             if traffics.len() > 1 {
                 let path = matrix_paths.get(i).copied().unwrap_or("<demo>");
                 println!("[{}/{}] {path}", i + 1, traffics.len());
             }
-            let plan = plan_topology(traffic, &topo, beta, TickScale::MILLIS, topo_algo)
+            let plan = plan_topology(traffic, &topo, beta, TickScale::MILLIS, algo)
                 .unwrap_or_else(|e| die(&format!("topology planning failed: {e}")));
             println!(
                 "topology: {} senders, {} receivers, {} backbones; traffic: {} messages, {:.1} MB",
@@ -197,7 +193,8 @@ fn main() {
             }
             let secs = TickScale::MILLIS.ticks_per_second;
             println!(
-                "{algo:?}: {} composed steps, cost {:.2} s, lower bound {:.2} s, ratio {:.4}",
+                "{}: {} composed steps, cost {:.2} s, lower bound {:.2} s, ratio {:.4}",
+                label(algo),
                 plan.schedule.num_steps(),
                 plan.schedule.cost() as f64 / secs,
                 plan.lower_bound as f64 / secs,
@@ -221,8 +218,11 @@ fn main() {
         .map(|t| Platform::new(t.senders(), t.receivers(), t1, t2, backbone))
         .collect();
     let inputs: Vec<(TrafficMatrix, Platform)> = traffics.into_iter().zip(platforms).collect();
+    for (t, p) in &inputs {
+        check_ticks(t, p, beta);
+    }
 
-    let planner = Planner::new(algo).with_beta(beta).with_blocks(blocks);
+    let planner = Planner::new(algo).with_beta(beta);
     // The fan-out: all plans are computed before anything is printed, and
     // printed in input order, keeping the output independent of --jobs.
     let plans: Vec<Plan> = parallel_map(&inputs, jobs, |(t, p)| planner.plan(t, p));
@@ -246,7 +246,8 @@ fn main() {
             .validate(&plan.instance)
             .unwrap_or_else(|e| die(&format!("internal error: invalid schedule: {e}")));
         println!(
-            "{algo:?}: {} steps, cost {:.2} s, lower bound {:.2} s, ratio {:.4}",
+            "{}: {} steps, cost {:.2} s, lower bound {:.2} s, ratio {:.4}",
+            label(algo),
             plan.schedule.num_steps(),
             plan.cost_seconds(),
             plan.lower_bound_seconds(),
@@ -265,11 +266,11 @@ fn main() {
         }
         if opt_flag(&args, "compare") {
             let algos = [
-                Algorithm::Oggp,
-                Algorithm::Ggp,
-                Algorithm::List,
-                Algorithm::Greedy,
-                Algorithm::Sequential,
+                Algo::Oggp,
+                Algo::Ggp,
+                Algo::List,
+                Algo::Greedy,
+                Algo::Sequential,
             ];
             let compared = parallel_map(&algos, jobs, |&a| {
                 Planner::new(a).with_beta(beta).plan(traffic, platform)
@@ -277,8 +278,8 @@ fn main() {
             println!("\nall algorithms:");
             for (a, p) in algos.iter().zip(&compared) {
                 println!(
-                    "  {:>10?}: {:>3} steps, {:>8.2} s (ratio {:.4})",
-                    a,
+                    "  {}: {:>3} steps, {:>8.2} s (ratio {:.4})",
+                    label(*a),
                     p.schedule.num_steps(),
                     p.cost_seconds(),
                     p.evaluation_ratio()
@@ -302,6 +303,14 @@ fn main() {
         counters::disable();
         println!("\nwork counters:");
         print!("{}", export::counter_summary(&counters::global_snapshot()));
+    }
+}
+
+/// Refuses a matrix or β the planner cannot take in ticks, the way
+/// `redistd`'s decoder refuses such a request.
+fn check_ticks(traffic: &TrafficMatrix, platform: &Platform, beta: f64) {
+    if let Err(e) = traffic.check_tick_budget(platform, beta, TickScale::MILLIS) {
+        die(&format!("cannot plan: {e}"));
     }
 }
 

@@ -21,7 +21,7 @@
 //! cost against the lower bound, then run it — simulated or threaded.
 //!
 //! ```
-//! use redistribute::{Algorithm, Planner};
+//! use redistribute::{Algo, Planner};
 //! use redistribute::kpbs::{Platform, TrafficMatrix};
 //!
 //! let platform = Platform::new(4, 4, 100.0, 100.0, 200.0); // k = 2
@@ -30,7 +30,7 @@
 //! traffic.set(0, 3, 5_000_000);
 //! traffic.set(2, 1, 12_000_000);
 //!
-//! let plan = Planner::new(Algorithm::Oggp).plan(&traffic, &platform);
+//! let plan = Planner::new(Algo::Oggp).plan(&traffic, &platform);
 //! assert!(plan.evaluation_ratio() < 2.0);
 //! let report = plan.simulate_ideal();
 //! assert!(report.total_seconds > 0.0);
@@ -44,59 +44,31 @@ pub use kpbs;
 pub use mpilite;
 pub use telemetry;
 
+pub use kpbs::Algo;
+
 pub mod cli;
 
 use flowsim::{ExecutionReport, NetworkSpec, SimConfig};
 use kpbs::traffic::TickScale;
 use kpbs::{Instance, Platform, Schedule, TrafficMatrix};
 
-/// The scheduling algorithms a [`Planner`] can use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Algorithm {
-    /// Generic Graph Peeling (Section 4.2 of the paper).
-    Ggp,
-    /// Optimised Generic Graph Peeling (Section 4.3) — the default.
-    Oggp,
-    /// One message per step (strawman).
-    Sequential,
-    /// Non-preemptive heaviest-first list scheduling.
-    List,
-    /// Preemptive greedy peeling without regularisation (ablation).
-    Greedy,
-    /// Hierarchical block-decomposed planning (see [`mod@kpbs::hier`]) — for
-    /// large sparse instances where flat OGGP's peeling is too slow. Block
-    /// count defaults to `⌈√n⌉` and can be overridden with
-    /// [`Planner::with_blocks`].
-    Hier,
-}
-
 /// Builds [`Plan`]s from traffic matrices.
 #[derive(Debug, Clone, Copy)]
 pub struct Planner {
-    algorithm: Algorithm,
+    algo: Algo,
     beta_seconds: f64,
     scale: TickScale,
-    blocks: usize,
 }
 
 impl Planner {
     /// A planner with the given algorithm, a 50 ms setup delay and
     /// millisecond tick resolution.
-    pub fn new(algorithm: Algorithm) -> Self {
+    pub fn new(algo: Algo) -> Self {
         Planner {
-            algorithm,
+            algo,
             beta_seconds: 0.05,
             scale: TickScale::MILLIS,
-            blocks: 0,
         }
-    }
-
-    /// Overrides the block count used by [`Algorithm::Hier`] (`0` — the
-    /// default — picks `⌈√n⌉` per [`kpbs::hier::default_blocks`]; `1`
-    /// reproduces flat OGGP). Ignored by the other algorithms.
-    pub fn with_blocks(mut self, blocks: usize) -> Self {
-        self.blocks = blocks;
-        self
     }
 
     /// Overrides the per-step setup delay β (seconds).
@@ -115,25 +87,7 @@ impl Planner {
     /// Schedules `traffic` on `platform`.
     pub fn plan(&self, traffic: &TrafficMatrix, platform: &Platform) -> Plan {
         let (instance, endpoints) = traffic.to_instance(platform, self.beta_seconds, self.scale);
-        let schedule = match self.algorithm {
-            Algorithm::Ggp => kpbs::ggp(&instance),
-            Algorithm::Oggp => kpbs::oggp(&instance),
-            Algorithm::Sequential => kpbs::baselines::sequential(&instance),
-            Algorithm::List => kpbs::baselines::nonpreemptive_list(&instance),
-            Algorithm::Greedy => kpbs::baselines::preemptive_greedy(&instance),
-            Algorithm::Hier => {
-                let n = instance
-                    .graph
-                    .left_count()
-                    .max(instance.graph.right_count());
-                let blocks = if self.blocks == 0 {
-                    kpbs::hier::default_blocks(n)
-                } else {
-                    self.blocks
-                };
-                kpbs::hier(&instance, &kpbs::HierConfig::new(blocks))
-            }
-        };
+        let schedule = self.algo.plan(&instance);
         debug_assert!(schedule.validate(&instance).is_ok());
         Plan {
             traffic: traffic.clone(),
@@ -144,21 +98,6 @@ impl Planner {
             beta_seconds: self.beta_seconds,
             scale: self.scale,
         }
-    }
-
-    /// Schedules a batch of traffic matrices on `platform` across `jobs`
-    /// worker threads, returning the plans in input order.
-    ///
-    /// Instances are independent, so the result is identical for every
-    /// `jobs` value (the `redistplan --jobs` flag is checked against that in
-    /// `scripts/check.sh`); only the wall time changes.
-    pub fn plan_many(
-        &self,
-        traffic: &[TrafficMatrix],
-        platform: &Platform,
-        jobs: usize,
-    ) -> Vec<Plan> {
-        kpbs::batch::parallel_map(traffic, jobs, |t| self.plan(t, platform))
     }
 }
 
@@ -272,14 +211,8 @@ mod tests {
     #[test]
     fn all_algorithms_produce_valid_plans() {
         let (t, p) = demo_traffic();
-        for algo in [
-            Algorithm::Ggp,
-            Algorithm::Oggp,
-            Algorithm::Sequential,
-            Algorithm::List,
-            Algorithm::Greedy,
-            Algorithm::Hier,
-        ] {
+        for name in Algo::NAMES {
+            let algo: Algo = name.parse().unwrap();
             let plan = Planner::new(algo).plan(&t, &p);
             plan.schedule
                 .validate(&plan.instance)
@@ -291,30 +224,30 @@ mod tests {
     #[test]
     fn hier_blocks_one_matches_oggp() {
         let (t, p) = demo_traffic();
-        let hier = Planner::new(Algorithm::Hier).with_blocks(1).plan(&t, &p);
-        let oggp = Planner::new(Algorithm::Oggp).plan(&t, &p);
+        let hier = Planner::new(Algo::Hier(kpbs::HierConfig::new(1))).plan(&t, &p);
+        let oggp = Planner::new(Algo::Oggp).plan(&t, &p);
         assert_eq!(hier.schedule, oggp.schedule);
     }
 
     #[test]
     fn oggp_not_worse_than_sequential() {
         let (t, p) = demo_traffic();
-        let oggp = Planner::new(Algorithm::Oggp).plan(&t, &p);
-        let seq = Planner::new(Algorithm::Sequential).plan(&t, &p);
+        let oggp = Planner::new(Algo::Oggp).plan(&t, &p);
+        let seq = Planner::new(Algo::Sequential).plan(&t, &p);
         assert!(oggp.cost_seconds() <= seq.cost_seconds());
     }
 
     #[test]
     fn beta_zero_supported() {
         let (t, p) = demo_traffic();
-        let plan = Planner::new(Algorithm::Oggp).with_beta(0.0).plan(&t, &p);
+        let plan = Planner::new(Algo::Oggp).with_beta(0.0).plan(&t, &p);
         assert!(plan.schedule.validate(&plan.instance).is_ok());
     }
 
     #[test]
     fn simulation_close_to_analytic_cost() {
         let (t, p) = demo_traffic();
-        let plan = Planner::new(Algorithm::Oggp).plan(&t, &p);
+        let plan = Planner::new(Algo::Oggp).plan(&t, &p);
         let sim = plan.simulate_ideal();
         let analytic = plan.cost_seconds();
         let rel = (sim.total_seconds - analytic).abs() / analytic;
@@ -328,7 +261,7 @@ mod tests {
     #[test]
     fn plan_sugar() {
         let (t, p) = demo_traffic();
-        let plan = Planner::new(Algorithm::Oggp).plan(&t, &p);
+        let plan = Planner::new(Algo::Oggp).plan(&t, &p);
         let g = plan.gantt();
         assert!(g.contains('#'), "gantt renders transmissions:\n{g}");
         let relaxed = plan.relaxed_estimate_seconds();
@@ -340,7 +273,7 @@ mod tests {
     fn empty_traffic_trivial_plan() {
         let p = Platform::new(2, 2, 100.0, 100.0, 200.0);
         let t = TrafficMatrix::zeros(2, 2);
-        let plan = Planner::new(Algorithm::Oggp).plan(&t, &p);
+        let plan = Planner::new(Algo::Oggp).plan(&t, &p);
         assert_eq!(plan.schedule.num_steps(), 0);
         assert_eq!(plan.evaluation_ratio(), 1.0);
     }

@@ -5,7 +5,7 @@
 use redistribute::flowsim::{NetworkSpec, SimConfig};
 use redistribute::kpbs::{Platform, TrafficMatrix};
 use redistribute::mpilite::FabricConfig;
-use redistribute::{Algorithm, Planner};
+use redistribute::{Algo, Planner};
 
 fn workload() -> (TrafficMatrix, Platform) {
     let platform = Platform::new(5, 5, 100.0, 100.0, 300.0); // k = 3
@@ -25,7 +25,7 @@ fn workload() -> (TrafficMatrix, Platform) {
 #[test]
 fn plan_simulate_execute_agree() {
     let (traffic, platform) = workload();
-    let plan = Planner::new(Algorithm::Oggp).plan(&traffic, &platform);
+    let plan = Planner::new(Algo::Oggp).plan(&traffic, &platform);
     plan.schedule.validate(&plan.instance).unwrap();
 
     // Analytic cost vs ideal fluid simulation: within tick rounding.
@@ -55,11 +55,11 @@ fn every_algorithm_end_to_end() {
     let (traffic, platform) = workload();
     let spec = NetworkSpec::from_platform(&platform);
     for algo in [
-        Algorithm::Ggp,
-        Algorithm::Oggp,
-        Algorithm::Sequential,
-        Algorithm::List,
-        Algorithm::Greedy,
+        Algo::Ggp,
+        Algo::Oggp,
+        Algo::Sequential,
+        Algo::List,
+        Algo::Greedy,
     ] {
         let plan = Planner::new(algo).plan(&traffic, &platform);
         plan.schedule
@@ -81,8 +81,8 @@ fn every_algorithm_end_to_end() {
 #[test]
 fn schedulers_dominate_sequential_strawman() {
     let (traffic, platform) = workload();
-    let seq = Planner::new(Algorithm::Sequential).plan(&traffic, &platform);
-    for algo in [Algorithm::Ggp, Algorithm::Oggp, Algorithm::List] {
+    let seq = Planner::new(Algo::Sequential).plan(&traffic, &platform);
+    for algo in [Algo::Ggp, Algo::Oggp, Algo::List] {
         let plan = Planner::new(algo).plan(&traffic, &platform);
         assert!(
             plan.cost_seconds() <= seq.cost_seconds() * 1.001,
@@ -94,10 +94,10 @@ fn schedulers_dominate_sequential_strawman() {
 #[test]
 fn planner_options_respected() {
     let (traffic, platform) = workload();
-    let p0 = Planner::new(Algorithm::Oggp)
+    let p0 = Planner::new(Algo::Oggp)
         .with_beta(0.0)
         .plan(&traffic, &platform);
-    let p1 = Planner::new(Algorithm::Oggp)
+    let p1 = Planner::new(Algo::Oggp)
         .with_beta(0.5)
         .plan(&traffic, &platform);
     assert_eq!(p0.instance.beta, 0);
@@ -115,7 +115,7 @@ fn asymmetric_clusters_supported() {
     for i in 0..8 {
         t.set(i, i % 3, 500_000 + i as u64 * 100_000);
     }
-    let plan = Planner::new(Algorithm::Oggp).plan(&t, &platform);
+    let plan = Planner::new(Algo::Oggp).plan(&t, &platform);
     plan.schedule.validate(&plan.instance).unwrap();
     assert!(plan.evaluation_ratio() < 2.0);
     let sim = plan.simulate_ideal();
