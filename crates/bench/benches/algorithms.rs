@@ -9,7 +9,7 @@ use bipartite::generate::{random_graph, GraphParams};
 use bipartite::Graph;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use kpbs::ggp::ggp_seeded;
-use kpbs::{coloring, exact, lower_bound, oggp, regularize, Algo, Instance};
+use kpbs::{exact, lower_bound, oggp, regularize, Algo, Instance};
 use rand::{rngs::SmallRng, SeedableRng};
 use std::hint::black_box;
 
@@ -40,11 +40,6 @@ fn bench_schedulers(c: &mut Criterion) {
             BenchmarkId::new("ggp_seeded", format!("{nodes}n_{edges}m")),
             &inst,
             |b, inst| b.iter(|| black_box(ggp_seeded(inst))),
-        );
-        group.bench_with_input(
-            BenchmarkId::new("coloring", format!("{nodes}n_{edges}m")),
-            &inst,
-            |b, inst| b.iter(|| black_box(coloring::coloring_schedule(inst))),
         );
     }
     group.finish();

@@ -3,8 +3,8 @@
 //! * **weight-regular peeling** (GGP) vs. plain greedy peeling without the
 //!   regularisation (`preemptive_greedy`),
 //! * **bottleneck matchings** (OGGP) vs. arbitrary perfect matchings (GGP),
-//! * **peeling** altogether vs. the classical slot-splitting + edge-coloring
-//!   scheduler (`coloring_schedule`) and non-preemptive list scheduling.
+//! * **peeling** altogether vs. non-preemptive list scheduling and the
+//!   one-message-per-step sequential strawman.
 //!
 //! Reports mean/max evaluation ratios and step counts over a seeded random
 //! campaign for several β regimes.
@@ -17,7 +17,7 @@ use bench::{arg_or, f2, f4, row};
 use bipartite::generate::{random_graph, GraphParams};
 use kpbs::ggp::ggp_seeded;
 use kpbs::stats::RatioStats;
-use kpbs::{baselines, coloring, ggp, lower_bound, oggp, Instance};
+use kpbs::{baselines, ggp, lower_bound, oggp, Instance};
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 
 type Scheduler = fn(&Instance) -> kpbs::Schedule;
@@ -29,7 +29,6 @@ fn main() {
         ("ggp-seed", ggp_seeded),
         ("oggp", oggp),
         ("greedy", baselines::preemptive_greedy),
-        ("coloring", coloring::coloring_schedule),
         ("list", baselines::nonpreemptive_list),
         ("sequential", baselines::sequential),
     ];

@@ -6,13 +6,11 @@
 //! peeling its weight down to zero) tombstones it without invalidating other
 //! ids, which is what the scheduler's peeling loops need.
 
-use serde::{Deserialize, Serialize};
-
 /// Integer edge weight in scheduler ticks.
 pub type Weight = u64;
 
 /// Which side of the bipartition a node belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Side {
     /// Sender side (cluster `C1` in the paper).
     Left,
@@ -21,7 +19,7 @@ pub enum Side {
 }
 
 /// Stable identifier of an edge within a [`Graph`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct EdgeId(pub u32);
 
 impl EdgeId {
@@ -35,7 +33,7 @@ impl EdgeId {
 /// Sentinel for "no edge" in the intrusive live lists.
 const NIL: u32 = u32::MAX;
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct EdgeData {
     left: u32,
     right: u32,
@@ -65,7 +63,7 @@ struct EdgeData {
 /// global, one per node), so edge iteration, adjacency iteration, and
 /// degrees cost O(live) / O(1) regardless of how many edges have been
 /// tombstoned — late WRGP peels no longer pay to skip dead edges.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Graph {
     edges: Vec<EdgeData>,
     live_head: u32,

@@ -18,8 +18,7 @@
 //!   campaigns (Figures 7–9),
 //! * [`partition`] — cheap affinity-based block partitioning, the
 //!   relabeling pre-pass of the hierarchical planner,
-//! * [`properties`] — `P(G)`, `W(G)`, `Δ(G)` and weight-regularity checks,
-//! * [`dot`] — Graphviz export for debugging and examples.
+//! * [`properties`] — `P(G)`, `W(G)`, `Δ(G)` and weight-regularity checks.
 //!
 //! # Example
 //!
@@ -38,9 +37,7 @@
 #![forbid(unsafe_code)]
 
 pub mod bottleneck;
-pub mod coloring;
 pub mod csr;
-pub mod dot;
 pub mod engine;
 pub mod generate;
 pub mod graph;

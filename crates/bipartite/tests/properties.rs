@@ -1,7 +1,6 @@
-//! Property-based tests of the matching and colouring substrate, checked
+//! Property-based tests of the matching substrate, checked
 //! against exhaustive brute force on small graphs.
 
-use bipartite::coloring::konig_coloring;
 use bipartite::{
     bottleneck, greedy, hopcroft_karp, properties, EdgeId, Graph, MatchingEngine, Weight,
 };
@@ -125,13 +124,6 @@ proptest! {
         // A maximal matching is at least half a maximum one.
         let max = hopcroft_karp::maximum_matching(&g).len();
         prop_assert!(2 * m.len() >= max);
-    }
-
-    #[test]
-    fn konig_uses_exactly_delta_colors(g in graph_strategy(7, 20)) {
-        let c = konig_coloring(&g);
-        prop_assert!(c.is_proper(&g));
-        prop_assert_eq!(c.num_colors, properties::max_degree(&g));
     }
 
     #[test]

@@ -93,92 +93,6 @@ pub fn brute_force_time(
     }
 }
 
-/// Executes an *adaptive* redistribution under a time-varying backbone
-/// (the paper's future-work scenario): before every step the scheduler
-/// observes the backbone capacity in force and re-plans the residual
-/// traffic with OGGP at the corresponding `k`, then runs that single step.
-///
-/// `per_transfer_mbps` is the NIC-shaped speed `t` of one transfer; the
-/// momentary parallelism is `k(t) = max(1, floor(capacity(t) / t))` clamped
-/// to the cluster sizes. Returns the execution report; each step is
-/// simulated on a network whose backbone is pinned at the capacity observed
-/// when the step started (steps are short relative to profile segments in
-/// the intended regime).
-pub fn adaptive_scheduled_time(
-    traffic: &TrafficMatrix,
-    spec: &NetworkSpec,
-    per_transfer_mbps: f64,
-    beta_seconds: f64,
-    config: &SimConfig,
-) -> ExecutionReport {
-    let _span = telemetry::span("flowsim.adaptive");
-    use bipartite::Graph;
-    use kpbs::oggp;
-
-    let n1 = traffic.senders();
-    let n2 = traffic.receivers();
-    // Residual bytes per message.
-    let mut residual: Vec<Vec<u64>> = (0..n1)
-        .map(|i| (0..n2).map(|j| traffic.get(i, j)).collect())
-        .collect();
-    let mut remaining: u64 = traffic.total_bytes();
-
-    let bytes_per_tick = per_transfer_mbps * 1e6 / 8.0 / 1_000.0; // ms ticks
-    let mut now = 0.0f64;
-    let mut step_seconds = Vec::new();
-
-    while remaining > 0 {
-        let cap = spec.backbone.at(now);
-        // Pin the step's network at the observed capacity.
-        let step_spec = NetworkSpec {
-            nic_out: spec.nic_out.clone(),
-            nic_in: spec.nic_in.clone(),
-            backbone: crate::network::CapacityProfile::Constant(cap),
-            extra_links: Vec::new(),
-            route: Vec::new(),
-        };
-        let engine = Engine::new(step_spec, config.clone());
-        let k = ((cap / per_transfer_mbps).floor() as usize).clamp(1, n1.min(n2));
-        // Plan the residual with OGGP at the momentary k; weights in ticks.
-        let mut g = Graph::new(n1, n2);
-        let mut endpoints = Vec::new();
-        for (i, row) in residual.iter().enumerate() {
-            for (j, &b) in row.iter().enumerate() {
-                if b > 0 {
-                    let ticks = ((b as f64 / bytes_per_tick).ceil() as u64).max(1);
-                    g.add_edge(i, j, ticks);
-                    endpoints.push((i, j));
-                }
-            }
-        }
-        let inst = kpbs::Instance::new(g, k, 0);
-        let plan = oggp(&inst);
-        let first = plan.steps.first().expect("non-empty residual");
-
-        // Execute only the first step, then re-observe the backbone.
-        let mut flows = Vec::new();
-        for t in &first.transfers {
-            let (i, j) = endpoints[t.edge.index()];
-            let slice = ((t.amount as f64 * bytes_per_tick) as u64)
-                .min(residual[i][j])
-                .max(1);
-            flows.push(Flow::new(i, j, slice as f64));
-            residual[i][j] -= slice;
-            remaining -= slice;
-        }
-        let dur = engine.run(&flows).makespan;
-        step_seconds.push(dur);
-        now += beta_seconds + dur;
-    }
-
-    ExecutionReport {
-        total_seconds: now,
-        num_steps: step_seconds.len(),
-        barrier_seconds: beta_seconds * step_seconds.len() as f64,
-        step_seconds,
-    }
-}
-
 /// Like [`brute_force_time`] but returning the full [`RunResult`] (per-flow
 /// completions, optional trace).
 pub fn brute_force_run(
@@ -336,77 +250,6 @@ mod tests {
         assert_eq!(
             s1.total_seconds, s2.total_seconds,
             "scheduled steps share no constraint, so jitter never applies"
-        );
-    }
-
-    #[test]
-    fn adaptive_executor_under_varying_backbone() {
-        use crate::network::CapacityProfile;
-        // 4x4 nodes, NICs 25 Mbit/s; backbone drops from 100 (k = 4) to 25
-        // (k = 1) at t = 2 s, recovers at 20 s.
-        let mut traffic = TrafficMatrix::zeros(4, 4);
-        for i in 0..4 {
-            for j in 0..4 {
-                traffic.set(i, j, 2_000_000 + (i * 4 + j) as u64 * 500_000);
-            }
-        }
-        let spec = NetworkSpec {
-            nic_out: vec![25.0; 4],
-            nic_in: vec![25.0; 4],
-            backbone: CapacityProfile::Piecewise(vec![(0.0, 100.0), (2.0, 25.0), (20.0, 100.0)]),
-            extra_links: Vec::new(),
-            route: Vec::new(),
-        };
-        let r = adaptive_scheduled_time(&traffic, &spec, 25.0, 0.02, &SimConfig::default());
-        assert!(r.num_steps > 0);
-        assert!(r.total_seconds > 0.0);
-        // Sanity window: total volume at full parallelism (100 Mbit/s
-        // aggregate) would take volume/12.5e6 s; fully serialised at
-        // 25 Mbit/s would take volume/3.125e6 s.
-        let vol = traffic.total_bytes() as f64;
-        assert!(
-            r.total_seconds >= vol / 12.5e6 * 0.9,
-            "too fast: {}",
-            r.total_seconds
-        );
-        assert!(
-            r.total_seconds <= vol / 3.125e6 * 1.5,
-            "too slow: {}",
-            r.total_seconds
-        );
-    }
-
-    #[test]
-    fn adaptive_executor_constant_backbone_matches_static() {
-        // With a constant backbone the adaptive executor should be in the
-        // same ballpark as the static OGGP execution.
-        let (traffic, platform) = testbed_workload(4, 23, 20);
-        let spec = NetworkSpec::from_platform(&platform);
-        let r = adaptive_scheduled_time(
-            &traffic,
-            &spec,
-            platform.transfer_speed(),
-            0.0,
-            &SimConfig::default(),
-        );
-        let scale = TickScale::MILLIS;
-        let (inst, endpoints) = traffic.to_instance(&platform, 0.0, scale);
-        let schedule = oggp(&inst);
-        let s = scheduled_time(
-            &traffic,
-            &inst,
-            &endpoints,
-            &schedule,
-            &spec,
-            0.0,
-            &SimConfig::default(),
-        );
-        let rel = (r.total_seconds - s.total_seconds).abs() / s.total_seconds;
-        assert!(
-            rel < 0.15,
-            "adaptive {} vs static {}",
-            r.total_seconds,
-            s.total_seconds
         );
     }
 

@@ -1,9 +1,7 @@
 //! Flows: bulk transfers between a sender and a receiver.
 
-use serde::{Deserialize, Serialize};
-
 /// A bulk transfer of `bytes` from sender `src` to receiver `dst`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Flow {
     /// Sender node index (cluster `C1`).
     pub src: usize,
@@ -25,7 +23,7 @@ impl Flow {
 }
 
 /// Per-flow outcome of a simulation run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FlowResult {
     /// The flow.
     pub flow: Flow,

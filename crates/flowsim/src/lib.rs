@@ -33,7 +33,7 @@ pub mod tcp;
 pub mod trace;
 
 pub use engine::{Engine, RunResult, SimConfig};
-pub use executor::{adaptive_scheduled_time, brute_force_time, scheduled_time, ExecutionReport};
+pub use executor::{brute_force_time, scheduled_time, ExecutionReport};
 pub use fairshare::{max_min_rates, max_min_rates_routed};
 pub use flow::Flow;
 pub use network::{CapacityProfile, NetworkSpec};

@@ -5,13 +5,12 @@
 //! [`NetworkSpec`].
 
 use kpbs::{Platform, Topology};
-use serde::{Deserialize, Serialize};
 
 /// Bits per byte × Mbit scaling: bytes/s per Mbit/s.
 pub const BYTES_PER_S_PER_MBPS: f64 = 1e6 / 8.0;
 
 /// A (possibly time-varying) backbone capacity in Mbit/s.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum CapacityProfile {
     /// Constant capacity.
     Constant(f64),
@@ -107,7 +106,7 @@ impl CapacityProfile {
 /// two-cluster network where every flow crosses the single `backbone`;
 /// heterogeneous multi-backbone platforms come in through
 /// [`NetworkSpec::from_topology`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NetworkSpec {
     /// Egress capacity of each sender NIC, Mbit/s.
     pub nic_out: Vec<f64>,
@@ -116,12 +115,10 @@ pub struct NetworkSpec {
     /// Backbone capacity (link 0).
     pub backbone: CapacityProfile,
     /// Further backbone links: link `l ≥ 1` is `extra_links[l - 1]`. Empty
-    /// for single-backbone networks (the wire-compatible default).
-    #[serde(default, skip_serializing_if = "Vec::is_empty")]
+    /// for single-backbone networks.
     pub extra_links: Vec<CapacityProfile>,
     /// Row-major `senders() × receivers()` table mapping each pair to the
     /// link index its flows cross. Empty means every pair uses link 0.
-    #[serde(default, skip_serializing_if = "Vec::is_empty")]
     pub route: Vec<usize>,
 }
 

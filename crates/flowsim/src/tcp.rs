@@ -20,10 +20,9 @@
 //! flow per NIC, no sharing) exactly deterministic, as the paper observed.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// TCP inefficiency parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TcpModel {
     /// Per-flow overhead `c` in Mbit/s. 0 disables the efficiency loss.
     pub per_flow_overhead_mbps: f64,

@@ -1,10 +1,8 @@
 //! Rate traces: the piecewise-constant bandwidth allocation over time.
 
-use serde::{Deserialize, Serialize};
-
 /// One allocation interval: starting at `time`, the listed flows ran at the
 /// listed rates (bytes/s) until the next sample.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Sample {
     /// Interval start, seconds.
     pub time: f64,
@@ -13,7 +11,7 @@ pub struct Sample {
 }
 
 /// A full run's allocation history.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Trace {
     /// Samples in time order.
     pub samples: Vec<Sample>,

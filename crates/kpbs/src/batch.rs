@@ -15,7 +15,7 @@
 //! --jobs` CLI and `scripts/check.sh` gate on exactly that). Work is handed
 //! out by an atomic index rather than pre-chunked, so stragglers never
 //! serialise the tail; a caller that knows its item sizes passes them
-//! largest first (as [`crate::hier`] does) to keep that tail short.
+//! largest first (as [`mod@crate::hier`] does) to keep that tail short.
 //!
 //! # Workers
 //!

@@ -19,10 +19,10 @@
 //! the denominator of the paper's *evaluation ratio*), [`exact`] (an optimal
 //! branch-and-bound solver for tiny instances), [`baselines`], [`mod@hier`] (the
 //! hierarchical block-decomposed planner for large sparse instances),
-//! [`Algo`] (the one choice among the planners), and
-//! the future-work extensions [`adaptive`] (time-varying `k`) and [`relax`]
-//! (barrier weakening). [`mod@topo`] generalises the platform model to
-//! heterogeneous multi-backbone topologies with a per-bottleneck `k_b`.
+//! [`Algo`] (the one choice among the planners), and the future-work
+//! extension [`relax`] (barrier weakening). [`mod@topo`] generalises the
+//! platform model to heterogeneous multi-backbone topologies with a
+//! per-bottleneck `k_b`.
 //!
 //! # Quickstart
 //!
@@ -47,11 +47,9 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod adaptive;
 pub mod algo;
 pub mod baselines;
 pub mod batch;
-pub mod coloring;
 pub mod delta;
 pub mod exact;
 pub mod fingerprint;
@@ -61,9 +59,7 @@ pub mod instances;
 pub mod lower_bound;
 pub mod normalize;
 pub mod oggp;
-pub mod online;
 pub mod platform;
-pub mod prelocal;
 pub mod problem;
 pub mod regularize;
 pub mod relax;
@@ -73,7 +69,6 @@ pub mod stats;
 pub mod topo;
 pub mod traffic;
 pub mod validate;
-pub mod wdm;
 pub mod wrgp;
 
 /// Alias of [`Algo`] for callers that name it `TopoAlgo`.

@@ -1,14 +1,12 @@
 //! The platform model of Section 2.1: two clusters, NIC throughputs, a
 //! backbone, and the derivation of `k` and the per-transfer speed `t`.
 
-use serde::{Deserialize, Serialize};
-
 /// A two-cluster platform interconnected by a backbone.
 ///
 /// Throughputs are in Mbit/s. The paper's example: `n1 = 200`, `n2 = 100`,
 /// `t1 = 10`, `t2 = 100`, `T = 1000` gives `k = 100` transfers of
 /// `t = 10` Mbit/s each.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Platform {
     /// Nodes in the sending cluster `C1`.
     pub n1: usize,

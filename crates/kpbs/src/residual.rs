@@ -11,8 +11,8 @@
 //! dynamic redistribution and of residual-demand coflow rescheduling).
 //!
 //! The functions here are pure matrix arithmetic, kept in `kpbs` so every
-//! consumer (the `redistexec` runtime, the adaptive flowsim executor,
-//! future online planners) shares one definition of "residual".
+//! consumer (the `redistexec` runtime, [`crate::delta`]) shares one
+//! definition of "residual".
 
 use crate::traffic::TrafficMatrix;
 

@@ -3,11 +3,10 @@
 use crate::problem::Instance;
 use crate::validate::{self, ValidationError};
 use bipartite::{EdgeId, Weight};
-use serde::{Deserialize, Serialize};
 
 /// One preempted slice of a communication: `amount` ticks of edge `edge`
 /// transmitted during some step.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Transfer {
     /// Edge of the *original* instance graph this slice belongs to.
     pub edge: EdgeId,
@@ -17,7 +16,7 @@ pub struct Transfer {
 
 /// A communication step: a matching of the instance graph (at most one slice
 /// per node) with at most `k` slices, all transmitted in parallel.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Step {
     /// The slices of this step.
     pub transfers: Vec<Transfer>,
@@ -42,7 +41,7 @@ impl Step {
 
 /// A complete K-PBS solution: the ordered steps plus the setup delay they
 /// were scheduled for. Total cost is `Σ_i (β + W(M_i))`.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Schedule {
     /// Communication steps in execution order.
     pub steps: Vec<Step>,

@@ -12,10 +12,9 @@ use crate::problem::Instance;
 use bipartite::generate::{random_graph, GraphParams};
 use bipartite::Weight;
 use rand::{rngs::SmallRng, Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Streaming summary of a set of ratios.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct RatioStats {
     /// Number of samples folded in.
     pub count: usize,
@@ -62,7 +61,7 @@ impl RatioStats {
 }
 
 /// How the campaign draws `k` for each trial.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub enum KChoice {
     /// A fixed `k`, clamped per-trial to `min(n1, n2)` (Figures 7–8 sweep
     /// this value along the x-axis).
@@ -72,7 +71,7 @@ pub enum KChoice {
 }
 
 /// One campaign configuration (one point of a paper figure).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CampaignConfig {
     /// Number of random graphs to draw.
     pub trials: usize,
@@ -107,7 +106,7 @@ impl Default for CampaignConfig {
 }
 
 /// Result of one campaign: evaluation-ratio statistics for both algorithms.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct CampaignResult {
     /// GGP cost / lower bound.
     pub ggp: RatioStats,

@@ -36,7 +36,6 @@ use crate::schedule::{Schedule, Step, Transfer};
 use crate::traffic::{TickScale, TrafficMatrix};
 use crate::validate::ValidationError;
 use bipartite::{properties, EdgeId, Graph, Weight};
-use serde::{Deserialize, Serialize};
 use telemetry::counters::{self, Counter};
 
 /// One endpoint node: its NIC speeds (Mbit/s) and the cluster it lives in.
@@ -45,7 +44,7 @@ use telemetry::counters::{self, Counter};
 /// follows from its cluster: nodes of clusters that appear as the *source*
 /// of a [`BackboneSpec`] are senders, nodes of destination clusters are
 /// receivers.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NodeSpec {
     /// Egress NIC throughput, Mbit/s.
     pub nic_out: f64,
@@ -57,7 +56,7 @@ pub struct NodeSpec {
 
 /// A backbone link: its capacity (Mbit/s) and the ordered cluster pair
 /// whose traffic it carries (`connects.0` → `connects.1`).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BackboneSpec {
     /// Link throughput `T_b`, Mbit/s.
     pub capacity: f64,
@@ -72,7 +71,7 @@ pub struct BackboneSpec {
 /// nodes of destination clusters likewise. The traffic matrix a topology
 /// plans is indexed by those *ranks*, exactly as [`Platform`] indexes its
 /// `n1 × n2` matrix.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Topology {
     /// Every node of the platform.
     pub nodes: Vec<NodeSpec>,

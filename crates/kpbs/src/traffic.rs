@@ -11,10 +11,9 @@ use crate::platform::Platform;
 use crate::problem::Instance;
 use bipartite::{Graph, Weight};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Conversion between wall-clock seconds and scheduler ticks.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TickScale {
     /// Number of ticks per second. Higher values discretise more finely;
     /// rounding (always up) costs at most one tick per message.
@@ -118,7 +117,7 @@ pub fn plan_ticks_fit(
 
 /// A dense traffic matrix in bytes, row-major (`n1` senders × `n2`
 /// receivers).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TrafficMatrix {
     n1: usize,
     n2: usize,

@@ -2,7 +2,7 @@
 //! synchronisation separating communication steps (the paper's
 //! `MPI_Barrier` between steps).
 
-use parking_lot::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, PoisonError};
 use telemetry::counters::{self, Counter};
 
 struct State {
@@ -45,7 +45,9 @@ impl Barrier {
     /// generation.
     pub fn wait(&self) -> bool {
         counters::incr(Counter::BarrierWaits);
-        let mut s = self.state.lock();
+        // Every update leaves the state valid, so a poisoned lock is
+        // recovered rather than turned into a panic.
+        let mut s = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         let gen = s.generation;
         s.waiting += 1;
         if s.waiting == self.parties {
@@ -55,7 +57,7 @@ impl Barrier {
             true
         } else {
             while s.generation == gen {
-                self.cvar.wait(&mut s);
+                s = self.cvar.wait(s).unwrap_or_else(PoisonError::into_inner);
             }
             false
         }

@@ -10,7 +10,6 @@
 
 use crate::comm::{Comm, Rank};
 use bipartite::Graph;
-use bytes::{Bytes, BytesMut};
 use kpbs::{oggp, Instance, TrafficMatrix};
 
 /// The shared plan both sides derive from the size matrix: per step, the
@@ -72,7 +71,7 @@ fn plan(sizes: &TrafficMatrix, k: usize) -> Plan {
 ///
 /// Panics when called from a receiver rank or when a buffer length does not
 /// match the size matrix.
-pub fn alltoallv_send(comm: &Comm, sizes: &TrafficMatrix, k: usize, data: &[Bytes]) {
+pub fn alltoallv_send(comm: &Comm, sizes: &TrafficMatrix, k: usize, data: &[Vec<u8>]) {
     let me = match comm.rank() {
         Rank::Sender(s) => s,
         Rank::Receiver(_) => panic!("alltoallv_send called from a receiver rank"),
@@ -88,7 +87,7 @@ pub fn alltoallv_send(comm: &Comm, sizes: &TrafficMatrix, k: usize, data: &[Byte
     let p = plan(sizes, k);
     for step in &p.send {
         if let Some((dst, off, len)) = step[me] {
-            comm.send(dst, data[dst].slice(off..off + len));
+            comm.send(dst, data[dst][off..off + len].to_vec());
         }
         comm.barrier();
     }
@@ -100,14 +99,14 @@ pub fn alltoallv_send(comm: &Comm, sizes: &TrafficMatrix, k: usize, data: &[Byte
 /// # Panics
 ///
 /// Panics when called from a sender rank.
-pub fn alltoallv_recv(comm: &Comm, sizes: &TrafficMatrix, k: usize) -> Vec<Bytes> {
+pub fn alltoallv_recv(comm: &Comm, sizes: &TrafficMatrix, k: usize) -> Vec<Vec<u8>> {
     let me = match comm.rank() {
         Rank::Receiver(d) => d,
         Rank::Sender(_) => panic!("alltoallv_recv called from a sender rank"),
     };
     let p = plan(sizes, k);
-    let mut parts: Vec<BytesMut> = (0..sizes.senders())
-        .map(|i| BytesMut::with_capacity(sizes.get(i, me) as usize))
+    let mut parts: Vec<Vec<u8>> = (0..sizes.senders())
+        .map(|i| Vec::with_capacity(sizes.get(i, me) as usize))
         .collect();
     for step in &p.recv {
         if let Some((src, len)) = step[me] {
@@ -117,7 +116,7 @@ pub fn alltoallv_recv(comm: &Comm, sizes: &TrafficMatrix, k: usize) -> Vec<Bytes
         }
         comm.barrier();
     }
-    parts.into_iter().map(BytesMut::freeze).collect()
+    parts
 }
 
 #[cfg(test)]
@@ -135,14 +134,10 @@ mod tests {
         }
     }
 
-    fn payload(src: usize, dst: usize, len: usize) -> Bytes {
+    fn payload(src: usize, dst: usize, len: usize) -> Vec<u8> {
         // Position-dependent pattern: catches reassembly-order bugs that a
         // constant fill would miss.
-        Bytes::from(
-            (0..len)
-                .map(|p| (src * 7 + dst * 13 + p) as u8)
-                .collect::<Vec<u8>>(),
-        )
+        (0..len).map(|p| (src * 7 + dst * 13 + p) as u8).collect()
     }
 
     fn run_alltoallv(n1: usize, n2: usize, k: usize, sizes: TrafficMatrix) {
@@ -154,7 +149,7 @@ mod tests {
         let sizes = &sizes;
         world.run(|comm| match comm.rank() {
             Rank::Sender(s) => {
-                let data: Vec<Bytes> = (0..n2)
+                let data: Vec<Vec<u8>> = (0..n2)
                     .map(|d| payload(s, d, sizes.get(s, d) as usize))
                     .collect();
                 alltoallv_send(comm, sizes, k, &data);

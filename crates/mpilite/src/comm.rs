@@ -8,8 +8,8 @@
 
 use crate::barrier::Barrier;
 use crate::fabric::{Fabric, FabricConfig};
-use bytes::Bytes;
-use crossbeam::channel::{bounded, Receiver, Sender};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::sync::{Mutex, PoisonError};
 
 /// Identity of a rank.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -34,9 +34,11 @@ pub struct WorldConfig {
 struct Shared {
     fabric: Fabric,
     barrier: Barrier,
-    // channels[s][d]: rendezvous channel sender s → receiver d.
-    tx: Vec<Vec<Sender<Bytes>>>,
-    rx: Vec<Vec<Receiver<Bytes>>>,
+    // channels[s][d]: rendezvous channel sender s → receiver d. A
+    // `Receiver` is not `Sync`, so each sits behind its own lock; only the
+    // one thread receiving from `s` on behalf of `d` ever takes it.
+    tx: Vec<Vec<SyncSender<Vec<u8>>>>,
+    rx: Vec<Vec<Mutex<Receiver<Vec<u8>>>>>,
     senders: usize,
     receivers: usize,
 }
@@ -44,7 +46,6 @@ struct Shared {
 /// The set of ranks plus the fabric connecting them.
 ///
 /// ```
-/// use bytes::Bytes;
 /// use mpilite::{FabricConfig, Rank, World, WorldConfig};
 ///
 /// let world = World::new(WorldConfig {
@@ -58,7 +59,7 @@ struct Shared {
 ///     },
 /// });
 /// world.run(|comm| match comm.rank() {
-///     Rank::Sender(0) => comm.send(0, Bytes::from_static(b"hello")),
+///     Rank::Sender(0) => comm.send(0, b"hello".to_vec()),
 ///     Rank::Receiver(0) => assert_eq!(&comm.recv(0)[..], b"hello"),
 ///     _ => unreachable!(),
 /// });
@@ -77,10 +78,10 @@ impl World {
             let mut trow = Vec::with_capacity(config.receivers);
             let mut rrow = Vec::with_capacity(config.receivers);
             for _ in 0..config.receivers {
-                // bounded(0) = rendezvous: send blocks until recv.
-                let (t, r) = bounded(0);
+                // Capacity 0 = rendezvous: send blocks until recv.
+                let (t, r) = sync_channel(0);
                 trow.push(t);
-                rrow.push(r);
+                rrow.push(Mutex::new(r));
             }
             tx.push(trow);
             rx.push(rrow);
@@ -159,7 +160,7 @@ impl Comm<'_> {
     ///
     /// Panics when called from a receiver rank (receivers have no uplink in
     /// the model) or when `dst` is out of range.
-    pub fn send(&self, dst: usize, data: Bytes) {
+    pub fn send(&self, dst: usize, data: Vec<u8>) {
         let src = match self.rank {
             Rank::Sender(s) => s,
             Rank::Receiver(_) => panic!("receiver ranks cannot send"),
@@ -175,12 +176,16 @@ impl Comm<'_> {
     /// # Panics
     ///
     /// Panics when called from a sender rank or when `src` is out of range.
-    pub fn recv(&self, src: usize) -> Bytes {
+    pub fn recv(&self, src: usize) -> Vec<u8> {
         let dst = match self.rank {
             Rank::Receiver(d) => d,
             Rank::Sender(_) => panic!("sender ranks cannot receive"),
         };
-        self.shared.rx[src][dst].recv().expect("sender hung up")
+        self.shared.rx[src][dst]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .recv()
+            .expect("sender hung up")
     }
 
     /// Global barrier across every rank of the world.
@@ -210,7 +215,7 @@ mod tests {
             fabric: fast_fabric(),
         });
         world.run(|comm| match comm.rank() {
-            Rank::Sender(0) => comm.send(0, Bytes::from(vec![7u8; 1024])),
+            Rank::Sender(0) => comm.send(0, vec![7u8; 1024]),
             Rank::Receiver(0) => {
                 let m = comm.recv(0);
                 assert_eq!(m.len(), 1024);
@@ -231,7 +236,7 @@ mod tests {
         world.run(|comm| match comm.rank() {
             Rank::Sender(s) => {
                 for d in 0..n {
-                    comm.send(d, Bytes::from(vec![(s * n + d) as u8; 256]));
+                    comm.send(d, vec![(s * n + d) as u8; 256]);
                 }
             }
             Rank::Receiver(d) => {
@@ -274,7 +279,7 @@ mod tests {
         });
         let elapsed = world.run(|comm| match comm.rank() {
             Rank::Sender(0) => {
-                comm.send(0, Bytes::from(vec![1u8; 16]));
+                comm.send(0, vec![1u8; 16]);
             }
             Rank::Receiver(0) => {
                 std::thread::sleep(Duration::from_millis(60));
@@ -300,7 +305,7 @@ mod tests {
         });
         world.run(|comm| {
             if let Rank::Receiver(_) = comm.rank() {
-                comm.send(0, Bytes::from_static(b"x"));
+                comm.send(0, b"x".to_vec());
             } else {
                 let _ = comm.recv(0); // keep the pair symmetric: also panics
             }

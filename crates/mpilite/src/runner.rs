@@ -16,7 +16,6 @@
 
 use crate::comm::{Rank, World, WorldConfig};
 use crate::fabric::FabricConfig;
-use bytes::Bytes;
 use kpbs::{Instance, Schedule, TrafficMatrix};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -36,7 +35,7 @@ fn fill_byte(src: usize, dst: usize) -> u8 {
     (src.wrapping_mul(31).wrapping_add(dst.wrapping_mul(17)) % 251) as u8
 }
 
-fn verify(buf: &Bytes, src: usize, dst: usize, expected_len: u64) {
+fn verify(buf: &[u8], src: usize, dst: usize, expected_len: u64) {
     assert_eq!(
         buf.len() as u64,
         expected_len,
@@ -44,7 +43,7 @@ fn verify(buf: &Bytes, src: usize, dst: usize, expected_len: u64) {
     );
     let fill = fill_byte(src, dst);
     assert!(
-        buf.first() == Some(&fill) && buf.last() == Some(&fill),
+        buf.iter().all(|&b| b == fill),
         "message {src}->{dst} corrupted"
     );
 }
@@ -92,8 +91,7 @@ pub fn run_schedule(
             match comm.rank() {
                 Rank::Sender(s) => {
                     if let Some((d, b)) = send_script[step][s] {
-                        let buf = Bytes::from(vec![fill_byte(s, d); b as usize]);
-                        comm.send(d, buf);
+                        comm.send(d, vec![fill_byte(s, d); b as usize]);
                     }
                 }
                 Rank::Receiver(d) => {
@@ -135,7 +133,7 @@ pub fn run_brute_force(traffic: &TrafficMatrix, fabric: FabricConfig) -> RunnerR
                     if b > 0 {
                         let comm = &comm;
                         scope.spawn(move || {
-                            comm.send(d, Bytes::from(vec![fill_byte(s, d); b as usize]));
+                            comm.send(d, vec![fill_byte(s, d); b as usize]);
                         });
                     }
                 }
@@ -189,6 +187,14 @@ mod tests {
             }
         }
         (traffic, Platform::new(4, 4, 100.0, 100.0, 200.0))
+    }
+
+    #[test]
+    #[should_panic(expected = "message 1->2 corrupted")]
+    fn verify_catches_a_wrong_middle_byte() {
+        let mut buf = vec![fill_byte(1, 2); 9];
+        buf[4] ^= 1;
+        verify(&buf, 1, 2, 9);
     }
 
     #[test]

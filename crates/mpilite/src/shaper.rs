@@ -4,7 +4,7 @@
 //! [`TokenBucket::acquire`] blocks the calling thread until the requested
 //! tokens are available, which is how a kernel shaper delays a socket.
 
-use parking_lot::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 struct State {
@@ -39,6 +39,12 @@ impl TokenBucket {
         }
     }
 
+    /// The bucket state. Every update leaves it valid, so a poisoned lock
+    /// is recovered rather than turned into a panic.
+    fn state(&self) -> MutexGuard<'_, State> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// The refill rate in bytes/s.
     pub fn rate(&self) -> f64 {
         self.rate
@@ -58,7 +64,7 @@ impl TokenBucket {
     fn acquire_chunk(&self, chunk: f64) {
         loop {
             let wait = {
-                let mut s = self.state.lock();
+                let mut s = self.state();
                 let now = Instant::now();
                 let elapsed = now.duration_since(s.last_refill).as_secs_f64();
                 s.tokens = (s.tokens + elapsed * self.rate).min(self.burst);
@@ -76,7 +82,7 @@ impl TokenBucket {
 
     /// Tokens currently available (refreshes the bucket; for tests).
     pub fn available(&self) -> f64 {
-        let mut s = self.state.lock();
+        let mut s = self.state();
         let now = Instant::now();
         let elapsed = now.duration_since(s.last_refill).as_secs_f64();
         s.tokens = (s.tokens + elapsed * self.rate).min(self.burst);

@@ -2,7 +2,6 @@
 //! randomised sparse traffic, concurrent collectives — the kind of abuse a
 //! redistribution library meets in production.
 
-use bytes::Bytes;
 use kpbs::traffic::TickScale;
 use kpbs::{oggp, Platform, TrafficMatrix};
 use mpilite::{
@@ -91,13 +90,8 @@ fn back_to_back_collectives() {
         for (round, sizes) in [s1, s2].into_iter().enumerate() {
             match comm.rank() {
                 Rank::Sender(s) => {
-                    let data: Vec<Bytes> = (0..n)
-                        .map(|d| {
-                            Bytes::from(vec![
-                                (round * 100 + s * 10 + d) as u8;
-                                sizes.get(s, d) as usize
-                            ])
-                        })
+                    let data: Vec<Vec<u8>> = (0..n)
+                        .map(|d| vec![(round * 100 + s * 10 + d) as u8; sizes.get(s, d) as usize])
                         .collect();
                     alltoallv_send(comm, sizes, 2, &data);
                 }

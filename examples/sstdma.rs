@@ -13,7 +13,7 @@
 
 use bipartite::Graph;
 use rand::{rngs::SmallRng, Rng, SeedableRng};
-use redistribute::kpbs::{self, coloring, Instance};
+use redistribute::kpbs::{self, Instance};
 
 fn main() {
     // 8 uplink stations, 8 downlink stations, 4 transponders; traffic in
@@ -45,7 +45,6 @@ fn main() {
     for (name, s) in [
         ("GGP", kpbs::ggp(&inst)),
         ("OGGP", kpbs::oggp(&inst)),
-        ("coloring", coloring::coloring_schedule(&inst)),
         ("list", kpbs::baselines::nonpreemptive_list(&inst)),
     ] {
         s.validate(&inst).expect("feasible switch program");

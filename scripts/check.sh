@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
-# Repository gate: formatting, lints, release build, the full test suite
-# (which includes the deterministic work-counter regression test), the
-# serving-layer campaigns and the end-to-end benchmark crate's tests and
-# smoke run. Campaign output goes to target/check/, so a run leaves the
+# Repository gate: formatting, lints, API docs, release build, the full
+# test suite (which includes the deterministic work-counter regression
+# test), the serving-layer campaigns and the end-to-end benchmark crate's
+# tests and smoke run. Campaign output goes to target/check/, so a run leaves the
 # tree clean. Fails fast: the first failing step aborts the run with a
 # banner naming it.
 # Usage: scripts/check.sh
@@ -25,6 +25,10 @@ cargo fmt --check
 
 banner "lints (cargo clippy --workspace --all-targets -D warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
+
+banner "API docs (cargo doc --no-deps --workspace, RUSTDOCFLAGS=-D warnings)"
+# Broken intra-doc links or missing docs on public items fail the gate.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
 banner "release build (cargo build --release)"
 cargo build --release
