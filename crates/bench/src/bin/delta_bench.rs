@@ -12,7 +12,10 @@
 //!
 //! Writes `BENCH_delta.json` and exits non-zero when the headline gate —
 //! single-cell replans at n = 256 at least 3× faster than cold planning —
-//! does not hold. The checked-in copy is regenerated with:
+//! does not hold. The gate stays wall-clock because the work counters
+//! cannot see replan cost: a repair replan at n = 256 counts 0
+//! `dfs_edge_visits` against millions for a cold plan. The checked-in copy
+//! is regenerated with:
 //!
 //! ```sh
 //! cargo run --release -p bench --bin delta_bench

@@ -1,25 +1,41 @@
-//! Shared helpers for the figure-regeneration binaries and criterion
-//! benches: tiny CLI parsing and table printing (kept dependency-free),
-//! plus the fixed-seed work-counter campaign ([`counters_campaign`]).
+//! Shared helpers for the figure-regeneration and study binaries: tiny CLI
+//! parsing and table printing (kept dependency-free), plus the fixed-seed
+//! work-counter campaign ([`counters_campaign`]).
 
 #![forbid(unsafe_code)]
 
 pub mod counters_campaign;
 
-/// Parses `--name value` style options from `std::env::args`, falling back
-/// to `default` when absent or malformed.
-pub fn arg_or<T: std::str::FromStr>(name: &str, default: T) -> T {
-    let mut args = std::env::args();
+/// Parses `--name value` from `args` (as `std::env::args` yields them):
+/// `default` when the flag is absent, an error naming the flag when its
+/// value is missing or does not parse.
+pub fn parse_arg<T: std::str::FromStr>(
+    args: impl IntoIterator<Item = String>,
+    name: &str,
+    default: T,
+) -> Result<T, String> {
+    let flag = format!("--{name}");
+    let mut args = args.into_iter();
     while let Some(a) = args.next() {
-        if a == format!("--{name}") {
-            if let Some(v) = args.next() {
-                if let Ok(parsed) = v.parse() {
-                    return parsed;
-                }
-            }
+        if a == flag {
+            return match args.next() {
+                Some(v) => v
+                    .parse()
+                    .map_err(|_| format!("bad value for {flag}: {v:?}")),
+                None => Err(format!("{flag} needs a value")),
+            };
         }
     }
-    default
+    Ok(default)
+}
+
+/// Parses `--name value` from `std::env::args`, falling back to `default`
+/// when absent; a missing or malformed value exits 2 with one line.
+pub fn arg_or<T: std::str::FromStr>(name: &str, default: T) -> T {
+    parse_arg(std::env::args(), name, default).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    })
 }
 
 /// True when `--name` is present as a flag.
@@ -76,6 +92,27 @@ mod tests {
     #[test]
     fn arg_default_when_missing() {
         assert_eq!(arg_or("definitely-not-passed", 42usize), 42);
+    }
+
+    fn args(list: &[&str]) -> Vec<String> {
+        std::iter::once("bin")
+            .chain(list.iter().copied())
+            .map(String::from)
+            .collect()
+    }
+
+    #[test]
+    fn parse_arg_reads_the_flag_value() {
+        assert_eq!(parse_arg(args(&["--reps", "3"]), "reps", 7u32), Ok(3));
+        assert_eq!(parse_arg(args(&["--smoke"]), "reps", 7u32), Ok(7));
+    }
+
+    #[test]
+    fn parse_arg_rejects_a_malformed_or_missing_value() {
+        let err = parse_arg(args(&["--reps", "abc"]), "reps", 7u32).unwrap_err();
+        assert_eq!(err, "bad value for --reps: \"abc\"");
+        let err = parse_arg(args(&["--smoke", "--reps"]), "reps", 7u32).unwrap_err();
+        assert_eq!(err, "--reps needs a value");
     }
 
     #[test]

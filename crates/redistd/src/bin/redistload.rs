@@ -2,18 +2,13 @@
 //!
 //! ```sh
 //! redistload [--addr HOST:PORT] [--connections 16] [--requests 256]
-//!            [--distinct 16] [--n 12] [--rate REQS_PER_SEC]
-//!            [--core event|threads] [--queue-depth N]
-//!            [--out BENCH_serve.json]
-//! redistload --campaign 64,256,1024 [--requests N] [--out BENCH_serve.json]
-//! redistload --sessions ROUNDS [--delta-cells K] [--rate DELTAS_PER_SEC]
-//!            [--n 12] [--out BENCH_session.json]
+//!            [--distinct 16] [--n 12] [--rate REQS_PER_SEC] [--queue-depth N]
 //! ```
 //!
-//! Without `--addr` it hosts a server in-process on a free port (the CI
-//! mode used by `scripts/check.sh`). It generates `--distinct`
-//! deterministic random traffic matrices, replays them round-robin from
-//! `--connections` client threads, and for every response checks that:
+//! Without `--addr` it hosts a server in-process on a free port. It
+//! generates `--distinct` deterministic random traffic matrices, replays
+//! them round-robin from `--connections` client threads, and for every
+//! response checks that:
 //!
 //! * the schedule byte-compares equal (via `wire::encode_schedule`) to a
 //!   cold plan of the same instance computed locally — cache hits must be
@@ -33,36 +28,21 @@
 //! for the queueing delay it caused instead of quietly suppressing the
 //! arrivals (coordinated omission).
 //!
-//! `--campaign C1,C2,...` runs the serving-scale campaign instead: a
-//! thread-per-connection baseline at the first connection count, then the
-//! event-loop core at every count, each against a fresh in-process server
-//! sized for the point (`queue_depth = max(1024, 2×connections)`), writing
-//! a multi-point `serve_scale_v1` JSON with per-point latency quantiles
-//! and throughput ratios against the baseline. The campaign exits non-zero
-//! only on correctness failures — a slow point is a result, not an error.
-//!
-//! After a single run it also scrapes the server's `METRICS` exposition,
-//! validates its well-formedness, and embeds the server-side view (queue
-//! wait, service time, outcome counts) next to the client-side one.
-//!
-//! `--sessions ROUNDS` runs the **streaming-admission campaign** instead:
-//! against each serving core it opens a live wire-v3 session and streams
-//! `ROUNDS` coflow-style delta batches (message arrivals and departures,
-//! `--delta-cells` edits per batch, paced by `--rate` deltas/s when
-//! given). A local mirror [`kpbs::DeltaPlanner`] is fed the same edits;
-//! every patched schedule the server returns must byte-compare equal to
-//! the mirror's, deliver exactly the post-delta matrix that a cold plan
-//! of the same instance delivers, and stay within the replan cost bound.
-//! Any mismatch exits non-zero.
+//! After the run it scrapes the server's `METRICS` exposition, validates
+//! its well-formedness and prints one summary line. An unknown flag or a
+//! malformed value exits 2; a wrong response, an invalid exposition, or a
+//! cold cache despite repeated matrices exits 1. Timing the serving path
+//! is the end-to-end benchmark's job (`benchmark/`, the `serve-*` and
+//! `session-delta` workloads); this binary is a correctness check.
 
 use kpbs::traffic::TickScale;
-use kpbs::{DeltaPlanner, Platform, TrafficMatrix};
+use kpbs::{Platform, TrafficMatrix};
 use redistd::client::{self, Client};
-use redistd::server::{self, ServerConfig, ServingCore};
-use redistd::wire::{self, Algo, PlanResponse, SessionLevel, WireDelta};
-use std::collections::BTreeMap;
+use redistd::server::{self, ServerConfig};
+use redistd::wire::{self, Algo, PlanResponse};
+use std::net::SocketAddr;
+use std::str::FromStr;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 use telemetry::{metrics, Histogram};
 
@@ -71,9 +51,9 @@ const BETA_SECONDS: f64 = 0.05;
 /// Connect attempts per client thread before a connection counts as failed.
 const CONNECT_ATTEMPTS: u32 = 8;
 
-/// Hard ceiling on `--connections` / campaign points: beyond this the
-/// generator itself (thread stacks, ephemeral ports) becomes the bottleneck
-/// and the numbers stop describing the server.
+/// Hard ceiling on `--connections`: beyond this the generator itself
+/// (thread stacks, ephemeral ports) becomes the bottleneck and the numbers
+/// stop describing the server.
 const MAX_CONNECTIONS: usize = 4096;
 
 /// Deterministic xorshift64* — the workspace is std-only, so no `rand`.
@@ -98,30 +78,79 @@ impl Rng {
     }
 }
 
-fn arg<T: std::str::FromStr>(name: &str, default: T) -> T {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == format!("--{name}") {
-            if let Some(v) = args.next() {
-                if let Ok(parsed) = v.parse() {
-                    return parsed;
-                }
-                eprintln!("redistload: bad value for --{name}");
-                std::process::exit(2);
-            }
-        }
-    }
-    default
+/// The parsed command line.
+struct Options {
+    /// External daemon to drive; `None` hosts a server in-process.
+    addr: Option<SocketAddr>,
+    connections: usize,
+    requests: u64,
+    distinct: usize,
+    n: usize,
+    /// Open-loop arrival rate in req/s; `0` runs closed-loop.
+    rate: f64,
+    /// Queue depth of a self-hosted server; `0` sizes it to the connection
+    /// count.
+    queue_depth: usize,
 }
 
-fn arg_str(name: &str) -> Option<String> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == format!("--{name}") {
-            return args.next();
+/// Takes and parses the value that follows `flag`.
+fn value<T: FromStr>(args: &mut impl Iterator<Item = String>, flag: &str) -> Result<T, String> {
+    let v = args.next().ok_or_else(|| format!("{flag} needs a value"))?;
+    v.parse()
+        .map_err(|_| format!("bad value for {flag}: {v:?}"))
+}
+
+/// Parses the arguments after the program name. An unknown flag, a flag
+/// without its value, a malformed value or an out-of-range count is an
+/// error, never a silent default.
+fn parse_options(args: impl IntoIterator<Item = String>) -> Result<Options, String> {
+    let mut o = Options {
+        addr: None,
+        connections: 16,
+        requests: 256,
+        distinct: 16,
+        n: 12,
+        rate: 0.0,
+        queue_depth: 0,
+    };
+    let mut args = args.into_iter();
+    while let Some(flag) = args.next() {
+        match flag.as_str() {
+            "--addr" => o.addr = Some(value(&mut args, &flag)?),
+            "--connections" => o.connections = value(&mut args, &flag)?,
+            "--requests" => o.requests = value(&mut args, &flag)?,
+            "--distinct" => o.distinct = value(&mut args, &flag)?,
+            "--n" => o.n = value(&mut args, &flag)?,
+            "--rate" => o.rate = value(&mut args, &flag)?,
+            "--queue-depth" => o.queue_depth = value(&mut args, &flag)?,
+            _ => return Err(format!("unknown flag {flag:?}")),
         }
     }
-    None
+    // Zero requests, matrices or nodes cannot make progress, so each is a
+    // configuration error, not a degenerate load.
+    for (flag, value, why) in [
+        ("requests", o.requests, "an empty run checks nothing"),
+        (
+            "distinct",
+            o.distinct as u64,
+            "at least one matrix is needed",
+        ),
+        ("n", o.n as u64, "matrices need at least one node"),
+    ] {
+        if value == 0 {
+            return Err(format!("--{flag} must be at least 1 ({why})"));
+        }
+    }
+    if o.connections == 0 || o.connections > MAX_CONNECTIONS {
+        return Err(format!(
+            "--connections must be in 1..={MAX_CONNECTIONS}, got {}",
+            o.connections
+        ));
+    }
+    if o.rate < 0.0 || !o.rate.is_finite() {
+        return Err("--rate must be a finite non-negative req/s".into());
+    }
+    Ok(o)
 }
 
 /// One pre-planned workload item: the request to send and the expected
@@ -168,9 +197,6 @@ fn build_workload(distinct: usize, n: usize, platform: &Platform) -> Vec<WorkIte
 struct Outcome {
     hits: u64,
     failures: u64,
-    /// How many `Ok` responses carried a non-zero server-minted id (must
-    /// equal the responses received).
-    correlated: u64,
 }
 
 /// Checks one response against its cold reference, updating `out`.
@@ -204,8 +230,6 @@ fn check_response(i: u64, resp: PlanResponse, item: &WorkItem, out: &mut Outcome
             if server_id == 0 {
                 eprintln!("redistload: request {i} carried no server_id");
                 out.failures += 1;
-            } else {
-                out.correlated += 1;
             }
             if cached {
                 out.hits += 1;
@@ -221,7 +245,7 @@ fn check_response(i: u64, resp: PlanResponse, item: &WorkItem, out: &mut Outcome
 /// Closed-loop worker: pull the next global request index, send, wait,
 /// repeat. Latency is response time at the offered concurrency.
 fn run_closed(
-    addr: std::net::SocketAddr,
+    addr: SocketAddr,
     items: &[WorkItem],
     platform: &Platform,
     next: &AtomicU64,
@@ -267,7 +291,7 @@ fn run_closed(
 /// server — the coordinated-omission correction.
 #[allow(clippy::too_many_arguments)]
 fn run_open(
-    addr: std::net::SocketAddr,
+    addr: SocketAddr,
     items: &[WorkItem],
     platform: &Platform,
     base: Instant,
@@ -312,67 +336,18 @@ fn run_open(
     out
 }
 
-/// A measured load point: what was run and what came back.
-struct PointResult {
-    core: &'static str,
-    connections: usize,
-    requests: u64,
-    rate: f64,
-    elapsed: Duration,
-    throughput: f64,
-    latency: Arc<Histogram>,
-    hits: u64,
-    failures: u64,
-    correlated: u64,
-}
-
-impl PointResult {
-    fn hit_rate(&self) -> f64 {
-        self.hits as f64 / self.requests as f64
-    }
-
-    fn json(&self, indent: &str) -> String {
-        format!(
-            "{{\n{indent}  \"core\": \"{}\",\n{indent}  \"connections\": {},\n\
-             {indent}  \"requests\": {},\n{indent}  \"rate_rps\": {:.1},\n\
-             {indent}  \"elapsed_s\": {:.4},\n{indent}  \"throughput_rps\": {:.2},\n\
-             {indent}  \"latency_us_p50\": {},\n{indent}  \"latency_us_p99\": {},\n\
-             {indent}  \"latency_us_mean\": {},\n{indent}  \"latency_us_max\": {},\n\
-             {indent}  \"saturated\": {},\n{indent}  \"cache_hits\": {},\n\
-             {indent}  \"cache_hit_rate\": {:.4},\n{indent}  \"failures\": {},\n\
-             {indent}  \"correlated_responses\": {}\n{indent}}}",
-            self.core,
-            self.connections,
-            self.requests,
-            self.rate,
-            self.elapsed.as_secs_f64(),
-            self.throughput,
-            self.latency.quantile(0.5),
-            self.latency.quantile(0.99),
-            self.latency.mean(),
-            self.latency.max(),
-            self.latency.saturated(),
-            self.hits,
-            self.hit_rate(),
-            self.failures,
-            self.correlated,
-        )
-    }
-}
-
-/// Drives one load point against `addr`: `connections` client threads,
-/// closed-loop unless `rate > 0`.
+/// Drives `connections` client threads against `addr`, closed-loop unless
+/// `rate > 0`; returns the merged outcome and the wall time of the run.
 fn run_point(
-    addr: std::net::SocketAddr,
-    core: &'static str,
-    items: &Arc<Vec<WorkItem>>,
+    addr: SocketAddr,
+    items: &[WorkItem],
     platform: &Platform,
     connections: usize,
     requests: u64,
     rate: f64,
-) -> PointResult {
-    let next = Arc::new(AtomicU64::new(0));
-    let latency_us = Arc::new(Histogram::new());
+    latency_us: &Histogram,
+) -> (Outcome, Duration) {
+    let next = AtomicU64::new(0);
     let interval = if rate > 0.0 {
         Duration::from_secs_f64(1.0 / rate)
     } else {
@@ -382,10 +357,7 @@ fn run_point(
     let outcomes: Vec<Outcome> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..connections)
             .map(|w| {
-                let items = &items;
-                let platform = &platform;
                 let next = &next;
-                let latency_us = &latency_us;
                 scope.spawn(move || {
                     if rate > 0.0 {
                         run_open(
@@ -407,619 +379,44 @@ fn run_point(
             .collect();
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
-    let elapsed = wall.elapsed();
-    PointResult {
-        core,
-        connections,
-        requests,
-        rate,
-        elapsed,
-        throughput: requests as f64 / elapsed.as_secs_f64(),
-        latency: latency_us,
+    let merged = Outcome {
         hits: outcomes.iter().map(|o| o.hits).sum(),
         failures: outcomes.iter().map(|o| o.failures).sum(),
-        correlated: outcomes.iter().map(|o| o.correlated).sum(),
-    }
-}
-
-/// Rejects a zero flag value with a flag-specific message (the same
-/// discipline as `bench::jobs_or`): zero connections or requests cannot
-/// make progress, so it is a configuration error, not a degenerate load.
-fn nonzero(value: u64, flag: &str, why: &str) -> u64 {
-    if value == 0 {
-        eprintln!("redistload: --{flag} must be at least 1 ({why})");
-        std::process::exit(2);
-    }
-    value
-}
-
-/// Validates a connection count against the generator's ceiling.
-fn check_connections(conns: usize, what: &str) -> usize {
-    if conns == 0 || conns > MAX_CONNECTIONS {
-        eprintln!("redistload: {what} must be in 1..={MAX_CONNECTIONS}, got {conns}");
-        std::process::exit(2);
-    }
-    conns
-}
-
-/// Starts an in-process server sized for a load point: the queue must
-/// absorb a full closed-loop burst (every connection with a request in
-/// flight at once) or `queue_full` rejections show up as load-dependent
-/// noise in a correctness campaign.
-fn host_for_point(core: ServingCore, connections: usize) -> server::ServerHandle {
-    let config = ServerConfig {
-        core,
-        queue_depth: (2 * connections).max(1024),
-        ..ServerConfig::default()
     };
-    server::start(config).expect("start in-process server")
-}
-
-/// The serving-scale campaign: thread-core baseline at the first count,
-/// event core at every count, fresh server per point.
-fn run_campaign(
-    counts: &[usize],
-    requests_arg: u64,
-    items: &Arc<Vec<WorkItem>>,
-    platform: &Platform,
-    distinct: usize,
-    n: usize,
-    out_path: &str,
-) {
-    let baseline_conns = counts[0];
-    let mut points: Vec<PointResult> = Vec::new();
-
-    let specs: Vec<(ServingCore, usize)> = std::iter::once((ServingCore::Threads, baseline_conns))
-        .chain(counts.iter().map(|&c| (ServingCore::EventLoop, c)))
-        .collect();
-    for (core, conns) in specs {
-        // Every connection must get at least a couple of requests or the
-        // point only measures connection setup.
-        let requests = requests_arg.max(2 * conns as u64);
-        let handle = host_for_point(core, conns);
-        let label = core.label();
-        eprintln!(
-            "redistload: campaign point core={label} connections={conns} requests={requests}"
-        );
-        let point = run_point(handle.addr(), label, items, platform, conns, requests, 0.0);
-        let stats = handle.shutdown();
-        eprintln!(
-            "redistload:   {:.1} req/s, p50 {} us, p99 {} us, {} failures \
-             (server: {} served, {} rejected)",
-            point.throughput,
-            point.latency.quantile(0.5),
-            point.latency.quantile(0.99),
-            point.failures,
-            stats.served,
-            stats.rejected_queue_full + stats.rejected_too_large,
-        );
-        points.push(point);
-    }
-
-    let baseline = &points[0];
-    let failures: u64 = points.iter().map(|p| p.failures).sum();
-    let point_json: Vec<String> = points[1..].iter().map(|p| p.json("    ")).collect();
-    let ratios: Vec<String> = points[1..]
-        .iter()
-        .map(|p| {
-            format!(
-                "    {{ \"connections\": {}, \"throughput_vs_baseline\": {:.3} }}",
-                p.connections,
-                p.throughput / baseline.throughput
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\n  \"campaign\": \"serve_scale_v1\",\n  \"matrix_n\": {n},\n  \
-         \"distinct_matrices\": {distinct},\n  \
-         \"baseline_connections\": {baseline_conns},\n  \
-         \"baseline\": {},\n  \"points\": [\n    {}\n  ],\n  \
-         \"throughput_ratios\": [\n{}\n  ],\n  \"failures\": {failures}\n}}\n",
-        baseline.json("  "),
-        point_json.join(",\n    "),
-        ratios.join(",\n"),
-    );
-    std::fs::write(out_path, &json).expect("write campaign JSON");
-    println!("redistload: serve_scale_v1 campaign -> {out_path}");
-
-    if failures > 0 {
-        eprintln!("redistload: {failures} incorrect responses across the campaign");
-        std::process::exit(1);
-    }
-}
-
-/// Converts one wire delta exactly as the server's session layer does —
-/// [`kpbs::traffic::message_ticks`] is the single byte→tick conversion
-/// point, so the mirror and the server always agree on the resulting edit.
-fn native_delta(platform: &Platform, d: &WireDelta) -> kpbs::MatrixDelta {
-    match *d {
-        WireDelta::SetCell {
-            sender,
-            receiver,
-            bytes,
-        } => kpbs::MatrixDelta::Set {
-            sender: sender as usize,
-            receiver: receiver as usize,
-            ticks: kpbs::traffic::message_ticks(platform, TickScale::MILLIS, bytes),
-        },
-        WireDelta::GrowNodes { senders, receivers } => kpbs::MatrixDelta::GrowNodes {
-            senders: senders as usize,
-            receivers: receivers as usize,
-        },
-        WireDelta::DropSender(i) => kpbs::MatrixDelta::DropSender(i as usize),
-        WireDelta::DropReceiver(j) => kpbs::MatrixDelta::DropReceiver(j as usize),
-    }
-}
-
-/// Per-cell delivered ticks of `schedule`, resolved through `inst`'s graph
-/// (edge ids are meaningless without it).
-fn delivered_cells(
-    inst: &kpbs::Instance,
-    schedule: &kpbs::Schedule,
-) -> BTreeMap<(usize, usize), u64> {
-    let mut cells = BTreeMap::new();
-    for step in &schedule.steps {
-        for tr in &step.transfers {
-            let key = (inst.graph.left_of(tr.edge), inst.graph.right_of(tr.edge));
-            *cells.entry(key).or_insert(0) += tr.amount;
-        }
-    }
-    cells
-}
-
-/// A cold (stateless) plan of the mirror's current post-delta matrix,
-/// built canonically — row-major cells, fresh OGGP — exactly like a plan
-/// request for the same matrix would be.
-fn cold_reference(mirror: &DeltaPlanner) -> (kpbs::Instance, kpbs::Schedule) {
-    let target = mirror.target_matrix();
-    let inst = mirror.instance();
-    let (n1, n2) = (inst.graph.left_count(), inst.graph.right_count());
-    let mut g = bipartite::Graph::new(n1, n2);
-    for i in 0..n1 {
-        for j in 0..n2 {
-            let w = target.get(i, j);
-            if w > 0 {
-                g.add_edge(i, j, w);
-            }
-        }
-    }
-    let cold_inst = kpbs::Instance::new(g, inst.k, inst.beta);
-    let cold = kpbs::oggp(&cold_inst);
-    (cold_inst, cold)
-}
-
-/// One serving core's leg of the streaming-admission campaign.
-struct SessionPoint {
-    core: &'static str,
-    rounds: u64,
-    elapsed: Duration,
-    latency_us: Histogram,
-    repairs: u64,
-    repeels: u64,
-    colds: u64,
-    commits: u64,
-    byte_failures: u64,
-    delivery_failures: u64,
-}
-
-impl SessionPoint {
-    fn failures(&self) -> u64 {
-        self.byte_failures + self.delivery_failures
-    }
-
-    fn json(&self, indent: &str) -> String {
-        format!(
-            "{{\n{indent}  \"core\": \"{}\",\n{indent}  \"rounds\": {},\n\
-             {indent}  \"elapsed_s\": {:.4},\n{indent}  \"deltas_per_s\": {:.2},\n\
-             {indent}  \"latency_us_p50\": {},\n{indent}  \"latency_us_p99\": {},\n\
-             {indent}  \"repairs\": {},\n{indent}  \"repeels\": {},\n\
-             {indent}  \"colds\": {},\n{indent}  \"commits\": {},\n\
-             {indent}  \"byte_failures\": {},\n{indent}  \"delivery_failures\": {}\n\
-             {indent}}}",
-            self.core,
-            self.rounds,
-            self.elapsed.as_secs_f64(),
-            self.rounds as f64 / self.elapsed.as_secs_f64().max(1e-9),
-            self.latency_us.quantile(0.5),
-            self.latency_us.quantile(0.99),
-            self.repairs,
-            self.repeels,
-            self.colds,
-            self.commits,
-            self.byte_failures,
-            self.delivery_failures,
-        )
-    }
-}
-
-/// Streams one live session against `core`: OPEN, then `rounds` coflow
-/// delta batches (arrivals and departures), a COMMIT every eighth round,
-/// CLOSE at the end. Every response is triple-checked: byte-equal to the
-/// local mirror planner, delivering exactly what a cold plan of the same
-/// post-delta matrix delivers, and inside the replan cost bound. With
-/// `rate > 0` each batch gets an open-loop send deadline (`base + k/rate`)
-/// and latency is measured from that deadline — the same
-/// coordinated-omission correction as the plan-request path.
-fn run_session_point(
-    core: ServingCore,
-    rounds: u64,
-    delta_cells: u64,
-    rate: f64,
-    n: usize,
-    platform: &Platform,
-) -> SessionPoint {
-    let handle = host_for_point(core, 1);
-    let addr = handle.addr();
-    let mut point = SessionPoint {
-        core: core.label(),
-        rounds,
-        elapsed: Duration::ZERO,
-        latency_us: Histogram::new(),
-        repairs: 0,
-        repeels: 0,
-        colds: 0,
-        commits: 0,
-        byte_failures: 0,
-        delivery_failures: 0,
-    };
-    let fail = |point: &mut SessionPoint, round: u64, what: &str| {
-        eprintln!("redistload: [{}] round {round}: {what}", core.label());
-        point.byte_failures += 1;
-    };
-
-    // The same deterministic campaign on every core, so the legs are
-    // directly comparable.
-    let mut rng = Rng::new(0x5E55_1034_0000_0001);
-    let mut traffic = TrafficMatrix::zeros(n, n);
-    for r in 0..n {
-        for c in 0..n {
-            if rng.below(10) < 4 {
-                traffic.set(r, c, (1 + rng.below(64)) * 1_000_000);
-            }
-        }
-    }
-    if traffic.total_bytes() == 0 {
-        traffic.set(0, 0, 8_000_000);
-    }
-    let (inst, _) = traffic.to_instance(platform, BETA_SECONDS, TickScale::MILLIS);
-    let mut mirror = DeltaPlanner::new(inst);
-
-    let mut c = match Client::connect_with_retry(addr, CONNECT_ATTEMPTS) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("redistload: session connect failed: {e}");
-            point.byte_failures += 1;
-            handle.shutdown();
-            return point;
-        }
-    };
-    let session_id = match c.session(&client::session_open(1, &traffic, platform, BETA_SECONDS)) {
-        Ok(PlanResponse::Session {
-            session_id,
-            generation,
-            level,
-            schedule,
-            ..
-        }) => {
-            if generation != 0
-                || level != SessionLevel::Opened
-                || wire::encode_schedule(&schedule) != wire::encode_schedule(mirror.schedule())
-            {
-                fail(&mut point, 0, "OPEN response disagrees with the mirror");
-            }
-            session_id
-        }
-        other => {
-            eprintln!("redistload: session OPEN failed: {other:?}");
-            point.byte_failures += 1;
-            handle.shutdown();
-            return point;
-        }
-    };
-
-    let interval = if rate > 0.0 {
-        Duration::from_secs_f64(1.0 / rate)
-    } else {
-        Duration::ZERO
-    };
-    let base = Instant::now();
-    for round in 0..rounds {
-        let deadline = base + interval * (round as u32);
-        let now = Instant::now();
-        if deadline > now {
-            std::thread::sleep(deadline - now);
-        }
-        // A coflow tick: `delta_cells` edits, ~40% departures (cell
-        // cleared), the rest arrivals or reshapes of 1..96 MB.
-        let batch: Vec<WireDelta> = (0..delta_cells)
-            .map(|_| WireDelta::SetCell {
-                sender: rng.below(n as u64) as u32,
-                receiver: rng.below(n as u64) as u32,
-                bytes: if rng.below(10) < 4 {
-                    0
-                } else {
-                    (1 + rng.below(96)) * 1_000_000
-                },
-            })
-            .collect();
-        let local: Vec<kpbs::MatrixDelta> =
-            batch.iter().map(|d| native_delta(platform, d)).collect();
-        let want = mirror.replan(&local);
-
-        let sent = if rate > 0.0 { deadline } else { Instant::now() };
-        let resp = match c.session(&client::session_delta(100 + round, session_id, batch)) {
-            Ok(r) => r,
-            Err(e) => {
-                fail(&mut point, round, &format!("transport error: {e}"));
-                break;
-            }
-        };
-        point
-            .latency_us
-            .record(sent.elapsed().as_micros().min(u64::MAX as u128) as u64);
-        match resp {
-            PlanResponse::Session {
-                session_id: sid,
-                generation,
-                level,
-                schedule,
-                cost,
-                lower_bound,
-                ..
-            } => {
-                let bytes = wire::encode_schedule(&schedule);
-                if sid != session_id
-                    || generation != want.generation
-                    || level.label() != want.level.label()
-                    || cost != want.cost
-                    || lower_bound != want.lower_bound
-                    || bytes != wire::encode_schedule(mirror.schedule())
-                {
-                    fail(
-                        &mut point,
-                        round,
-                        &format!(
-                            "patched schedule disagrees with the mirror \
-                             (level {}, cost {cost} vs {}, gen {generation} vs {})",
-                            level.label(),
-                            want.cost,
-                            want.generation
-                        ),
-                    );
-                }
-                match level {
-                    SessionLevel::Repair => point.repairs += 1,
-                    SessionLevel::RePeel => point.repeels += 1,
-                    SessionLevel::Cold => point.colds += 1,
-                    _ => fail(&mut point, round, "DELTA answered a non-delta level"),
-                }
-
-                // Independent cold cross-check: a stateless plan of the
-                // same post-delta matrix must deliver the same cells, the
-                // patched cost must stay inside the replan bound, and a
-                // cold-fallback response must byte-equal the cold plan.
-                let (cold_inst, cold) = cold_reference(&mirror);
-                let served = delivered_cells(mirror.instance(), &schedule);
-                if served != delivered_cells(&cold_inst, &cold) {
-                    eprintln!(
-                        "redistload: [{}] round {round}: patched schedule does not \
-                         deliver the post-delta matrix",
-                        core.label()
-                    );
-                    point.delivery_failures += 1;
-                }
-                let bound =
-                    (kpbs::delta::REPLAN_COST_FACTOR * want.lower_bound.max(1)).max(cold.cost());
-                if cost > bound {
-                    eprintln!(
-                        "redistload: [{}] round {round}: cost {cost} above replan \
-                         bound {bound}",
-                        core.label()
-                    );
-                    point.delivery_failures += 1;
-                }
-                if level == SessionLevel::Cold && bytes != wire::encode_schedule(&cold) {
-                    eprintln!(
-                        "redistload: [{}] round {round}: cold fallback is not \
-                         byte-identical to a stateless cold plan",
-                        core.label()
-                    );
-                    point.delivery_failures += 1;
-                }
-            }
-            other => fail(
-                &mut point,
-                round,
-                &format!("unexpected response: {other:?}"),
-            ),
-        }
-
-        if (round + 1).is_multiple_of(8) {
-            match c.session(&client::session_commit(10_000 + round, session_id)) {
-                Ok(PlanResponse::Session {
-                    level, generation, ..
-                }) if level == SessionLevel::Committed && generation == mirror.generation() => {
-                    point.commits += 1;
-                }
-                other => fail(&mut point, round, &format!("COMMIT failed: {other:?}")),
-            }
-        }
-    }
-    point.elapsed = base.elapsed();
-
-    match c.session(&client::session_close(u64::MAX, session_id)) {
-        Ok(PlanResponse::Session {
-            level: SessionLevel::Closed,
-            ..
-        }) => {}
-        other => fail(&mut point, rounds, &format!("CLOSE failed: {other:?}")),
-    }
-    let stats = handle.shutdown();
-    if stats.session_repairs + stats.session_repeels + stats.session_colds
-        != point.repairs + point.repeels + point.colds
-        || stats.sessions_open != 0
-    {
-        fail(
-            &mut point,
-            rounds,
-            "server session counters disagree with the client's ledger",
-        );
-    }
-    point
-}
-
-/// The streaming-admission campaign: the identical delta stream against a
-/// live session on each serving core, written as `serve_session_v1` JSON.
-fn run_session_campaign(
-    rounds: u64,
-    delta_cells: u64,
-    rate: f64,
-    n: usize,
-    platform: &Platform,
-    out_path: &str,
-) {
-    let mut points = Vec::new();
-    for core in [ServingCore::Threads, ServingCore::EventLoop] {
-        eprintln!(
-            "redistload: session campaign core={} rounds={rounds} \
-             delta_cells={delta_cells}",
-            core.label()
-        );
-        let point = run_session_point(core, rounds, delta_cells, rate, n, platform);
-        eprintln!(
-            "redistload:   {} repairs, {} repeels, {} colds, p50 {} us, \
-             {} failures",
-            point.repairs,
-            point.repeels,
-            point.colds,
-            point.latency_us.quantile(0.5),
-            point.failures(),
-        );
-        points.push(point);
-    }
-    let failures: u64 = points.iter().map(|p| p.failures()).sum();
-    let point_json: Vec<String> = points.iter().map(|p| p.json("    ")).collect();
-    let json = format!(
-        "{{\n  \"campaign\": \"serve_session_v1\",\n  \"matrix_n\": {n},\n  \
-         \"rounds\": {rounds},\n  \"delta_cells\": {delta_cells},\n  \
-         \"rate_dps\": {rate:.1},\n  \"points\": [\n    {}\n  ],\n  \
-         \"failures\": {failures}\n}}\n",
-        point_json.join(",\n    "),
-    );
-    std::fs::write(out_path, &json).expect("write session campaign JSON");
-    println!("redistload: serve_session_v1 campaign -> {out_path}");
-    if failures > 0 {
-        eprintln!("redistload: {failures} session verification failures");
-        std::process::exit(1);
-    }
+    (merged, wall.elapsed())
 }
 
 fn main() {
-    let requests_arg: u64 = nonzero(
-        arg("requests", 256),
-        "requests",
-        "an empty campaign checks nothing",
-    );
-    let distinct: usize = nonzero(
-        arg("distinct", 16),
-        "distinct",
-        "at least one matrix is needed",
-    ) as usize;
-    let n: usize = nonzero(arg("n", 12), "n", "matrices need at least one node") as usize;
-
-    if arg_str("sessions").is_some() {
-        let rounds = nonzero(arg("sessions", 0), "sessions", "a session needs deltas");
-        let delta_cells = nonzero(
-            arg("delta-cells", 2),
-            "delta-cells",
-            "an empty batch edits nothing",
-        );
-        let rate: f64 = arg("rate", 0.0);
-        if rate < 0.0 || !rate.is_finite() {
-            eprintln!("redistload: --rate must be a finite non-negative deltas/s");
-            std::process::exit(2);
-        }
-        let out_path: String = arg("out", "BENCH_session.json".to_string());
-        let platform = Platform::new(n, n, 100.0, 100.0, 400.0);
-        run_session_campaign(rounds, delta_cells, rate, n, &platform, &out_path);
-        return;
-    }
-
-    let out_path: String = arg("out", "BENCH_serve.json".to_string());
+    let o = parse_options(std::env::args().skip(1)).unwrap_or_else(|e| {
+        eprintln!("redistload: {e}");
+        std::process::exit(2);
+    });
+    let (connections, requests, distinct, n, rate) =
+        (o.connections, o.requests, o.distinct, o.n, o.rate);
 
     let platform = Platform::new(n, n, 100.0, 100.0, 400.0);
     eprintln!("redistload: planning {distinct} cold reference instances (n={n})...");
-    let items = Arc::new(build_workload(distinct, n, &platform));
-
-    if let Some(spec) = arg_str("campaign") {
-        let counts: Vec<usize> = spec
-            .split(',')
-            .map(|s| {
-                let c = s.trim().parse().unwrap_or_else(|_| {
-                    eprintln!("redistload: bad --campaign list {spec:?}");
-                    std::process::exit(2);
-                });
-                check_connections(c, "--campaign connection count")
-            })
-            .collect();
-        if counts.is_empty() {
-            eprintln!("redistload: --campaign needs at least one connection count");
-            std::process::exit(2);
-        }
-        run_campaign(
-            &counts,
-            requests_arg,
-            &items,
-            &platform,
-            distinct,
-            n,
-            &out_path,
-        );
-        return;
-    }
-
-    let connections = check_connections(arg("connections", 16), "--connections");
-    let rate: f64 = arg("rate", 0.0);
-    if rate < 0.0 || !rate.is_finite() {
-        eprintln!("redistload: --rate must be a finite non-negative req/s");
-        std::process::exit(2);
-    }
-    let core: ServingCore = match arg_str("core") {
-        Some(s) => s.parse().unwrap_or_else(|e| {
-            eprintln!("redistload: {e}");
-            std::process::exit(2);
-        }),
-        None => ServingCore::default(),
-    };
-    // 0 = auto-size to the connection count (self-hosted servers only).
-    let queue_depth: usize = arg("queue-depth", 0u64) as usize;
-    let external_addr = arg_str("addr");
+    let items = build_workload(distinct, n, &platform);
 
     // Self-host unless pointed at an external daemon.
-    let hosted = if external_addr.is_none() {
-        let config = ServerConfig {
-            core,
-            queue_depth: if queue_depth > 0 {
-                queue_depth
-            } else {
-                (2 * connections).max(ServerConfig::default().queue_depth)
-            },
-            ..ServerConfig::default()
-        };
-        Some(server::start(config).expect("start in-process server"))
-    } else {
-        None
+    let hosted = match o.addr {
+        Some(_) => None,
+        None => {
+            let config = ServerConfig {
+                queue_depth: if o.queue_depth > 0 {
+                    o.queue_depth
+                } else {
+                    (2 * connections).max(ServerConfig::default().queue_depth)
+                },
+                ..ServerConfig::default()
+            };
+            Some(server::start(config).expect("start in-process server"))
+        }
     };
-    let addr: std::net::SocketAddr = match (&hosted, &external_addr) {
-        (Some(h), _) => h.addr(),
-        (None, Some(a)) => a.parse().unwrap_or_else(|e| {
-            eprintln!("redistload: bad --addr {a}: {e}");
-            std::process::exit(2);
-        }),
-        (None, None) => unreachable!(),
-    };
+    let addr = o
+        .addr
+        .unwrap_or_else(|| hosted.as_ref().expect("hosted without --addr").addr());
 
-    let requests = requests_arg;
     eprintln!(
         "redistload: {requests} requests, {connections} connections{} against {addr}",
         if rate > 0.0 {
@@ -1028,62 +425,31 @@ fn main() {
             ", closed-loop".to_string()
         }
     );
-    let core_label = if hosted.is_some() {
-        core.label()
-    } else {
-        "external"
-    };
-    let point = run_point(
+    let latency = Histogram::new();
+    let (outcome, elapsed) = run_point(
         addr,
-        core_label,
         &items,
         &platform,
         connections,
         requests,
         rate,
+        &latency,
     );
-    let mut failures = point.failures;
+    let mut failures = outcome.failures;
 
-    // Scrape the server-side view while the daemon is still up: validate
-    // the exposition and lift the fields BENCH_serve.json embeds.
-    let server_json = match client::fetch_metrics(addr) {
-        Ok(text) => match metrics::validate_exposition(&text) {
-            Ok(()) => {
-                let sample = |name: &str, labels: &[(&str, &str)]| {
-                    metrics::find_sample(&text, name, labels).unwrap_or(0.0)
-                };
-                format!(
-                    "{{\n    \"requests_planned\": {},\n    \
-                     \"requests_cache_hit\": {},\n    \
-                     \"requests_shed\": {},\n    \
-                     \"queue_wait_us_p50\": {},\n    \
-                     \"queue_wait_us_p99\": {},\n    \
-                     \"service_us_p50\": {},\n    \
-                     \"service_us_p99\": {},\n    \
-                     \"request_bytes_total\": {}\n  }}",
-                    sample("redistd_requests_total", &[("outcome", "planned")]),
-                    sample("redistd_requests_total", &[("outcome", "cache_hit")]),
-                    sample("redistd_requests_total", &[("outcome", "shed_queue_full")])
-                        + sample("redistd_requests_total", &[("outcome", "shed_too_large")]),
-                    sample("redistd_queue_wait_us", &[("quantile", "0.5")]),
-                    sample("redistd_queue_wait_us", &[("quantile", "0.99")]),
-                    sample("redistd_service_us", &[("quantile", "0.5")]),
-                    sample("redistd_service_us", &[("quantile", "0.99")]),
-                    sample("redistd_request_bytes_total", &[]),
-                )
-            }
-            Err(e) => {
+    // Scrape the server-side view while the daemon is still up.
+    match client::fetch_metrics(addr) {
+        Ok(text) => {
+            if let Err(e) = metrics::validate_exposition(&text) {
                 eprintln!("redistload: METRICS exposition invalid: {e}");
                 failures += 1;
-                "null".to_string()
             }
-        },
+        }
         Err(e) => {
             eprintln!("redistload: METRICS scrape failed: {e}");
             failures += 1;
-            "null".to_string()
         }
-    };
+    }
 
     if let Some(h) = hosted {
         let stats = h.shutdown();
@@ -1095,19 +461,12 @@ fn main() {
         );
     }
 
-    let json = format!(
-        "{{\n  \"campaign\": \"serve_loadgen_v1\",\n  \"point\": {},\n  \
-         \"distinct_matrices\": {distinct},\n  \"matrix_n\": {n},\n  \
-         \"failures\": {failures},\n  \"server\": {server_json}\n}}\n",
-        point.json("  "),
-    );
-    std::fs::write(&out_path, &json).expect("write BENCH_serve.json");
     println!(
-        "redistload: {:.1} req/s, p50 {} us, p99 {} us, hit rate {:.2} -> {out_path}",
-        point.throughput,
-        point.latency.quantile(0.5),
-        point.latency.quantile(0.99),
-        point.hit_rate(),
+        "redistload: {:.1} req/s, p50 {} us, p99 {} us, hit rate {:.2}",
+        requests as f64 / elapsed.as_secs_f64(),
+        latency.quantile(0.5),
+        latency.quantile(0.99),
+        outcome.hits as f64 / requests as f64,
     );
 
     if failures > 0 {
@@ -1116,7 +475,7 @@ fn main() {
     }
     // With requests > distinct every repeat should be a hit; a stone-cold
     // cache means the fingerprint key or the LRU is broken.
-    if requests > distinct as u64 && point.hits == 0 {
+    if requests > distinct as u64 && outcome.hits == 0 {
         eprintln!("redistload: no cache hits despite repeated matrices");
         std::process::exit(1);
     }

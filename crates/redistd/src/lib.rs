@@ -36,9 +36,9 @@
 //!
 //! Two binaries ship with the crate: `redistd` (the daemon; `--trace`,
 //! SIGTERM/ctrl-c drain) and `redistload` (a multi-connection load
-//! generator — closed-loop, open-loop `--rate`, or the `--sessions`
-//! streaming-admission campaign — writing `BENCH_serve.json` /
-//! `BENCH_session.json`).
+//! generator, closed-loop or open-loop `--rate`, that byte-compares every
+//! response to a cold plan). The end-to-end benchmark (`benchmark/`)
+//! times the serving path.
 //!
 //! Like `telemetry`, this crate is std-only: no async runtime, no socket
 //! or serialization dependency — threads, `TcpListener`, hand-rolled

@@ -9,11 +9,19 @@
 //!   [`kpbs::validate`],
 //! * a zero-fault execution is byte-identical to the plain
 //!   [`kpbs::Schedule::byte_slices`] expansion of the initial plan.
+//!
+//! The same invariant holds on heterogeneous topologies — a star platform
+//! (Marchal et al.) and a two-backbone cluster pair — executed over the
+//! flow-level simulator, where the initial plan also never beats the
+//! heterogeneity-aware lower bound [`kpbs::topo_lower_bound`].
 
 use kpbs::traffic::TickScale;
-use kpbs::{Algo, Platform, TrafficMatrix};
+use kpbs::{topo_lower_bound, Algo, Platform, Topology, TrafficMatrix};
 use proptest::prelude::*;
-use redistexec::{plan_and_execute, ExecConfig, FaultPlan, FaultSpec, LoopbackTransport};
+use redistexec::{
+    plan_and_execute, plan_and_execute_topo, ExecConfig, FaultPlan, FaultSpec, LoopbackTransport,
+    SimTransport,
+};
 
 /// A random workload small enough to plan 200 times but rich enough to
 /// yield multi-step schedules: up to 6×6 nodes, cells up to 30 MB.
@@ -28,6 +36,42 @@ fn workload_strategy() -> impl Strategy<Value = (TrafficMatrix, Platform, f64)> 
             let traffic = TrafficMatrix::from_rows(n1, n2, cells);
             let platform = Platform::new(n1, n2, 100.0, 100.0, 100.0 * kmul as f64);
             (traffic, platform, beta_ms as f64 / 1_000.0)
+        })
+}
+
+/// A heterogeneous topology — a star with per-node NIC speeds and one
+/// shared backbone, or a fast and a slow cluster pair on disjoint
+/// backbones — with traffic on its routable pairs only.
+fn topology_strategy() -> impl Strategy<Value = (Topology, TrafficMatrix, f64)> {
+    (
+        0u8..=1,
+        2usize..=5,
+        proptest::collection::vec(10.0f64..200.0, 5..=5),
+        proptest::collection::vec(10.0f64..200.0, 5..=5),
+        (20.0f64..600.0, 20.0f64..400.0),
+    )
+        .prop_flat_map(|(kind, n, out_pool, in_pool, (cap_a, cap_b))| {
+            let topo = if kind == 0 {
+                Topology::star(&out_pool[..n], &in_pool[..n], cap_a)
+            } else {
+                let (fast, slow) = (out_pool[0].max(in_pool[0]), out_pool[0].min(in_pool[0]));
+                kpbs::instances::two_backbone_topology(1 + n / 2, fast, slow, cap_a, cap_b)
+            };
+            let (n1, n2) = (topo.senders(), topo.receivers());
+            let cells = proptest::collection::vec(0u64..=20_000_000, n1 * n2);
+            (Just(topo), cells, 0u64..=100)
+        })
+        .prop_map(|(topo, cells, beta_ms)| {
+            let (n1, n2) = (topo.senders(), topo.receivers());
+            let mut m = TrafficMatrix::zeros(n1, n2);
+            for i in 0..n1 {
+                for j in 0..n2 {
+                    if topo.route(i, j).is_some() {
+                        m.set(i, j, cells[i * n2 + j]);
+                    }
+                }
+            }
+            (topo, m, beta_ms as f64 / 1_000.0)
         })
 }
 
@@ -144,5 +188,50 @@ proptest! {
             prop_assert!(got.backoff_seconds == 0.0);
             prop_assert!(!got.timed_out);
         }
+    }
+
+    #[test]
+    fn topology_delivery_invariant_under_seeded_faults(
+        (topo, traffic, beta) in topology_strategy(),
+        spec in fault_spec_strategy(),
+        fault_seed in 0u64..=u64::MAX,
+        faulty in 0u8..=1,
+    ) {
+        let faults = if faulty == 1 {
+            let spec = FaultSpec { links: topo.links.len(), ..spec };
+            FaultPlan::generate(fault_seed, topo.senders(), topo.receivers(), &spec)
+        } else {
+            FaultPlan::none()
+        };
+        let transport = SimTransport::for_topology(&topo)
+            .map_err(|e| TestCaseError::fail(format!("transport: {e}")))?;
+        let (initial, report) = plan_and_execute_topo(
+            &traffic,
+            &topo,
+            beta,
+            TickScale::MILLIS,
+            transport,
+            faults,
+            ExecConfig::default(),
+        )
+        .map_err(|e| TestCaseError::fail(format!("execution failed: {e}")))?;
+
+        if let Err(e) = report.verify_against(&traffic) {
+            return Err(TestCaseError::fail(e));
+        }
+        for rec in std::iter::once(&initial).chain(&report.plans) {
+            prop_assert!(
+                rec.schedule.validate(&rec.instance).is_ok(),
+                "plan record failed kpbs::validate"
+            );
+        }
+        let bound = topo_lower_bound(&traffic, &topo, beta, TickScale::MILLIS)
+            .map_err(|e| TestCaseError::fail(format!("bound failed: {e}")))?;
+        prop_assert!(
+            initial.schedule.cost() >= bound,
+            "cost {} beats the lower bound {}",
+            initial.schedule.cost(),
+            bound
+        );
     }
 }

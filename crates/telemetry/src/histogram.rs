@@ -4,7 +4,7 @@
 //! samples (the serving layer records microseconds). Recording is a handful
 //! of relaxed atomic ops — safe to call from many worker threads — and
 //! quantile queries read a consistent-enough snapshot for operational
-//! reporting (`STATS`, `BENCH_serve.json`). Memory is constant: no
+//! reporting (`STATS`, `METRICS`). Memory is constant: no
 //! allocation ever happens after construction, matching the crate's
 //! zero-dependency, bounded-overhead discipline.
 //!
@@ -25,8 +25,7 @@
 //! holding the requested rank, further capped by the largest sample seen —
 //! conservative (never understates) but tight. When any sample has hit the
 //! overflow bucket, [`Histogram::saturated`] returns `true` so exporters
-//! can flag the tail as clipped (`"saturated"` in `BENCH_serve.json`);
-//! quantiles landing there report the tracked maximum, a real number rather
+//! can flag the tail as clipped; quantiles landing there report the tracked maximum, a real number rather
 //! than a cap.
 
 use std::sync::atomic::{AtomicU64, Ordering};

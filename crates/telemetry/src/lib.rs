@@ -32,7 +32,7 @@
 //!
 //! * [`histogram`] — fixed-bucket concurrent latency histograms (p50/p99
 //!   without allocation), used by the `redistd` serving layer for its
-//!   `STATS` report and by `redistload` for `BENCH_serve.json`.
+//!   `STATS` report and by `redistload` for its client-side latencies.
 //!
 //! * [`metrics`] — a windowed metrics registry (monotonic counters, gauges,
 //!   sliding-window summary quantiles over [`histogram`]) rendered in

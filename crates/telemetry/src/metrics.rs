@@ -20,15 +20,13 @@
 //! [`Registry::render`] emits Prometheus text exposition format: families
 //! sorted by name, series sorted by label string, `# HELP`/`# TYPE` before
 //! samples — byte-stable for a fixed sequence of updates.
-//! [`validate_exposition`] checks well-formedness (the `scripts/check.sh`
-//! scrape step runs it against a live server) and [`find_sample`] pulls
-//! individual values back out of scraped text (`redistload` embeds these in
-//! `BENCH_serve.json`).
+//! [`validate_exposition`] checks well-formedness (`redistload` and the
+//! `scripts/check.sh` scrape step run it against a live server) and
+//! [`find_sample`] pulls individual values back out of scraped text.
 //!
 //! Instrument updates are a few relaxed atomic ops; registration and
 //! rendering take the registry lock. The disabled/idle path — instruments
-//! registered but a request path that never renders — stays near zero cost
-//! (pinned by `crates/bench/benches/observability.rs`).
+//! registered but a request path that never renders — stays near zero cost.
 
 use crate::histogram::Histogram;
 use std::collections::{BTreeMap, VecDeque};

@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
 # Repository gate: formatting, lints, API docs, release build, the full
 # test suite (which includes the deterministic work-counter regression
-# test), the serving-layer campaigns and the end-to-end benchmark crate's
-# tests and smoke run. Campaign output goes to target/check/, so a run leaves the
-# tree clean. Fails fast: the first failing step aborts the run with a
-# banner naming it.
+# test and the serving, session and heterogeneous-topology invariants),
+# the wall-clock delta-replan gate, a live-daemon smoke, the planner-scale
+# and fault-campaign smokes, and the end-to-end benchmark crate's tests and
+# smoke run. Report output goes to target/check/, so a run leaves the tree
+# clean. Fails fast: the first failing step aborts the run with a banner
+# naming it.
 # Usage: scripts/check.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -41,17 +43,6 @@ cargo test -p redistd --test loopback -q -- --ignored
 
 mkdir -p target/check
 
-banner "serving-scale campaign (redistload --campaign -> target/check/BENCH_serve.json)"
-cargo run --release -p redistd --bin redistload -- \
-  --campaign 64,256,1024 --requests 512 --distinct 8 --n 10 --out target/check/BENCH_serve.json
-
-banner "streaming-admission campaign (redistload --sessions -> target/check/BENCH_session.json)"
-# A live session on each serving core streams 48 delta batches; every
-# patched schedule must byte-compare equal to a client-side mirror planner
-# and deliver exactly what a cold plan of the post-delta matrix delivers.
-cargo run --release -p redistd --bin redistload -- \
-  --sessions 48 --delta-cells 2 --n 12 --out target/check/BENCH_session.json
-
 banner "delta-replan speedup gate (delta_bench -> target/check/BENCH_delta.json)"
 # Fails unless single-cell replans at n=256 beat cold OGGP planning by at
 # least 3x.
@@ -73,10 +64,10 @@ ADDR="$(cat "$PORT_FILE")"
 # Closed-loop burst at 256 connections: exits non-zero on any response
 # that is not byte-identical to a cold plan.
 ./target/release/redistload --addr "$ADDR" \
-  --requests 512 --connections 256 --distinct 4 --n 10 --out /dev/null
+  --requests 512 --connections 256 --distinct 4 --n 10
 # Open-loop mode against the same daemon (latency from scheduled send).
 ./target/release/redistload --addr "$ADDR" \
-  --requests 100 --connections 8 --rate 400 --distinct 4 --n 10 --out /dev/null
+  --requests 100 --connections 8 --rate 400 --distinct 4 --n 10
 # The daemon must be running the event core, the exposition must be
 # well-formed, and the flight recorder must have a record for every
 # request the load generator sent.
@@ -95,13 +86,6 @@ cargo run --release -p bench --bin scale_bench -- --smoke
 banner "execution-runtime fault campaign (redistexec -> target/check/BENCH_exec.json)"
 cargo run --release -p redistexec --bin redistexec -- \
   --bench --seeds 40 --out target/check/BENCH_exec.json
-
-banner "heterogeneous-topology smoke (hetero_bench --smoke)"
-# Plans and executes the {homogeneous, star, two-backbone} x {fault-free,
-# faulty} slice under per-bottleneck k derivation; fails on any validation
-# error, delivery violation, or a cost beating the heterogeneity-aware
-# lower bound. The homogeneous arm is byte-compared to the Platform oracle.
-cargo run --release -p bench --bin hetero_bench -- --smoke > /dev/null
 
 banner "end-to-end benchmark crate (its tests + --smoke against the current product API)"
 # `benchmark/` is a package of its own that compiles against the product
