@@ -28,9 +28,10 @@
 //!
 //! Every replan, at every level, re-establishes the subsystem invariant
 //! before returning: the patched schedule passes [`crate::validate`] and
-//! delivers *exactly* the post-delta matrix (checked through
-//! [`crate::residual`] in both directions). Violations panic — a schedule
-//! that silently under- or over-delivers must never reach a caller.
+//! delivers *exactly* the post-delta matrix (one dense target matrix
+//! compared with one dense delivered matrix). Violations panic — a
+//! schedule that silently under- or over-delivers must never reach a
+//! caller.
 
 use crate::ggp::schedule_with_mut;
 use crate::lower_bound::lower_bound;
@@ -42,7 +43,7 @@ use crate::traffic::TrafficMatrix;
 use crate::validate::validate;
 use crate::wrgp::IncrementalMaxMin;
 use bipartite::{EdgeId, Graph, Weight};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use telemetry::counters::{self, Counter};
 
 /// A patched schedule may cost at most this factor times the post-delta
@@ -237,8 +238,8 @@ impl DeltaPlanner {
 
         // Phase 1 — apply the edits to the graph, remembering each touched
         // cell's pre-batch weight so net changes survive multiple edits to
-        // the same cell within one batch.
-        let mut initial: HashMap<(usize, usize), Weight> = HashMap::new();
+        // the same cell within one batch: the first record of a cell wins.
+        let mut touched: Vec<(usize, usize, Weight)> = Vec::new();
         for d in deltas {
             match *d {
                 MatrixDelta::Set {
@@ -255,7 +256,7 @@ impl DeltaPlanner {
                         "delta receiver {receiver} out of range"
                     );
                     let old = self.cell(sender, receiver);
-                    initial.entry((sender, receiver)).or_insert(old);
+                    touched.push((sender, receiver, old));
                     if ticks == old {
                         continue;
                     }
@@ -286,7 +287,7 @@ impl DeltaPlanner {
                         .map(|e| (e, self.inst.graph.right_of(e), self.inst.graph.weight(e)))
                         .collect();
                     for (e, j, w) in row {
-                        initial.entry((i, j)).or_insert(w);
+                        touched.push((i, j, w));
                         self.inst.graph.remove_edge(e);
                     }
                 }
@@ -302,51 +303,63 @@ impl DeltaPlanner {
                         .map(|e| (e, self.inst.graph.left_of(e), self.inst.graph.weight(e)))
                         .collect();
                     for (e, i, w) in col {
-                        initial.entry((i, j)).or_insert(w);
+                        touched.push((i, j, w));
                         self.inst.graph.remove_edge(e);
                     }
                 }
             }
         }
+        // Sorted by cell, ties in batch order (a stable sort), so `dedup`
+        // keeps each cell's first record: its pre-batch weight.
+        touched.sort_by_key(|&(i, j, _)| (i, j));
+        touched.dedup_by_key(|&mut (i, j, _)| (i, j));
+        let current: Vec<Option<EdgeId>> = touched
+            .iter()
+            .map(|&(i, j, _)| self.inst.graph.find_edge(i, j))
+            .collect();
 
         // Phase 2 — one pass over the schedule: collect the positions of
         // every transfer on a touched cell (for trims and raises), remap
         // edge ids where the batch removed and re-created a cell's edge,
         // and record per-step occupancy for the slack-insertion pass.
         // Durations are taken before any trimming, so repairs never raise
-        // a step past its pre-replan length.
-        let current: HashMap<(usize, usize), Option<EdgeId>> = initial
-            .keys()
-            .map(|&(i, j)| ((i, j), self.inst.graph.find_edge(i, j)))
-            .collect();
-        let mut positions: HashMap<(usize, usize), Vec<(usize, usize)>> = HashMap::new();
+        // a step past its pre-replan length. A transfer is looked up among
+        // the touched cells only when its sender was touched at all.
+        let (n1, n2) = (self.inst.graph.left_count(), self.inst.graph.right_count());
+        let mut sender_touched = vec![false; n1];
+        for &(i, _, _) in &touched {
+            sender_touched[i] = true;
+        }
         let nsteps = self.schedule.steps.len();
+        let mut used_left = PortBitmap::new(nsteps, n1);
+        let mut used_right = PortBitmap::new(nsteps, n2);
         let mut duration: Vec<Weight> = Vec::with_capacity(nsteps);
         let mut width: Vec<usize> = Vec::with_capacity(nsteps);
-        let mut used_left: Vec<HashSet<usize>> = Vec::with_capacity(nsteps);
-        let mut used_right: Vec<HashSet<usize>> = Vec::with_capacity(nsteps);
+        // (touched-cell index, step, slot), in schedule order per cell once
+        // sorted.
+        let mut positions: Vec<(usize, usize, usize)> = Vec::new();
         for (si, step) in self.schedule.steps.iter_mut().enumerate() {
             duration.push(step.duration());
             width.push(step.transfers.len());
-            let mut ul = HashSet::with_capacity(step.transfers.len());
-            let mut ur = HashSet::with_capacity(step.transfers.len());
             for (ti, tr) in step.transfers.iter_mut().enumerate() {
-                let cell = (
+                let (l, r) = (
                     self.inst.graph.left_of(tr.edge),
                     self.inst.graph.right_of(tr.edge),
                 );
-                ul.insert(cell.0);
-                ur.insert(cell.1);
-                if let Some(&cur) = current.get(&cell) {
-                    if let Some(e) = cur {
+                used_left.insert(si, l);
+                used_right.insert(si, r);
+                if !sender_touched[l] {
+                    continue;
+                }
+                if let Ok(c) = touched.binary_search_by_key(&(l, r), |&(i, j, _)| (i, j)) {
+                    if let Some(e) = current[c] {
                         tr.edge = e;
                     }
-                    positions.entry(cell).or_default().push((si, ti));
+                    positions.push((c, si, ti));
                 }
             }
-            used_left.push(ul);
-            used_right.push(ur);
         }
+        positions.sort_unstable();
 
         // Phase 3 — level-0 repair. Decreases trim from the tail;
         // increases raise same-cell transfers up to the step duration,
@@ -356,15 +369,15 @@ impl DeltaPlanner {
         // valid throughout.
         let k = self.inst.effective_k();
         let mut residual: Vec<(usize, usize, Weight)> = Vec::new();
-        let mut cells: Vec<(usize, usize)> = initial.keys().copied().collect();
-        cells.sort_unstable();
-        for (i, j) in cells {
-            let before = initial[&(i, j)];
+        let mut spots_from = 0;
+        for (c, &(i, j, before)) in touched.iter().enumerate() {
+            let spots_to = spots_from + positions[spots_from..].partition_point(|p| p.0 == c);
+            let spots = &positions[spots_from..spots_to];
+            spots_from = spots_to;
             let after = self.cell(i, j);
-            let spots = positions.get(&(i, j)).map_or(&[][..], Vec::as_slice);
             if after < before {
                 let mut trim = before - after;
-                for &(si, ti) in spots.iter().rev() {
+                for &(_, si, ti) in spots.iter().rev() {
                     if trim == 0 {
                         break;
                     }
@@ -375,9 +388,9 @@ impl DeltaPlanner {
                 }
                 debug_assert_eq!(trim, 0, "schedule delivered less than the cell held");
             } else if after > before {
-                let e = current[&(i, j)].expect("a grown cell has a live edge");
+                let e = current[c].expect("a grown cell has a live edge");
                 let mut grow = after - before;
-                for &(si, ti) in spots {
+                for &(_, si, ti) in spots {
                     if grow == 0 {
                         break;
                     }
@@ -391,7 +404,7 @@ impl DeltaPlanner {
                     if grow == 0 {
                         break;
                     }
-                    if width[si] >= k || used_left[si].contains(&i) || used_right[si].contains(&j) {
+                    if width[si] >= k || used_left.contains(si, i) || used_right.contains(si, j) {
                         continue;
                     }
                     let take = grow.min(duration[si]);
@@ -400,8 +413,8 @@ impl DeltaPlanner {
                         amount: take,
                     });
                     width[si] += 1;
-                    used_left[si].insert(i);
-                    used_right[si].insert(j);
+                    used_left.insert(si, i);
+                    used_right.insert(si, j);
                     grow -= take;
                 }
                 if grow > 0 {
@@ -493,21 +506,49 @@ impl DeltaPlanner {
     }
 
     /// The subsystem invariant: the committed schedule is feasible and
-    /// delivers exactly the current matrix (residual zero both ways).
+    /// delivers exactly the current matrix (nothing under, nothing over).
     fn assert_invariant(&self) {
         if let Err(e) = validate(&self.inst, &self.schedule) {
             panic!("delta replan produced an infeasible schedule: {e}");
         }
+        self.assert_delivers();
+    }
+
+    /// The delivery half of [`Self::assert_invariant`]: the schedule moves
+    /// exactly the dense target matrix, cell by cell.
+    fn assert_delivers(&self) {
         let target = self.target_matrix();
         let delivered = self.delivered_matrix();
-        let under = residual_matrix(&target, &delivered);
-        let over = residual_matrix(&delivered, &target);
-        assert!(
-            under.total_bytes() == 0 && over.total_bytes() == 0,
-            "delta replan delivery mismatch: {} ticks under, {} ticks over",
-            under.total_bytes(),
-            over.total_bytes()
-        );
+        if target != delivered {
+            let under = residual_matrix(&target, &delivered).total_bytes();
+            let over = residual_matrix(&delivered, &target).total_bytes();
+            panic!("delta replan delivery mismatch: {under} ticks under, {over} ticks over");
+        }
+    }
+}
+
+/// Per-step port occupancy as one flat bitmap: `steps × ⌈nodes/64⌉` words,
+/// bit `node` of step `step`'s row set when the step uses that port.
+struct PortBitmap {
+    words: usize,
+    bits: Vec<u64>,
+}
+
+impl PortBitmap {
+    fn new(steps: usize, nodes: usize) -> PortBitmap {
+        let words = nodes.div_ceil(64);
+        PortBitmap {
+            words,
+            bits: vec![0; steps * words],
+        }
+    }
+
+    fn insert(&mut self, step: usize, node: usize) {
+        self.bits[step * self.words + node / 64] |= 1 << (node % 64);
+    }
+
+    fn contains(&self, step: usize, node: usize) -> bool {
+        self.bits[step * self.words + node / 64] & (1 << (node % 64)) != 0
     }
 }
 
@@ -676,6 +717,54 @@ mod tests {
     fn out_of_range_delta_panics() {
         let mut p = DeltaPlanner::new(dense_instance(4, 0x77, 2, 1));
         p.replan(&[set(9, 0, 5)]);
+    }
+
+    /// Moves one tick of the first transfer of cell `(0, 0)` up or down.
+    fn tampered(up: bool) -> DeltaPlanner {
+        let mut g = Graph::new(2, 2);
+        g.add_edge(0, 0, 5);
+        g.add_edge(1, 1, 3);
+        let mut p = DeltaPlanner::new(Instance::new(g, 2, 1));
+        let tr = p
+            .schedule
+            .steps
+            .iter_mut()
+            .flat_map(|s| s.transfers.iter_mut())
+            .find(|t| p.inst.graph.left_of(t.edge) == 0)
+            .unwrap();
+        if up {
+            tr.amount += 1;
+        } else {
+            tr.amount -= 1;
+        }
+        p
+    }
+
+    #[test]
+    #[should_panic(expected = "delivery mismatch: 0 ticks under, 1 ticks over")]
+    fn over_delivered_cell_panics() {
+        tampered(true).assert_delivers();
+    }
+
+    #[test]
+    #[should_panic(expected = "delivery mismatch: 1 ticks under, 0 ticks over")]
+    fn under_delivered_cell_panics() {
+        tampered(false).assert_delivers();
+    }
+
+    #[test]
+    #[should_panic(expected = "infeasible schedule")]
+    fn tampered_cell_fails_the_full_invariant() {
+        // Without parallel edges the coverage check of `validate` sees a
+        // wrong cell first.
+        tampered(false).assert_invariant();
+    }
+
+    #[test]
+    fn untampered_schedule_passes_the_invariant() {
+        let mut p = tampered(true);
+        p.schedule = oggp(&p.inst);
+        p.assert_invariant();
     }
 
     #[test]

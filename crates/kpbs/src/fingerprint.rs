@@ -109,25 +109,6 @@ pub fn cache_key_from_edges(
     h.digest()
 }
 
-/// Domain separator mixed into every [`session_cache_key`], so a
-/// session-generation key can never alias a plain [`cache_key`] (not even
-/// at generation 0) or a bare [`fingerprint`].
-const SESSION_DOMAIN: u64 = 0x5e55_10de_17a9_e4e1;
-
-/// Cache key for a plan committed by a live delta-planning session:
-/// [`cache_key`] extended with the session's replan `generation`, under a
-/// dedicated domain separator. Patched instances move through generations
-/// as deltas land, so a patched plan can never alias the pre-delta entry
-/// for the same canonical matrix — or any stateless `cache_key` entry.
-pub fn session_cache_key(inst: &Instance, tag: u64, generation: u64) -> u128 {
-    let mut h = Fnv2::new();
-    h.write_u64(SESSION_DOMAIN);
-    h.write_u64(tag);
-    h.write_u64(generation);
-    write_instance(&mut h, inst);
-    h.digest()
-}
-
 fn write_instance(h: &mut Fnv2, inst: &Instance) {
     let g = &inst.graph;
     write_tuple(
@@ -237,20 +218,6 @@ mod tests {
                 cache_key_from_edges(tag, 4, 4, edges.len(), edges, 2, 1),
                 cache_key(&a, tag)
             );
-        }
-    }
-
-    #[test]
-    fn session_keys_live_in_their_own_domain() {
-        let a = inst(&[(0, 0, 5)], 1, 0);
-        // Generation is significant...
-        assert_ne!(session_cache_key(&a, 0, 0), session_cache_key(&a, 0, 1));
-        // ...the algorithm tag still separates...
-        assert_ne!(session_cache_key(&a, 0, 3), session_cache_key(&a, 1, 3));
-        // ...and no generation collapses onto the stateless keys.
-        for generation in 0..4 {
-            assert_ne!(session_cache_key(&a, 0, generation), cache_key(&a, 0));
-            assert_ne!(session_cache_key(&a, 0, generation), fingerprint(&a));
         }
     }
 

@@ -94,7 +94,11 @@ impl std::error::Error for ValidationError {}
 pub fn validate(inst: &Instance, schedule: &Schedule) -> Result<(), ValidationError> {
     let g = &inst.graph;
     let k = inst.effective_k();
-    let mut carried: Vec<Weight> = vec![0; g.edge_ids().map(|e| e.index() + 1).max().unwrap_or(0)];
+    let mut carried: Vec<Weight> = vec![0; g.edge_id_bound()];
+    // Port `p` is taken in step `si` when its stamp reads `si + 1`, so one
+    // pair of arrays serves every step without clearing.
+    let mut left_stamp = vec![0usize; g.left_count()];
+    let mut right_stamp = vec![0usize; g.right_count()];
 
     for (si, step) in schedule.steps.iter().enumerate() {
         if step.transfers.is_empty() {
@@ -107,32 +111,31 @@ pub fn validate(inst: &Instance, schedule: &Schedule) -> Result<(), ValidationEr
                 k,
             });
         }
-        let mut left_used = vec![false; g.left_count()];
-        let mut right_used = vec![false; g.right_count()];
+        let stamp = si + 1;
         for t in &step.transfers {
             if t.amount == 0 {
                 return Err(ValidationError::ZeroAmount { step: si });
             }
-            if t.edge.index() >= carried.len() || !g.is_alive(t.edge) {
+            if !g.is_alive(t.edge) {
                 return Err(ValidationError::UnknownEdge { step: si });
             }
             let (l, r) = (g.left_of(t.edge), g.right_of(t.edge));
-            if left_used[l] {
+            if left_stamp[l] == stamp {
                 return Err(ValidationError::PortConflict {
                     step: si,
                     node: l,
                     left: true,
                 });
             }
-            if right_used[r] {
+            if right_stamp[r] == stamp {
                 return Err(ValidationError::PortConflict {
                     step: si,
                     node: r,
                     left: false,
                 });
             }
-            left_used[l] = true;
-            right_used[r] = true;
+            left_stamp[l] = stamp;
+            right_stamp[r] = stamp;
             carried[t.edge.index()] += t.amount;
         }
     }
@@ -248,6 +251,54 @@ mod tests {
             validate(&inst, &s),
             Err(ValidationError::PortConflict { left: true, .. })
         ));
+    }
+
+    #[test]
+    fn sender_reused_in_consecutive_steps_is_valid() {
+        let mut g = Graph::new(1, 2);
+        let e0 = g.add_edge(0, 0, 2);
+        let e1 = g.add_edge(0, 1, 3);
+        let inst = Instance::new(g, 1, 0);
+        let s = Schedule {
+            steps: vec![
+                Step {
+                    transfers: vec![transfer(e0, 2)],
+                },
+                Step {
+                    transfers: vec![transfer(e1, 3)],
+                },
+            ],
+            beta: 0,
+        };
+        assert_eq!(validate(&inst, &s), Ok(()));
+    }
+
+    #[test]
+    fn sender_reused_inside_a_later_step_is_a_conflict() {
+        let mut g = Graph::new(2, 3);
+        let e0 = g.add_edge(1, 0, 1);
+        let e1 = g.add_edge(0, 1, 1);
+        let e2 = g.add_edge(0, 2, 1);
+        let inst = Instance::new(g, 2, 0);
+        let s = Schedule {
+            steps: vec![
+                Step {
+                    transfers: vec![transfer(e0, 1)],
+                },
+                Step {
+                    transfers: vec![transfer(e1, 1), transfer(e2, 1)],
+                },
+            ],
+            beta: 0,
+        };
+        assert_eq!(
+            validate(&inst, &s),
+            Err(ValidationError::PortConflict {
+                step: 1,
+                node: 0,
+                left: true,
+            })
+        );
     }
 
     #[test]

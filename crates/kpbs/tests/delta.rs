@@ -180,3 +180,72 @@ proptest! {
         prop_assert_eq!(planner.delivered_matrix(), planner.target_matrix());
     }
 }
+
+/// A seeded n=32, ~40 %-dense session with a 500-round stream of 2-cell
+/// `Set` batches (~60 % clears, the rest 1–960 ticks), the shape of the
+/// serving benchmark's `session-delta` stream.
+fn digest_session() -> (DeltaPlanner, Vec<[MatrixDelta; 2]>) {
+    const N: usize = 32;
+    let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    let mut g = Graph::new(N, N);
+    for i in 0..N {
+        for j in 0..N {
+            if next() % 10 < 4 {
+                g.add_edge(i, j, 1 + next() % 960);
+            }
+        }
+    }
+    // A re-peel budget of one cell sends every batch whose two cells both
+    // outgrow their slack to the cold rung.
+    let planner = DeltaPlanner::with_repeel_budget(Instance::new(g, 4, 10), 1);
+    let mut set = || {
+        let (sender, receiver) = ((next() % N as u64) as usize, (next() % N as u64) as usize);
+        let ticks = if next() % 10 < 6 { 0 } else { 1 + next() % 960 };
+        MatrixDelta::Set {
+            sender,
+            receiver,
+            ticks,
+        }
+    };
+    let batches = (0..500).map(|_| [set(), set()]).collect();
+    (planner, batches)
+}
+
+/// FNV-1a over every round's committed schedule (edge ids, amounts and
+/// step boundaries) and outcome (cost, lower bound, level): any change in
+/// what the repair ladder commits, on any rung, moves the digest.
+#[test]
+fn replan_stream_is_byte_identical_to_its_recorded_digest() {
+    let (mut planner, batches) = digest_session();
+    let mut h = 0xcbf2_9ce4_8422_2325_u64;
+    let mut eat = |x: u64| {
+        for b in x.to_le_bytes() {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    let mut levels = [0u32; 3];
+    for batch in &batches {
+        let out = planner.replan(batch);
+        levels[out.level as usize] += 1;
+        eat(out.cost);
+        eat(out.lower_bound);
+        eat(out.level as u64);
+        for step in &planner.schedule().steps {
+            eat(step.transfers.len() as u64);
+            for t in &step.transfers {
+                eat(u64::from(t.edge.0));
+                eat(t.amount);
+            }
+        }
+    }
+    // Every rung is exercised, so the digest pins all three.
+    assert!(levels.iter().all(|&c| c > 0), "levels {levels:?}");
+    assert_eq!(levels, [441, 47, 12]);
+    assert_eq!(h, 0x49a7_d300_a9c4_26c0);
+}

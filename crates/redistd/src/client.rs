@@ -130,8 +130,8 @@ pub fn session_delta(request_id: u64, session_id: u64, deltas: Vec<WireDelta>) -
     }
 }
 
-/// Builds a `COMMIT` op publishing the session's current plan into the
-/// server's shared plan cache.
+/// Builds a `COMMIT` op: the server answers the session's current plan
+/// (and caches nothing).
 pub fn session_commit(request_id: u64, session_id: u64) -> SessionRequest {
     SessionRequest {
         wire_version: wire::VERSION,

@@ -26,8 +26,7 @@
 //!   pins a [`kpbs::DeltaPlanner`] that repairs its committed schedule
 //!   in place under `DELTA` batches (repair → re-peel → cold-fallback
 //!   ladder), with a bounded [`session::SessionTable`] as the admission
-//!   boundary and `COMMIT` publishing patched plans into the cache
-//!   under generation-qualified keys;
+//!   boundary and `COMMIT` acknowledging the current plan;
 //! * [`server`] — the serving core: `epoll` event loop by default on
 //!   Linux ([`server::ServingCore`]), thread-per-connection baseline
 //!   elsewhere (or on request), fixed worker pool, graceful drain-based

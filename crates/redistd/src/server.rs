@@ -360,7 +360,7 @@ impl ServerMetrics {
             session_colds: delta("cold"),
             sessions_committed: r.counter(
                 "redistd_sessions_committed_total",
-                "Session plans published into the shared plan cache.",
+                "Session COMMIT ops acknowledged (the plan stays in its session; nothing is cached).",
                 &[],
             ),
             sessions_closed: r.counter(
@@ -551,7 +551,8 @@ pub struct ServerStats {
     pub session_repeels: u64,
     /// `DELTA` frames that fell back to a cold plan.
     pub session_colds: u64,
-    /// Session plans published into the shared plan cache.
+    /// Session `COMMIT` ops acknowledged. A commit answers the current plan
+    /// and caches nothing: no request could look a committed plan up.
     pub sessions_committed: u64,
     /// Sessions closed since start.
     pub sessions_closed: u64,
@@ -1063,21 +1064,7 @@ fn serve(shared: &Arc<Shared>, work: &Work, rid: u64) -> (Vec<u8>, FlightOutcome
     }
     match work {
         Work::Plan { req, key } => plan_request(shared, req, *key, rid),
-        Work::Session(req) => {
-            let resp = session_request(shared, req, rid);
-            // Session successes count as planned work (repairs *are*
-            // planning); refusals are tallied by `sessions_rejected`
-            // inside `session_request`, protocol errors here.
-            let outcome = match &resp {
-                PlanResponse::Session { .. } => FlightOutcome::Planned,
-                PlanResponse::Error { .. } => {
-                    shared.metrics.requests_error.inc();
-                    FlightOutcome::Error
-                }
-                _ => FlightOutcome::Error,
-            };
-            (wire::encode_response(&resp, req.wire_version), outcome)
-        }
+        Work::Session(req) => session_request(shared, req, rid),
     }
 }
 
@@ -1171,24 +1158,54 @@ fn plan_request(
     (frame, FlightOutcome::Planned)
 }
 
-/// Executes one session op on the worker. `OPEN` cold-plans the matrix
-/// into a fresh [`DeltaPlanner`] and registers it; `DELTA` converts the
-/// byte edits (validated *before* the planner sees them — `replan` panics
-/// on malformed indices) and climbs the repair ladder; `COMMIT` publishes
-/// the current plan into the shared cache under a generation-scoped key;
-/// `CLOSE` frees the slot. Each session serialises its own ops behind its
-/// mutex; ops on different sessions run concurrently across workers.
-fn session_request(shared: &Arc<Shared>, req: &SessionRequest, rid: u64) -> PlanResponse {
+/// Executes one session op on the worker and encodes its answer. `OPEN`
+/// cold-plans the matrix into a fresh [`DeltaPlanner`] and registers it;
+/// `DELTA` converts the byte edits (validated *before* the planner sees
+/// them — `replan` panics on malformed indices) and climbs the repair
+/// ladder; `COMMIT` acknowledges the current plan; `CLOSE` frees the slot.
+/// Each session serialises its own ops behind its mutex, and every answer
+/// is encoded under that lock straight from the session's schedule; ops on
+/// different sessions run concurrently across workers.
+fn session_request(
+    shared: &Arc<Shared>,
+    req: &SessionRequest,
+    rid: u64,
+) -> (Vec<u8>, FlightOutcome) {
     let _span = telemetry::span_with("redistd.session", &[("rid", rid)]);
     counters::incr(Counter::ServeRequests);
-    let request_id = req.request_id;
+    let (request_id, version) = (req.request_id, req.wire_version);
+    // Session successes count as planned work (repairs *are* planning);
+    // refusals are tallied by `sessions_rejected`, protocol errors by
+    // `requests_error`.
+    let answer =
+        |session_id, level, s: &Session, cost, lower_bound, work: &[u64; COUNTER_COUNT]| {
+            let frame = wire::encode_session(
+                version,
+                request_id,
+                session_id,
+                s.planner.generation(),
+                level,
+                s.planner.schedule(),
+                cost,
+                lower_bound,
+                work,
+                rid,
+            );
+            (frame, FlightOutcome::Planned)
+        };
+    let refuse = |resp: PlanResponse| {
+        if matches!(resp, PlanResponse::Error { .. }) {
+            shared.metrics.requests_error.inc();
+        }
+        (wire::encode_response(&resp, version), FlightOutcome::Error)
+    };
     let unknown = |session_id: u64| {
         shared.metrics.sessions_rejected.inc();
-        PlanResponse::SessionRejected {
+        refuse(PlanResponse::SessionRejected {
             request_id,
             session_id,
             reason: SessionRejectReason::UnknownSession,
-        }
+        })
     };
     match &req.op {
         SessionOp::Open {
@@ -1197,10 +1214,10 @@ fn session_request(shared: &Arc<Shared>, req: &SessionRequest, rid: u64) -> Plan
             matrix,
         } => {
             if *algo != Algo::Oggp {
-                return PlanResponse::Error {
+                return refuse(PlanResponse::Error {
                     request_id,
                     message: "sessions require the oggp algorithm (incremental repair reuses its warm matching engine)".into(),
-                };
+                });
             }
             let p = platform.to_platform();
             let (inst, _endpoints) =
@@ -1210,37 +1227,35 @@ fn session_request(shared: &Arc<Shared>, req: &SessionRequest, rid: u64) -> Plan
             let before = counters::local_snapshot();
             let planner = DeltaPlanner::new(inst);
             let work = work_since(&before);
-            let schedule = planner.schedule().clone();
-            let cost = schedule.cost();
-            let lower_bound = kpbs::lower_bound(planner.instance());
             let session = Session {
-                algo: *algo,
                 platform: p,
                 scale: wire::TICK_SCALE,
                 planner,
             };
-            match shared.sessions.open(session) {
-                Some(session_id) => {
+            let opened = shared.sessions.open(session, |session_id, s| {
+                let cost = s.planner.schedule().cost();
+                let lower_bound = kpbs::lower_bound(s.planner.instance());
+                answer(
+                    session_id,
+                    SessionLevel::Opened,
+                    s,
+                    cost,
+                    lower_bound,
+                    &work,
+                )
+            });
+            match opened {
+                Some(frame) => {
                     shared.metrics.sessions_opened.inc();
-                    PlanResponse::Session {
-                        request_id,
-                        session_id,
-                        generation: 0,
-                        level: SessionLevel::Opened,
-                        schedule,
-                        cost,
-                        lower_bound,
-                        work,
-                        server_id: rid,
-                    }
+                    frame
                 }
                 None => {
                     shared.metrics.sessions_rejected.inc();
-                    PlanResponse::SessionRejected {
+                    refuse(PlanResponse::SessionRejected {
                         request_id,
                         session_id: 0,
                         reason: SessionRejectReason::TableFull,
-                    }
+                    })
                 }
             }
         }
@@ -1252,17 +1267,17 @@ fn session_request(shared: &Arc<Shared>, req: &SessionRequest, rid: u64) -> Plan
             let converted = match s.convert_deltas(deltas, shared.config.max_cells) {
                 Ok(v) => v,
                 Err(DeltaError::OutOfRange(message) | DeltaError::TickOverflow(message)) => {
-                    return PlanResponse::Error {
+                    return refuse(PlanResponse::Error {
                         request_id,
                         message,
-                    }
+                    })
                 }
                 Err(DeltaError::TooLarge) => {
                     counters::incr(Counter::ServeRejected);
-                    return PlanResponse::Rejected {
+                    return refuse(PlanResponse::Rejected {
                         request_id,
                         reason: RejectReason::MatrixTooLarge,
-                    };
+                    });
                 }
             };
             let before = counters::local_snapshot();
@@ -1282,72 +1297,43 @@ fn session_request(shared: &Arc<Shared>, req: &SessionRequest, rid: u64) -> Plan
                     SessionLevel::Cold
                 }
             };
-            PlanResponse::Session {
-                request_id,
-                session_id: *session_id,
-                generation: outcome.generation,
+            answer(
+                *session_id,
                 level,
-                schedule: s.planner.schedule().clone(),
-                cost: outcome.cost,
-                lower_bound: outcome.lower_bound,
-                work,
-                server_id: rid,
-            }
+                &s,
+                outcome.cost,
+                outcome.lower_bound,
+                &work,
+            )
         }
-        SessionOp::Commit { session_id } => {
-            let Some(sess) = shared.sessions.get(*session_id) else {
+        SessionOp::Commit { session_id } | SessionOp::Close { session_id } => {
+            let closing = matches!(req.op, SessionOp::Close { .. });
+            let found = if closing {
+                shared.sessions.close(*session_id)
+            } else {
+                shared.sessions.get(*session_id)
+            };
+            let Some(sess) = found else {
                 return unknown(*session_id);
             };
-            let s = sess.lock().unwrap();
-            let schedule = s.planner.schedule().clone();
-            let cost = schedule.cost();
-            let lower_bound = kpbs::lower_bound(s.planner.instance());
-            let key = kpbs::session_cache_key(
-                s.planner.instance(),
-                s.algo as u64,
-                s.planner.generation(),
-            );
-            shared.cache.insert(
-                key,
-                Arc::new(PlanOutcome {
-                    schedule: wire::encode_schedule(&schedule),
-                    cost,
-                    lower_bound,
-                }),
-            );
-            shared.metrics.sessions_committed.inc();
-            PlanResponse::Session {
-                request_id,
-                session_id: *session_id,
-                generation: s.planner.generation(),
-                level: SessionLevel::Committed,
-                schedule,
-                cost,
-                lower_bound,
-                work: [0; COUNTER_COUNT],
-                server_id: rid,
-            }
-        }
-        SessionOp::Close { session_id } => {
-            let Some(sess) = shared.sessions.close(*session_id) else {
-                return unknown(*session_id);
+            let level = if closing {
+                shared.metrics.sessions_closed.inc();
+                SessionLevel::Closed
+            } else {
+                shared.metrics.sessions_committed.inc();
+                SessionLevel::Committed
             };
-            shared.metrics.sessions_closed.inc();
             let s = sess.lock().unwrap();
-            let schedule = s.planner.schedule().clone();
-            let cost = schedule.cost();
+            let cost = s.planner.schedule().cost();
             let lower_bound = kpbs::lower_bound(s.planner.instance());
-            PlanResponse::Session {
-                request_id,
-                session_id: *session_id,
-                generation: s.planner.generation(),
-                level: SessionLevel::Closed,
-                schedule,
+            answer(
+                *session_id,
+                level,
+                &s,
                 cost,
                 lower_bound,
-                work: [0; COUNTER_COUNT],
-                server_id: rid,
-            }
+                &[0; COUNTER_COUNT],
+            )
         }
     }
 }

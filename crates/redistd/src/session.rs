@@ -15,7 +15,7 @@
 //! queue as stateless plans, and each session serialises its own ops
 //! behind a per-session mutex while leaving the table free for others.
 
-use crate::wire::{Algo, WireDelta};
+use crate::wire::WireDelta;
 use kpbs::traffic::{plan_ticks_fit, try_message_ticks, TickScale};
 use kpbs::{DeltaPlanner, MatrixDelta, Platform};
 use std::collections::HashMap;
@@ -24,8 +24,6 @@ use std::sync::{Arc, Mutex};
 
 /// One live planning session.
 pub struct Session {
-    /// The algorithm the session was opened with (the commit cache tag).
-    pub algo: Algo,
     /// The platform fixed at `OPEN`; per-cell byte→tick conversion of
     /// every later delta uses its transfer speed.
     pub platform: Platform,
@@ -163,16 +161,23 @@ impl SessionTable {
         }
     }
 
-    /// Admits a session, returning its minted id — or `None` when the
-    /// table is at capacity (the caller answers `table_full`).
-    pub fn open(&self, session: Session) -> Option<u64> {
-        let mut map = self.map.lock().unwrap();
-        if map.len() >= self.capacity {
-            return None;
-        }
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed) + 1;
-        map.insert(id, Arc::new(Mutex::new(session)));
-        Some(id)
+    /// Admits a session and answers `answer(id, &session)` under the new
+    /// session's lock, so no op on the minted id can run before the
+    /// opening answer is built — or returns `None` when the table is at
+    /// capacity (the caller answers `table_full`).
+    pub fn open<R>(&self, session: Session, answer: impl FnOnce(u64, &Session) -> R) -> Option<R> {
+        let session = Arc::new(Mutex::new(session));
+        let guard = session.lock().unwrap();
+        let id = {
+            let mut map = self.map.lock().unwrap();
+            if map.len() >= self.capacity {
+                return None;
+            }
+            let id = self.next_id.fetch_add(1, Ordering::Relaxed) + 1;
+            map.insert(id, Arc::clone(&session));
+            id
+        };
+        Some(answer(id, &guard))
     }
 
     /// The session behind `id`, if it is still open.
@@ -212,7 +217,6 @@ mod tests {
         let mut g = Graph::new(n1, n2);
         g.add_edge(0, 0, 5);
         Session {
-            algo: Algo::Oggp,
             platform: Platform::new(n1, n2, 100.0, 100.0, 200.0),
             scale: TickScale::MILLIS,
             planner: DeltaPlanner::new(Instance::new(g, 2, 1)),
@@ -222,16 +226,16 @@ mod tests {
     #[test]
     fn table_bounds_admission_and_never_recycles_ids() {
         let t = SessionTable::new(2);
-        let a = t.open(session(2, 2)).unwrap();
-        let b = t.open(session(2, 2)).unwrap();
+        let a = t.open(session(2, 2), |id, _| id).unwrap();
+        let b = t.open(session(2, 2), |id, _| id).unwrap();
         assert_ne!(a, b);
-        assert!(t.open(session(2, 2)).is_none(), "at capacity");
+        assert!(t.open(session(2, 2), |id, _| id).is_none(), "at capacity");
         assert_eq!(t.len(), 2);
 
         assert!(t.close(a).is_some());
         assert!(t.get(a).is_none(), "closed ids stop resolving");
         assert!(t.close(a).is_none(), "double close is a miss");
-        let c = t.open(session(2, 2)).unwrap();
+        let c = t.open(session(2, 2), |id, _| id).unwrap();
         assert!(c > b, "ids stay monotone after a close");
         assert_eq!(t.len(), 2);
     }

@@ -415,7 +415,8 @@ pub enum SessionOp {
         /// The edits, applied in order.
         deltas: Vec<WireDelta>,
     },
-    /// Publishes the session's current plan into the shared plan cache.
+    /// Acknowledges the session's current plan; the server answers it and
+    /// caches nothing.
     Commit {
         /// Server-minted session id.
         session_id: u64,
@@ -478,7 +479,7 @@ pub enum SessionLevel {
     RePeel = 2,
     /// The delta fell back to a cold plan.
     Cold = 3,
-    /// The current plan was committed to the shared cache.
+    /// The current plan was committed (acknowledged; nothing is cached).
     Committed = 4,
     /// The session was closed.
     Closed = 5,
@@ -960,18 +961,28 @@ fn decode_plan_body(
 /// response carries, exposed so tests (and the cache-consistency check) can
 /// byte-compare a served schedule against a cold plan.
 pub fn encode_schedule(s: &Schedule) -> Vec<u8> {
+    let mut out = Vec::with_capacity(schedule_len(s));
+    put_schedule(&mut out, s);
+    out
+}
+
+/// Length of [`encode_schedule`]'s bytes for `s`.
+fn schedule_len(s: &Schedule) -> usize {
     let transfers: usize = s.steps.iter().map(|step| step.transfers.len()).sum();
-    let mut out = Vec::with_capacity(12 + 4 * s.steps.len() + 12 * transfers);
-    put_u64(&mut out, s.beta);
-    put_u32(&mut out, s.steps.len() as u32);
+    12 + 4 * s.steps.len() + 12 * transfers
+}
+
+/// Appends [`encode_schedule`]'s bytes for `s` to `out`.
+fn put_schedule(out: &mut Vec<u8>, s: &Schedule) {
+    put_u64(out, s.beta);
+    put_u32(out, s.steps.len() as u32);
     for step in &s.steps {
-        put_u32(&mut out, step.transfers.len() as u32);
+        put_u32(out, step.transfers.len() as u32);
         for t in &step.transfers {
-            put_u32(&mut out, t.edge.0);
-            put_u64(&mut out, t.amount);
+            put_u32(out, t.edge.0);
+            put_u64(out, t.amount);
         }
     }
-    out
 }
 
 /// The cost / lower-bound / work-counter section that follows the schedule
@@ -1012,6 +1023,36 @@ pub fn encode_ok(
     if version >= 2 {
         put_u64(&mut p, server_id);
     }
+    finish_frame(p)
+}
+
+/// Encodes a session response frame (status 4) straight from the
+/// session's schedule — the one encoder of that layout. The server calls it
+/// under the session's lock, so an answer never copies the schedule it
+/// serialises; [`encode_response`] calls it for `PlanResponse::Session`.
+#[allow(clippy::too_many_arguments)]
+pub fn encode_session(
+    version: u16,
+    request_id: u64,
+    session_id: u64,
+    generation: u64,
+    level: SessionLevel,
+    schedule: &Schedule,
+    cost: u64,
+    lower_bound: u64,
+    work: &[u64; COUNTER_COUNT],
+    server_id: u64,
+) -> Vec<u8> {
+    debug_assert!((SESSION_MIN_VERSION..=VERSION).contains(&version));
+    let mut p = begin_frame(64 + schedule_len(schedule) + 8 * COUNTER_COUNT, version);
+    put_u64(&mut p, request_id);
+    p.push(4);
+    put_u64(&mut p, session_id);
+    put_u64(&mut p, generation);
+    p.push(level as u8);
+    put_schedule(&mut p, schedule);
+    put_outcome(&mut p, cost, lower_bound, work);
+    put_u64(&mut p, server_id);
     finish_frame(p)
 }
 
@@ -1092,18 +1133,18 @@ pub fn encode_response(resp: &PlanResponse, version: u16) -> Vec<u8> {
             work,
             server_id,
         } => {
-            debug_assert!(version >= SESSION_MIN_VERSION);
-            let schedule = encode_schedule(schedule);
-            let mut p = begin_frame(64 + schedule.len() + 8 * COUNTER_COUNT, version);
-            put_u64(&mut p, *request_id);
-            p.push(4);
-            put_u64(&mut p, *session_id);
-            put_u64(&mut p, *generation);
-            p.push(*level as u8);
-            p.extend_from_slice(&schedule);
-            put_outcome(&mut p, *cost, *lower_bound, work);
-            put_u64(&mut p, *server_id);
-            p
+            return encode_session(
+                version,
+                *request_id,
+                *session_id,
+                *generation,
+                *level,
+                schedule,
+                *cost,
+                *lower_bound,
+                work,
+                *server_id,
+            )
         }
         PlanResponse::SessionRejected {
             request_id,

@@ -877,8 +877,8 @@ fn run_session_campaign(core: server::ServingCore) {
         "campaign should exercise multiple repair levels, saw {levels:?}"
     );
 
-    // COMMIT publishes into the shared plan cache; CLOSE frees the slot;
-    // a closed id stops resolving.
+    // COMMIT answers the current plan and caches nothing; CLOSE frees the
+    // slot; a closed id stops resolving.
     match c.session(&client::session_commit(900, session_id)).unwrap() {
         PlanResponse::Session {
             level, generation, ..
@@ -912,7 +912,7 @@ fn run_session_campaign(core: server::ServingCore) {
         batches.len() as u64
     );
     assert_eq!(stats.sessions_committed, 1);
-    assert_eq!(stats.cache.len, 1, "the commit is the only cache entry");
+    assert_eq!(stats.cache.len, 0, "a commit inserts no cache entry");
 }
 
 #[test]
