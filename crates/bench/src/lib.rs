@@ -1,10 +1,12 @@
 //! Shared helpers for the figure-regeneration and study binaries: tiny CLI
 //! parsing and table printing (kept dependency-free), plus the fixed-seed
-//! work-counter campaign ([`counters_campaign`]).
+//! work-counter campaign ([`counters_campaign`]) and schedule-digest
+//! campaign ([`schedules_campaign`]).
 
 #![forbid(unsafe_code)]
 
 pub mod counters_campaign;
+pub mod schedules_campaign;
 
 /// Parses `--name value` from `args` (as `std::env::args` yields them):
 /// `default` when the flag is absent, an error naming the flag when its

@@ -1,130 +1,129 @@
 //! `redistctl` — admin CLI for a running `redistd`.
 //!
 //! ```sh
-//! redistctl <stats|metrics|flight> --addr HOST:PORT [--validate]
+//! redistctl <metrics|flight> --addr HOST:PORT [--validate] [--field NAME]
 //!           [--expect-requests N]
 //! ```
 //!
 //! Fetches one of the plaintext admin reports and prints it to stdout.
 //! `--validate` (metrics) additionally checks Prometheus exposition
-//! well-formedness; `--expect-requests N` (flight) asserts the recorder
-//! has seen at least N requests; `--field KEY` (stats and metrics) prints
-//! just that field's value. All exit non-zero on failure, which is how
-//! `scripts/check.sh` turns a scrape into a CI gate.
+//! well-formedness; `--field NAME` (metrics) prints just the value of the
+//! first sample named NAME; `--expect-requests N` (flight) asserts the
+//! recorder has seen at least N requests. A failed check exits 1, which is
+//! how `scripts/check.sh` turns a scrape into a CI gate. An unknown command
+//! or flag, a flag without its value or a malformed value exits 2 with one
+//! line on stderr, before anything is fetched.
 
 use redistd::client;
+use std::str::FromStr;
 use telemetry::metrics;
 
-fn opt_str(name: &str) -> Option<String> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == format!("--{name}") {
-            return args.next();
+const USAGE: &str = "usage: redistctl <metrics|flight> --addr HOST:PORT \
+                     [--validate] [--field NAME] [--expect-requests N] (--help for more)";
+
+/// The parsed command line.
+struct Options {
+    command: String,
+    addr: String,
+    validate: bool,
+    field: Option<String>,
+    expect_requests: Option<u64>,
+}
+
+/// Takes and parses the value that follows `flag`.
+fn value<T: FromStr>(args: &mut impl Iterator<Item = String>, flag: &str) -> Result<T, String> {
+    let v = args.next().ok_or_else(|| format!("{flag} needs a value"))?;
+    v.parse()
+        .map_err(|_| format!("bad value for {flag}: {v:?}"))
+}
+
+/// Parses the arguments after the program name: the command, then flags.
+/// An unknown command or flag, a flag without its value, a malformed value
+/// or a flag the command does not take is an error, never ignored.
+fn parse_options(args: impl IntoIterator<Item = String>) -> Result<Options, String> {
+    let mut args = args.into_iter();
+    let command = match args.next() {
+        Some(c) if c == "metrics" || c == "flight" => c,
+        Some(c) => return Err(format!("unknown command {c:?}; {USAGE}")),
+        None => return Err(USAGE.into()),
+    };
+    let mut addr = None;
+    let mut o = Options {
+        command,
+        addr: String::new(),
+        validate: false,
+        field: None,
+        expect_requests: None,
+    };
+    while let Some(flag) = args.next() {
+        let metrics = o.command == "metrics";
+        match flag.as_str() {
+            "--addr" => addr = Some(value(&mut args, &flag)?),
+            "--validate" if metrics => o.validate = true,
+            "--field" if metrics => o.field = Some(value(&mut args, &flag)?),
+            "--expect-requests" if !metrics => o.expect_requests = Some(value(&mut args, &flag)?),
+            _ => return Err(format!("unknown flag {flag:?} for {}", o.command)),
         }
     }
-    None
+    o.addr = addr.ok_or_else(|| format!("{} needs --addr HOST:PORT", o.command))?;
+    Ok(o)
 }
 
-fn flag(name: &str) -> bool {
-    std::env::args().any(|a| a == format!("--{name}"))
-}
-
-fn usage() -> ! {
-    eprintln!(
-        "usage: redistctl <stats|metrics|flight> --addr HOST:PORT\n\
-         \x20                [--validate] [--expect-requests N] [--field KEY]\n\
-         \n\
-         stats               fetch the plaintext STATS report\n\
-         metrics             fetch Prometheus text exposition (METRICS)\n\
-         flight              fetch the flight-recorder dump (FLIGHT)\n\
-         --validate          (metrics) check exposition well-formedness\n\
-         --expect-requests N (flight) require >= N recorded requests\n\
-         --field KEY         (stats, metrics) print only KEY's value;\n\
-         \x20                exit 1 if absent (or, for metrics, non-finite)"
-    );
-    std::process::exit(2);
-}
-
-/// The value of the first exposition sample whose metric name is exactly
-/// `name` (labels, if any, are ignored for the match) — the metrics twin
-/// of the stats selector, under the same first-occurrence-wins
-/// discipline: a malformed value on the first matching line yields `None`
-/// rather than silently falling through to a later sample. Non-finite
-/// values (`NaN`, `+Inf`), which a healthy server never emits, are
-/// rejected so scripts can't propagate them into comparisons.
-fn metrics_field(body: &str, name: &str) -> Option<String> {
-    let line = body.lines().find(|l| {
-        !l.starts_with('#') && l.split([' ', '{']).next().is_some_and(|head| head == name)
-    })?;
-    // A sample line is `name[{labels}] value` (labels may not contain
-    // spaces in our registry); the value is the token after the name part.
-    let rest = match line.split_once('}') {
-        Some((_, tail)) => tail,
-        None => line.split_once(' ')?.1,
-    };
-    let value = rest.split_whitespace().next()?;
-    let v: f64 = value.parse().ok()?;
-    v.is_finite().then(|| value.to_string())
+/// The value of the first exposition sample named exactly `name` (labels
+/// ignored), read through the one exposition parser,
+/// [`metrics::find_sample`]. An unparsable exposition and a non-finite
+/// value (`NaN`, `+Inf`), which a healthy server never emits, are `None`,
+/// so scripts cannot carry them into comparisons.
+fn finite_sample(body: &str, name: &str) -> Option<f64> {
+    metrics::find_sample(body, name, &[]).filter(|v| v.is_finite())
 }
 
 fn main() {
-    let command = match std::env::args().nth(1) {
-        Some(c) if ["stats", "metrics", "flight"].contains(&c.as_str()) => c,
-        _ => usage(),
-    };
-    let addr = opt_str("addr").unwrap_or_else(|| usage());
+    if std::env::args().any(|a| a == "--help") {
+        println!(
+            "{USAGE}\n\
+             \n\
+             metrics             fetch Prometheus text exposition (METRICS)\n\
+             flight              fetch the flight-recorder dump (FLIGHT)\n\
+             --validate          (metrics) check exposition well-formedness\n\
+             --field NAME        (metrics) print only the first NAME sample's\n\
+             \x20                   value; exit 1 if absent or non-finite\n\
+             --expect-requests N (flight) require >= N recorded requests"
+        );
+        return;
+    }
+    let o = parse_options(std::env::args().skip(1)).unwrap_or_else(|e| {
+        eprintln!("redistctl: {e}");
+        std::process::exit(2);
+    });
 
-    let body = match command.as_str() {
-        "stats" => client::fetch_stats(&addr),
-        "metrics" => client::fetch_metrics(&addr),
-        "flight" => client::fetch_flight(&addr),
-        _ => unreachable!(),
+    let body = match o.command.as_str() {
+        "metrics" => client::fetch_metrics(&o.addr),
+        _ => client::fetch_flight(&o.addr),
     };
     let body = match body {
         Ok(b) => b,
         Err(e) => {
-            eprintln!("redistctl: cannot fetch {command} from {addr}: {e}");
+            eprintln!("redistctl: cannot fetch {} from {}: {e}", o.command, o.addr);
             std::process::exit(1);
         }
     };
 
-    if command == "stats" {
-        if let Some(key) = opt_str("field") {
-            // Same first-line-wins discipline as `client::stats_field`, but
-            // on the raw value so non-numeric fields (`core: event`) work.
-            let value = body.lines().find_map(|l| {
-                let (k, v) = l.split_once(": ")?;
-                (k == key).then_some(v)
-            });
-            match value {
-                Some(v) => {
-                    println!("{v}");
-                    return;
-                }
-                None => {
-                    eprintln!("redistctl: stats report has no field {key:?}");
-                    std::process::exit(1);
-                }
+    if let Some(name) = &o.field {
+        match finite_sample(&body, name) {
+            Some(v) => {
+                println!("{v}");
+                return;
             }
-        }
-    }
-    if command == "metrics" {
-        if let Some(name) = opt_str("field") {
-            match metrics_field(&body, &name) {
-                Some(v) => {
-                    println!("{v}");
-                    return;
-                }
-                None => {
-                    eprintln!("redistctl: exposition has no finite sample named {name:?}");
-                    std::process::exit(1);
-                }
+            None => {
+                eprintln!("redistctl: exposition has no finite sample named {name:?}");
+                std::process::exit(1);
             }
         }
     }
     print!("{body}");
 
-    if command == "metrics" && flag("validate") {
+    if o.validate {
         if let Err(e) = metrics::validate_exposition(&body) {
             eprintln!("redistctl: exposition invalid: {e}");
             std::process::exit(1);
@@ -132,28 +131,25 @@ fn main() {
         eprintln!("redistctl: exposition well-formed");
     }
 
-    if command == "flight" {
-        if let Some(min) = opt_str("expect-requests") {
-            let min: u64 = min.parse().unwrap_or_else(|_| usage());
-            // The dump header carries the lifetime total:
-            // `redistd flight records=K capacity=C total=T`.
-            let total = body
-                .lines()
-                .next()
-                .and_then(|h| h.rsplit_once("total=").map(|(_, t)| t.trim().to_string()))
-                .and_then(|t| t.parse::<u64>().ok());
-            match total {
-                Some(t) if t >= min => {
-                    eprintln!("redistctl: flight recorder saw {t} requests (>= {min})");
-                }
-                Some(t) => {
-                    eprintln!("redistctl: flight recorder saw {t} requests, expected >= {min}");
-                    std::process::exit(1);
-                }
-                None => {
-                    eprintln!("redistctl: malformed flight header");
-                    std::process::exit(1);
-                }
+    if let Some(min) = o.expect_requests {
+        // The dump header carries the lifetime total:
+        // `redistd flight records=K capacity=C total=T`.
+        let total = body
+            .lines()
+            .next()
+            .and_then(|h| h.rsplit_once("total=").map(|(_, t)| t.trim().to_string()))
+            .and_then(|t| t.parse::<u64>().ok());
+        match total {
+            Some(t) if t >= min => {
+                eprintln!("redistctl: flight recorder saw {t} requests (>= {min})");
+            }
+            Some(t) => {
+                eprintln!("redistctl: flight recorder saw {t} requests, expected >= {min}");
+                std::process::exit(1);
+            }
+            None => {
+                eprintln!("redistctl: malformed flight header");
+                std::process::exit(1);
             }
         }
     }
@@ -161,7 +157,7 @@ fn main() {
 
 #[cfg(test)]
 mod tests {
-    use super::metrics_field;
+    use super::finite_sample;
 
     const BODY: &str = "\
 # HELP redistd_requests_total Requests by final outcome.\n\
@@ -170,34 +166,31 @@ redistd_requests_total{outcome=\"planned\"} 3\n\
 redistd_requests_total{outcome=\"cache_hit\"} 9\n\
 redistd_uptime_seconds 12.5\n\
 redistd_bad NaN\n\
-redistd_worse garbage\nredistd_worse 7\n";
+redistd_worse +Inf\n";
 
     #[test]
     fn picks_first_matching_sample_labels_ignored() {
-        assert_eq!(
-            metrics_field(BODY, "redistd_requests_total").as_deref(),
-            Some("3")
-        );
-        assert_eq!(
-            metrics_field(BODY, "redistd_uptime_seconds").as_deref(),
-            Some("12.5")
-        );
+        assert_eq!(finite_sample(BODY, "redistd_requests_total"), Some(3.0));
+        assert_eq!(finite_sample(BODY, "redistd_uptime_seconds"), Some(12.5));
     }
 
     #[test]
     fn comments_and_missing_names_yield_none() {
-        assert_eq!(metrics_field(BODY, "redistd_missing"), None);
+        assert_eq!(finite_sample(BODY, "redistd_missing"), None);
         // The HELP/TYPE lines mention the name but are not samples.
-        assert_eq!(metrics_field("# TYPE x counter\n", "x"), None);
+        assert_eq!(finite_sample("# TYPE x counter\n", "x"), None);
         // A name must match exactly, not by prefix.
-        assert_eq!(metrics_field(BODY, "redistd_requests"), None);
+        assert_eq!(finite_sample(BODY, "redistd_requests"), None);
     }
 
     #[test]
     fn non_finite_and_malformed_first_occurrences_are_rejected() {
-        assert_eq!(metrics_field(BODY, "redistd_bad"), None);
-        // First occurrence wins even when a later duplicate would parse —
-        // same discipline as the stats selector.
-        assert_eq!(metrics_field(BODY, "redistd_worse"), None);
+        assert_eq!(finite_sample(BODY, "redistd_bad"), None);
+        assert_eq!(finite_sample(BODY, "redistd_worse"), None);
+        // A malformed sample makes the whole exposition unreadable, even
+        // where a later duplicate would parse.
+        let torn = "redistd_worse garbage\nredistd_worse 7\nredistd_ok 1\n";
+        assert_eq!(finite_sample(torn, "redistd_worse"), None);
+        assert_eq!(finite_sample(torn, "redistd_ok"), None);
     }
 }

@@ -2,17 +2,21 @@
 //!
 //! ```sh
 //! redistd [--addr 127.0.0.1:7411] [--workers N] [--queue-depth N]
-//!         [--cache-capacity N] [--max-cells N] [--core event|threads]
-//!         [--io-threads N] [--trace out.json]
+//!         [--cache-capacity N] [--max-cells N] [--io-threads N]
+//!         [--flight-capacity N] [--trace out.json] [--flight-dump PATH]
+//!         [--port-file PATH]
 //! ```
 //!
 //! Accepts length-prefixed binary planning requests (see `redistd::wire`),
 //! plans them with OGGP/GGP on a fixed worker pool behind a bounded
-//! admission queue, and serves repeated instances from a sharded LRU plan
-//! cache. Sockets are carried by the epoll event-loop core by default
-//! (`--core threads` selects the thread-per-connection baseline). Plaintext admin commands on a connection: `STATS\n` returns an
-//! operational report, `METRICS\n` Prometheus text exposition, `FLIGHT\n`
-//! a dump of the always-on per-request flight recorder.
+//! admission queue, and serves repeated instances from a sharded plan
+//! cache. A few `epoll` I/O threads carry the sockets. Plaintext admin
+//! commands on a connection: `METRICS\n` returns Prometheus text
+//! exposition, `FLIGHT\n` a dump of the always-on per-request flight
+//! recorder (`redistctl` fetches both).
+//!
+//! An unknown flag, a flag without its value or a malformed value exits 2
+//! with one line on stderr, before anything binds.
 //!
 //! SIGTERM or ctrl-c triggers a graceful shutdown: the listener closes,
 //! every admitted request is drained to its response, then the process
@@ -20,6 +24,7 @@
 //! planned request and writes a Chrome trace-event JSON on shutdown.
 
 use redistd::server::{self, ServerConfig};
+use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 use telemetry::{counters, export, spans};
@@ -48,30 +53,52 @@ fn install_signal_handlers() {
 #[cfg(not(unix))]
 fn install_signal_handlers() {}
 
-fn opt<T: std::str::FromStr>(name: &str, default: T) -> T {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == format!("--{name}") {
-            if let Some(v) = args.next() {
-                if let Ok(parsed) = v.parse() {
-                    return parsed;
-                }
-                eprintln!("redistd: bad value for --{name}");
-                std::process::exit(2);
-            }
-        }
-    }
-    default
+/// The parsed command line.
+struct Options {
+    config: ServerConfig,
+    trace: Option<String>,
+    flight_dump: Option<String>,
+    port_file: Option<String>,
 }
 
-fn opt_str(name: &str) -> Option<String> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == format!("--{name}") {
-            return args.next();
+/// Takes and parses the value that follows `flag`.
+fn value<T: FromStr>(args: &mut impl Iterator<Item = String>, flag: &str) -> Result<T, String> {
+    let v = args.next().ok_or_else(|| format!("{flag} needs a value"))?;
+    v.parse()
+        .map_err(|_| format!("bad value for {flag}: {v:?}"))
+}
+
+/// Parses the arguments after the program name. An unknown flag, a flag
+/// without its value or a malformed value is an error, never a silent
+/// default.
+fn parse_options(args: impl IntoIterator<Item = String>) -> Result<Options, String> {
+    let mut o = Options {
+        config: ServerConfig {
+            addr: "127.0.0.1:7411".into(),
+            ..ServerConfig::default()
+        },
+        trace: None,
+        flight_dump: None,
+        port_file: None,
+    };
+    let c = &mut o.config;
+    let mut args = args.into_iter();
+    while let Some(flag) = args.next() {
+        match flag.as_str() {
+            "--addr" => c.addr = value(&mut args, &flag)?,
+            "--workers" => c.workers = value(&mut args, &flag)?,
+            "--queue-depth" => c.queue_depth = value(&mut args, &flag)?,
+            "--cache-capacity" => c.cache_capacity = value(&mut args, &flag)?,
+            "--max-cells" => c.max_cells = value(&mut args, &flag)?,
+            "--flight-capacity" => c.flight_capacity = value(&mut args, &flag)?,
+            "--io-threads" => c.io_threads = value(&mut args, &flag)?,
+            "--trace" => o.trace = Some(value(&mut args, &flag)?),
+            "--flight-dump" => o.flight_dump = Some(value(&mut args, &flag)?),
+            "--port-file" => o.port_file = Some(value(&mut args, &flag)?),
+            _ => return Err(format!("unknown flag {flag:?}")),
         }
     }
-    None
+    Ok(o)
 }
 
 fn main() {
@@ -81,7 +108,7 @@ fn main() {
              \n\
              usage: redistd [--addr 127.0.0.1:7411] [--workers N]\n\
              \x20              [--queue-depth N] [--cache-capacity N]\n\
-             \x20              [--max-cells N] [--trace out.json]\n\
+             \x20              [--max-cells N] [--io-threads N] [--trace out.json]\n\
              \n\
              --addr A            bind address (default 127.0.0.1:7411)\n\
              --workers N         planner threads (default: cores, max 8)\n\
@@ -90,45 +117,30 @@ fn main() {
              --cache-capacity N  plan-cache entries, 0 disables (default 1024)\n\
              --max-cells N       reject matrices with more than N cells\n\
              \x20                   (default 1048576)\n\
-             --core C            socket front-end: 'event' (epoll I/O\n\
-             \x20                   threads, default) or 'threads'\n\
-             \x20                   (one blocking thread per connection)\n\
-             --io-threads N      event-core I/O threads (default 2)\n\
+             --io-threads N      epoll I/O threads carrying the sockets (default 2)\n\
              --trace PATH        record spans; write Chrome trace JSON on exit\n\
              --flight-capacity N flight-recorder ring size (default 1024)\n\
              --flight-dump PATH  write the flight-recorder dump on drain\n\
              --port-file PATH    write the bound address once listening\n\
              \x20                   (lets scripts use --addr host:0)\n\
              \n\
-             Plaintext admin commands on a connection: 'STATS\\n' (report),\n\
-             'METRICS\\n' (Prometheus exposition), 'FLIGHT\\n' (flight dump).\n\
+             Plaintext admin commands on a connection: 'METRICS\\n'\n\
+             (Prometheus exposition), 'FLIGHT\\n' (flight dump).\n\
+             An unknown flag or a missing or malformed value exits 2.\n\
              SIGTERM / ctrl-c drains in-flight requests and exits."
         );
         return;
     }
 
-    let defaults = ServerConfig::default();
-    let core = match opt_str("core") {
-        Some(s) => s.parse().unwrap_or_else(|e: String| {
-            eprintln!("redistd: {e}");
-            std::process::exit(2);
-        }),
-        None => defaults.core,
-    };
-    let config = ServerConfig {
-        addr: opt_str("addr").unwrap_or_else(|| "127.0.0.1:7411".into()),
-        workers: opt("workers", defaults.workers),
-        queue_depth: opt("queue-depth", defaults.queue_depth),
-        cache_capacity: opt("cache-capacity", defaults.cache_capacity),
-        max_cells: opt("max-cells", defaults.max_cells),
-        flight_capacity: opt("flight-capacity", defaults.flight_capacity),
-        core,
-        io_threads: opt("io-threads", defaults.io_threads),
-        ..defaults
-    };
-    let trace_path = opt_str("trace");
-    let flight_dump = opt_str("flight-dump");
-    let port_file = opt_str("port-file");
+    let Options {
+        config,
+        trace: trace_path,
+        flight_dump,
+        port_file,
+    } = parse_options(std::env::args().skip(1)).unwrap_or_else(|e| {
+        eprintln!("redistd: {e}");
+        std::process::exit(2);
+    });
 
     // Work counters power the per-request deltas in every response; spans
     // only when a trace is requested (they buffer events).
@@ -146,10 +158,10 @@ fn main() {
         }
     };
     println!(
-        "redistd listening on {} ({} core, {} workers, queue depth {}, cache {})",
+        "redistd listening on {} ({} workers, {} I/O threads, queue depth {}, cache {})",
         handle.addr(),
-        config.core.label(),
         config.workers,
+        config.io_threads,
         config.queue_depth,
         config.cache_capacity
     );

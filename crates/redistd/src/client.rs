@@ -157,12 +157,6 @@ fn fetch_admin<A: ToSocketAddrs>(addr: A, command: &[u8]) -> io::Result<String> 
     Ok(out)
 }
 
-/// Fetches the plaintext `STATS` report over a dedicated connection (the
-/// server answers and closes).
-pub fn fetch_stats<A: ToSocketAddrs>(addr: A) -> io::Result<String> {
-    fetch_admin(addr, wire::STATS_COMMAND)
-}
-
 /// Fetches the Prometheus text exposition (`METRICS` admin command).
 pub fn fetch_metrics<A: ToSocketAddrs>(addr: A) -> io::Result<String> {
     fetch_admin(addr, wire::METRICS_COMMAND)
@@ -171,34 +165,6 @@ pub fn fetch_metrics<A: ToSocketAddrs>(addr: A) -> io::Result<String> {
 /// Fetches the flight-recorder dump (`FLIGHT` admin command).
 pub fn fetch_flight<A: ToSocketAddrs>(addr: A) -> io::Result<String> {
     fetch_admin(addr, wire::FLIGHT_COMMAND)
-}
-
-/// Pulls `key: value` integers out of a `STATS` report (helper for tools
-/// asserting on server state).
-///
-/// The first line carrying `key` decides the result: a malformed value on
-/// that line yields `None` rather than silently falling through to a later
-/// duplicate — a report that repeats a key is itself suspect, and scanning
-/// on would let a corrupted line go unnoticed.
-pub fn stats_field(report: &str, key: &str) -> Option<u64> {
-    first_field(report, key)?.trim().parse().ok()
-}
-
-/// Like [`stats_field`] but for fractional fields (`cache_hit_rate`,
-/// `service_us_mean`). Non-finite values (`NaN`, `inf`) — which a healthy
-/// server never emits — are rejected as `None` so callers can't propagate
-/// them into comparisons that silently come out false.
-pub fn stats_field_f64(report: &str, key: &str) -> Option<f64> {
-    let v: f64 = first_field(report, key)?.trim().parse().ok()?;
-    v.is_finite().then_some(v)
-}
-
-/// The raw value of the first line matching `key`, or `None` when absent.
-fn first_field<'a>(report: &'a str, key: &str) -> Option<&'a str> {
-    report.lines().find_map(|l| {
-        let (k, v) = l.split_once(": ")?;
-        (k == key).then_some(v)
-    })
 }
 
 #[cfg(test)]
@@ -220,53 +186,5 @@ mod tests {
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         assert!(Client::connect_with_retry(addr, 3).is_ok());
-    }
-
-    #[test]
-    fn stats_field_parses_integers() {
-        let report = "redistd stats\nserved: 12\ncache_hit_rate: 0.5000\nqueue_depth: 0\n";
-        assert_eq!(stats_field(report, "served"), Some(12));
-        assert_eq!(stats_field(report, "queue_depth"), Some(0));
-        assert_eq!(stats_field(report, "cache_hit_rate"), None); // not an int
-        assert_eq!(stats_field(report, "missing"), None);
-    }
-
-    #[test]
-    fn stats_field_f64_parses_fractions_and_integers() {
-        let report = "redistd stats\nserved: 12\ncache_hit_rate: 0.5000\nqueue_depth: 0\n";
-        assert_eq!(stats_field_f64(report, "cache_hit_rate"), Some(0.5));
-        assert_eq!(stats_field_f64(report, "served"), Some(12.0));
-        assert_eq!(stats_field_f64(report, "missing"), None);
-    }
-
-    #[test]
-    fn stats_field_f64_rejects_non_finite_values() {
-        let report = "a: NaN\nb: inf\nc: -inf\nd: 1.5\n";
-        assert_eq!(stats_field_f64(report, "a"), None);
-        assert_eq!(stats_field_f64(report, "b"), None);
-        assert_eq!(stats_field_f64(report, "c"), None);
-        assert_eq!(stats_field_f64(report, "d"), Some(1.5));
-    }
-
-    #[test]
-    fn stats_field_first_occurrence_wins_on_duplicates() {
-        // The first matching line decides — even when it is malformed and a
-        // later duplicate would parse. A repeated key means the report is
-        // corrupt; falling through would mask that.
-        let report = "x: garbage\nx: 7\ny: 1\ny: 2\n";
-        assert_eq!(stats_field(report, "x"), None);
-        assert_eq!(stats_field_f64(report, "x"), None);
-        assert_eq!(stats_field(report, "y"), Some(1));
-        assert_eq!(stats_field_f64(report, "y"), Some(1.0));
-    }
-
-    #[test]
-    fn stats_field_edge_cases() {
-        // Missing separator, empty report, key-is-prefix-of-another.
-        assert_eq!(stats_field("", "k"), None);
-        assert_eq!(stats_field("k 5\n", "k"), None);
-        let report = "served_total: 9\nserved: 3\n";
-        assert_eq!(stats_field(report, "served"), Some(3));
-        assert_eq!(stats_field(report, "served_total"), Some(9));
     }
 }

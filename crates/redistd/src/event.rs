@@ -1,4 +1,4 @@
-//! The event-loop serving core: a small number of I/O threads multiplex
+//! The serving front-end: a small number of I/O threads multiplex
 //! every client socket through `epoll`, while planning stays on the
 //! worker pool behind the bounded admission queue.
 //!
@@ -32,14 +32,12 @@
 //! index plus a per-slot generation, so a completion for a connection
 //! that died mid-plan is discarded instead of landing on a reused slot.
 //!
-//! Shutdown mirrors the thread-core drain: stop accepting, serve every
-//! admitted request, flush, then exit — with a patience bound so a peer
-//! that stops reading cannot hold the process open.
-
-#![cfg(target_os = "linux")]
+//! Shutdown drains: stop accepting, serve every admitted request, flush,
+//! then exit — with a patience bound so a peer that stops reading cannot
+//! hold the process open.
 
 use crate::queue::Inbox;
-use crate::server::{Admission, Reply, Shared};
+use crate::server::{Admission, Shared};
 use crate::sys::{self, Epoll, EpollEvent, WakeFd, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 use crate::wire::{self, FrameDecoder, Incoming};
 use std::collections::VecDeque;
@@ -198,7 +196,7 @@ struct Conn {
     /// Peer closed its writing half (EOF seen).
     read_closed: bool,
     /// The decoder hit a protocol error: serve what was decoded before
-    /// the bad bytes, then close (blocking-path parity).
+    /// the bad bytes, then close.
     decode_failed: bool,
     /// Admin command answered (or error queued): close once flushed.
     close_after_flush: bool,
@@ -356,8 +354,7 @@ impl IoLoop {
                     if !draining {
                         self.add_conn(stream);
                     }
-                    // Draining: drop — same as the thread core refusing
-                    // new connections at shutdown.
+                    // Draining: drop it — no new connections at shutdown.
                 }
                 IoMsg::Complete {
                     token,
@@ -415,9 +412,10 @@ impl IoLoop {
                                     Ok(None) => break,
                                     Err(_) => {
                                         // Protocol violation (oversized
-                                        // frame, torn admin command): what
-                                        // decoded before it is still
-                                        // served, nothing after.
+                                        // frame, torn admin command, any
+                                        // other plaintext): what decoded
+                                        // before it is still served,
+                                        // nothing after.
                                         conn.decode_failed = true;
                                         break;
                                     }
@@ -487,11 +485,6 @@ impl IoLoop {
             let generation = conn.generation;
             let body: Vec<u8> = match msg {
                 // Admin commands are one-shot: answer, then close.
-                Incoming::Stats => {
-                    let body = self.shared.render_stats().into_bytes();
-                    self.conns[slot].as_mut().unwrap().close_after_flush = true;
-                    body
-                }
                 Incoming::Metrics => {
                     let body = self.shared.render_metrics().into_bytes();
                     self.conns[slot].as_mut().unwrap().close_after_flush = true;
@@ -508,18 +501,14 @@ impl IoLoop {
                         token: slot,
                         generation,
                     };
-                    match crate::server::admit_frame(&self.shared, &payload, move || {
-                        Reply::Event(sink)
-                    }) {
+                    match crate::server::admit_frame(&self.shared, &payload, sink) {
                         Admission::Immediate(frame) => frame,
-                        Admission::Queued { .. } => {
+                        Admission::Queued => {
                             self.conns[slot].as_mut().unwrap().in_flight = true;
                             Vec::new()
                         }
                     }
                 }
-                // The decoder never yields Eof; EOF is a read of 0 above.
-                Incoming::Eof => Vec::new(),
             };
             if !body.is_empty() {
                 self.conns[slot]

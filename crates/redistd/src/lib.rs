@@ -10,12 +10,13 @@
 //!
 //! * [`wire`] — a length-prefixed binary protocol (magic + version +
 //!   request id + platform + CSR traffic matrix in, schedule + per-request
-//!   work-counter deltas out) plus the plaintext `STATS` admin command,
-//!   with both a blocking reader and a resumable [`wire::FrameDecoder`]
-//!   for non-blocking sockets;
+//!   work-counter deltas out) plus the plaintext `METRICS` and `FLIGHT`
+//!   admin commands, with the resumable [`wire::FrameDecoder`] the server
+//!   reads non-blocking sockets through and a blocking
+//!   [`wire::read_frame`] for clients;
 //! * [`queue`] — the bounded MPMC queue that *is* the admission-control
 //!   policy: `try_push` or reject, never buffer unboundedly — plus the
-//!   unbounded [`queue::Inbox`] mailboxes of the event core;
+//!   unbounded [`queue::Inbox`] mailboxes of the I/O threads;
 //! * [`cache`] — a sharded plan cache keyed by [`mod@kpbs::fingerprint`]'s
 //!   canonical instance hash: one mutex-guarded `HashMap` and clock ring
 //!   per shard, second-chance-clock eviction; the server keys
@@ -27,26 +28,28 @@
 //!   in place under `DELTA` batches (repair → re-peel → cold-fallback
 //!   ladder), with a bounded [`session::SessionTable`] as the admission
 //!   boundary and `COMMIT` acknowledging the current plan;
-//! * [`server`] — the serving core: `epoll` event loop by default on
-//!   Linux ([`server::ServingCore`]), thread-per-connection baseline
-//!   elsewhere (or on request), fixed worker pool, graceful drain-based
-//!   shutdown;
+//! * [`server`] — the serving core: `epoll` I/O threads, a fixed worker
+//!   pool, graceful drain-based shutdown;
 //! * [`client`] — a small blocking client.
 //!
-//! Two binaries ship with the crate: `redistd` (the daemon; `--trace`,
-//! SIGTERM/ctrl-c drain) and `redistload` (a multi-connection load
-//! generator, closed-loop or open-loop `--rate`, that byte-compares every
-//! response to a cold plan). The end-to-end benchmark (`benchmark/`)
+//! Three binaries ship with the crate: `redistd` (the daemon; `--trace`,
+//! SIGTERM/ctrl-c drain), `redistctl` (fetches the `METRICS` and `FLIGHT`
+//! reports) and `redistload` (a multi-connection load generator,
+//! closed-loop or open-loop `--rate`, that byte-compares every response to
+//! a cold plan). The end-to-end benchmark (`benchmark/`)
 //! times the serving path.
 //!
 //! Like `telemetry`, this crate is std-only: no async runtime, no socket
 //! or serialization dependency — threads, `TcpListener`, hand-rolled
-//! frames and (on Linux) a ~200-line raw `epoll` shim are entirely
+//! frames and a ~200-line raw `epoll` shim are entirely
 //! sufficient for a planner whose unit of work is milliseconds of
 //! matching, and the absence of a dependency tree keeps the serving
 //! layer as auditable as the scheduler it wraps. The library denies
 //! `unsafe` everywhere except that shim (`sys`); the only other
 //! `unsafe` in the workspace is the `redistd` binary's `signal(2)` hookup.
+//!
+//! The server is built on `epoll` and `eventfd`, so the crate builds only
+//! on Linux; any other target fails to compile with one message.
 //!
 //! # Quickstart
 //!
@@ -76,14 +79,15 @@
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
+#[cfg(not(target_os = "linux"))]
+compile_error!("redistd serves over epoll(7) and eventfd(2): it builds only on Linux");
+
 pub mod cache;
 pub mod client;
-#[cfg(target_os = "linux")]
 pub(crate) mod event;
 pub mod queue;
 pub mod server;
 pub mod session;
-#[cfg(target_os = "linux")]
 #[allow(unsafe_code)]
 pub(crate) mod sys;
 pub mod wire;

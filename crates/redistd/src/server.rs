@@ -4,10 +4,8 @@
 //! ```text
 //!                        ┌────────────────────────────┐
 //!   TCP clients ──────▶  │ socket front-end           │
-//!                        │  event core: epoll I/O     │
-//!                        │  threads (default, Linux)  │
-//!                        │  thread core: one thread   │
-//!                        │  per connection (baseline) │
+//!                        │  epoll I/O threads         │
+//!                        │  (event.rs)                │
 //!                        └──────────┬─────────────────┘
 //!                                   │ decode + validate
 //!                                   │ reject: matrix_too_large
@@ -24,102 +22,66 @@
 //!                        │ re-probe → plan →      │   │ mutex per shard│
 //!                        │ encode once → insert   │   │ encoded plans  │
 //!                        └──────────┬─────────────┘   └────────────────┘
-//!                                   │ Reply: mpsc (thread core) or
-//!                                   │ Inbox + eventfd (event core)
+//!                                   │ CompletionSink: Inbox + eventfd
 //!                        front-end writes the response frame
 //! ```
 //!
 //! A plan request's cache key is streamed from the decoded CSR matrix
 //! ([`wire::PlanRequest::cache_key`]) and probed in `admit_frame`, on the
-//! thread that decoded the frame. A hit is answered there — a decode, a
-//! hash and a copy of the cached, already encoded schedule — and never
+//! I/O thread that decoded the frame. A hit is answered there — a decode,
+//! a hash and a copy of the cached, already encoded schedule — and never
 //! sees the queue, a worker wake-up or the completion hand-off; **hits
 //! therefore bypass a full queue**. A miss carries its key to the worker,
 //! which probes once more (a duplicate queued behind the request that
 //! planned the matrix still hits) and only then builds the instance.
 //!
-//! Two serving cores share this admission/worker machinery (selected by
-//! [`ServingCore`]): the **event core** (`event.rs`) multiplexes every
-//! socket over a few `epoll` threads and is the default on Linux; the
-//! **thread core** keeps one blocking thread per connection and survives
-//! as the portable fallback and as the measurable baseline the serving
-//! benchmarks compare against (the same role the reference planner plays
-//! for the optimized one).
-//!
 //! The design reuses the discipline of [`kpbs::batch`]: work is handed to a
 //! fixed pool through one queue, each request's work counters are measured
 //! with thread-local snapshots on the worker that planned it, and planning
 //! is a pure function of the request — so a response is byte-identical no
-//! matter which worker produced it, whether the cache was warm, and which
-//! serving core carried the bytes.
+//! matter which worker produced it and whether the cache was warm.
 //!
 //! Shutdown ([`ServerHandle::shutdown`]) is drain-based: stop accepting,
 //! close the queue (pushes fail, pops drain), join workers (every accepted
-//! request gets its response), then join the front-end threads.
+//! request gets its response), then join the I/O threads.
 
 use crate::cache::{CacheStats, ShardedLru};
-#[cfg(target_os = "linux")]
-use crate::event;
+use crate::event::{self, CompletionSink};
 use crate::queue::{BoundedQueue, PushError};
 use crate::session::{DeltaError, Session, SessionTable};
 use crate::wire::{
-    self, Algo, Incoming, PlanRequest, PlanResponse, RejectReason, Request, SessionLevel,
-    SessionOp, SessionRejectReason, SessionRequest,
+    self, Algo, PlanRequest, PlanResponse, RejectReason, Request, SessionLevel, SessionOp,
+    SessionRejectReason, SessionRequest,
 };
 use kpbs::{DeltaPlanner, RepairLevel};
-use std::io::{self, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io;
+use std::net::{SocketAddr, TcpListener};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use telemetry::counters::{self, Counter, COUNTER_COUNT};
 use telemetry::flight::{FlightOutcome, FlightRecord, FlightRecorder};
 use telemetry::metrics::{CounterHandle, GaugeHandle, Registry, RegistryConfig, SummaryHandle};
 
-/// How long a blocked read waits before re-checking the shutdown flag.
-const POLL_INTERVAL: Duration = Duration::from_millis(25);
-
-/// Which front-end carries bytes between sockets and the worker pool.
+/// The socket front-end: the `epoll` event core (`event.rs`) is the only
+/// one. The type and [`ServerConfig::core`] remain only because the
+/// end-to-end benchmark (`benchmark/src/spec.rs`) names them in its pinned
+/// config and its report line; the change that next edits `benchmark/`
+/// (ROADMAP item 2(a′)) deletes both.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ServingCore {
-    /// Readiness-driven I/O threads over `epoll` (Linux). The default;
-    /// transparently falls back to [`ServingCore::Threads`] elsewhere.
+    /// Readiness-driven I/O threads over `epoll`.
     #[default]
     EventLoop,
-    /// One blocking thread per connection — portable fallback and the
-    /// serving-scale baseline.
-    Threads,
 }
 
 impl ServingCore {
-    /// The core that will actually run on this platform.
-    pub fn resolved(self) -> ServingCore {
-        if cfg!(target_os = "linux") {
-            self
-        } else {
-            ServingCore::Threads
-        }
-    }
-
-    /// Stable label used in `STATS` and benchmark output.
+    /// Stable label the benchmark prints in its config line (`event`).
     pub fn label(self) -> &'static str {
-        match self.resolved() {
+        match self {
             ServingCore::EventLoop => "event",
-            ServingCore::Threads => "threads",
-        }
-    }
-}
-
-impl std::str::FromStr for ServingCore {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "event" => Ok(ServingCore::EventLoop),
-            "threads" => Ok(ServingCore::Threads),
-            other => Err(format!("unknown serving core {other:?} (event|threads)")),
         }
     }
 }
@@ -148,17 +110,17 @@ pub struct ServerConfig {
     /// Flight-recorder capacity: how many per-request records the `FLIGHT`
     /// admin command (and `--flight-dump`) can look back over.
     pub flight_capacity: usize,
-    /// Socket front-end (see [`ServingCore`]).
+    /// Socket front-end. It has one value; the field stays only for the
+    /// benchmark's pinned config (see [`ServingCore`]), and goes with it.
     pub core: ServingCore,
-    /// Event-core I/O threads multiplexing the sockets. Requests are
-    /// small and planning lives on the worker pool, so a handful goes a
-    /// long way; ignored by the thread core.
+    /// I/O threads multiplexing the sockets. Requests are small and
+    /// planning lives on the worker pool, so a handful goes a long way.
     pub io_threads: usize,
-    /// Event-core backpressure: a connection whose unflushed response
-    /// bytes exceed this stops being read until the peer drains.
+    /// Backpressure: a connection whose unflushed response bytes exceed
+    /// this stops being read until the peer drains.
     pub wbuf_limit: usize,
-    /// Event-core backpressure: decoded-but-unprocessed messages buffered
-    /// per connection before reads park.
+    /// Backpressure: decoded-but-unprocessed messages buffered per
+    /// connection before reads park.
     pub pending_limit: usize,
     /// Concurrent delta-planning sessions admitted; `OPEN` beyond this is
     /// refused with `table_full` (backpressure, like the request queue).
@@ -199,41 +161,14 @@ struct PlanOutcome {
     lower_bound: u64,
 }
 
-/// Where a finished response frame goes, per serving core.
-pub(crate) enum Reply {
-    /// Thread core: the connection thread blocks on the receiving end.
-    Sync(mpsc::Sender<Vec<u8>>),
-    /// Event core: the bytes go to the connection's I/O thread.
-    #[cfg(target_os = "linux")]
-    Event(event::CompletionSink),
-}
-
-impl Reply {
-    /// A dead route means the connection died; the plan is still cached,
-    /// so the work is not wasted.
-    fn send(self, frame: Vec<u8>) {
-        match self {
-            Reply::Sync(tx) => {
-                let _ = tx.send(frame);
-            }
-            #[cfg(target_os = "linux")]
-            Reply::Event(sink) => sink.complete(frame),
-        }
-    }
-}
-
 /// What admission control decided about one decoded frame.
 pub(crate) enum Admission {
     /// Answer now with this response frame: a cache hit, a rejection or a
     /// decode error.
     Immediate(Vec<u8>),
-    /// Accepted onto the worker queue; the [`Reply`] answers later. The
-    /// ids let the thread core build its worker-failure fallback.
-    Queued {
-        rid: u64,
-        request_id: u64,
-        version: u16,
-    },
+    /// Accepted onto the worker queue; the [`CompletionSink`] answers
+    /// later.
+    Queued,
 }
 
 /// What a queued frame asks of the worker.
@@ -258,7 +193,9 @@ impl Work {
 
 struct Job {
     work: Work,
-    reply: Reply,
+    /// Where the worker hands the encoded response; a dead connection
+    /// drops it (the plan is still cached, so the work is not wasted).
+    reply: CompletionSink,
     /// When admission started; queue wait and service time run from it.
     admitted: Instant,
     /// The flight record admission began (rid — the correlation key across
@@ -268,7 +205,7 @@ struct Job {
 }
 
 /// The server's registered instruments — the single source of truth for
-/// every count `STATS` and `METRICS` report. Names are part of the
+/// every count `METRICS` and [`ServerStats`] report. Names are part of the
 /// observable surface (golden-tested); keep them in sync with DESIGN.md §14.
 pub(crate) struct ServerMetrics {
     requests_planned: CounterHandle,
@@ -278,10 +215,10 @@ pub(crate) struct ServerMetrics {
     requests_error: CounterHandle,
     admissions_total: CounterHandle,
     request_bytes: CounterHandle,
-    /// Accepted sockets (event core; the thread core counts spawns).
+    /// Accepted sockets.
     pub(crate) accepts_total: CounterHandle,
     /// Times a connection's read interest was parked because its write
-    /// buffer or pending ring hit its limit (event core).
+    /// buffer or pending ring hit its limit.
     pub(crate) io_backpressure_total: CounterHandle,
     sessions_opened: CounterHandle,
     session_repairs: CounterHandle,
@@ -437,8 +374,7 @@ pub(crate) struct Shared {
     /// Request-id mint: the next rid is `admissions + 1`, so rid 0 never
     /// occurs and can mean "not correlated" on the wire.
     admissions: AtomicU64,
-    /// Client connections currently open, maintained by whichever core
-    /// is serving.
+    /// Client connections currently open, maintained by the I/O threads.
     pub(crate) open_connections: AtomicU64,
     registry: Registry,
     pub(crate) metrics: ServerMetrics,
@@ -451,13 +387,7 @@ impl Shared {
         self.admissions.fetch_add(1, Ordering::Relaxed) + 1
     }
 
-    /// The plaintext `STATS` report body.
-    pub(crate) fn render_stats(&self) -> String {
-        ServerStats::gather(self).render(self.started.elapsed())
-    }
-
-    /// Refreshes point-in-time gauges, then renders the registry. Called
-    /// for both `METRICS` responses and the typed stats snapshot.
+    /// Refreshes the point-in-time gauges `METRICS` exports.
     fn refresh_gauges(&self) {
         let cache = self.cache.stats();
         let m = &self.metrics;
@@ -503,7 +433,8 @@ fn micros_since(t: Instant) -> u64 {
     t.elapsed().as_micros().min(u64::MAX as u128) as u64
 }
 
-/// A point-in-time operational report (the typed form of `STATS`).
+/// A point-in-time operational snapshot, read from the same metric handles
+/// `METRICS` exports ([`ServerHandle::stats`]).
 #[derive(Debug, Clone)]
 pub struct ServerStats {
     /// Requests answered `Ok` (cache hits and misses).
@@ -535,10 +466,6 @@ pub struct ServerStats {
     pub queue_wait_p99_us: u64,
     /// Mean queue wait in microseconds.
     pub queue_wait_mean_us: u64,
-    /// Which serving core is running (`event` or `threads`).
-    pub core: &'static str,
-    /// Event-core I/O threads (0 under the thread core).
-    pub io_threads: usize,
     /// Client connections open right now.
     pub connections_open: u64,
     /// Delta-planning sessions open right now.
@@ -579,11 +506,6 @@ impl ServerStats {
             queue_wait_p50_us: m.queue_wait_us.quantile(0.5),
             queue_wait_p99_us: m.queue_wait_us.quantile(0.99),
             queue_wait_mean_us: mean(&m.queue_wait_us),
-            core: shared.config.core.label(),
-            io_threads: match shared.config.core.resolved() {
-                ServingCore::EventLoop => shared.config.io_threads.max(1),
-                ServingCore::Threads => 0,
-            },
             connections_open: shared.open_connections.load(Ordering::Relaxed),
             sessions_open: shared.sessions.len(),
             sessions_opened: m.sessions_opened.value(),
@@ -595,57 +517,6 @@ impl ServerStats {
             sessions_rejected: m.sessions_rejected.value(),
         }
     }
-
-    /// The `key: value` pairs of the `STATS` report, in render order. The
-    /// order is fixed — append-only across versions — so the plaintext
-    /// report is golden-testable and `stats_field` lookups are unambiguous.
-    pub fn fields(&self, uptime: Duration) -> Vec<(&'static str, String)> {
-        vec![
-            ("uptime_s", format!("{:.1}", uptime.as_secs_f64())),
-            ("workers", self.workers.to_string()),
-            ("queue_depth", self.queue_depth.to_string()),
-            ("queue_capacity", self.queue_capacity.to_string()),
-            ("served", self.served.to_string()),
-            ("cache_hits", self.cache.hits.to_string()),
-            ("cache_misses", self.cache.misses.to_string()),
-            ("cache_hit_rate", format!("{:.4}", self.cache.hit_rate())),
-            ("cache_len", self.cache.len.to_string()),
-            ("cache_evictions", self.cache.evictions.to_string()),
-            ("rejected_queue_full", self.rejected_queue_full.to_string()),
-            ("rejected_too_large", self.rejected_too_large.to_string()),
-            ("errors", self.errors.to_string()),
-            ("service_us_p50", self.p50_us.to_string()),
-            ("service_us_p99", self.p99_us.to_string()),
-            ("service_us_mean", self.mean_us.to_string()),
-            ("queue_wait_us_p50", self.queue_wait_p50_us.to_string()),
-            ("queue_wait_us_p99", self.queue_wait_p99_us.to_string()),
-            ("queue_wait_us_mean", self.queue_wait_mean_us.to_string()),
-            ("core", self.core.to_string()),
-            ("io_threads", self.io_threads.to_string()),
-            ("connections_open", self.connections_open.to_string()),
-            ("sessions_open", self.sessions_open.to_string()),
-            ("sessions_opened", self.sessions_opened.to_string()),
-            ("session_repairs", self.session_repairs.to_string()),
-            ("session_repeels", self.session_repeels.to_string()),
-            ("session_colds", self.session_colds.to_string()),
-            ("sessions_committed", self.sessions_committed.to_string()),
-            ("sessions_closed", self.sessions_closed.to_string()),
-            ("sessions_rejected", self.sessions_rejected.to_string()),
-        ]
-    }
-
-    /// The plaintext rendering sent in answer to `STATS`: a banner line,
-    /// then [`ServerStats::fields`] one per line.
-    pub fn render(&self, uptime: Duration) -> String {
-        let mut out = String::from("redistd stats\n");
-        for (k, v) in self.fields(uptime) {
-            out.push_str(k);
-            out.push_str(": ");
-            out.push_str(&v);
-            out.push('\n');
-        }
-        out
-    }
 }
 
 /// A running server. Dropping the handle without calling
@@ -655,17 +526,8 @@ pub struct ServerHandle {
     addr: SocketAddr,
     shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
-    core: CoreHandle,
-}
-
-/// The core-specific front-end threads behind a [`ServerHandle`].
-enum CoreHandle {
-    Threads {
-        accept: Option<JoinHandle<()>>,
-        connections: Arc<Mutex<Vec<JoinHandle<()>>>>,
-    },
-    #[cfg(target_os = "linux")]
-    Event(Option<event::IoHandle>),
+    /// The I/O threads; taken when they are joined.
+    io: Option<event::IoHandle>,
 }
 
 /// Starts a server on `config.addr` and returns its handle once the
@@ -700,35 +562,13 @@ pub fn start(config: ServerConfig) -> io::Result<ServerHandle> {
         })
         .collect();
 
-    let core = match shared.config.core.resolved() {
-        #[cfg(target_os = "linux")]
-        ServingCore::EventLoop => {
-            CoreHandle::Event(Some(event::start_io(shared.clone(), listener)?))
-        }
-        #[cfg(not(target_os = "linux"))]
-        ServingCore::EventLoop => unreachable!("resolved() never picks EventLoop off Linux"),
-        ServingCore::Threads => {
-            let connections: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-            let accept = {
-                let shared = shared.clone();
-                let connections = connections.clone();
-                std::thread::Builder::new()
-                    .name("redistd-accept".into())
-                    .spawn(move || accept_loop(&shared, listener, &connections))
-                    .expect("spawn accept loop")
-            };
-            CoreHandle::Threads {
-                accept: Some(accept),
-                connections,
-            }
-        }
-    };
+    let io = Some(event::start_io(shared.clone(), listener)?);
 
     Ok(ServerHandle {
         addr,
         shared,
         workers,
-        core,
+        io,
     })
 }
 
@@ -771,45 +611,20 @@ impl ServerHandle {
     /// every request the server ever answered (`--flight-dump` uses this).
     pub fn shutdown_with_flight(mut self) -> (ServerStats, String) {
         self.request_shutdown();
-        match &mut self.core {
-            CoreHandle::Threads { accept, .. } => {
-                if let Some(a) = accept.take() {
-                    let _ = a.join();
-                }
-            }
-            #[cfg(target_os = "linux")]
-            CoreHandle::Event(io) => {
-                // Wake the I/O threads so they stop accepting now; they
-                // keep serving completions until the drain finishes.
-                if let Some(io) = io {
-                    io.wake_all();
-                }
-            }
+        // Wake the I/O threads so they stop accepting now; they keep
+        // serving completions until the drain finishes.
+        if let Some(io) = &self.io {
+            io.wake_all();
         }
         // No new work is admitted now; close the queue so workers drain
-        // the backlog and exit. Front-ends still waiting on replies get
-        // them before they notice the flag.
+        // the backlog and exit.
         self.shared.queue.close();
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
-        // Every completion has been delivered; join the front-end.
-        match &mut self.core {
-            CoreHandle::Threads { connections, .. } => {
-                let handles: Vec<JoinHandle<()>> = {
-                    let mut guard = connections.lock().unwrap();
-                    guard.drain(..).collect()
-                };
-                for h in handles {
-                    let _ = h.join();
-                }
-            }
-            #[cfg(target_os = "linux")]
-            CoreHandle::Event(io) => {
-                if let Some(io) = io.take() {
-                    io.join();
-                }
-            }
+        // Every completion has been delivered; join the I/O threads.
+        if let Some(io) = self.io.take() {
+            io.join();
         }
         (
             ServerStats::gather(&self.shared),
@@ -818,117 +633,13 @@ impl ServerHandle {
     }
 }
 
-fn accept_loop(
-    shared: &Arc<Shared>,
-    listener: TcpListener,
-    connections: &Arc<Mutex<Vec<JoinHandle<()>>>>,
-) {
-    loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                shared.metrics.accepts_total.inc();
-                let shared = shared.clone();
-                let handle = std::thread::Builder::new()
-                    .name("redistd-conn".into())
-                    .spawn(move || connection_loop(&shared, stream))
-                    .expect("spawn connection thread");
-                connections.lock().unwrap().push(handle);
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(POLL_INTERVAL);
-            }
-            Err(_) => std::thread::sleep(POLL_INTERVAL),
-        }
-    }
-}
-
-fn connection_loop(shared: &Arc<Shared>, stream: TcpStream) {
-    shared.open_connections.fetch_add(1, Ordering::Relaxed);
-    connection_loop_inner(shared, stream);
-    shared.open_connections.fetch_sub(1, Ordering::Relaxed);
-}
-
-fn connection_loop_inner(shared: &Arc<Shared>, mut stream: TcpStream) {
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
-    loop {
-        match wire::read_incoming(&mut stream) {
-            Ok(Incoming::Eof) => return,
-            Ok(Incoming::Stats) => {
-                let _ = stream.write_all(shared.render_stats().as_bytes());
-                return; // admin connections are one-shot
-            }
-            Ok(Incoming::Metrics) => {
-                let _ = stream.write_all(shared.render_metrics().as_bytes());
-                return;
-            }
-            Ok(Incoming::Flight) => {
-                let _ = stream.write_all(shared.flight.render().as_bytes());
-                return;
-            }
-            Ok(Incoming::Frame(payload)) => {
-                if wire::write_all(&mut stream, &handle_frame(shared, &payload)).is_err() {
-                    return;
-                }
-            }
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                // Idle between requests: poll the shutdown flag.
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-            }
-            Err(_) => return,
-        }
-    }
-}
-
-/// Decodes, admits and executes one request, blocking until its response
-/// frame is ready (a cache hit or rejection produces it immediately).
-/// Thread core only; the event core calls [`admit_frame`] and gets queued
-/// responses asynchronously.
-fn handle_frame(shared: &Arc<Shared>, payload: &[u8]) -> Vec<u8> {
-    let (tx, rx) = mpsc::channel();
-    match admit_frame(shared, payload, move || Reply::Sync(tx)) {
-        Admission::Immediate(frame) => frame,
-        Admission::Queued {
-            rid,
-            request_id,
-            version,
-        } => {
-            // The worker pool drains every accepted job (even through
-            // shutdown) and answers a panicking one with an error, so this
-            // recv failing is defensive only; it would mean no flight
-            // record was pushed, so account for the request here.
-            rx.recv().unwrap_or_else(|_| {
-                shared.metrics.requests_error.inc();
-                let mut rec = FlightRecord::new(rid, FlightOutcome::Error);
-                rec.client_id = request_id;
-                shared.flight.push(rec);
-                wire::encode_response(
-                    &PlanResponse::Error {
-                        request_id,
-                        message: "worker failed".into(),
-                    },
-                    version,
-                )
-            })
-        }
-    }
-}
-
-/// Decodes and admits one frame — the single admission path both serving
-/// cores share: decode → validate → key → probe → {reply | queue}.
-/// `make_reply` is only invoked if the frame is actually queued, with the
-/// core-appropriate [`Reply`] route.
+/// Decodes and admits one frame: decode → validate → key → probe →
+/// {reply | queue}. `reply` routes the answer of a queued frame back to its
+/// connection; it is dropped unused when the frame is answered here.
 pub(crate) fn admit_frame(
     shared: &Arc<Shared>,
     payload: &[u8],
-    make_reply: impl FnOnce() -> Reply,
+    reply: CompletionSink,
 ) -> Admission {
     let start = Instant::now();
     shared.registry.tick();
@@ -999,7 +710,7 @@ pub(crate) fn admit_frame(
     };
     let job = Job {
         work,
-        reply: make_reply(),
+        reply,
         admitted: start,
         rec,
     };
@@ -1012,11 +723,7 @@ pub(crate) fn admit_frame(
             shared.flight.push(rec);
             reject(RejectReason::QueueFull)
         }
-        Ok(()) => Admission::Queued {
-            rid,
-            request_id,
-            version,
-        },
+        Ok(()) => Admission::Queued,
     }
 }
 
@@ -1052,7 +759,7 @@ fn worker_loop(shared: &Arc<Shared>, worker: u32) {
         }
         rec.worker = worker;
         shared.record_served(rec, admitted);
-        reply.send(frame);
+        reply.complete(frame);
     }
 }
 
@@ -1376,41 +1083,35 @@ mod tests {
     /// connection keeps working, and the pool keeps all of its threads.
     #[test]
     fn worker_panic_answers_error_and_keeps_serving() {
-        for core in [ServingCore::EventLoop, ServingCore::Threads] {
-            let handle = start(ServerConfig {
-                workers: 2,
-                core,
-                ..ServerConfig::default()
-            })
-            .unwrap();
-            let platform = kpbs::Platform::new(4, 4, 100.0, 100.0, 200.0);
-            let mut traffic = TrafficMatrix::zeros(4, 4);
-            traffic.set(0, 1, 3_000_000);
-            traffic.set(2, 3, 5_000_000);
-            let mut conn = Client::connect(handle.addr()).unwrap();
+        let handle = start(ServerConfig {
+            workers: 2,
+            ..ServerConfig::default()
+        })
+        .unwrap();
+        let platform = kpbs::Platform::new(4, 4, 100.0, 100.0, 200.0);
+        let mut traffic = TrafficMatrix::zeros(4, 4);
+        traffic.set(0, 1, 3_000_000);
+        traffic.set(2, 3, 5_000_000);
+        let mut conn = Client::connect(handle.addr()).unwrap();
 
-            let poison = client::request(PANIC_REQUEST_ID, Algo::Oggp, &traffic, &platform, 0.05);
-            match conn.plan(&poison).unwrap() {
-                PlanResponse::Error { request_id, .. } => assert_eq!(request_id, PANIC_REQUEST_ID),
-                other => panic!("{core:?}: expected an error frame, got {other:?}"),
-            }
-            let next = client::request(7, Algo::Oggp, &traffic, &platform, 0.05);
-            match conn.plan(&next).unwrap() {
-                PlanResponse::Ok { request_id, .. } => assert_eq!(request_id, 7),
-                other => panic!("{core:?}: the connection stopped serving: {other:?}"),
-            }
-            let poisoned = format!("client_id={PANIC_REQUEST_ID} outcome=error");
-            assert!(
-                handle.flight_text().contains(&poisoned),
-                "{core:?}: no flight record"
-            );
-            assert_eq!(handle.workers.len(), 2);
-            assert!(
-                handle.workers.iter().all(|w| !w.is_finished()),
-                "{core:?}: a worker died"
-            );
-            let stats = handle.shutdown();
-            assert_eq!(stats.errors, 1, "{core:?}");
+        let poison = client::request(PANIC_REQUEST_ID, Algo::Oggp, &traffic, &platform, 0.05);
+        match conn.plan(&poison).unwrap() {
+            PlanResponse::Error { request_id, .. } => assert_eq!(request_id, PANIC_REQUEST_ID),
+            other => panic!("expected an error frame, got {other:?}"),
         }
+        let next = client::request(7, Algo::Oggp, &traffic, &platform, 0.05);
+        match conn.plan(&next).unwrap() {
+            PlanResponse::Ok { request_id, .. } => assert_eq!(request_id, 7),
+            other => panic!("the connection stopped serving: {other:?}"),
+        }
+        let poisoned = format!("client_id={PANIC_REQUEST_ID} outcome=error");
+        assert!(handle.flight_text().contains(&poisoned), "no flight record");
+        assert_eq!(handle.workers.len(), 2);
+        assert!(
+            handle.workers.iter().all(|w| !w.is_finished()),
+            "a worker died"
+        );
+        let stats = handle.shutdown();
+        assert_eq!(stats.errors, 1);
     }
 }

@@ -1,12 +1,10 @@
-//! Raw `epoll(7)` / `eventfd(2)` shims for the event-loop serving core.
+//! Raw `epoll(7)` / `eventfd(2)` shims for the serving front-end.
 //!
 //! The crate is std-only by policy, but libc is already linked by std, so
 //! — exactly like the `signal(2)` shim in the `redistd` binary — the
 //! handful of symbols the event loop needs are declared directly and
-//! wrapped in safe types here. Linux-only (`epoll` is a Linux API); the
-//! server falls back to the thread-per-connection core elsewhere.
-
-#![cfg(target_os = "linux")]
+//! wrapped in safe types here. `epoll` is a Linux API, which is why the
+//! crate builds only on Linux (see the crate root).
 
 use std::io;
 use std::os::unix::io::RawFd;

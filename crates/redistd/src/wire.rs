@@ -4,11 +4,12 @@
 //! the payload. Payloads open with the 4-byte magic `RDST` and a `u16`
 //! protocol version, so a stray client speaking the wrong protocol fails
 //! loudly instead of being misparsed. The exception is the plaintext admin
-//! commands: a client may send the literal ASCII bytes `STATS\n`,
-//! `METRICS\n`, or `FLIGHT\n` instead of a frame, and the server answers
-//! with a plain-text report and closes the connection (the magic's first
-//! byte `R` can never collide with the commands' first bytes, and the
-//! server sniffs the first four bytes before committing to a length).
+//! commands: a client may send the literal ASCII bytes `METRICS\n` or
+//! `FLIGHT\n` instead of a frame, and the server answers with a plain-text
+//! report and closes the connection (the server sniffs the first four
+//! bytes before committing to a length; read as a length, each command's
+//! first four bytes exceed [`MAX_FRAME`]). Any other plaintext reads as an
+//! oversized length, so the server closes the connection unanswered.
 //!
 //! # Versioning
 //!
@@ -100,8 +101,6 @@ pub const MAX_FRAME: u32 = 16 << 20;
 /// millisecond ticks. Fixed here because the decoder's tick-budget check,
 /// the admission-time cache key and the worker's instance must all agree.
 pub const TICK_SCALE: TickScale = TickScale::MILLIS;
-/// The plaintext admin command requesting the human-readable stats report.
-pub const STATS_COMMAND: &[u8] = b"STATS\n";
 /// The plaintext admin command requesting Prometheus text exposition.
 pub const METRICS_COMMAND: &[u8] = b"METRICS\n";
 /// The plaintext admin command requesting a flight-recorder dump.
@@ -1267,61 +1266,28 @@ pub fn decode_response(payload: &[u8]) -> Result<PlanResponse, WireError> {
 
 /// What the server read off a connection: a binary frame or one of the
 /// plaintext admin commands.
-#[derive(Debug)]
+#[derive(Debug, PartialEq, Eq)]
 pub enum Incoming {
     /// A binary frame payload (length prefix stripped).
     Frame(Vec<u8>),
-    /// The plaintext `STATS\n` admin command.
-    Stats,
     /// The plaintext `METRICS\n` admin command (Prometheus exposition).
     Metrics,
     /// The plaintext `FLIGHT\n` admin command (flight-recorder dump).
     Flight,
-    /// Clean end of stream before any bytes of a new message.
-    Eof,
 }
 
-/// How long a reader keeps retrying timeouts *mid-message* before giving
-/// up on a stalled peer. Waits *between* messages are not covered: there a
-/// timeout surfaces immediately so the server can poll its shutdown flag.
-/// The event loop applies the same bound to connections parked mid-frame.
+/// How long the server lets a connection sit mid-message (a frame or an
+/// admin command started but not finished) before closing it as stalled.
 pub(crate) const MID_MESSAGE_PATIENCE: std::time::Duration = std::time::Duration::from_secs(10);
 
-/// Reads one incoming message. Sniffs the first four bytes: `STAT`, `METR`
-/// and `FLIG` select the plaintext admin paths, anything else is a frame
-/// length. (None of those byte patterns is a plausible length: each decodes
-/// to >1 GiB, far beyond [`MAX_FRAME`].)
-///
-/// Timeout semantics: a `WouldBlock`/`TimedOut` while waiting for the
-/// *first byte* of a message propagates untouched (the server polls its
-/// shutdown flag on that path). Once a message has started, timeouts are
-/// retried — a frame briefly split across packets must not tear the
-/// stream's framing — up to a patience bound, after which the connection
-/// is abandoned as stalled.
-pub fn read_incoming<R: Read>(r: &mut R) -> io::Result<Incoming> {
+/// Reads one frame from a blocking stream (the client side) and returns
+/// its payload: a 4-byte big-endian length, checked against [`MAX_FRAME`]
+/// before anything is allocated, then exactly that many bytes. A stream
+/// that ends early — before the length or inside the payload — is
+/// `UnexpectedEof`; a read timeout set on the stream surfaces as is.
+pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Vec<u8>> {
     let mut head = [0u8; 4];
-    match read_head(r, &mut head)? {
-        0 => return Ok(Incoming::Eof),
-        4 => {}
-        _ => return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "torn header")),
-    }
-    let admin: Option<(&[u8], Incoming)> = match &head {
-        b"STAT" => Some((b"S\n", Incoming::Stats)),
-        b"METR" => Some((b"ICS\n", Incoming::Metrics)),
-        b"FLIG" => Some((b"HT\n", Incoming::Flight)),
-        _ => None,
-    };
-    if let Some((tail, incoming)) = admin {
-        let mut rest = vec![0u8; tail.len()];
-        read_patiently(r, &mut rest)?;
-        if rest != tail {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "malformed admin command",
-            ));
-        }
-        return Ok(incoming);
-    }
+    r.read_exact(&mut head)?;
     let len = u32::from_be_bytes(head);
     if len > MAX_FRAME {
         return Err(io::Error::new(
@@ -1330,23 +1296,8 @@ pub fn read_incoming<R: Read>(r: &mut R) -> io::Result<Incoming> {
         ));
     }
     let mut payload = vec![0u8; len as usize];
-    read_patiently(r, &mut payload)?;
-    Ok(Incoming::Frame(payload))
-}
-
-/// Reads one response frame (client side), returning the payload.
-pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Vec<u8>> {
-    match read_incoming(r)? {
-        Incoming::Frame(p) => Ok(p),
-        Incoming::Stats | Incoming::Metrics | Incoming::Flight => Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "unexpected admin command on this stream",
-        )),
-        Incoming::Eof => Err(io::Error::new(
-            io::ErrorKind::UnexpectedEof,
-            "connection closed",
-        )),
-    }
+    r.read_exact(&mut payload)?;
+    Ok(payload)
 }
 
 /// Writes pre-framed bytes and flushes.
@@ -1355,22 +1306,21 @@ pub fn write_all<W: Write>(w: &mut W, bytes: &[u8]) -> io::Result<()> {
     w.flush()
 }
 
-/// An incremental, resumable frame decoder for non-blocking readers.
+/// An incremental, resumable frame decoder for non-blocking readers: the
+/// server's only reader.
 ///
-/// [`read_incoming`] assumes a blocking stream: it parks the thread until
-/// a whole message has arrived. The event-loop serving core instead feeds
-/// whatever bytes `read(2)` happened to return into this state machine
-/// with [`FrameDecoder::extend`] and drains complete messages with
-/// [`FrameDecoder::poll`] — a message split across any number of reads
-/// (down to one byte at a time) decodes byte-identically to the blocking
-/// path, and coalesced messages in one read come out one `poll` at a
-/// time. The adversarial-chunking proptests in `tests/decoder.rs` pin
-/// this equivalence.
+/// The I/O threads feed whatever bytes `read(2)` happened to return into
+/// this state machine with [`FrameDecoder::extend`] and drain complete
+/// messages with [`FrameDecoder::poll`] — a message split across any
+/// number of reads (down to one byte at a time) decodes to exactly the
+/// message that was encoded, and coalesced messages in one read come out
+/// one `poll` at a time. The adversarial-chunking proptests in
+/// `tests/decoder.rs` pin this.
 ///
-/// Semantics mirrored from [`read_incoming`]:
-/// - the first four bytes of a message are sniffed: `STAT`/`METR`/`FLIG`
-///   select the plaintext admin commands, anything else is a big-endian
-///   `u32` frame length;
+/// Semantics:
+/// - the first four bytes of a message are sniffed: `METR`/`FLIG` select
+///   the plaintext admin commands, anything else is a big-endian `u32`
+///   frame length;
 /// - an admin prefix whose tail does not match is `InvalidData`
 ///   ("malformed admin command");
 /// - a length above [`MAX_FRAME`] is `InvalidData` before any payload is
@@ -1378,9 +1328,9 @@ pub fn write_all<W: Write>(w: &mut W, bytes: &[u8]) -> io::Result<()> {
 /// - errors are sticky: after an error the decoder refuses further work
 ///   (the connection is being torn down anyway).
 ///
-/// End-of-stream is the caller's to interpret: on EOF, [`FrameDecoder::is_mid_message`]
-/// distinguishes a clean close (no buffered partial message — the blocking
-/// path's `Incoming::Eof`) from a torn one (`UnexpectedEof` there).
+/// End-of-stream is the caller's to interpret: on EOF,
+/// [`FrameDecoder::is_mid_message`] distinguishes a clean close (no
+/// buffered partial message) from a torn one.
 #[derive(Debug, Default)]
 pub struct FrameDecoder {
     buf: Vec<u8>,
@@ -1414,8 +1364,8 @@ impl FrameDecoder {
         self.buf.len() - self.pos
     }
 
-    /// True when a message has started but not finished — EOF now would be
-    /// the blocking path's "torn message" / "torn header".
+    /// True when a message has started but not finished — EOF now would
+    /// tear it.
     pub fn is_mid_message(&self) -> bool {
         self.pending_bytes() > 0
     }
@@ -1445,7 +1395,6 @@ impl FrameDecoder {
             return Ok(None);
         }
         let admin = match &avail[..4] {
-            b"STAT" => Some((STATS_COMMAND, Incoming::Stats)),
             b"METR" => Some((METRICS_COMMAND, Incoming::Metrics)),
             b"FLIG" => Some((FLIGHT_COMMAND, Incoming::Flight)),
             _ => None,
@@ -1478,71 +1427,6 @@ impl FrameDecoder {
         self.pos += total;
         Ok(Some(Incoming::Frame(payload)))
     }
-}
-
-/// Reads a message head: returns 0 on clean EOF before the first byte,
-/// propagates `WouldBlock`/`TimedOut` only while no byte has arrived, and
-/// switches to patient mode once the message has started.
-fn read_head<R: Read>(r: &mut R, buf: &mut [u8]) -> io::Result<usize> {
-    let mut got = 0;
-    let mut deadline: Option<std::time::Instant> = None;
-    while got < buf.len() {
-        match r.read(&mut buf[got..]) {
-            Ok(0) => {
-                if got == 0 {
-                    return Ok(0);
-                }
-                return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "torn message"));
-            }
-            Ok(n) => {
-                got += n;
-                deadline.get_or_insert_with(|| std::time::Instant::now() + MID_MESSAGE_PATIENCE);
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e)
-                if got > 0
-                    && (e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::TimedOut) =>
-            {
-                if deadline.is_some_and(|d| std::time::Instant::now() > d) {
-                    return Err(io::Error::new(
-                        io::ErrorKind::TimedOut,
-                        "stalled mid-message",
-                    ));
-                }
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(buf.len())
-}
-
-/// Fills `buf` fully, retrying timeouts (mid-message reads) up to the
-/// patience bound. EOF is always an error here.
-fn read_patiently<R: Read>(r: &mut R, buf: &mut [u8]) -> io::Result<()> {
-    let deadline = std::time::Instant::now() + MID_MESSAGE_PATIENCE;
-    let mut got = 0;
-    while got < buf.len() {
-        match r.read(&mut buf[got..]) {
-            Ok(0) => {
-                return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "torn message"));
-            }
-            Ok(n) => got += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                if std::time::Instant::now() > deadline {
-                    return Err(io::Error::new(
-                        io::ErrorKind::TimedOut,
-                        "stalled mid-message",
-                    ));
-                }
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -2008,43 +1892,50 @@ mod tests {
     }
 
     #[test]
-    fn incoming_sniffs_stats_and_frames() {
-        let mut r = STATS_COMMAND;
-        assert!(matches!(read_incoming(&mut r).unwrap(), Incoming::Stats));
-        let mut r = METRICS_COMMAND;
-        assert!(matches!(read_incoming(&mut r).unwrap(), Incoming::Metrics));
-        let mut r = FLIGHT_COMMAND;
-        assert!(matches!(read_incoming(&mut r).unwrap(), Incoming::Flight));
-        // A torn admin command is an error, not a frame.
-        let mut r: &[u8] = b"METRxxx\n";
-        assert!(read_incoming(&mut r).is_err());
-
-        let framed = encode_response(
+    fn read_frame_returns_payloads_in_order() {
+        let first = encode_response(
             &PlanResponse::Rejected {
                 request_id: 1,
                 reason: RejectReason::QueueFull,
             },
             VERSION,
         );
-        let mut r = &framed[..];
-        match read_incoming(&mut r).unwrap() {
-            Incoming::Frame(p) => {
-                assert_eq!(p.len(), framed.len() - 4);
-            }
-            other => panic!("expected frame, got {other:?}"),
-        }
+        let second = encode_request(&sample_request());
+        let stream = [first.clone(), second.clone()].concat();
+        let mut r = &stream[..];
+        assert_eq!(read_frame(&mut r).unwrap(), &first[4..]);
+        assert_eq!(read_frame(&mut r).unwrap(), &second[4..]);
+        // A clean end of stream is still an error to a reader expecting a
+        // frame.
+        let err = read_frame(&mut r).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+    }
 
-        let empty: &[u8] = &[];
-        let mut r = empty;
-        assert!(matches!(read_incoming(&mut r).unwrap(), Incoming::Eof));
+    #[test]
+    fn read_frame_rejects_a_torn_frame() {
+        let framed = encode_request(&sample_request());
+        // Torn inside the length prefix and inside the payload.
+        for cut in [2, 4, framed.len() - 1] {
+            let mut r = &framed[..cut];
+            let err = read_frame(&mut r).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "cut at {cut}");
+        }
     }
 
     #[test]
     fn oversized_frame_rejected() {
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&(MAX_FRAME + 1).to_be_bytes());
-        let mut r = &buf[..];
-        assert!(read_incoming(&mut r).is_err());
+        // The cap is checked on the length alone: no payload follows, so a
+        // reader that allocated or read first would report EOF instead.
+        let mut r: &[u8] = &(MAX_FRAME + 1).to_be_bytes();
+        let err = read_frame(&mut r).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("exceeds"), "{err}");
+        // Exactly at the cap is a length like any other.
+        let mut r: &[u8] = &MAX_FRAME.to_be_bytes();
+        assert_eq!(
+            read_frame(&mut r).unwrap_err().kind(),
+            io::ErrorKind::UnexpectedEof
+        );
     }
 
     #[test]
@@ -2072,12 +1963,12 @@ mod tests {
         let framed = encode_request(&sample_request());
         let mut blob = Vec::new();
         blob.extend_from_slice(&framed);
-        blob.extend_from_slice(STATS_COMMAND);
+        blob.extend_from_slice(METRICS_COMMAND);
         blob.extend_from_slice(&framed);
         let mut d = FrameDecoder::new();
         d.extend(&blob);
         assert!(matches!(d.poll().unwrap(), Some(Incoming::Frame(_))));
-        assert!(matches!(d.poll().unwrap(), Some(Incoming::Stats)));
+        assert!(matches!(d.poll().unwrap(), Some(Incoming::Metrics)));
         assert!(matches!(d.poll().unwrap(), Some(Incoming::Frame(_))));
         assert!(d.poll().unwrap().is_none());
         assert!(!d.is_mid_message());
@@ -2089,11 +1980,17 @@ mod tests {
         d.extend(&(MAX_FRAME + 1).to_be_bytes());
         assert!(d.poll().is_err());
         // Sticky: even valid bytes are refused after an error.
-        d.extend(STATS_COMMAND);
+        d.extend(METRICS_COMMAND);
         assert!(d.poll().is_err());
 
         let mut d = FrameDecoder::new();
         d.extend(b"METRxxx\n");
+        assert!(d.poll().is_err());
+
+        // Plaintext that is no admin command, such as `STATS\n`, reads as
+        // a length above the cap.
+        let mut d = FrameDecoder::new();
+        d.extend(b"STATS\n");
         assert!(d.poll().is_err());
     }
 

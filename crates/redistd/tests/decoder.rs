@@ -1,24 +1,20 @@
-//! Adversarial-chunking equivalence tests for the resumable
-//! [`FrameDecoder`] against the blocking [`read_incoming`] reference.
+//! Adversarial-chunking tests for the resumable [`FrameDecoder`], the
+//! server's only reader.
 //!
-//! The event-loop serving core sees whatever byte boundaries `read(2)`
-//! happens to return: length prefixes split across reads, several
-//! messages coalesced into one read, one byte at a time from a pathological
-//! peer. Whatever the chunking, the decoded message sequence must be
-//! byte-identical to what the blocking reader produces from the same
-//! stream — otherwise the two serving cores would disagree about the
-//! traffic they saw.
+//! The I/O threads see whatever byte boundaries `read(2)` happens to
+//! return: length prefixes split across reads, several messages coalesced
+//! into one read, one byte at a time from a pathological peer. Whatever
+//! the chunking, the decoded message sequence must be exactly the list of
+//! messages that was encoded onto the stream.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use redistd::wire::{self, FrameDecoder, Incoming, FLIGHT_COMMAND, METRICS_COMMAND, STATS_COMMAND};
-use std::io::Cursor;
+use redistd::wire::{self, FrameDecoder, Incoming, FLIGHT_COMMAND, METRICS_COMMAND};
 
 /// A message to place on the wire: a binary frame or an admin command.
 #[derive(Clone, Debug)]
 enum Msg {
     Frame(Vec<u8>),
-    Stats,
     Metrics,
     Flight,
 }
@@ -31,7 +27,6 @@ fn encode(msgs: &[Msg]) -> Vec<u8> {
                 out.extend_from_slice(&(payload.len() as u32).to_be_bytes());
                 out.extend_from_slice(payload);
             }
-            Msg::Stats => out.extend_from_slice(STATS_COMMAND),
             Msg::Metrics => out.extend_from_slice(METRICS_COMMAND),
             Msg::Flight => out.extend_from_slice(FLIGHT_COMMAND),
         }
@@ -39,29 +34,21 @@ fn encode(msgs: &[Msg]) -> Vec<u8> {
     out
 }
 
-/// Stable comparison key: `Incoming` intentionally has no `PartialEq`
-/// (admin variants carry no data), but its `Debug` form is exact down to
-/// every frame byte.
-fn repr(i: &Incoming) -> String {
-    format!("{i:?}")
-}
-
-/// Reference decode: the blocking reader over the whole stream.
-fn blocking_decode(stream: &[u8]) -> Vec<String> {
-    let mut cur = Cursor::new(stream.to_vec());
-    let mut out = Vec::new();
-    loop {
-        match wire::read_incoming(&mut cur).expect("well-formed stream") {
-            Incoming::Eof => return out,
-            other => out.push(repr(&other)),
-        }
-    }
+/// The oracle: what the decoder must yield for `msgs`, in order.
+fn expected(msgs: &[Msg]) -> Vec<Incoming> {
+    msgs.iter()
+        .map(|m| match m {
+            Msg::Frame(payload) => Incoming::Frame(payload.clone()),
+            Msg::Metrics => Incoming::Metrics,
+            Msg::Flight => Incoming::Flight,
+        })
+        .collect()
 }
 
 /// Incremental decode: feed the stream through the decoder in the given
 /// chunk sizes (cycled), draining after every extend. Asserts the decoder
 /// ends clean: no buffered bytes, not mid-message.
-fn chunked_decode(stream: &[u8], chunks: &[usize]) -> Vec<String> {
+fn chunked_decode(stream: &[u8], chunks: &[usize]) -> Vec<Incoming> {
     let mut dec = FrameDecoder::new();
     let mut out = Vec::new();
     let mut fed = 0;
@@ -72,7 +59,7 @@ fn chunked_decode(stream: &[u8], chunks: &[usize]) -> Vec<String> {
         dec.extend(&stream[fed..fed + take]);
         fed += take;
         while let Some(msg) = dec.poll().expect("well-formed stream") {
-            out.push(repr(&msg));
+            out.push(msg);
         }
     }
     assert_eq!(dec.pending_bytes(), 0, "decoder ended with buffered bytes");
@@ -81,12 +68,11 @@ fn chunked_decode(stream: &[u8], chunks: &[usize]) -> Vec<String> {
 }
 
 /// A strategy for one message: mostly frames (random payloads, including
-/// empty), sprinkled with all three admin commands.
+/// empty), sprinkled with both admin commands.
 fn msg_strategy() -> impl Strategy<Value = Msg> {
     (0usize..10, vec(0u8..=255, 0..48)).prop_map(|(kind, payload)| match kind {
-        0 => Msg::Stats,
-        1 => Msg::Metrics,
-        2 => Msg::Flight,
+        0 => Msg::Metrics,
+        1 => Msg::Flight,
         _ => Msg::Frame(payload),
     })
 }
@@ -98,47 +84,44 @@ proptest! {
     /// the general case, which routinely splits length prefixes and admin
     /// command tails across feeds.
     #[test]
-    fn decoder_matches_blocking_under_random_chunking(
+    fn decoder_matches_encoding_under_random_chunking(
         msgs in vec(msg_strategy(), 0..12),
         chunks in vec(1usize..16, 1..24),
     ) {
         let stream = encode(&msgs);
-        prop_assert_eq!(chunked_decode(&stream, &chunks), blocking_decode(&stream));
+        prop_assert_eq!(chunked_decode(&stream, &chunks), expected(&msgs));
     }
 
     /// One byte per feed — every prefix of every message is observed as a
     /// partial state.
     #[test]
-    fn decoder_matches_blocking_at_one_byte_per_feed(
+    fn decoder_matches_encoding_at_one_byte_per_feed(
         msgs in vec(msg_strategy(), 1..8),
     ) {
         let stream = encode(&msgs);
-        prop_assert_eq!(chunked_decode(&stream, &[1]), blocking_decode(&stream));
+        prop_assert_eq!(chunked_decode(&stream, &[1]), expected(&msgs));
     }
 
     /// The whole stream in a single feed — maximally coalesced messages
     /// must come out one `poll` at a time, in order.
     #[test]
-    fn decoder_matches_blocking_when_fully_coalesced(
+    fn decoder_matches_encoding_when_fully_coalesced(
         msgs in vec(msg_strategy(), 1..12),
     ) {
         let stream = encode(&msgs);
-        prop_assert_eq!(chunked_decode(&stream, &[usize::MAX]), blocking_decode(&stream));
+        prop_assert_eq!(chunked_decode(&stream, &[usize::MAX]), expected(&msgs));
     }
 
     /// Chunk boundaries placed exactly around the 4-byte sniff window:
     /// feeds of 3, 4 and 5 bytes keep slicing length prefixes and admin
     /// magic at their most confusing offsets.
     #[test]
-    fn decoder_matches_blocking_around_prefix_boundaries(
+    fn decoder_matches_encoding_around_prefix_boundaries(
         msgs in vec(msg_strategy(), 1..10),
         first in 1usize..6,
     ) {
         let stream = encode(&msgs);
-        prop_assert_eq!(
-            chunked_decode(&stream, &[first, 3, 4, 5]),
-            blocking_decode(&stream)
-        );
+        prop_assert_eq!(chunked_decode(&stream, &[first, 3, 4, 5]), expected(&msgs));
     }
 }
 

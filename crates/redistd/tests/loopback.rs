@@ -8,7 +8,7 @@
 //! (c) overload with queue depth 1 produces `Rejected{queue_full}`
 //!     responses, not hangs;
 //! (d) graceful shutdown drains in-flight requests to their responses;
-//! (e) event-core isolation: a slow-reading connection is parked by
+//! (e) I/O isolation: a slow-reading connection is parked by
 //!     per-connection backpressure instead of stalling its I/O thread,
 //!     and requests dribbled in one byte at a time still decode.
 
@@ -311,9 +311,11 @@ fn shutdown_drains_in_flight_requests() {
     assert_eq!(stats.served, 1, "drained request is counted");
 }
 
-/// The plaintext `STATS` admin command reports live server state.
+/// Live server state reads back from `METRICS` and from the typed
+/// snapshot: served requests, hits and misses, hit rate, an empty queue,
+/// ordered service quantiles and the queue-wait summary.
 #[test]
-fn stats_command_reports_state() {
+fn metrics_and_stats_report_served_state() {
     let handle = server::start(ServerConfig::default()).unwrap();
     let addr = handle.addr();
     let n = 6;
@@ -325,28 +327,67 @@ fn stats_command_reports_state() {
         let resp = c.plan(&client::request(id, Algo::Oggp, traffic, &platform, BETA));
         assert!(matches!(resp, Ok(PlanResponse::Ok { .. })));
     }
-    let report = client::fetch_stats(addr).unwrap();
-    assert_eq!(client::stats_field(&report, "served"), Some(3));
-    assert_eq!(client::stats_field(&report, "cache_hits"), Some(2));
-    assert_eq!(client::stats_field(&report, "cache_misses"), Some(1));
-    assert_eq!(client::stats_field(&report, "rejected_queue_full"), Some(0));
-    // The derived fields parse as numbers, not just appear as text: hit
-    // rate is hits/served, the idle queue is empty, and the latency
-    // quantiles are ordered and non-zero after three served plans.
-    let hit_rate = client::stats_field_f64(&report, "cache_hit_rate").unwrap();
-    assert!((hit_rate - 2.0 / 3.0).abs() < 1e-3, "hit rate {hit_rate}");
-    assert_eq!(client::stats_field(&report, "queue_depth"), Some(0));
-    let p50 = client::stats_field(&report, "service_us_p50").unwrap();
-    let p99 = client::stats_field(&report, "service_us_p99").unwrap();
-    assert!(p50 > 0, "p50 of served requests is positive");
+    let text = client::fetch_metrics(addr).unwrap();
+    let sample = |name: &str, labels: &[(&str, &str)]| {
+        telemetry::metrics::find_sample(&text, name, labels)
+            .unwrap_or_else(|| panic!("sample {name} {labels:?} missing"))
+    };
+    let outcome = |o| sample("redistd_requests_total", &[("outcome", o)]);
+    assert_eq!(outcome("planned") + outcome("cache_hit"), 3.0);
+    assert_eq!(sample("redistd_cache_hits", &[]), 2.0);
+    assert_eq!(sample("redistd_cache_misses", &[]), 1.0);
+    assert_eq!(outcome("shed_queue_full"), 0.0);
+    assert_eq!(sample("redistd_queue_depth", &[]), 0.0);
+    // Service quantiles are ordered and non-zero after three served plans.
+    let p50 = sample("redistd_service_us", &[("quantile", "0.5")]);
+    let p99 = sample("redistd_service_us", &[("quantile", "0.99")]);
+    assert!(p50 > 0.0, "p50 of served requests is positive");
     assert!(p99 >= p50, "quantiles ordered: p99 {p99} >= p50 {p50}");
-    assert!(client::stats_field_f64(&report, "service_us_mean").unwrap() > 0.0);
-    // Queue-wait is measured admission -> worker pickup; on an idle server
-    // the fields exist and parse even when the waits round to zero.
-    assert!(client::stats_field(&report, "queue_wait_us_p50").is_some());
-    assert!(client::stats_field(&report, "queue_wait_us_p99").is_some());
-    assert!(client::stats_field_f64(&report, "queue_wait_us_mean").is_some());
+    assert!(sample("redistd_service_us_sum", &[]) > 0.0);
+    // Queue wait is measured admission -> worker pickup; on an idle server
+    // the legs exist even when the waits round to zero.
+    sample("redistd_queue_wait_us", &[("quantile", "0.5")]);
+    sample("redistd_queue_wait_us", &[("quantile", "0.99")]);
+    sample("redistd_queue_wait_us_sum", &[]);
+
+    // The typed snapshot reads the same handles.
+    let stats = handle.stats();
+    assert_eq!(stats.served, 3);
+    assert_eq!((stats.cache.hits, stats.cache.misses), (2, 1));
+    assert!((stats.cache.hit_rate() - 2.0 / 3.0).abs() < 1e-3);
+    assert_eq!((stats.rejected_queue_full, stats.queue_depth), (0, 0));
+    assert!(stats.p50_us > 0 && stats.p99_us >= stats.p50_us);
+    assert!(stats.mean_us > 0);
+    assert!(stats.queue_wait_p99_us >= stats.queue_wait_p50_us);
     handle.shutdown();
+}
+
+/// `STATS` is no admin command: a connection that sends it is closed
+/// without an answer (its first four bytes read as an oversized length),
+/// and the daemon keeps serving the next client.
+#[test]
+fn retired_stats_command_is_closed_unanswered() {
+    use std::io::{Read, Write};
+    let handle = server::start(ServerConfig::default()).unwrap();
+    let mut stream = std::net::TcpStream::connect(handle.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(20)))
+        .unwrap();
+    stream.write_all(b"STATS\n").unwrap();
+    let mut answer = Vec::new();
+    stream
+        .read_to_end(&mut answer)
+        .expect("the server closes the connection");
+    assert!(answer.is_empty(), "answered: {answer:?}");
+
+    let n = 6;
+    let platform = Platform::new(n, n, 100.0, 100.0, 300.0);
+    let traffic = &make_matrices(1, n)[0];
+    let mut c = Client::connect(handle.addr()).unwrap();
+    let resp = c.plan(&client::request(1, Algo::Oggp, traffic, &platform, BETA));
+    assert!(matches!(resp, Ok(PlanResponse::Ok { .. })), "{resp:?}");
+    let stats = handle.shutdown();
+    assert_eq!((stats.served, stats.errors), (1, 0));
 }
 
 /// The `METRICS` admin command renders well-formed Prometheus text
@@ -597,24 +638,20 @@ fn slow_reader_cannot_stall_other_connections() {
         start.elapsed()
     );
 
-    // The event core must have parked A's reads at least once (the thread
-    // core blocks A's own connection thread instead, so only check there).
-    if server::ServingCore::default().resolved() == server::ServingCore::EventLoop {
-        let deadline = Instant::now() + Duration::from_secs(5);
-        loop {
-            let text = client::fetch_metrics(addr).unwrap();
-            let parked =
-                telemetry::metrics::find_sample(&text, "redistd_io_backpressure_total", &[])
-                    .unwrap_or(0.0);
-            if parked > 0.0 {
-                break;
-            }
-            assert!(
-                Instant::now() < deadline,
-                "backpressure never engaged while {FLOOD} requests sat pending"
-            );
-            std::thread::sleep(Duration::from_millis(20));
+    // Backpressure must have parked A's reads at least once.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    loop {
+        let text = client::fetch_metrics(addr).unwrap();
+        let parked = telemetry::metrics::find_sample(&text, "redistd_io_backpressure_total", &[])
+            .unwrap_or(0.0);
+        if parked > 0.0 {
+            break;
         }
+        assert!(
+            Instant::now() < deadline,
+            "backpressure never engaged while {FLOOD} requests sat pending"
+        );
+        std::thread::sleep(Duration::from_millis(20));
     }
 
     // A finally reads: all responses arrive, in order, none dropped.
@@ -667,10 +704,10 @@ fn request_split_into_single_bytes_is_served() {
     assert_eq!(stats.served, 1);
 }
 
-/// The STATS report carries the serving-core fields: which core is
-/// running, its I/O thread count, and a live open-connection gauge.
+/// The open-connection gauge counts live connections: the idle client
+/// and the `METRICS` connection itself while it renders.
 #[test]
-fn stats_report_serving_core_fields() {
+fn metrics_report_open_connections() {
     let handle = server::start(ServerConfig::default()).unwrap();
     let addr = handle.addr();
     let n = 6;
@@ -683,25 +720,15 @@ fn stats_report_serving_core_fields() {
     let resp = c.plan(&client::request(0, Algo::Oggp, traffic, &platform, BETA));
     assert!(matches!(resp, Ok(PlanResponse::Ok { .. })));
 
-    let report = client::fetch_stats(addr).unwrap();
-    let core = report
-        .lines()
-        .find_map(|l| l.strip_prefix("core: "))
-        .expect("STATS reports its serving core");
-    assert_eq!(core, server::ServingCore::default().label());
-    assert!(client::stats_field(&report, "io_threads").is_some());
-    // At least the idle client and the STATS connection itself are open.
-    let open = client::stats_field(&report, "connections_open").unwrap();
-    assert!(open >= 2, "connections_open {open}");
-
-    // The serving metrics exist in the exposition too.
     let text = client::fetch_metrics(addr).unwrap();
     let sample = |name: &str| {
         telemetry::metrics::find_sample(&text, name, &[])
             .unwrap_or_else(|| panic!("sample {name} missing"))
     };
+    let open = sample("redistd_connections_open");
+    assert!(open >= 2.0, "connections_open {open}");
     assert!(sample("redistd_accepts_total") >= 2.0);
-    assert!(sample("redistd_connections_open") >= 1.0);
+    assert!(handle.stats().connections_open >= 1);
     drop(c);
     handle.shutdown();
 }
@@ -749,11 +776,11 @@ fn convert_delta(platform: &Platform, d: &wire::WireDelta) -> kpbs::MatrixDelta 
 /// with zero byte-compare failures. The planner is deterministic, so a
 /// local mirror `DeltaPlanner` fed the same edits must produce
 /// byte-identical schedules, costs, generations and repair levels at every
-/// step — on whichever serving core carries the frames.
-fn run_session_campaign(core: server::ServingCore) {
+/// step.
+#[test]
+fn session_campaign_on_default_core() {
     telemetry::counters::enable();
     let handle = server::start(ServerConfig {
-        core,
         workers: 2,
         ..ServerConfig::default()
     })
@@ -913,16 +940,6 @@ fn run_session_campaign(core: server::ServingCore) {
     );
     assert_eq!(stats.sessions_committed, 1);
     assert_eq!(stats.cache.len, 0, "a commit inserts no cache entry");
-}
-
-#[test]
-fn session_campaign_on_default_core() {
-    run_session_campaign(server::ServingCore::default());
-}
-
-#[test]
-fn session_campaign_on_thread_core() {
-    run_session_campaign(server::ServingCore::Threads);
 }
 
 /// The session table is a backpressure boundary: `OPEN` past

@@ -4,7 +4,7 @@
 //! samples (the serving layer records microseconds). Recording is a handful
 //! of relaxed atomic ops — safe to call from many worker threads — and
 //! quantile queries read a consistent-enough snapshot for operational
-//! reporting (`STATS`, `METRICS`). Memory is constant: no
+//! reporting (`METRICS`). Memory is constant: no
 //! allocation ever happens after construction, matching the crate's
 //! zero-dependency, bounded-overhead discipline.
 //!

@@ -35,8 +35,8 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-/// Quantiles every summary exports, matching the serving layer's reporting
-/// (`STATS` p50/p99 plus a p90 midpoint).
+/// Quantiles every summary exports: the serving layer's p50/p99 plus a p90
+/// midpoint.
 pub const SUMMARY_QUANTILES: [f64; 3] = [0.5, 0.9, 0.99];
 
 /// Registry construction parameters.

@@ -68,11 +68,11 @@ ADDR="$(cat "$PORT_FILE")"
 # Open-loop mode against the same daemon (latency from scheduled send).
 ./target/release/redistload --addr "$ADDR" \
   --requests 100 --connections 8 --rate 400 --distinct 4 --n 10
-# The daemon must be running the event core, the exposition must be
-# well-formed, and the flight recorder must have a record for every
-# request the load generator sent.
-CORE="$(./target/release/redistctl stats --addr "$ADDR" --field core)"
-[ "$CORE" = "event" ] || { echo "expected event core, daemon reports '$CORE'" >&2; exit 1; }
+# The daemon must have admitted every frame the two runs sent (512 + 100),
+# the exposition must be well-formed, and the flight recorder must have a
+# record for every one of those requests.
+ADMITTED="$(./target/release/redistctl metrics --addr "$ADDR" --field redistd_admissions_total)"
+[ "$ADMITTED" -ge 612 ] || { echo "expected >= 612 admissions, daemon reports '$ADMITTED'" >&2; exit 1; }
 ./target/release/redistctl metrics --addr "$ADDR" --validate > /dev/null
 ./target/release/redistctl flight --addr "$ADDR" --expect-requests 612 > /dev/null
 kill -TERM "$REDISTD_PID"
