@@ -11,10 +11,11 @@
 //! ```
 
 use bench::{arg_or, row};
-use flowsim::{brute_force_time, scheduled_time, NetworkSpec, SimConfig, TcpModel};
+use flowsim::{brute_force_time, NetworkSpec, SimConfig, TcpModel};
 use kpbs::traffic::TickScale;
 use kpbs::{oggp, Platform, TrafficMatrix};
 use rand::{rngs::SmallRng, SeedableRng};
+use redistexec::SimTransport;
 
 fn spread(xs: &[f64]) -> (f64, f64, f64) {
     let min = xs.iter().cloned().fold(f64::INFINITY, f64::min);
@@ -30,7 +31,7 @@ fn main() {
     let spec = NetworkSpec::from_platform(&platform);
     let mut rng = SmallRng::seed_from_u64(77);
     let traffic = TrafficMatrix::uniform_mb(&mut rng, 10, 10, 10, 40);
-    let (inst, endpoints) = traffic.to_instance(&platform, 0.05, TickScale::MILLIS);
+    let (inst, _) = traffic.to_instance(&platform, 0.05, TickScale::MILLIS);
     let schedule = oggp(&inst);
 
     let mut brute = Vec::new();
@@ -41,10 +42,9 @@ fn main() {
             seed,
             record_trace: false,
         };
-        brute.push(brute_force_time(&traffic, &spec, &cfg).total_seconds);
-        sched.push(
-            scheduled_time(&traffic, &inst, &endpoints, &schedule, &spec, 0.05, &cfg).total_seconds,
-        );
+        brute.push(brute_force_time(&traffic, &spec, &cfg));
+        let transport = SimTransport::new(spec.clone(), cfg);
+        sched.push(bench::execute(transport, &traffic, &platform, 0.05, &schedule).total_seconds);
     }
 
     let (bmin, bmean, bmax) = spread(&brute);

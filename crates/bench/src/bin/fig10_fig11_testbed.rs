@@ -13,10 +13,11 @@
 //! ```
 
 use bench::{arg_or, f2, flag, row};
-use flowsim::{brute_force_time, scheduled_time, NetworkSpec, SimConfig, TcpModel};
+use flowsim::{brute_force_time, NetworkSpec, SimConfig, TcpModel};
 use kpbs::traffic::TickScale;
 use kpbs::{ggp, oggp, Platform, TrafficMatrix};
 use rand::{rngs::SmallRng, SeedableRng};
+use redistexec::SimTransport;
 
 fn figure(k: usize, seeds: u64, beta: f64, csv: bool) {
     let platform = Platform::testbed(k);
@@ -44,7 +45,7 @@ fn figure(k: usize, seeds: u64, beta: f64, csv: bool) {
         // scheduled arms are deterministic so one run suffices.
         let mut rng = SmallRng::seed_from_u64(1000 + n);
         let traffic = TrafficMatrix::uniform_mb(&mut rng, 10, 10, 10, n);
-        let (inst, endpoints) = traffic.to_instance(&platform, beta, TickScale::MILLIS);
+        let (inst, _) = traffic.to_instance(&platform, beta, TickScale::MILLIS);
         let sg = ggp(&inst);
         let so = oggp(&inst);
 
@@ -55,7 +56,7 @@ fn figure(k: usize, seeds: u64, beta: f64, csv: bool) {
                 seed,
                 record_trace: false,
             };
-            brute_sum += brute_force_time(&traffic, &spec, &cfg).total_seconds;
+            brute_sum += brute_force_time(&traffic, &spec, &cfg);
         }
         let brute = brute_sum / seeds as f64;
 
@@ -64,10 +65,11 @@ fn figure(k: usize, seeds: u64, beta: f64, csv: bool) {
             seed: 0,
             record_trace: false,
         };
-        let tg =
-            scheduled_time(&traffic, &inst, &endpoints, &sg, &spec, beta, &lossy).total_seconds;
-        let to =
-            scheduled_time(&traffic, &inst, &endpoints, &so, &spec, beta, &lossy).total_seconds;
+        let scheduled = |schedule| {
+            let transport = SimTransport::new(spec.clone(), lossy.clone());
+            bench::execute(transport, &traffic, &platform, beta, schedule).total_seconds
+        };
+        let (tg, to) = (scheduled(&sg), scheduled(&so));
 
         let gain = |t: f64| (1.0 - t / brute) * 100.0;
         if csv {

@@ -13,12 +13,12 @@
 //! ```
 
 use bench::{arg_or, row};
-use flowsim::executor::brute_force_run;
 use flowsim::network::BYTES_PER_S_PER_MBPS;
-use flowsim::{scheduled_time, NetworkSpec, SimConfig, TcpModel};
+use flowsim::{brute_force_run, NetworkSpec, SimConfig, TcpModel};
 use kpbs::traffic::TickScale;
 use kpbs::{oggp, Platform, TrafficMatrix};
 use rand::{rngs::SmallRng, SeedableRng};
+use redistexec::SimTransport;
 
 fn main() {
     let hi_mb: u64 = arg_or("size", 40);
@@ -47,9 +47,15 @@ fn main() {
             .expect("trace requested")
             .mean_utilization(100.0 * BYTES_PER_S_PER_MBPS, brute.makespan);
 
-        let (inst, endpoints) = traffic.to_instance(&platform, 0.05, TickScale::MILLIS);
+        let (inst, _) = traffic.to_instance(&platform, 0.05, TickScale::MILLIS);
         let schedule = oggp(&inst);
-        let sched = scheduled_time(&traffic, &inst, &endpoints, &schedule, &spec, 0.05, &cfg);
+        // The scheduled arm needs no rate trace.
+        let untraced = SimConfig {
+            record_trace: false,
+            ..cfg
+        };
+        let transport = SimTransport::new(spec, untraced);
+        let sched = bench::execute(transport, &traffic, &platform, 0.05, &schedule);
         row(&[
             k.to_string(),
             format!("{:.1}%", util * 100.0),

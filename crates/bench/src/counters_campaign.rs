@@ -13,12 +13,12 @@
 //! nothing else in the process may count work while it runs.
 
 use bipartite::generate::complete_graph;
-use flowsim::{scheduled_time, NetworkSpec, SimConfig};
 use kpbs::batch::parallel_map;
 use kpbs::traffic::TickScale;
 use kpbs::{ggp, oggp, Instance, Platform, TrafficMatrix};
-use mpilite::{run_schedule, FabricConfig};
+use mpilite::FabricConfig;
 use rand::{rngs::SmallRng, SeedableRng};
+use redistexec::{MpiTransport, SimTransport};
 use telemetry::counters::{self, Snapshot};
 
 /// One campaign case: the counter deltas a named phase produced.
@@ -102,27 +102,23 @@ pub fn run(jobs: usize) -> String {
         );
     });
 
-    // Simulator arm: OGGP schedule executed on the ideal fluid network.
+    // Simulator arm: OGGP schedule executed on the ideal fluid network
+    // (one engine run per step: the delivery reuses the step's estimate).
     let mut rng = SmallRng::seed_from_u64(0xf10e);
     let platform = Platform::testbed(4);
     let traffic = TrafficMatrix::uniform_mb(&mut rng, platform.n1, platform.n2, 1, 5);
-    let (inst, endpoints) = traffic.to_instance(&platform, 0.05, TickScale::MILLIS);
+    let (inst, _) = traffic.to_instance(&platform, 0.05, TickScale::MILLIS);
     let schedule = oggp(&inst);
-    let spec = NetworkSpec::from_platform(&platform);
     record("flowsim_scheduled", &mut || {
-        std::hint::black_box(scheduled_time(
-            &traffic,
-            &inst,
-            &endpoints,
-            &schedule,
-            &spec,
-            0.05,
-            &SimConfig::default(),
+        let transport = SimTransport::for_platform(&platform);
+        std::hint::black_box(crate::execute(
+            transport, &traffic, &platform, 0.05, &schedule,
         ));
     });
 
-    // Runtime arm: the same plan moved as real bytes through the threaded
-    // world (barrier waits per step are structural, hence deterministic).
+    // Runtime arm: a plan moved as real bytes through the threaded world,
+    // one world per step (its alignment barrier is the step barrier, so
+    // barrier waits are structural, hence deterministic).
     let mut small = TrafficMatrix::zeros(4, 4);
     for i in 0..4 {
         for j in 0..4 {
@@ -130,7 +126,7 @@ pub fn run(jobs: usize) -> String {
         }
     }
     let mplatform = Platform::new(4, 4, 100.0, 100.0, 200.0);
-    let (minst, mendpoints) = small.to_instance(&mplatform, 0.0, TickScale::MILLIS);
+    let (minst, _) = small.to_instance(&mplatform, 0.0, TickScale::MILLIS);
     let mschedule = oggp(&minst);
     let fabric = FabricConfig {
         out_bytes_per_s: 2e9,
@@ -139,12 +135,9 @@ pub fn run(jobs: usize) -> String {
         chunk_bytes: 64 * 1024,
     };
     record("mpilite_scheduled", &mut || {
-        std::hint::black_box(run_schedule(
-            &small,
-            &minst,
-            &mendpoints,
-            &mschedule,
-            fabric,
+        let transport = MpiTransport::new(4, 4, fabric);
+        std::hint::black_box(crate::execute(
+            transport, &small, &mplatform, 0.0, &mschedule,
         ));
     });
 

@@ -17,8 +17,10 @@
 //! * [`tcp`] — the TCP behaviour model (per-flow overhead + seeded jitter)
 //!   that makes the brute-force baseline lossy and non-deterministic,
 //! * [`engine`] — the event loop,
-//! * [`executor`] — runs a `kpbs` [`Schedule`](kpbs::Schedule) (synchronous
-//!   steps + β barriers) or the brute-force baseline over a network,
+//! * [`executor`] — the brute-force TCP baseline: every message at once,
+//!   the transport model left to arbitrate. Schedules (synchronous steps +
+//!   β barriers) execute through `redistexec::Runtime`, whose
+//!   `SimTransport` runs each step on the [`Engine`],
 //! * [`trace`] — time-series of allocations for tests and plots.
 
 #![warn(missing_docs)]
@@ -33,7 +35,7 @@ pub mod tcp;
 pub mod trace;
 
 pub use engine::{Engine, RunResult, SimConfig};
-pub use executor::{brute_force_time, scheduled_time, ExecutionReport};
+pub use executor::{brute_force_run, brute_force_time};
 pub use fairshare::{max_min_rates, max_min_rates_routed};
 pub use flow::Flow;
 pub use network::{CapacityProfile, NetworkSpec};

@@ -13,9 +13,12 @@
 //!   token buckets — sender NIC, receiver NIC, backbone — mirroring
 //!   `rshaper` ([`shaper`]),
 //! * global [`barrier`]s separate communication steps,
-//! * [`runner`] executes a `kpbs` [`Schedule`](kpbs::Schedule) (or the
-//!   brute-force all-at-once pattern) and measures wall-clock time, the
-//!   in-process analogue of the paper's `ntp_gettime` measurements.
+//! * [`runner`] runs the brute-force all-at-once pattern and holds the
+//!   byte-exact payload check ([`runner::verify`]) every real-byte run
+//!   shares. A `kpbs` [`Schedule`](kpbs::Schedule) executes through
+//!   `redistexec::Runtime` over its `MpiTransport`: one [`World::run`] per
+//!   step, timed by wall clock, the in-process analogue of the paper's
+//!   `ntp_gettime` measurements.
 //!
 //! Bandwidths are configurable so tests run in milliseconds; the *structure*
 //! (who waits on whom, what is shaped where) matches the paper's setup.
@@ -33,4 +36,4 @@ pub mod shaper;
 pub use collective::{alltoallv_recv, alltoallv_send};
 pub use comm::{Comm, Rank, World, WorldConfig};
 pub use fabric::FabricConfig;
-pub use runner::{run_brute_force, run_schedule, RunnerReport};
+pub use runner::{payload, run_brute_force, verify, RunnerReport};

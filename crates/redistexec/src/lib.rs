@@ -1,11 +1,15 @@
-//! Fault-tolerant execution of K-PBS schedules.
+//! Execution of K-PBS schedules, fault-free or fault-tolerant.
 //!
 //! The planners in [`kpbs`] answer *what to send when*; this crate drives
-//! such a plan to completion over an unreliable medium. A
-//! [`Runtime`] walks the schedule step by step over a pluggable
-//! [`Transport`] (in-memory loopback with analytic 1-port timing, or the
-//! [`flowsim`] max–min fair fluid engine), while a seeded, fully
-//! deterministic [`FaultPlan`] injects three kinds of trouble:
+//! such a plan to completion. [`Runtime`] is the one place a schedule meets
+//! a network: it walks the schedule step by step — β paid per step, steps
+//! separated by a barrier, as in the paper's MPICH runs (§5) — over a
+//! pluggable [`Transport`]: [`LoopbackTransport`] (analytic 1-port timing),
+//! [`SimTransport`] (the [`flowsim`] max–min fair fluid engine) or
+//! [`MpiTransport`] (real bytes through [`mpilite`]'s shaped threaded
+//! fabric). With [`FaultPlan::none`] that is plain schedule execution; a
+//! seeded, fully deterministic [`FaultPlan`] injects three kinds of
+//! trouble:
 //!
 //! * **transient transfer failures** — retried with capped exponential
 //!   backoff up to a per-transfer attempt budget,
@@ -22,8 +26,8 @@
 //! The delivery invariant, enforced across a 200-seed fault campaign by
 //! proptest: pairs whose endpoints survive receive **exactly** their bytes,
 //! no pair ever over-delivers, every spliced schedule passes
-//! [`kpbs::validate`], and a zero-fault run is byte-identical to plain
-//! schedule execution.
+//! [`kpbs::validate`], and a zero-fault run executes exactly the steps of
+//! [`PlanRecord::step_ops`].
 //!
 //! # Quickstart
 //!
@@ -62,4 +66,6 @@ pub use runtime::{
     plan_and_execute, plan_and_execute_observed, plan_and_execute_topo, ExecConfig, ExecError,
     ExecMetrics, ExecReport, ExecutedStep, Runtime,
 };
-pub use transport::{LoopbackTransport, SimTransport, StepFaults, TransferOp, Transport};
+pub use transport::{
+    LoopbackTransport, MpiTransport, SimTransport, StepFaults, TransferOp, Transport,
+};

@@ -42,7 +42,7 @@ fn main() {
     };
 
     let brute = brute_force_time(&traffic, &spec, &lossy);
-    println!("brute-force TCP : {:>8.2} s", brute.total_seconds);
+    println!("brute-force TCP : {brute:>8.2} s");
 
     for algo in [Algo::Ggp, Algo::Oggp] {
         let plan = Planner::new(algo).plan(&traffic, &platform);
@@ -51,9 +51,9 @@ fn main() {
             "{:>15?} : {:>8.2} s ({} steps, ratio to bound {:.4}, {:+.1}% vs brute force)",
             algo,
             run.total_seconds,
-            run.num_steps,
+            run.steps.len(),
             plan.evaluation_ratio(),
-            (run.total_seconds / brute.total_seconds - 1.0) * 100.0
+            (run.total_seconds / brute - 1.0) * 100.0
         );
     }
 
@@ -65,7 +65,7 @@ fn main() {
             seed,
             record_trace: false,
         };
-        let t = brute_force_time(&traffic, &spec, &cfg).total_seconds;
+        let t = brute_force_time(&traffic, &spec, &cfg);
         println!("  seed {seed}: {t:.2} s");
     }
 }

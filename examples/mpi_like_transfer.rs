@@ -1,7 +1,9 @@
 //! Run a schedule on the threaded MPI-like runtime: ranks are threads, the
 //! NICs and backbone are token buckets (the `rshaper` stand-in), sends are
-//! synchronous and steps are separated by barriers — the in-process version
-//! of the paper's MPICH experiments, moving real bytes.
+//! synchronous and each step is one barrier-aligned run of the world — the
+//! in-process version of the paper's MPICH experiments, moving real bytes
+//! through the same executor (`redistexec::Runtime`) every schedule runs
+//! through.
 //!
 //! ```sh
 //! cargo run --release --example mpi_like_transfer
@@ -45,7 +47,9 @@ fn main() {
     let scheduled = plan.execute_threaded(fabric);
     println!(
         "scheduled (OGGP): {:>6.3} s wall clock, {} steps, {} bytes verified",
-        scheduled.seconds, scheduled.steps, scheduled.bytes_moved
+        scheduled.total_seconds,
+        scheduled.steps.len(),
+        scheduled.delivered.total_bytes()
     );
 
     let brute = run_brute_force(&traffic, fabric);
@@ -55,7 +59,7 @@ fn main() {
     );
     println!(
         "scheduled is {:+.1}% vs brute force",
-        (scheduled.seconds / brute.seconds - 1.0) * 100.0
+        (scheduled.total_seconds / brute.seconds - 1.0) * 100.0
     );
     // Note: the in-process fabric is a lossless token-bucket — it arbitrates
     // fairly without TCP's retransmission overhead — so the two modes come

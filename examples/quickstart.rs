@@ -74,8 +74,10 @@ fn main() {
 
     // And simulate it on the platform's network.
     let report = plan.simulate_ideal();
+    let steps = report.steps.len();
     println!(
-        "\nsimulated execution: {:.2} s across {} steps ({:.2} s of barriers)",
-        report.total_seconds, report.num_steps, report.barrier_seconds
+        "\nsimulated execution: {:.2} s across {steps} steps ({:.2} s of barriers)",
+        report.total_seconds,
+        plan.beta_seconds * steps as f64
     );
 }

@@ -259,9 +259,11 @@ fn main() {
         }
         if opt_flag(&args, "simulate") || trace_path.is_some() {
             let r = plan.simulate_ideal();
+            let steps = r.steps.len();
             println!(
-                "simulated on the platform network: {:.2} s over {} steps ({:.2} s barriers)",
-                r.total_seconds, r.num_steps, r.barrier_seconds
+                "simulated on the platform network: {:.2} s over {steps} steps ({:.2} s barriers)",
+                r.total_seconds,
+                plan.beta_seconds * steps as f64
             );
         }
         if opt_flag(&args, "compare") {

@@ -4,8 +4,8 @@
 //! Efficient Message Scheduling Algorithms for Data Redistribution through a
 //! Backbone* (IPDPS 2004): the **K-PBS** scheduling problem, its **GGP** and
 //! **OGGP** 2-approximation algorithms, and everything needed to evaluate
-//! them — a bipartite-graph library, a fluid network simulator, and an
-//! MPI-like threaded runtime.
+//! them — a bipartite-graph library, a fluid network simulator, an MPI-like
+//! threaded runtime, and one executor that runs schedules over either.
 //!
 //! The constituent crates are re-exported:
 //!
@@ -13,12 +13,15 @@
 //! * [`kpbs`] — the schedulers, bounds, baselines and extensions,
 //! * [`flowsim`] — the discrete-event network simulator,
 //! * [`mpilite`] — the threaded message-passing runtime,
+//! * [`redistexec`] — the executor every schedule runs through (fault-free
+//!   or under injected faults), over a simulated or a threaded transport,
 //! * [`telemetry`] — spans, deterministic work counters, trace export.
 //!
 //! The [`Planner`]/[`Plan`] pair on this crate is the "fully working
 //! redistribution library" of the paper's conclusion: hand it a traffic
 //! matrix and a platform description, get a feasible schedule, inspect its
-//! cost against the lower bound, then run it — simulated or threaded.
+//! cost against the lower bound, then run it — simulated or threaded, both
+//! through [`redistexec::Runtime`].
 //!
 //! ```
 //! use redistribute::{Algo, Planner};
@@ -42,15 +45,19 @@ pub use bipartite;
 pub use flowsim;
 pub use kpbs;
 pub use mpilite;
+pub use redistexec;
 pub use telemetry;
 
 pub use kpbs::Algo;
 
 pub mod cli;
 
-use flowsim::{ExecutionReport, NetworkSpec, SimConfig};
+use flowsim::{NetworkSpec, SimConfig};
 use kpbs::traffic::TickScale;
 use kpbs::{Instance, Platform, Schedule, TrafficMatrix};
+use redistexec::{
+    ExecConfig, ExecReport, FaultPlan, MpiTransport, Runtime, SimTransport, Transport,
+};
 
 /// Builds [`Plan`]s from traffic matrices.
 #[derive(Debug, Clone, Copy)]
@@ -145,24 +152,17 @@ impl Plan {
 
     /// Simulates the plan on the platform's network with an ideal fluid
     /// transport.
-    pub fn simulate_ideal(&self) -> ExecutionReport {
+    pub fn simulate_ideal(&self) -> ExecReport {
         self.simulate(
             &NetworkSpec::from_platform(&self.platform),
             &SimConfig::default(),
         )
     }
 
-    /// Simulates the plan on an arbitrary network and transport model.
-    pub fn simulate(&self, spec: &NetworkSpec, config: &SimConfig) -> ExecutionReport {
-        flowsim::scheduled_time(
-            &self.traffic,
-            &self.instance,
-            &self.endpoints,
-            &self.schedule,
-            spec,
-            self.beta_seconds,
-            config,
-        )
+    /// Simulates the plan on an arbitrary network and transport model:
+    /// each step's flows run on the fluid engine, β is paid per step.
+    pub fn simulate(&self, spec: &NetworkSpec, config: &SimConfig) -> ExecReport {
+        self.execute(SimTransport::new(spec.clone(), config.clone()))
     }
 
     /// ASCII Gantt chart of the schedule (see [`Schedule::gantt`]).
@@ -182,15 +182,29 @@ impl Plan {
     }
 
     /// Executes the plan on the threaded MPI-like runtime, moving real
-    /// bytes; returns the measured wall-clock report.
-    pub fn execute_threaded(&self, fabric: mpilite::FabricConfig) -> mpilite::RunnerReport {
-        mpilite::run_schedule(
-            &self.traffic,
-            &self.instance,
-            &self.endpoints,
-            &self.schedule,
-            fabric,
-        )
+    /// bytes; each step's duration is measured wall-clock time, and β is
+    /// paid per step on top.
+    pub fn execute_threaded(&self, fabric: mpilite::FabricConfig) -> ExecReport {
+        let (n1, n2) = (self.platform.n1, self.platform.n2);
+        self.execute(MpiTransport::new(n1, n2, fabric))
+    }
+
+    /// Runs the plan fault-free through [`Runtime`] over `transport`. No
+    /// step timeout applies: a plain run never aborts or replans.
+    fn execute<T: Transport>(&self, transport: T) -> ExecReport {
+        let config = ExecConfig {
+            step_timeout_seconds: f64::INFINITY,
+            ..ExecConfig::default()
+        };
+        Runtime::new(transport, FaultPlan::none(), config)
+            .execute(
+                &self.traffic,
+                &self.platform,
+                self.beta_seconds,
+                self.scale,
+                &self.schedule,
+            )
+            .expect("a fault-free run of a validated plan completes")
     }
 }
 

@@ -1,6 +1,7 @@
 //! End-to-end integration: traffic matrix → platform → schedule →
-//! execution, across all three execution paths (analytic cost, fluid
-//! simulation, threaded runtime).
+//! execution. The analytic cost is checked against the one executor
+//! (`redistexec::Runtime`) over both of its network transports: the fluid
+//! simulation and the threaded runtime moving real bytes.
 
 use redistribute::flowsim::{NetworkSpec, SimConfig};
 use redistribute::kpbs::{Platform, TrafficMatrix};
@@ -46,8 +47,14 @@ fn plan_simulate_execute_agree() {
         chunk_bytes: 64 * 1024,
     };
     let run = plan.execute_threaded(fabric);
-    assert_eq!(run.bytes_moved, traffic.total_bytes());
-    assert_eq!(run.steps, plan.schedule.num_steps());
+    run.verify_against(&traffic).unwrap();
+    assert_eq!(run.delivered.total_bytes(), traffic.total_bytes());
+    assert_eq!(run.steps.len(), plan.schedule.num_steps());
+    assert_eq!(
+        sim.steps.len(),
+        run.steps.len(),
+        "both transports run every step"
+    );
 }
 
 #[test]

@@ -4,10 +4,10 @@
 //! continuous test.
 
 use rand::{rngs::SmallRng, SeedableRng};
-use redistribute::flowsim::{brute_force_time, scheduled_time, NetworkSpec, SimConfig, TcpModel};
+use redistribute::flowsim::{brute_force_time, NetworkSpec, SimConfig, TcpModel};
 use redistribute::kpbs::stats::{run_campaign, CampaignConfig, KChoice};
-use redistribute::kpbs::traffic::TickScale;
-use redistribute::kpbs::{ggp, oggp, Platform, TrafficMatrix};
+use redistribute::kpbs::{Platform, TrafficMatrix};
+use redistribute::{Algo, Planner};
 
 /// Figure 7 shape: small weights (U[1,20], β = 1). OGGP's average beats
 /// GGP's; worst cases stay well under the 2-approximation ceiling.
@@ -101,16 +101,14 @@ fn figures_10_11_shape() {
         let spec = NetworkSpec::from_platform(&platform);
         let mut rng = SmallRng::seed_from_u64(1100 + k as u64);
         let traffic = TrafficMatrix::uniform_mb(&mut rng, 10, 10, 10, 40);
-        let (inst, endpoints) = traffic.to_instance(&platform, 0.05, TickScale::MILLIS);
-        let schedule = oggp(&inst);
+        let plan = Planner::new(Algo::Oggp).plan(&traffic, &platform);
         let lossy = SimConfig {
             tcp: TcpModel::default(),
             seed: 0,
             record_trace: false,
         };
-        let brute = brute_force_time(&traffic, &spec, &lossy).total_seconds;
-        let sched = scheduled_time(&traffic, &inst, &endpoints, &schedule, &spec, 0.05, &lossy)
-            .total_seconds;
+        let brute = brute_force_time(&traffic, &spec, &lossy);
+        let sched = plan.simulate(&spec, &lossy).total_seconds;
         let gain = 1.0 - sched / brute;
         assert!(
             (0.02..0.35).contains(&gain),
@@ -129,18 +127,13 @@ fn steps_and_time_claim() {
     let spec = NetworkSpec::from_platform(&platform);
     let mut rng = SmallRng::seed_from_u64(55);
     let traffic = TrafficMatrix::uniform_mb(&mut rng, 10, 10, 10, 40);
-    let (inst, endpoints) = traffic.to_instance(&platform, 0.05, TickScale::MILLIS);
-    let sg = ggp(&inst);
-    let so = oggp(&inst);
-    assert!(
-        (so.num_steps() as f64) < 0.7 * sg.num_steps() as f64,
-        "OGGP {} steps vs GGP {}",
-        so.num_steps(),
-        sg.num_steps()
-    );
+    let pg = Planner::new(Algo::Ggp).plan(&traffic, &platform);
+    let po = Planner::new(Algo::Oggp).plan(&traffic, &platform);
+    let (sg, so) = (pg.schedule.num_steps(), po.schedule.num_steps());
+    assert!((so as f64) < 0.7 * sg as f64, "OGGP {so} steps vs GGP {sg}");
     let cfg = SimConfig::default();
-    let tg = scheduled_time(&traffic, &inst, &endpoints, &sg, &spec, 0.05, &cfg).total_seconds;
-    let to = scheduled_time(&traffic, &inst, &endpoints, &so, &spec, 0.05, &cfg).total_seconds;
+    let tg = pg.simulate(&spec, &cfg).total_seconds;
+    let to = po.simulate(&spec, &cfg).total_seconds;
     let rel = (tg - to).abs() / tg;
     assert!(rel < 0.1, "GGP {tg} vs OGGP {to}: should be close");
 }
@@ -153,8 +146,7 @@ fn determinism_claim() {
     let spec = NetworkSpec::from_platform(&platform);
     let mut rng = SmallRng::seed_from_u64(66);
     let traffic = TrafficMatrix::uniform_mb(&mut rng, 10, 10, 10, 30);
-    let (inst, endpoints) = traffic.to_instance(&platform, 0.05, TickScale::MILLIS);
-    let schedule = oggp(&inst);
+    let plan = Planner::new(Algo::Oggp).plan(&traffic, &platform);
 
     let mut brutes = Vec::new();
     let mut scheds = Vec::new();
@@ -164,10 +156,8 @@ fn determinism_claim() {
             seed,
             record_trace: false,
         };
-        brutes.push(brute_force_time(&traffic, &spec, &cfg).total_seconds);
-        scheds.push(
-            scheduled_time(&traffic, &inst, &endpoints, &schedule, &spec, 0.05, &cfg).total_seconds,
-        );
+        brutes.push(brute_force_time(&traffic, &spec, &cfg));
+        scheds.push(plan.simulate(&spec, &cfg).total_seconds);
     }
     let bmin = brutes.iter().cloned().fold(f64::INFINITY, f64::min);
     let bmax = brutes.iter().cloned().fold(0.0, f64::max);
