@@ -3,7 +3,7 @@
 # test suite (which includes the deterministic work-counter regression
 # test and the serving, session and heterogeneous-topology invariants),
 # the wall-clock delta-replan gate, a live-daemon smoke, the planner-scale
-# and fault-campaign smokes, and the end-to-end benchmark crate's tests and
+# smoke, and the end-to-end benchmark crate's tests and
 # smoke run. Report output goes to target/check/, so a run leaves the tree
 # clean. Fails fast: the first failing step aborts the run with a banner
 # naming it.
@@ -82,10 +82,6 @@ rm -f "$PORT_FILE" "$FLIGHT_DUMP"
 
 banner "hierarchical-planner scale smoke (scale_bench --smoke, n=256 only)"
 cargo run --release -p bench --bin scale_bench -- --smoke
-
-banner "execution-runtime fault campaign (redistexec -> target/check/BENCH_exec.json)"
-cargo run --release -p redistexec --bin redistexec -- \
-  --bench --seeds 40 --out target/check/BENCH_exec.json
 
 banner "end-to-end benchmark crate (its tests + --smoke against the current product API)"
 # `benchmark/` is a package of its own that compiles against the product
