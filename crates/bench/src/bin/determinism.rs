@@ -13,9 +13,9 @@
 use bench::{arg_or, row};
 use flowsim::{brute_force_time, NetworkSpec, SimConfig, TcpModel};
 use kpbs::traffic::TickScale;
-use kpbs::{oggp, Platform, TrafficMatrix};
+use kpbs::{oggp, Platform, Topology, TrafficMatrix};
 use rand::{rngs::SmallRng, SeedableRng};
-use redistexec::SimTransport;
+use redistexec::{execute_fault_free, SimTransport};
 
 fn spread(xs: &[f64]) -> (f64, f64, f64) {
     let min = xs.iter().cloned().fold(f64::INFINITY, f64::min);
@@ -33,6 +33,7 @@ fn main() {
     let traffic = TrafficMatrix::uniform_mb(&mut rng, 10, 10, 10, 40);
     let (inst, _) = traffic.to_instance(&platform, 0.05, TickScale::MILLIS);
     let schedule = oggp(&inst);
+    let topo = Topology::from_platform(&platform);
 
     let mut brute = Vec::new();
     let mut sched = Vec::new();
@@ -44,7 +45,15 @@ fn main() {
         };
         brute.push(brute_force_time(&traffic, &spec, &cfg));
         let transport = SimTransport::new(spec.clone(), cfg);
-        sched.push(bench::execute(transport, &traffic, &platform, 0.05, &schedule).total_seconds);
+        let report = execute_fault_free(
+            transport,
+            &traffic,
+            &topo,
+            0.05,
+            TickScale::MILLIS,
+            &schedule,
+        );
+        sched.push(report.total_seconds);
     }
 
     let (bmin, bmean, bmax) = spread(&brute);

@@ -15,13 +15,14 @@
 use bench::{arg_or, f2, flag, row};
 use flowsim::{brute_force_time, NetworkSpec, SimConfig, TcpModel};
 use kpbs::traffic::TickScale;
-use kpbs::{ggp, oggp, Platform, TrafficMatrix};
+use kpbs::{ggp, oggp, Platform, Topology, TrafficMatrix};
 use rand::{rngs::SmallRng, SeedableRng};
-use redistexec::SimTransport;
+use redistexec::{execute_fault_free, SimTransport};
 
 fn figure(k: usize, seeds: u64, beta: f64, csv: bool) {
     let platform = Platform::testbed(k);
     let spec = NetworkSpec::from_platform(&platform);
+    let topo = Topology::from_platform(&platform);
     if csv {
         println!("k,n_mb,brute_s,ggp_s,oggp_s,ggp_gain_pct,oggp_gain_pct,ggp_steps,oggp_steps");
     } else {
@@ -67,7 +68,15 @@ fn figure(k: usize, seeds: u64, beta: f64, csv: bool) {
         };
         let scheduled = |schedule| {
             let transport = SimTransport::new(spec.clone(), lossy.clone());
-            bench::execute(transport, &traffic, &platform, beta, schedule).total_seconds
+            execute_fault_free(
+                transport,
+                &traffic,
+                &topo,
+                beta,
+                TickScale::MILLIS,
+                schedule,
+            )
+            .total_seconds
         };
         let (tg, to) = (scheduled(&sg), scheduled(&so));
 

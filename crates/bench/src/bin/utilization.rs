@@ -16,9 +16,9 @@ use bench::{arg_or, row};
 use flowsim::network::BYTES_PER_S_PER_MBPS;
 use flowsim::{brute_force_run, NetworkSpec, SimConfig, TcpModel};
 use kpbs::traffic::TickScale;
-use kpbs::{oggp, Platform, TrafficMatrix};
+use kpbs::{oggp, Platform, Topology, TrafficMatrix};
 use rand::{rngs::SmallRng, SeedableRng};
-use redistexec::SimTransport;
+use redistexec::{execute_fault_free, SimTransport};
 
 fn main() {
     let hi_mb: u64 = arg_or("size", 40);
@@ -55,7 +55,15 @@ fn main() {
             ..cfg
         };
         let transport = SimTransport::new(spec, untraced);
-        let sched = bench::execute(transport, &traffic, &platform, 0.05, &schedule);
+        let topo = Topology::from_platform(&platform);
+        let sched = execute_fault_free(
+            transport,
+            &traffic,
+            &topo,
+            0.05,
+            TickScale::MILLIS,
+            &schedule,
+        );
         row(&[
             k.to_string(),
             format!("{:.1}%", util * 100.0),

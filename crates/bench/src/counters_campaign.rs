@@ -15,10 +15,10 @@
 use bipartite::generate::complete_graph;
 use kpbs::batch::parallel_map;
 use kpbs::traffic::TickScale;
-use kpbs::{ggp, oggp, Instance, Platform, TrafficMatrix};
+use kpbs::{ggp, oggp, Instance, Platform, Topology, TrafficMatrix};
 use mpilite::FabricConfig;
 use rand::{rngs::SmallRng, SeedableRng};
-use redistexec::{MpiTransport, SimTransport};
+use redistexec::{execute_fault_free, MpiTransport, SimTransport};
 use telemetry::counters::{self, Snapshot};
 
 /// One campaign case: the counter deltas a named phase produced.
@@ -109,10 +109,16 @@ pub fn run(jobs: usize) -> String {
     let traffic = TrafficMatrix::uniform_mb(&mut rng, platform.n1, platform.n2, 1, 5);
     let (inst, _) = traffic.to_instance(&platform, 0.05, TickScale::MILLIS);
     let schedule = oggp(&inst);
+    let topo = Topology::from_platform(&platform);
     record("flowsim_scheduled", &mut || {
         let transport = SimTransport::for_platform(&platform);
-        std::hint::black_box(crate::execute(
-            transport, &traffic, &platform, 0.05, &schedule,
+        std::hint::black_box(execute_fault_free(
+            transport,
+            &traffic,
+            &topo,
+            0.05,
+            TickScale::MILLIS,
+            &schedule,
         ));
     });
 
@@ -128,6 +134,7 @@ pub fn run(jobs: usize) -> String {
     let mplatform = Platform::new(4, 4, 100.0, 100.0, 200.0);
     let (minst, _) = small.to_instance(&mplatform, 0.0, TickScale::MILLIS);
     let mschedule = oggp(&minst);
+    let mtopo = Topology::from_platform(&mplatform);
     let fabric = FabricConfig {
         out_bytes_per_s: 2e9,
         in_bytes_per_s: 2e9,
@@ -136,8 +143,13 @@ pub fn run(jobs: usize) -> String {
     };
     record("mpilite_scheduled", &mut || {
         let transport = MpiTransport::new(4, 4, fabric);
-        std::hint::black_box(crate::execute(
-            transport, &small, &mplatform, 0.0, &mschedule,
+        std::hint::black_box(execute_fault_free(
+            transport,
+            &small,
+            &mtopo,
+            0.0,
+            TickScale::MILLIS,
+            &mschedule,
         ));
     });
 

@@ -1,41 +1,13 @@
 //! Shared helpers for the figure-regeneration and study binaries: tiny CLI
-//! parsing and table printing (kept dependency-free), fault-free schedule
-//! execution through the one executor ([`execute`]), plus the fixed-seed
+//! parsing and table printing (kept dependency-free), plus the fixed-seed
 //! work-counter campaign ([`counters_campaign`]) and schedule-digest
-//! campaign ([`schedules_campaign`]).
+//! campaign ([`schedules_campaign`]). Schedules run through
+//! [`redistexec::execute_fault_free`].
 
 #![forbid(unsafe_code)]
 
 pub mod counters_campaign;
 pub mod schedules_campaign;
-
-use kpbs::traffic::TickScale;
-use kpbs::{Platform, Schedule, TrafficMatrix};
-use redistexec::{ExecConfig, ExecReport, FaultPlan, Runtime, Transport};
-
-/// Executes `schedule` — planned for `traffic` on `platform` with setup
-/// delay `beta_seconds` at millisecond ticks — fault-free through
-/// [`Runtime`] over `transport`: the paper's scheduled arm, β paid per step.
-///
-/// # Panics
-///
-/// Panics when the schedule does not validate against the traffic's
-/// instance.
-pub fn execute<T: Transport>(
-    transport: T,
-    traffic: &TrafficMatrix,
-    platform: &Platform,
-    beta_seconds: f64,
-    schedule: &Schedule,
-) -> ExecReport {
-    let config = ExecConfig {
-        step_timeout_seconds: f64::INFINITY,
-        ..ExecConfig::default()
-    };
-    Runtime::new(transport, FaultPlan::none(), config)
-        .execute(traffic, platform, beta_seconds, TickScale::MILLIS, schedule)
-        .expect("a fault-free run of a valid schedule completes")
-}
 
 /// Parses `--name value` from `args` (as `std::env::args` yields them):
 /// `default` when the flag is absent, an error naming the flag when its

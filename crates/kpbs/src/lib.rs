@@ -85,7 +85,8 @@ pub use problem::Instance;
 pub use residual::{residual_matrix, restrict_matrix, surviving_residual};
 pub use schedule::{Schedule, Step, Transfer};
 pub use topo::{
-    plan_topology, topo_lower_bound, BackboneSpec, NodeSpec, TopoError, TopoPlan, Topology,
+    plan_topology, topo_instance, topo_lower_bound, BackboneSpec, NodeSpec, TopoError,
+    TopoInstance, TopoPlan, Topology,
 };
 pub use traffic::TrafficMatrix;
 

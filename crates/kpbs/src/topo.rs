@@ -590,12 +590,12 @@ fn route(traffic: &TrafficMatrix, topo: &Topology, scale: TickScale) -> Result<R
     })
 }
 
-/// Groups link indices so that links within a group touch pairwise-disjoint
-/// clusters (their schedules may run in parallel); greedy first-fit in link
-/// order, deterministic for a given topology.
-fn disjoint_groups(topo: &Topology, active: &[usize]) -> Vec<Vec<usize>> {
+/// Groups the links that carry traffic so that links within a group touch
+/// pairwise-disjoint clusters (their schedules may run in parallel);
+/// greedy first-fit in link order, deterministic for a given topology.
+fn disjoint_groups(topo: &Topology, link_edges: &[Vec<EdgeId>]) -> Vec<Vec<usize>> {
     let mut groups: Vec<(Vec<usize>, Vec<usize>)> = Vec::new(); // (links, clusters)
-    for &b in active {
+    for b in (0..topo.links.len()).filter(|&b| !link_edges[b].is_empty()) {
         let (s, d) = topo.links[b].connects;
         match groups
             .iter_mut()
@@ -609,6 +609,49 @@ fn disjoint_groups(topo: &Topology, active: &[usize]) -> Vec<Vec<usize>> {
         }
     }
     groups.into_iter().map(|(links, _)| links).collect()
+}
+
+/// The widest concurrent budget a composition of `groups` uses: the links
+/// of one group run side by side, each under its own `k_b`.
+fn composed_k(groups: &[Vec<usize>], ks: &[usize]) -> usize {
+    groups
+        .iter()
+        .map(|group| group.iter().map(|&b| ks[b]).sum())
+        .fold(1, usize::max)
+}
+
+/// A traffic matrix routed over a topology but not planned: the global
+/// instance [`plan_topology`] schedules, and the `(sender, receiver)` and
+/// byte volume behind each dense edge id.
+#[derive(Debug, Clone)]
+pub struct TopoInstance {
+    /// Every message as an edge weighted by its pair-speed duration; `k`
+    /// is the composed width [`plan_topology`] plans under.
+    pub instance: Instance,
+    /// `(sender rank, receiver rank)` behind each dense edge id.
+    pub endpoints: Vec<(usize, usize)>,
+    /// Byte volume behind each dense edge id.
+    pub bytes: Vec<u64>,
+}
+
+/// Routes `traffic` over `topo` without planning it — the instance a
+/// schedule planned elsewhere is validated against. For non-empty traffic
+/// on the homogeneous two-cluster topology this is exactly
+/// `traffic.to_instance(&platform, …)`.
+pub fn topo_instance(
+    traffic: &TrafficMatrix,
+    topo: &Topology,
+    beta_seconds: f64,
+    scale: TickScale,
+) -> Result<TopoInstance, TopoError> {
+    let routing = route(traffic, topo, scale)?;
+    let ks = topo.link_ks();
+    let k = composed_k(&disjoint_groups(topo, &routing.link_edges), &ks);
+    Ok(TopoInstance {
+        instance: Instance::new(routing.graph, k, scale.to_ticks(beta_seconds)),
+        endpoints: routing.endpoints,
+        bytes: routing.bytes,
+    })
 }
 
 /// Plans `traffic` over `topo`: routes every message to its backbone,
@@ -693,14 +736,10 @@ pub fn plan_topology(
     // Compose: links over disjoint clusters zip step-by-step (the union of
     // matchings over disjoint node sets is a matching); conflicting links
     // run in consecutive groups.
-    let active: Vec<usize> = (0..topo.links.len())
-        .filter(|&b| sub_schedules[b].is_some())
-        .collect();
-    let groups = disjoint_groups(topo, &active);
+    let groups = disjoint_groups(topo, &routing.link_edges);
+    let k_global = composed_k(&groups, &ks);
     let mut out = Schedule::new(beta);
-    let mut k_global = 1usize;
     for group in &groups {
-        k_global = k_global.max(group.iter().map(|&b| ks[b]).sum());
         let longest = group
             .iter()
             .map(|&b| sub_schedules[b].as_ref().map_or(0, |s| s.steps.len()))

@@ -11,12 +11,17 @@
 //! * **Validity**: every heterogeneous (star or multi-backbone) plan passes
 //!   [`kpbs::validate`] against its composed instance and delivers exactly
 //!   the input bytes through the byte-slice apportioning the executor uses.
+//! * **Routing**: [`kpbs::topo_instance`] — the instance a schedule planned
+//!   elsewhere is validated against — is the instance the plan carries, and
+//!   on the homogeneous topology the [`kpbs::Platform`] path's instance.
 //! * **Bound**: no composed schedule's cost ever beats the
 //!   heterogeneity-aware lower bound [`kpbs::topo_lower_bound`].
 
 use kpbs::residual::residual_matrix;
 use kpbs::traffic::TickScale;
-use kpbs::{plan_topology, topo_lower_bound, Algo, Platform, Topology, TrafficMatrix};
+use kpbs::{
+    plan_topology, topo_instance, topo_lower_bound, Algo, Platform, Topology, TrafficMatrix,
+};
 use proptest::prelude::*;
 
 /// A random homogeneous workload: cluster sizes, uniform speeds, a backbone
@@ -95,6 +100,10 @@ proptest! {
         let reduced = topo.as_platform();
         prop_assert_eq!(reduced.as_ref(), Some(&platform));
         let (instance, endpoints) = traffic.to_instance(&platform, beta, TickScale::MILLIS);
+        let routed = topo_instance(&traffic, &topo, beta, TickScale::MILLIS)
+            .map_err(|e| TestCaseError::fail(format!("routing failed: {e}")))?;
+        prop_assert_eq!(format!("{:?}", routed.instance), format!("{instance:?}"));
+        prop_assert_eq!(&routed.endpoints, &endpoints, "routed edge numbering diverged");
         for algo in Algo::NAMES.map(|n| n.parse::<Algo>().unwrap()) {
             let plan = plan_topology(&traffic, &topo, beta, TickScale::MILLIS, algo)
                 .map_err(|e| TestCaseError::fail(format!("{algo}: topo planning failed: {e}")))?;
@@ -114,9 +123,14 @@ proptest! {
     fn heterogeneous_plans_validate_and_deliver_exactly(
         (topo, traffic, beta) in heterogeneous_strategy(),
     ) {
+        let routed = topo_instance(&traffic, &topo, beta, TickScale::MILLIS)
+            .map_err(|e| TestCaseError::fail(format!("routing failed: {e}")))?;
         for algo in Algo::NAMES.map(|n| n.parse::<Algo>().unwrap()) {
             let plan = plan_topology(&traffic, &topo, beta, TickScale::MILLIS, algo)
                 .map_err(|e| TestCaseError::fail(format!("{algo}: topo planning failed: {e}")))?;
+            prop_assert_eq!(format!("{:?}", routed.instance), format!("{:?}", plan.instance));
+            prop_assert_eq!(&routed.endpoints, &plan.endpoints);
+            prop_assert_eq!(&routed.bytes, &plan.bytes);
             prop_assert!(
                 plan.schedule.validate(&plan.instance).is_ok(),
                 "{} composed schedule failed kpbs::validate", algo

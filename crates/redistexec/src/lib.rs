@@ -1,13 +1,16 @@
 //! Execution of K-PBS schedules, fault-free or fault-tolerant.
 //!
 //! The planners in [`kpbs`] answer *what to send when*; this crate drives
-//! such a plan to completion. [`Runtime`] is the one place a schedule meets
-//! a network: it walks the schedule step by step — β paid per step, steps
-//! separated by a barrier, as in the paper's MPICH runs (§5) — over a
-//! pluggable [`Transport`]: [`LoopbackTransport`] (analytic 1-port timing),
-//! [`SimTransport`] (the [`flowsim`] max–min fair fluid engine) or
-//! [`MpiTransport`] (real bytes through [`mpilite`]'s shaped threaded
-//! fabric). With [`FaultPlan::none`] that is plain schedule execution; a
+//! such a plan to completion. The network is always a [`kpbs::Topology`]:
+//! the paper's two clusters and one backbone are
+//! [`Topology::from_platform`](kpbs::Topology::from_platform), stars and
+//! multi-backbone platforms are the general case. [`Runtime`] is the one
+//! place a schedule meets a network: it walks the schedule step by step —
+//! β paid per step, steps separated by a barrier, as in the paper's MPICH
+//! runs (§5) — over a pluggable [`Transport`]: [`LoopbackTransport`]
+//! (analytic 1-port timing), [`SimTransport`] (the [`flowsim`] max–min
+//! fair fluid engine) or [`MpiTransport`] (real bytes through
+//! [`mpilite`]'s shaped threaded fabric). With [`FaultPlan::none`] that is plain schedule execution; a
 //! seeded, fully deterministic [`FaultPlan`] injects three kinds of
 //! trouble:
 //!
@@ -20,8 +23,10 @@
 //! Whenever a failure cannot be retried away, the runtime computes the
 //! *residual* traffic matrix — original demand minus the transport's
 //! delivery ledger, restricted to surviving nodes (see [`kpbs::residual`])
-//! — re-plans it with the configured [`kpbs::Algo`], validates the fresh
-//! schedule and splices its steps in place of everything not yet executed.
+//! — re-plans it over the same topology with the configured [`kpbs::Algo`]
+//! ([`plan_topo`], the planner of the initial plan too), validates the
+//! fresh schedule and splices its steps in place of everything not yet
+//! executed.
 //!
 //! The delivery invariant, enforced across a 200-seed fault campaign by
 //! proptest: pairs whose endpoints survive receive **exactly** their bytes,
@@ -32,19 +37,19 @@
 //! # Quickstart
 //!
 //! ```
-//! use kpbs::{Platform, TrafficMatrix, traffic::TickScale};
-//! use redistexec::{plan_and_execute, ExecConfig, FaultPlan, FaultSpec, LoopbackTransport};
+//! use kpbs::{Topology, TrafficMatrix, traffic::TickScale};
+//! use redistexec::{plan_and_execute_topo, ExecConfig, FaultPlan, FaultSpec, LoopbackTransport};
 //!
-//! let platform = Platform::new(3, 3, 100.0, 100.0, 200.0);
+//! let topo = Topology::two_cluster(3, 3, 100.0, 100.0, 200.0);
 //! let mut traffic = TrafficMatrix::zeros(3, 3);
 //! traffic.set(0, 0, 10_000_000);
 //! traffic.set(1, 2, 25_000_000);
 //! traffic.set(2, 1, 5_000_000);
 //!
 //! let faults = FaultPlan::generate(7, 3, 3, &FaultSpec::default());
-//! let transport = LoopbackTransport::for_platform(&platform);
-//! let (_, report) = plan_and_execute(
-//!     &traffic, &platform, 0.05, TickScale::MILLIS,
+//! let transport = LoopbackTransport::for_topology(&topo);
+//! let (_, report) = plan_and_execute_topo(
+//!     &traffic, &topo, 0.05, TickScale::MILLIS,
 //!     transport, faults, ExecConfig::default(),
 //! ).unwrap();
 //! report.verify_against(&traffic).unwrap();
@@ -60,11 +65,11 @@ pub mod runtime;
 pub mod transport;
 
 pub use faults::{FaultPlan, FaultSpec, NodeRef};
-pub use replan::{plan, plan_topo, PlanRecord};
+pub use replan::{plan_topo, PlanRecord};
 pub use residual::{outstanding, Liveness};
 pub use runtime::{
-    plan_and_execute, plan_and_execute_observed, plan_and_execute_topo, ExecConfig, ExecError,
-    ExecMetrics, ExecReport, ExecutedStep, Runtime,
+    execute_fault_free, plan_and_execute_topo, ExecConfig, ExecError, ExecMetrics, ExecReport,
+    ExecutedStep, Runtime,
 };
 pub use transport::{
     LoopbackTransport, MpiTransport, SimTransport, StepFaults, TransferOp, Transport,

@@ -1,14 +1,16 @@
-//! Planning and re-planning traffic with any [`Algo`].
+//! Planning and re-planning traffic with any [`Algo`] over a [`Topology`].
 //!
 //! Both the initial plan and every residual replan go through the same entry
-//! point: matrix → [`kpbs::TrafficMatrix::to_instance`] → [`Algo::plan`] →
-//! [`kpbs::Schedule::validate`] → byte-valued steps. Each plan records the
+//! point, [`plan_topo`]: matrix → [`kpbs::plan_topology`] (route, plan every
+//! backbone under its own `k_b`, compose, validate) → byte-valued steps.
+//! The paper's platform is the two-cluster topology
+//! ([`Topology::from_platform`]), on which the plan is byte-identical to
+//! [`Algo::plan`] of [`TrafficMatrix::to_instance`]. Each plan records the
 //! caller's `local_snapshot` work-counter delta, which includes the work of
 //! any fan-out inside the planner (see [`kpbs::batch`]).
 
 use crate::transport::TransferOp;
-use kpbs::validate::ValidationError;
-use kpbs::{plan_topology, Algo, Instance, Platform, Schedule, TrafficMatrix};
+use kpbs::{plan_topology, Algo, Instance, Schedule, TrafficMatrix};
 use kpbs::{TopoError, Topology};
 use telemetry::counters::{self, Snapshot};
 
@@ -51,36 +53,11 @@ impl PlanRecord {
     }
 }
 
-/// Plans `traffic` on `platform` with the chosen algorithm and validates
-/// the result. Used for the initial plan and for every residual replan.
-pub fn plan(
-    traffic: &TrafficMatrix,
-    platform: &Platform,
-    beta_seconds: f64,
-    scale: kpbs::traffic::TickScale,
-    algo: Algo,
-) -> Result<PlanRecord, ValidationError> {
-    let (instance, endpoints) = traffic.to_instance(platform, beta_seconds, scale);
-    let bytes: Vec<u64> = endpoints.iter().map(|&(i, j)| traffic.get(i, j)).collect();
-    let before = counters::local_snapshot();
-    let schedule = algo.plan(&instance);
-    let work = counters::local_snapshot().delta(&before);
-    schedule.validate(&instance)?;
-    Ok(PlanRecord {
-        instance,
-        endpoints,
-        bytes,
-        schedule,
-        work,
-    })
-}
-
-/// Plans `traffic` over a heterogeneous [`Topology`] with the chosen
-/// algorithm: every traffic block is routed to its governing backbone,
-/// planned under that backbone's own preemption bound `k_b`, and the
-/// per-link schedules are composed and validated ([`kpbs::plan_topology`]).
-/// The work snapshot captures the planning round's counter delta the same
-/// way [`plan`] does.
+/// Plans `traffic` over `topo` with the chosen algorithm: every traffic
+/// block is routed to its governing backbone, planned under that backbone's
+/// own preemption bound `k_b`, and the per-link schedules are composed and
+/// validated ([`kpbs::plan_topology`]). Used for the initial plan and for
+/// every residual replan.
 pub fn plan_topo(
     traffic: &TrafficMatrix,
     topo: &Topology,
@@ -104,6 +81,7 @@ pub fn plan_topo(
 mod tests {
     use super::*;
     use kpbs::traffic::TickScale;
+    use kpbs::Platform;
 
     fn traffic() -> (TrafficMatrix, Platform) {
         let mut m = TrafficMatrix::zeros(3, 3);
@@ -117,8 +95,9 @@ mod tests {
     #[test]
     fn plan_validates_and_covers_bytes() {
         let (m, p) = traffic();
+        let topo = Topology::from_platform(&p);
         for algo in Algo::NAMES.map(|n| n.parse::<Algo>().unwrap()) {
-            let rec = plan(&m, &p, 0.05, TickScale::MILLIS, algo).unwrap();
+            let rec = plan_topo(&m, &topo, 0.05, TickScale::MILLIS, algo).unwrap();
             assert!(rec.schedule.validate(&rec.instance).is_ok());
             // Per-pair byte sums across step ops equal the matrix exactly.
             let mut seen = TrafficMatrix::zeros(3, 3);
@@ -135,12 +114,13 @@ mod tests {
     fn plan_topo_homogeneous_matches_platform_plan() {
         let (m, p) = traffic();
         let topo = Topology::from_platform(&p);
+        let (instance, endpoints) = m.to_instance(&p, 0.05, TickScale::MILLIS);
+        let bytes: Vec<u64> = endpoints.iter().map(|&(i, j)| m.get(i, j)).collect();
         for algo in Algo::NAMES.map(|n| n.parse::<Algo>().unwrap()) {
-            let flat = plan(&m, &p, 0.05, TickScale::MILLIS, algo).unwrap();
             let via_topo = plan_topo(&m, &topo, 0.05, TickScale::MILLIS, algo).unwrap();
-            assert_eq!(via_topo.schedule, flat.schedule, "{algo:?} oracle");
-            assert_eq!(via_topo.endpoints, flat.endpoints);
-            assert_eq!(via_topo.bytes, flat.bytes);
+            assert_eq!(via_topo.schedule, algo.plan(&instance), "{algo:?} oracle");
+            assert_eq!(via_topo.endpoints, endpoints);
+            assert_eq!(via_topo.bytes, bytes);
         }
     }
 
@@ -170,10 +150,10 @@ mod tests {
 
     #[test]
     fn empty_matrix_plans_to_empty_schedule() {
-        let p = Platform::new(2, 2, 100.0, 100.0, 200.0);
-        let rec = plan(
+        let topo = Topology::two_cluster(2, 2, 100.0, 100.0, 200.0);
+        let rec = plan_topo(
             &TrafficMatrix::zeros(2, 2),
-            &p,
+            &topo,
             0.05,
             TickScale::MILLIS,
             Algo::Oggp,

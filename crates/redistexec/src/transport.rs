@@ -148,6 +148,13 @@ impl LoopbackTransport {
     pub fn for_platform(p: &Platform) -> Self {
         LoopbackTransport::new(p.n1, p.n2, p.transfer_speed() * 1e6 / 8.0)
     }
+
+    /// A loopback transport at the slowest sender–receiver pair speed of
+    /// `topo` ([`Topology::slowest_platform`]); on the two-cluster topology
+    /// exactly [`LoopbackTransport::for_platform`].
+    pub fn for_topology(topo: &Topology) -> Self {
+        LoopbackTransport::for_platform(&topo.slowest_platform())
+    }
 }
 
 impl Transport for LoopbackTransport {

@@ -19,8 +19,7 @@ use kpbs::traffic::TickScale;
 use kpbs::{topo_lower_bound, Algo, Platform, Topology, TrafficMatrix};
 use proptest::prelude::*;
 use redistexec::{
-    plan_and_execute, plan_and_execute_topo, ExecConfig, FaultPlan, FaultSpec, LoopbackTransport,
-    SimTransport,
+    plan_and_execute_topo, ExecConfig, FaultPlan, FaultSpec, LoopbackTransport, SimTransport,
 };
 
 /// A random workload small enough to plan 200 times but rich enough to
@@ -118,9 +117,9 @@ proptest! {
             ..ExecConfig::default()
         };
         let transport = LoopbackTransport::for_platform(&platform);
-        let (initial, report) = plan_and_execute(
+        let (initial, report) = plan_and_execute_topo(
             &traffic,
-            &platform,
+            &Topology::from_platform(&platform),
             beta,
             TickScale::MILLIS,
             transport,
@@ -149,8 +148,8 @@ proptest! {
                 "spliced schedule failed kpbs::validate"
             );
         }
-        // The initial plan validated too (plan_and_execute guarantees it,
-        // but the invariant is cheap to restate).
+        // The initial plan validated too (the planner guarantees it, but
+        // the invariant is cheap to restate).
         prop_assert!(initial.schedule.validate(&initial.instance).is_ok());
     }
 
@@ -159,9 +158,9 @@ proptest! {
         (traffic, platform, beta) in workload_strategy(),
     ) {
         let transport = LoopbackTransport::for_platform(&platform);
-        let (initial, report) = plan_and_execute(
+        let (initial, report) = plan_and_execute_topo(
             &traffic,
-            &platform,
+            &Topology::from_platform(&platform),
             beta,
             TickScale::MILLIS,
             transport,

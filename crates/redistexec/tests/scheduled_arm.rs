@@ -5,12 +5,12 @@
 
 use flowsim::{brute_force_time, NetworkSpec, SimConfig, TcpModel};
 use kpbs::traffic::TickScale;
-use kpbs::{oggp, Algo, Platform, Schedule, TrafficMatrix};
+use kpbs::{oggp, Algo, Platform, Schedule, Topology, TrafficMatrix};
 use mpilite::FabricConfig;
 use rand::{rngs::SmallRng, SeedableRng};
 use redistexec::{
-    plan_and_execute, ExecConfig, ExecReport, FaultPlan, FaultSpec, MpiTransport, Runtime,
-    SimTransport, Transport,
+    execute_fault_free, plan_and_execute_topo, ExecConfig, ExecReport, FaultPlan, FaultSpec,
+    MpiTransport, SimTransport, Transport,
 };
 
 const SCALE: TickScale = TickScale::MILLIS;
@@ -22,9 +22,8 @@ fn execute<T: Transport>(
     beta: f64,
     schedule: &Schedule,
 ) -> ExecReport {
-    Runtime::new(transport, FaultPlan::none(), ExecConfig::default())
-        .execute(traffic, platform, beta, SCALE, schedule)
-        .expect("a fault-free run of a valid schedule")
+    let topo = Topology::from_platform(platform);
+    execute_fault_free(transport, traffic, &topo, beta, SCALE, schedule)
 }
 
 fn oggp_plan(traffic: &TrafficMatrix, platform: &Platform, beta: f64) -> Schedule {
@@ -269,9 +268,9 @@ fn faults_apply_to_the_mpi_arm() {
     };
     let faults = FaultPlan::generate(6, 4, 4, &spec);
     assert_eq!(faults.event_count(), 2);
-    let (_, report) = plan_and_execute(
+    let (_, report) = plan_and_execute_topo(
         &traffic,
-        &platform,
+        &Topology::from_platform(&platform),
         0.0,
         SCALE,
         MpiTransport::new(4, 4, fast_fabric()),

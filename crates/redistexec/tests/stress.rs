@@ -3,10 +3,10 @@
 //! moving real bytes through an [`MpiTransport`].
 
 use kpbs::traffic::TickScale;
-use kpbs::{oggp, Platform, TrafficMatrix};
+use kpbs::{oggp, Platform, Topology, TrafficMatrix};
 use mpilite::FabricConfig;
 use rand::{rngs::SmallRng, Rng, SeedableRng};
-use redistexec::{ExecConfig, FaultPlan, MpiTransport, Runtime};
+use redistexec::{execute_fault_free, MpiTransport};
 
 fn fast_fabric() -> FabricConfig {
     FabricConfig {
@@ -24,9 +24,8 @@ fn run(traffic: &TrafficMatrix, platform: &Platform) -> u64 {
     let schedule = oggp(&inst);
     schedule.validate(&inst).unwrap();
     let transport = MpiTransport::new(platform.n1, platform.n2, fast_fabric());
-    let report = Runtime::new(transport, FaultPlan::none(), ExecConfig::default())
-        .execute(traffic, platform, 0.0, TickScale::MILLIS, &schedule)
-        .unwrap();
+    let topo = Topology::from_platform(platform);
+    let report = execute_fault_free(transport, traffic, &topo, 0.0, TickScale::MILLIS, &schedule);
     report.verify_against(traffic).unwrap();
     report.delivered.total_bytes()
 }

@@ -54,10 +54,8 @@ pub mod cli;
 
 use flowsim::{NetworkSpec, SimConfig};
 use kpbs::traffic::TickScale;
-use kpbs::{Instance, Platform, Schedule, TrafficMatrix};
-use redistexec::{
-    ExecConfig, ExecReport, FaultPlan, MpiTransport, Runtime, SimTransport, Transport,
-};
+use kpbs::{Instance, Platform, Schedule, Topology, TrafficMatrix};
+use redistexec::{execute_fault_free, ExecReport, MpiTransport, SimTransport, Transport};
 
 /// Builds [`Plan`]s from traffic matrices.
 #[derive(Debug, Clone, Copy)]
@@ -189,22 +187,17 @@ impl Plan {
         self.execute(MpiTransport::new(n1, n2, fabric))
     }
 
-    /// Runs the plan fault-free through [`Runtime`] over `transport`. No
-    /// step timeout applies: a plain run never aborts or replans.
+    /// Runs the plan fault-free over `transport`, on the platform's
+    /// two-cluster topology ([`execute_fault_free`]).
     fn execute<T: Transport>(&self, transport: T) -> ExecReport {
-        let config = ExecConfig {
-            step_timeout_seconds: f64::INFINITY,
-            ..ExecConfig::default()
-        };
-        Runtime::new(transport, FaultPlan::none(), config)
-            .execute(
-                &self.traffic,
-                &self.platform,
-                self.beta_seconds,
-                self.scale,
-                &self.schedule,
-            )
-            .expect("a fault-free run of a validated plan completes")
+        execute_fault_free(
+            transport,
+            &self.traffic,
+            &Topology::from_platform(&self.platform),
+            self.beta_seconds,
+            self.scale,
+            &self.schedule,
+        )
     }
 }
 
