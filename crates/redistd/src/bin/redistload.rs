@@ -225,8 +225,8 @@ fn check_response(i: u64, resp: PlanResponse, item: &WorkItem, out: &mut Outcome
                 );
                 out.failures += 1;
             }
-            // v2 responses must be correlated: the server mints ids
-            // from 1, so 0 means the header field went missing.
+            // Every `Ok` carries the server-minted id, counted from 1,
+            // so 0 means the server failed to correlate the request.
             if server_id == 0 {
                 eprintln!("redistload: request {i} carried no server_id");
                 out.failures += 1;

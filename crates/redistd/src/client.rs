@@ -80,18 +80,23 @@ pub fn request(
     beta_seconds: f64,
 ) -> PlanRequest {
     PlanRequest {
-        wire_version: wire::VERSION,
         request_id,
         algo,
-        platform: WirePlatform {
-            n1: platform.n1 as u32,
-            n2: platform.n2 as u32,
-            t1: platform.t1,
-            t2: platform.t2,
-            backbone: platform.backbone,
-            beta_seconds,
-        },
+        platform: wire_platform(platform, beta_seconds),
         matrix: CsrMatrix::from_traffic(traffic),
+    }
+}
+
+/// The wire form of `platform` with a per-step setup delay of
+/// `beta_seconds`.
+fn wire_platform(platform: &Platform, beta_seconds: f64) -> WirePlatform {
+    WirePlatform {
+        n1: platform.n1 as u32,
+        n2: platform.n2 as u32,
+        t1: platform.t1,
+        t2: platform.t2,
+        backbone: platform.backbone,
+        beta_seconds,
     }
 }
 
@@ -104,18 +109,10 @@ pub fn session_open(
     beta_seconds: f64,
 ) -> SessionRequest {
     SessionRequest {
-        wire_version: wire::VERSION,
         request_id,
         op: SessionOp::Open {
             algo: Algo::Oggp,
-            platform: WirePlatform {
-                n1: platform.n1 as u32,
-                n2: platform.n2 as u32,
-                t1: platform.t1,
-                t2: platform.t2,
-                backbone: platform.backbone,
-                beta_seconds,
-            },
+            platform: wire_platform(platform, beta_seconds),
             matrix: CsrMatrix::from_traffic(traffic),
         },
     }
@@ -124,7 +121,6 @@ pub fn session_open(
 /// Builds a `DELTA` op applying `deltas` (in order) to a live session.
 pub fn session_delta(request_id: u64, session_id: u64, deltas: Vec<WireDelta>) -> SessionRequest {
     SessionRequest {
-        wire_version: wire::VERSION,
         request_id,
         op: SessionOp::Delta { session_id, deltas },
     }
@@ -134,7 +130,6 @@ pub fn session_delta(request_id: u64, session_id: u64, deltas: Vec<WireDelta>) -
 /// (and caches nothing).
 pub fn session_commit(request_id: u64, session_id: u64) -> SessionRequest {
     SessionRequest {
-        wire_version: wire::VERSION,
         request_id,
         op: SessionOp::Commit { session_id },
     }
@@ -143,7 +138,6 @@ pub fn session_commit(request_id: u64, session_id: u64) -> SessionRequest {
 /// Builds a `CLOSE` op freeing the session's slot.
 pub fn session_close(request_id: u64, session_id: u64) -> SessionRequest {
     SessionRequest {
-        wire_version: wire::VERSION,
         request_id,
         op: SessionOp::Close { session_id },
     }

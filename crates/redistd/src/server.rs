@@ -51,7 +51,7 @@ use crate::queue::{BoundedQueue, PushError};
 use crate::session::{DeltaError, Session, SessionTable};
 use crate::wire::{
     self, Algo, PlanRequest, PlanResponse, RejectReason, Request, SessionLevel, SessionOp,
-    SessionRejectReason, SessionRequest,
+    SessionRejectReason, SessionRequest, VERSION,
 };
 use kpbs::{DeltaPlanner, RepairLevel};
 use std::io;
@@ -182,11 +182,11 @@ enum Work {
 }
 
 impl Work {
-    /// The client's request id and wire version: what any answer echoes.
-    fn reply_to(&self) -> (u64, u16) {
+    /// The client's request id: what any answer echoes.
+    fn reply_to(&self) -> u64 {
         match self {
-            Work::Plan { req, .. } => (req.request_id, req.wire_version),
-            Work::Session(req) => (req.request_id, req.wire_version),
+            Work::Plan { req, .. } => req.request_id,
+            Work::Session(req) => req.request_id,
         }
     }
 }
@@ -659,12 +659,11 @@ pub(crate) fn admit_frame(
                     request_id: client_id,
                     message: e.0,
                 },
-                peek_version(payload),
+                VERSION,
             ));
         }
     };
     let request_id = req.request_id();
-    let version = req.wire_version();
     let matrix = request_matrix(&req);
     let mut rec = FlightRecord::new(rid, FlightOutcome::Error);
     rec.client_id = request_id;
@@ -675,7 +674,7 @@ pub(crate) fn admit_frame(
     let reject = |reason| {
         Admission::Immediate(wire::encode_response(
             &PlanResponse::Rejected { request_id, reason },
-            version,
+            VERSION,
         ))
     };
 
@@ -746,12 +745,11 @@ fn worker_loop(shared: &Arc<Shared>, worker: u32) {
         let served = panic::catch_unwind(AssertUnwindSafe(|| serve(shared, &work, rec.rid)));
         let (frame, outcome) = served.unwrap_or_else(|_| {
             shared.metrics.requests_error.inc();
-            let (request_id, version) = work.reply_to();
             let resp = PlanResponse::Error {
-                request_id,
+                request_id: work.reply_to(),
                 message: "worker panicked while serving the request".into(),
             };
-            (wire::encode_response(&resp, version), FlightOutcome::Error)
+            (wire::encode_response(&resp, VERSION), FlightOutcome::Error)
         });
         rec.outcome = outcome;
         if outcome != FlightOutcome::CacheHit {
@@ -766,7 +764,7 @@ fn worker_loop(shared: &Arc<Shared>, worker: u32) {
 /// Runs one queued job to its response frame and flight outcome.
 fn serve(shared: &Arc<Shared>, work: &Work, rid: u64) -> (Vec<u8>, FlightOutcome) {
     #[cfg(test)]
-    if work.reply_to().0 == tests::PANIC_REQUEST_ID {
+    if work.reply_to() == tests::PANIC_REQUEST_ID {
         panic!("injected worker panic");
     }
     match work {
@@ -807,7 +805,6 @@ fn hit_frame(req: &PlanRequest, hit: &PlanOutcome, rid: u64) -> Vec<u8> {
     counters::incr(Counter::ServeCacheHits);
     telemetry::instant_with("redistd.cache_hit", &[("rid", rid)]);
     wire::encode_ok(
-        req.wire_version,
         req.request_id,
         true,
         &hit.schedule,
@@ -853,7 +850,6 @@ fn plan_request(
     });
     shared.cache.insert(key, outcome.clone());
     let frame = wire::encode_ok(
-        req.wire_version,
         req.request_id,
         false,
         &outcome.schedule,
@@ -880,14 +876,13 @@ fn session_request(
 ) -> (Vec<u8>, FlightOutcome) {
     let _span = telemetry::span_with("redistd.session", &[("rid", rid)]);
     counters::incr(Counter::ServeRequests);
-    let (request_id, version) = (req.request_id, req.wire_version);
+    let request_id = req.request_id;
     // Session successes count as planned work (repairs *are* planning);
     // refusals are tallied by `sessions_rejected`, protocol errors by
     // `requests_error`.
     let answer =
         |session_id, level, s: &Session, cost, lower_bound, work: &[u64; COUNTER_COUNT]| {
             let frame = wire::encode_session(
-                version,
                 request_id,
                 session_id,
                 s.planner.generation(),
@@ -904,7 +899,7 @@ fn session_request(
         if matches!(resp, PlanResponse::Error { .. }) {
             shared.metrics.requests_error.inc();
         }
-        (wire::encode_response(&resp, version), FlightOutcome::Error)
+        (wire::encode_response(&resp, VERSION), FlightOutcome::Error)
     };
     let unknown = |session_id: u64| {
         shared.metrics.sessions_rejected.inc();
@@ -1054,20 +1049,6 @@ fn peek_request_id(payload: &[u8]) -> u64 {
     } else {
         0
     }
-}
-
-/// Best-effort extraction of the wire version from a frame that failed to
-/// decode, so the error response is encoded in a version the sender can
-/// parse. Unreadable or unsupported versions fall back to [`wire::MIN_VERSION`],
-/// which every client accepts.
-fn peek_version(payload: &[u8]) -> u16 {
-    if payload.len() >= 6 && payload[..4] == wire::MAGIC {
-        let v = u16::from_be_bytes(payload[4..6].try_into().unwrap());
-        if (wire::MIN_VERSION..=wire::VERSION).contains(&v) {
-            return v;
-        }
-    }
-    wire::MIN_VERSION
 }
 
 #[cfg(test)]

@@ -83,8 +83,7 @@ fn picked_up(handle: &ServerHandle) -> f64 {
 }
 
 /// A hit's frame is byte-for-byte what `wire::encode_response` makes of
-/// the cold plan marked `cached` with a zero work delta — in every
-/// protocol version a client may speak (v1 carries no `server_id`).
+/// the cold plan marked `cached` with a zero work delta.
 #[test]
 fn hit_frames_are_byte_identical_to_the_ok_encoder() {
     let (inst, _) = matrix(0).to_instance(&platform(), BETA, TickScale::MILLIS);
@@ -98,31 +97,28 @@ fn hit_frames_are_byte_identical_to_the_ok_encoder() {
         PlanResponse::Ok { cached, .. } => assert!(!cached, "first sight plans"),
         other => panic!("{other:?}"),
     }
-    for version in wire::MIN_VERSION..=wire::VERSION {
-        let mut req = request(100 + version as u64, 0);
-        req.wire_version = version;
-        stream.write_all(&wire::encode_request(&req)).unwrap();
-        let (payload, resp) = read_response(&mut stream);
-        let PlanResponse::Ok { server_id, .. } = resp else {
-            panic!("{resp:?}");
-        };
-        assert_eq!(server_id == 0, version == 1, "v{version} server id");
-        let expected = wire::encode_response(
-            &PlanResponse::Ok {
-                request_id: req.request_id,
-                cached: true,
-                schedule: cold.clone(),
-                cost: cold.cost(),
-                lower_bound: kpbs::lower_bound(&inst),
-                work: [0; COUNTER_COUNT],
-                server_id,
-            },
-            version,
-        );
-        assert_eq!(payload, &expected[4..], "v{version} hit frame");
-    }
+    let req = request(100, 0);
+    stream.write_all(&wire::encode_request(&req)).unwrap();
+    let (payload, resp) = read_response(&mut stream);
+    let PlanResponse::Ok { server_id, .. } = resp else {
+        panic!("{resp:?}");
+    };
+    assert_ne!(server_id, 0, "a hit carries its server id");
+    let expected = wire::encode_response(
+        &PlanResponse::Ok {
+            request_id: req.request_id,
+            cached: true,
+            schedule: cold.clone(),
+            cost: cold.cost(),
+            lower_bound: kpbs::lower_bound(&inst),
+            work: [0; COUNTER_COUNT],
+            server_id,
+        },
+        wire::VERSION,
+    );
+    assert_eq!(payload, &expected[4..], "hit frame");
     let stats = handle.shutdown();
-    assert_eq!((stats.cache.hits, stats.cache.misses), (3, 1));
+    assert_eq!((stats.cache.hits, stats.cache.misses), (1, 1));
 }
 
 /// A pipelined `[miss, hit, hit]` on one connection: the hits could be
@@ -311,7 +307,6 @@ fn extreme_frames_leave_every_thread_alive() {
             }
         }
         let req = PlanRequest {
-            wire_version: wire::VERSION,
             request_id: id,
             algo: if next(2) == 0 { Algo::Oggp } else { Algo::Ggp },
             platform: WirePlatform {

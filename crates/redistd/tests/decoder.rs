@@ -146,7 +146,10 @@ fn real_request_survives_pathological_chunking() {
         for piece in stream.chunks(chunk) {
             dec.extend(piece);
             if let Some(Incoming::Frame(payload)) = dec.poll().unwrap() {
-                decoded = Some(wire::decode_request(&payload).unwrap());
+                decoded = match wire::decode_frame(&payload).unwrap() {
+                    wire::Request::Plan(plan) => Some(plan),
+                    other => panic!("expected a plan, got {other:?}"),
+                };
             }
         }
         let got = decoded.expect("one frame per stream");

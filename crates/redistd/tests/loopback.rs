@@ -437,7 +437,7 @@ fn metrics_command_exposes_live_registry() {
     handle.shutdown();
 }
 
-/// Tentpole acceptance: the `server_id` carried on a v2 `Ok` response is
+/// Tentpole acceptance: the `server_id` carried on an `Ok` response is
 /// the server-minted request id, and it joins the response to exactly one
 /// flight record holding that request's admission-to-reply story.
 #[test]
@@ -539,42 +539,13 @@ fn flight_ring_records_sheds_and_wraps() {
     handle.shutdown();
 }
 
-/// A v1 client (no `server_id` field on `Ok`) still gets valid, byte-equal
-/// schedules from a v2 server — the extension is invisible to old clients.
-#[test]
-fn v1_clients_are_served_compatibly() {
-    let handle = server::start(ServerConfig::default()).unwrap();
-    let n = 6;
-    let platform = Platform::new(n, n, 100.0, 100.0, 300.0);
-    let traffic = &make_matrices(1, n)[0];
-    let (expected_bytes, _) = cold_plan_bytes(traffic, &platform, Algo::Oggp);
-
-    let mut req = client::request(7, Algo::Oggp, traffic, &platform, BETA);
-    req.wire_version = 1;
-    let mut c = Client::connect(handle.addr()).unwrap();
-    match c.plan(&req).unwrap() {
-        PlanResponse::Ok {
-            request_id,
-            schedule,
-            server_id,
-            ..
-        } => {
-            assert_eq!(request_id, 7);
-            assert_eq!(server_id, 0, "v1 responses carry no server_id");
-            assert_eq!(wire::encode_schedule(&schedule), expected_bytes);
-        }
-        other => panic!("{other:?}"),
-    }
-    handle.shutdown();
-}
-
 /// A malformed-but-headed frame for connection-level tests: valid magic,
 /// version, kind and request id followed by garbage, so the server can
 /// recover the id for its error response.
 fn malformed_payload(request_id: u64) -> Vec<u8> {
     let mut payload = Vec::new();
     payload.extend_from_slice(&wire::MAGIC);
-    payload.extend_from_slice(&1u16.to_be_bytes());
+    payload.extend_from_slice(&wire::VERSION.to_be_bytes());
     payload.push(0);
     payload.extend_from_slice(&request_id.to_be_bytes());
     payload.extend_from_slice(&[0xAB; 7]);
@@ -733,20 +704,43 @@ fn metrics_report_open_connections() {
     handle.shutdown();
 }
 
-/// Malformed frames get an error response (with the request id when it can
-/// be recovered) instead of a dropped connection.
+/// Malformed frames get a v3 error response (with the request id when it
+/// can be recovered) instead of a dropped connection: a garbage body, and a
+/// valid plan stamped with a retired protocol version.
 #[test]
 fn malformed_frame_gets_error_response() {
     let handle = server::start(ServerConfig::default()).unwrap();
     let mut stream = std::net::TcpStream::connect(handle.addr()).unwrap();
-    wire::write_all(&mut stream, &malformed_payload(77)).unwrap();
-    let frame = wire::read_frame(&mut stream).unwrap();
-    match wire::decode_response(&frame).unwrap() {
-        PlanResponse::Error { request_id, .. } => assert_eq!(request_id, 77),
-        other => panic!("{other:?}"),
+    let platform = Platform::new(4, 4, 100.0, 100.0, 300.0);
+    let mut v1_plan = wire::encode_request(&client::request(
+        78,
+        Algo::Oggp,
+        &make_matrices(1, 4)[0],
+        &platform,
+        BETA,
+    ));
+    // The version follows the length prefix and the magic.
+    v1_plan[8..10].copy_from_slice(&1u16.to_be_bytes());
+    for (frame, id, detail) in [
+        (malformed_payload(77), 77, "unknown algorithm"),
+        (v1_plan, 78, "unsupported version 1"),
+    ] {
+        wire::write_all(&mut stream, &frame).unwrap();
+        let answer = wire::read_frame(&mut stream).unwrap();
+        assert_eq!(answer[4..6], wire::VERSION.to_be_bytes(), "answered in v3");
+        match wire::decode_response(&answer).unwrap() {
+            PlanResponse::Error {
+                request_id,
+                message,
+            } => {
+                assert_eq!(request_id, id);
+                assert!(message.contains(detail), "{message}");
+            }
+            other => panic!("{other:?}"),
+        }
     }
     let stats = handle.shutdown();
-    assert_eq!(stats.errors, 1);
+    assert_eq!(stats.errors, 2);
 }
 
 /// Client-side twin of the server's per-delta byte→tick conversion, used
