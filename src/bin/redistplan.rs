@@ -19,7 +19,8 @@
 //! `--algo` takes any `kpbs::Algo` name, on the platform and the `--topo`
 //! path alike. The matrices and `--beta` pass the tick-budget checks
 //! `redistd` applies to a request before anything is planned; a failure
-//! exits with status 2.
+//! exits with status 2, as does an unknown argument or an option without
+//! its value.
 //!
 //! `--trace <path>` records telemetry spans through planning and simulation
 //! (it implies `--simulate`) and writes a Chrome trace-event JSON loadable
@@ -28,7 +29,7 @@
 //! (worker threads flush their counters when the batch joins, so the table
 //! too is independent of `--jobs`).
 
-use redistribute::cli::{opt_flag, opt_value, opt_values, parse_matrix_csv};
+use redistribute::cli::{check_args, opt_flag, opt_value, opt_values, parse_matrix_csv};
 use redistribute::kpbs::batch::parallel_map;
 use redistribute::kpbs::hier::HierConfig;
 use redistribute::kpbs::traffic::TickScale;
@@ -78,6 +79,12 @@ fn main() {
         );
         return;
     }
+
+    let valued = [
+        "matrix", "t1", "t2", "backbone", "beta", "algo", "jobs", "blocks", "trace", "topo",
+    ];
+    let flags = ["gantt", "simulate", "compare", "counters"];
+    check_args(&args, &valued, &flags).unwrap_or_else(|e| die(&e));
 
     let matrix_paths = opt_values(&args, "matrix");
     let traffics: Vec<TrafficMatrix> = if matrix_paths.is_empty() {

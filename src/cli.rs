@@ -60,6 +60,28 @@ pub fn parse_bytes(s: &str) -> Option<u64> {
     Some((v * mult).round() as u64)
 }
 
+/// Checks an argument list against the options a tool takes: each argument
+/// must be `--name` for a name in `flags`, or `--name value` for a name in
+/// `valued`. The first unknown argument, or a valued option with no value
+/// after it (the list ends, or the next argument is itself an option), is
+/// the error, so a typo is refused instead of silently running on defaults.
+/// The `opt_*` lookups below assume a list that passed this check.
+pub fn check_args(args: &[String], valued: &[&str], flags: &[&str]) -> Result<(), String> {
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        let name = arg.strip_prefix("--").unwrap_or("");
+        if valued.contains(&name) {
+            match args.next() {
+                Some(v) if !v.starts_with("--") => {}
+                _ => return Err(format!("{arg} needs a value")),
+            }
+        } else if !flags.contains(&name) {
+            return Err(format!("unknown argument {arg:?}"));
+        }
+    }
+    Ok(())
+}
+
 /// Looks up `--name value` in an argument list.
 pub fn opt_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
     args.windows(2)
@@ -135,6 +157,28 @@ mod tests {
         assert_eq!(parse_bytes("-1"), None);
         assert_eq!(parse_bytes("nan"), None);
         assert_eq!(parse_bytes(""), None);
+    }
+
+    #[test]
+    fn check_args_refuses_unknown_flags_and_missing_values() {
+        let args = |list: &[&str]| list.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let check = |list: &[&str]| check_args(&args(list), &["beta", "matrix"], &["gantt"]);
+        assert_eq!(check(&[]), Ok(()));
+        assert_eq!(check(&["--beta", "-1", "--gantt", "--matrix", "-"]), Ok(()));
+        assert_eq!(
+            check(&["--bakcbone", "300"]),
+            Err("unknown argument \"--bakcbone\"".into())
+        );
+        assert_eq!(
+            check(&["--gantt", "300"]),
+            Err("unknown argument \"300\"".into())
+        );
+        assert_eq!(check(&["--beta"]), Err("--beta needs a value".into()));
+        assert_eq!(
+            check(&["--beta", "--gantt"]),
+            Err("--beta needs a value".into())
+        );
+        assert_eq!(check(&["--"]), Err("unknown argument \"--\"".into()));
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! `redistplan` as a user runs it: the real binary, its exit status and
 //! its output. A matrix or β outside the planner's tick range is refused
 //! with status 2 and one line on stderr, never planned into a wrapped cost
-//! or a panic; every `--algo` name plans, on the `--topo` path too.
+//! or a panic, and so is an unknown flag or a flag without its value;
+//! every `--algo` name plans, on the `--topo` path too.
 
 use redistribute::Algo;
 use std::process::{Command, Output};
@@ -53,6 +54,14 @@ fn out_of_range_inputs_are_refused() {
     assert_refused(&slow, "a matrix too slow for the tick range");
     let stderr = assert_refused(&redistplan(MATRIX, false, &["--algo", "nope"]), "nope");
     assert!(stderr.contains(&Algo::NAMES.join("|")), "{stderr}");
+}
+
+#[test]
+fn unknown_flags_and_missing_values_are_refused() {
+    let stderr = assert_refused(&redistplan(MATRIX, false, &["--bakcbone", "300"]), "typo");
+    assert!(stderr.contains("--bakcbone"), "{stderr}");
+    let stderr = assert_refused(&redistplan(MATRIX, false, &["--beta"]), "bare --beta");
+    assert!(stderr.contains("--beta needs a value"), "{stderr}");
 }
 
 #[test]
