@@ -13,17 +13,20 @@
 //! cargo run --release -p bench --bin ablation -- --trials 300
 //! ```
 
-use bench::{arg_or, f2, f4, row};
+use bench::{f2, f4, row};
 use bipartite::generate::{random_graph, GraphParams};
 use kpbs::ggp::ggp_seeded;
 use kpbs::stats::RatioStats;
 use kpbs::{baselines, ggp, lower_bound, oggp, Instance};
 use rand::{rngs::SmallRng, Rng, SeedableRng};
+use telemetry::cli::Args;
 
 type Scheduler = fn(&Instance) -> kpbs::Schedule;
 
 fn main() {
-    let trials: usize = arg_or("trials", 300);
+    let mut cli = Args::from_env("ablation");
+    let trials: usize = cli.value("trials").unwrap_or(300);
+    cli.finish();
     let schedulers: Vec<(&str, Scheduler)> = vec![
         ("ggp", ggp),
         ("ggp-seed", ggp_seeded),

@@ -16,12 +16,19 @@
 //! `--check` compare instead of write (exit 1 on mismatch), `--jobs N`
 //! worker threads for the scheduler arm.
 
-use bench::{arg_or, counters_campaign, flag, jobs_or};
+use bench::{counters_campaign, validate_jobs};
+use telemetry::cli::Args;
 
 fn main() {
-    let out: String = arg_or("out", "BENCH_counters.json".to_string());
-    let check = flag("check");
-    let json = counters_campaign::run(jobs_or(1));
+    let mut cli = Args::from_env("counters_baseline");
+    let out: String = cli.value("out").unwrap_or("BENCH_counters.json".into());
+    let check = cli.flag("check");
+    let jobs: usize = cli.value("jobs").unwrap_or(1);
+    if let Err(e) = validate_jobs(jobs) {
+        cli.refuse(e);
+    }
+    cli.finish();
+    let json = counters_campaign::run(jobs);
 
     if check {
         let existing = std::fs::read_to_string(&out).unwrap_or_else(|e| {

@@ -26,11 +26,12 @@
 //! writing `target/BENCH_delta_smoke.json` so the checked-in file is
 //! never clobbered.
 
-use bench::{arg_or, flag, row};
+use bench::row;
 use bipartite::Graph;
 use kpbs::{oggp, DeltaPlanner, Instance, MatrixDelta, RepairLevel};
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 use std::time::Instant;
+use telemetry::cli::Args;
 
 const K: usize = 32;
 const BETA: u64 = 1;
@@ -165,13 +166,17 @@ fn measure(n: usize, density: f64, delta_cells: usize, reps: usize) -> Row {
 }
 
 fn main() {
-    let smoke = flag("smoke");
-    let reps_arg: usize = arg_or("reps", 5);
-    let out: String = if smoke {
-        arg_or("out", "target/BENCH_delta_smoke.json".to_string())
-    } else {
-        arg_or("out", "BENCH_delta.json".to_string())
-    };
+    let mut cli = Args::from_env("delta_bench");
+    let smoke = cli.flag("smoke");
+    let reps_arg: usize = cli.value("reps").unwrap_or(5);
+    let out: String = cli.value("out").unwrap_or_else(|| {
+        if smoke {
+            "target/BENCH_delta_smoke.json".into()
+        } else {
+            "BENCH_delta.json".into()
+        }
+    });
+    cli.finish();
 
     let sizes: Vec<(usize, f64)> = SIZES
         .iter()

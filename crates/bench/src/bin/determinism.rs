@@ -10,12 +10,13 @@
 //! cargo run --release -p bench --bin determinism
 //! ```
 
-use bench::{arg_or, row};
+use bench::row;
 use flowsim::{brute_force_time, NetworkSpec, SimConfig, TcpModel};
 use kpbs::traffic::TickScale;
 use kpbs::{oggp, Platform, Topology, TrafficMatrix};
 use rand::{rngs::SmallRng, SeedableRng};
 use redistexec::{execute_fault_free, SimTransport};
+use telemetry::cli::Args;
 
 fn spread(xs: &[f64]) -> (f64, f64, f64) {
     let min = xs.iter().cloned().fold(f64::INFINITY, f64::min);
@@ -25,8 +26,10 @@ fn spread(xs: &[f64]) -> (f64, f64, f64) {
 }
 
 fn main() {
-    let runs: u64 = arg_or("runs", 15);
-    let k: usize = arg_or("k", 5);
+    let mut cli = Args::from_env("determinism");
+    let runs: u64 = cli.value("runs").unwrap_or(15);
+    let k: usize = cli.value("k").unwrap_or(5);
+    cli.finish();
     let platform = Platform::testbed(k);
     let spec = NetworkSpec::from_platform(&platform);
     let mut rng = SmallRng::seed_from_u64(77);

@@ -15,8 +15,10 @@
 use bipartite::Graph;
 use kpbs::schedule::{Schedule, Step, Transfer};
 use kpbs::{exact, ggp, lower_bound, oggp, Instance};
+use telemetry::cli::Args;
 
 fn main() {
+    Args::from_env("fig02_example").finish();
     // A graph admitting the depicted solution: 3 senders, 3 receivers.
     let mut g = Graph::new(3, 3);
     let e0 = g.add_edge(0, 0, 5);

@@ -12,14 +12,17 @@
 //! cargo run --release -p bench --bin fig07_small_weights -- --trials 2000
 //! ```
 
-use bench::{arg_or, f4, flag, row};
+use bench::{f4, row};
 use kpbs::stats::{run_campaign, CampaignConfig, KChoice};
+use telemetry::cli::Args;
 
 fn main() {
-    let trials: usize = arg_or("trials", 2000);
-    let kmax: usize = arg_or("kmax", 40);
-    let seed: u64 = arg_or("seed", 7);
-    let csv = flag("csv");
+    let mut cli = Args::from_env("fig07_small_weights");
+    let trials: usize = cli.value("trials").unwrap_or(2000);
+    let kmax: usize = cli.value("kmax").unwrap_or(40);
+    let seed: u64 = cli.value("seed").unwrap_or(7);
+    let csv = cli.flag("csv");
+    cli.finish();
 
     if csv {
         println!("k,ggp_avg,ggp_max,seeded_avg,seeded_max,oggp_avg,oggp_max");

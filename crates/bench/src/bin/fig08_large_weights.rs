@@ -9,14 +9,17 @@
 //! cargo run --release -p bench --bin fig08_large_weights -- --trials 500
 //! ```
 
-use bench::{arg_or, flag, row};
+use bench::row;
 use kpbs::stats::{run_campaign, CampaignConfig, KChoice};
+use telemetry::cli::Args;
 
 fn main() {
-    let trials: usize = arg_or("trials", 500);
-    let kmax: usize = arg_or("kmax", 40);
-    let seed: u64 = arg_or("seed", 8);
-    let csv = flag("csv");
+    let mut cli = Args::from_env("fig08_large_weights");
+    let trials: usize = cli.value("trials").unwrap_or(500);
+    let kmax: usize = cli.value("kmax").unwrap_or(40);
+    let seed: u64 = cli.value("seed").unwrap_or(8);
+    let csv = cli.flag("csv");
+    cli.finish();
 
     if csv {
         println!("k,ggp_avg,ggp_max,oggp_avg,oggp_max");

@@ -9,13 +9,16 @@
 //! cargo run --release -p bench --bin fig09_beta_sweep -- --trials 2000
 //! ```
 
-use bench::{arg_or, f4, flag, row};
+use bench::{f4, row};
 use kpbs::stats::{run_campaign, CampaignConfig, KChoice};
+use telemetry::cli::Args;
 
 fn main() {
-    let trials: usize = arg_or("trials", 2000);
-    let seed: u64 = arg_or("seed", 9);
-    let csv = flag("csv");
+    let mut cli = Args::from_env("fig09_beta_sweep");
+    let trials: usize = cli.value("trials").unwrap_or(2000);
+    let seed: u64 = cli.value("seed").unwrap_or(9);
+    let csv = cli.flag("csv");
+    cli.finish();
     let betas: Vec<u64> = vec![0, 1, 2, 3, 5, 8, 12, 16, 20, 30, 40, 60, 80, 100];
 
     if csv {

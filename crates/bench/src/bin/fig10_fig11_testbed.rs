@@ -12,12 +12,13 @@
 //! cargo run --release -p bench --bin fig10_fig11_testbed -- --k 3
 //! ```
 
-use bench::{arg_or, f2, flag, row};
+use bench::{f2, row};
 use flowsim::{brute_force_time, NetworkSpec, SimConfig, TcpModel};
 use kpbs::traffic::TickScale;
 use kpbs::{ggp, oggp, Platform, Topology, TrafficMatrix};
 use rand::{rngs::SmallRng, SeedableRng};
 use redistexec::{execute_fault_free, SimTransport};
+use telemetry::cli::Args;
 
 fn figure(k: usize, seeds: u64, beta: f64, csv: bool) {
     let platform = Platform::testbed(k);
@@ -104,10 +105,12 @@ fn figure(k: usize, seeds: u64, beta: f64, csv: bool) {
 }
 
 fn main() {
-    let k: usize = arg_or("k", 0);
-    let seeds: u64 = arg_or("seeds", 3);
-    let beta: f64 = arg_or("beta", 0.05);
-    let csv = flag("csv");
+    let mut cli = Args::from_env("fig10_fig11_testbed");
+    let k: usize = cli.value("k").unwrap_or(0);
+    let seeds: u64 = cli.value("seeds").unwrap_or(3);
+    let beta: f64 = cli.value("beta").unwrap_or(0.05);
+    let csv = cli.flag("csv");
+    cli.finish();
     if k == 0 {
         figure(3, seeds, beta, csv);
         figure(7, seeds, beta, csv);

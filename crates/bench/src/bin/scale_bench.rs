@@ -29,13 +29,14 @@
 //! `target/BENCH_scale_smoke.json` so the checked-in file is never
 //! clobbered.
 
-use bench::{arg_or, flag, jobs_or, row};
+use bench::{row, validate_jobs};
 use kpbs::hier::{default_blocks, hier_report, HierConfig};
 use kpbs::lower_bound::lower_bound;
 use kpbs::oggp::oggp;
 use kpbs::{instances, Instance};
 use rand::{rngs::SmallRng, SeedableRng};
 use std::time::Instant;
+use telemetry::cli::Args;
 
 /// Backbone width shared by every size: a fixed physical backbone is the
 /// paper's setting, and it keeps the planners' step widths comparable as n
@@ -84,16 +85,23 @@ fn json_opt(v: Option<f64>) -> String {
 }
 
 fn main() {
-    let smoke = flag("smoke");
-    let reps: usize = arg_or("reps", if smoke { 1 } else { 3 });
-    let jobs: usize = jobs_or(1);
-    let flat_max: usize = arg_or("flat-max", if smoke { 256 } else { 4096 });
+    let mut cli = Args::from_env("scale_bench");
+    let smoke = cli.flag("smoke");
+    let reps: usize = cli.value("reps").unwrap_or(if smoke { 1 } else { 3 });
+    let jobs: usize = cli.value("jobs").unwrap_or(1);
+    if let Err(e) = validate_jobs(jobs) {
+        cli.refuse(e);
+    }
+    let flat_max: usize = cli
+        .value("flat-max")
+        .unwrap_or(if smoke { 256 } else { 4096 });
     let default_out = if smoke {
         "target/BENCH_scale_smoke.json"
     } else {
         "BENCH_scale.json"
     };
-    let out_path: String = arg_or("out", default_out.to_string());
+    let out_path: String = cli.value("out").unwrap_or(default_out.to_string());
+    cli.finish();
     let sizes: &[usize] = if smoke { &[256] } else { &[256, 1024, 4096] };
 
     let mut hier_points: Vec<(f64, f64)> = Vec::new();

@@ -7,14 +7,17 @@
 //! cargo run --release -p bench --bin steps_table
 //! ```
 
-use bench::{arg_or, f2, row};
+use bench::{f2, row};
 use kpbs::stats::{run_campaign, CampaignConfig, KChoice};
 use kpbs::traffic::TickScale;
 use kpbs::{ggp, oggp, Platform, TrafficMatrix};
 use rand::{rngs::SmallRng, SeedableRng};
+use telemetry::cli::Args;
 
 fn main() {
-    let trials: usize = arg_or("trials", 300);
+    let mut cli = Args::from_env("steps_table");
+    let trials: usize = cli.value("trials").unwrap_or(300);
+    cli.finish();
 
     println!("Testbed workloads (10x10 all-to-all, sizes U[10,50] MB):");
     row(&[

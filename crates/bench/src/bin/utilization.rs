@@ -12,16 +12,19 @@
 //! cargo run --release -p bench --bin utilization
 //! ```
 
-use bench::{arg_or, row};
+use bench::row;
 use flowsim::network::BYTES_PER_S_PER_MBPS;
 use flowsim::{brute_force_run, NetworkSpec, SimConfig, TcpModel};
 use kpbs::traffic::TickScale;
 use kpbs::{oggp, Platform, Topology, TrafficMatrix};
 use rand::{rngs::SmallRng, SeedableRng};
 use redistexec::{execute_fault_free, SimTransport};
+use telemetry::cli::Args;
 
 fn main() {
-    let hi_mb: u64 = arg_or("size", 40);
+    let mut cli = Args::from_env("utilization");
+    let hi_mb: u64 = cli.value("size").unwrap_or(40);
+    cli.finish();
     println!("backbone utilisation, 10x10 all-to-all, sizes U[10,{hi_mb}] MB:");
     row(&[
         "k".into(),

@@ -10,6 +10,7 @@
 use bench::{f4, row};
 use kpbs::ggp::ggp_seeded;
 use kpbs::{baselines, ggp, instances, lower_bound, oggp, Instance};
+use telemetry::cli::Args;
 
 fn ratios(name: &str, inst: &Instance) {
     let lb = lower_bound(inst) as f64;
@@ -28,6 +29,7 @@ fn ratios(name: &str, inst: &Instance) {
 }
 
 fn main() {
+    Args::from_env("worst_case").finish();
     row(&[
         "family".into(),
         "GGP".into(),

@@ -11,63 +11,15 @@
 //! first sample named NAME; `--expect-requests N` (flight) asserts the
 //! recorder has seen at least N requests. A failed check exits 1, which is
 //! how `scripts/check.sh` turns a scrape into a CI gate. An unknown command
-//! or flag, a flag without its value or a malformed value exits 2 with one
-//! line on stderr, before anything is fetched.
+//! or flag, a flag without its value, a malformed value or a repeated flag
+//! exits 2 with one line on stderr, before anything is fetched.
 
 use redistd::client;
-use std::str::FromStr;
+use telemetry::cli::Args;
 use telemetry::metrics;
 
 const USAGE: &str = "usage: redistctl <metrics|flight> --addr HOST:PORT \
                      [--validate] [--field NAME] [--expect-requests N] (--help for more)";
-
-/// The parsed command line.
-struct Options {
-    command: String,
-    addr: String,
-    validate: bool,
-    field: Option<String>,
-    expect_requests: Option<u64>,
-}
-
-/// Takes and parses the value that follows `flag`.
-fn value<T: FromStr>(args: &mut impl Iterator<Item = String>, flag: &str) -> Result<T, String> {
-    let v = args.next().ok_or_else(|| format!("{flag} needs a value"))?;
-    v.parse()
-        .map_err(|_| format!("bad value for {flag}: {v:?}"))
-}
-
-/// Parses the arguments after the program name: the command, then flags.
-/// An unknown command or flag, a flag without its value, a malformed value
-/// or a flag the command does not take is an error, never ignored.
-fn parse_options(args: impl IntoIterator<Item = String>) -> Result<Options, String> {
-    let mut args = args.into_iter();
-    let command = match args.next() {
-        Some(c) if c == "metrics" || c == "flight" => c,
-        Some(c) => return Err(format!("unknown command {c:?}; {USAGE}")),
-        None => return Err(USAGE.into()),
-    };
-    let mut addr = None;
-    let mut o = Options {
-        command,
-        addr: String::new(),
-        validate: false,
-        field: None,
-        expect_requests: None,
-    };
-    while let Some(flag) = args.next() {
-        let metrics = o.command == "metrics";
-        match flag.as_str() {
-            "--addr" => addr = Some(value(&mut args, &flag)?),
-            "--validate" if metrics => o.validate = true,
-            "--field" if metrics => o.field = Some(value(&mut args, &flag)?),
-            "--expect-requests" if !metrics => o.expect_requests = Some(value(&mut args, &flag)?),
-            _ => return Err(format!("unknown flag {flag:?} for {}", o.command)),
-        }
-    }
-    o.addr = addr.ok_or_else(|| format!("{} needs --addr HOST:PORT", o.command))?;
-    Ok(o)
-}
 
 /// The value of the first exposition sample named exactly `name` (labels
 /// ignored), read through the one exposition parser,
@@ -79,7 +31,8 @@ fn finite_sample(body: &str, name: &str) -> Option<f64> {
 }
 
 fn main() {
-    if std::env::args().any(|a| a == "--help") {
+    let mut cli = Args::from_env("redistctl");
+    if cli.flag("help") {
         println!(
             "{USAGE}\n\
              \n\
@@ -92,24 +45,42 @@ fn main() {
         );
         return;
     }
-    let o = parse_options(std::env::args().skip(1)).unwrap_or_else(|e| {
-        eprintln!("redistctl: {e}");
-        std::process::exit(2);
-    });
+    let command = cli.subcommand().unwrap_or_default();
+    match command.as_str() {
+        "metrics" | "flight" => {}
+        "" => cli.refuse(USAGE),
+        c => cli.refuse(format!("unknown command {c:?}; {USAGE}")),
+    }
+    let addr: Option<String> = cli.value("addr");
+    // A flag the command does not take is never asked for, so `finish`
+    // refuses it.
+    let metrics = command == "metrics";
+    let validate = metrics && cli.flag("validate");
+    let field: Option<String> = if metrics { cli.value("field") } else { None };
+    let expect_requests: Option<u64> = if metrics {
+        None
+    } else {
+        cli.value("expect-requests")
+    };
+    if addr.is_none() {
+        cli.refuse(format!("{command} needs --addr HOST:PORT"));
+    }
+    cli.finish();
+    let addr = addr.unwrap_or_default();
 
-    let body = match o.command.as_str() {
-        "metrics" => client::fetch_metrics(&o.addr),
-        _ => client::fetch_flight(&o.addr),
+    let body = match command.as_str() {
+        "metrics" => client::fetch_metrics(&addr),
+        _ => client::fetch_flight(&addr),
     };
     let body = match body {
         Ok(b) => b,
         Err(e) => {
-            eprintln!("redistctl: cannot fetch {} from {}: {e}", o.command, o.addr);
+            eprintln!("redistctl: cannot fetch {command} from {addr}: {e}");
             std::process::exit(1);
         }
     };
 
-    if let Some(name) = &o.field {
+    if let Some(name) = &field {
         match finite_sample(&body, name) {
             Some(v) => {
                 println!("{v}");
@@ -123,7 +94,7 @@ fn main() {
     }
     print!("{body}");
 
-    if o.validate {
+    if validate {
         if let Err(e) = metrics::validate_exposition(&body) {
             eprintln!("redistctl: exposition invalid: {e}");
             std::process::exit(1);
@@ -131,7 +102,7 @@ fn main() {
         eprintln!("redistctl: exposition well-formed");
     }
 
-    if let Some(min) = o.expect_requests {
+    if let Some(min) = expect_requests {
         // The dump header carries the lifetime total:
         // `redistd flight records=K capacity=C total=T`.
         let total = body

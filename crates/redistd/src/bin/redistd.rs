@@ -15,8 +15,8 @@
 //! exposition, `FLIGHT\n` a dump of the always-on per-request flight
 //! recorder (`redistctl` fetches both).
 //!
-//! An unknown flag, a flag without its value or a malformed value exits 2
-//! with one line on stderr, before anything binds.
+//! An unknown flag, a flag without its value, a malformed value or a
+//! repeated flag exits 2 with one line on stderr, before anything binds.
 //!
 //! SIGTERM or ctrl-c triggers a graceful shutdown: the listener closes,
 //! every admitted request is drained to its response, then the process
@@ -24,9 +24,9 @@
 //! planned request and writes a Chrome trace-event JSON on shutdown.
 
 use redistd::server::{self, ServerConfig};
-use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
+use telemetry::cli::Args;
 use telemetry::{counters, export, spans};
 
 static SHUTDOWN: AtomicBool = AtomicBool::new(false);
@@ -53,56 +53,9 @@ fn install_signal_handlers() {
 #[cfg(not(unix))]
 fn install_signal_handlers() {}
 
-/// The parsed command line.
-struct Options {
-    config: ServerConfig,
-    trace: Option<String>,
-    flight_dump: Option<String>,
-    port_file: Option<String>,
-}
-
-/// Takes and parses the value that follows `flag`.
-fn value<T: FromStr>(args: &mut impl Iterator<Item = String>, flag: &str) -> Result<T, String> {
-    let v = args.next().ok_or_else(|| format!("{flag} needs a value"))?;
-    v.parse()
-        .map_err(|_| format!("bad value for {flag}: {v:?}"))
-}
-
-/// Parses the arguments after the program name. An unknown flag, a flag
-/// without its value or a malformed value is an error, never a silent
-/// default.
-fn parse_options(args: impl IntoIterator<Item = String>) -> Result<Options, String> {
-    let mut o = Options {
-        config: ServerConfig {
-            addr: "127.0.0.1:7411".into(),
-            ..ServerConfig::default()
-        },
-        trace: None,
-        flight_dump: None,
-        port_file: None,
-    };
-    let c = &mut o.config;
-    let mut args = args.into_iter();
-    while let Some(flag) = args.next() {
-        match flag.as_str() {
-            "--addr" => c.addr = value(&mut args, &flag)?,
-            "--workers" => c.workers = value(&mut args, &flag)?,
-            "--queue-depth" => c.queue_depth = value(&mut args, &flag)?,
-            "--cache-capacity" => c.cache_capacity = value(&mut args, &flag)?,
-            "--max-cells" => c.max_cells = value(&mut args, &flag)?,
-            "--flight-capacity" => c.flight_capacity = value(&mut args, &flag)?,
-            "--io-threads" => c.io_threads = value(&mut args, &flag)?,
-            "--trace" => o.trace = Some(value(&mut args, &flag)?),
-            "--flight-dump" => o.flight_dump = Some(value(&mut args, &flag)?),
-            "--port-file" => o.port_file = Some(value(&mut args, &flag)?),
-            _ => return Err(format!("unknown flag {flag:?}")),
-        }
-    }
-    Ok(o)
-}
-
 fn main() {
-    if std::env::args().any(|a| a == "--help") {
+    let mut cli = Args::from_env("redistd");
+    if cli.flag("help") {
         println!(
             "redistd — long-lived K-PBS scheduling daemon\n\
              \n\
@@ -132,15 +85,25 @@ fn main() {
         return;
     }
 
-    let Options {
-        config,
-        trace: trace_path,
-        flight_dump,
-        port_file,
-    } = parse_options(std::env::args().skip(1)).unwrap_or_else(|e| {
-        eprintln!("redistd: {e}");
-        std::process::exit(2);
-    });
+    let defaults = ServerConfig::default();
+    let config = ServerConfig {
+        addr: cli.value("addr").unwrap_or("127.0.0.1:7411".into()),
+        workers: cli.value("workers").unwrap_or(defaults.workers),
+        queue_depth: cli.value("queue-depth").unwrap_or(defaults.queue_depth),
+        cache_capacity: cli
+            .value("cache-capacity")
+            .unwrap_or(defaults.cache_capacity),
+        max_cells: cli.value("max-cells").unwrap_or(defaults.max_cells),
+        flight_capacity: cli
+            .value("flight-capacity")
+            .unwrap_or(defaults.flight_capacity),
+        io_threads: cli.value("io-threads").unwrap_or(defaults.io_threads),
+        ..defaults
+    };
+    let trace_path: Option<String> = cli.value("trace");
+    let flight_dump: Option<String> = cli.value("flight-dump");
+    let port_file: Option<String> = cli.value("port-file");
+    cli.finish();
 
     // Work counters power the per-request deltas in every response; spans
     // only when a trace is requested (they buffer events).

@@ -29,8 +29,8 @@
 //! arrivals (coordinated omission).
 //!
 //! After the run it scrapes the server's `METRICS` exposition, validates
-//! its well-formedness and prints one summary line. An unknown flag or a
-//! malformed value exits 2; a wrong response, an invalid exposition, or a
+//! its well-formedness and prints one summary line. An unknown flag, a
+//! missing, malformed or repeated value exits 2; a wrong response, an invalid exposition, or a
 //! cold cache despite repeated matrices exits 1. Timing the serving path
 //! is the end-to-end benchmark's job (`benchmark/`, the `serve-*` and
 //! `session-delta` workloads); this binary is a correctness check.
@@ -41,9 +41,9 @@ use redistd::client::{self, Client};
 use redistd::server::{self, ServerConfig};
 use redistd::wire::{self, Algo, PlanResponse};
 use std::net::SocketAddr;
-use std::str::FromStr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
+use telemetry::cli::Args;
 use telemetry::{metrics, Histogram};
 
 const BETA_SECONDS: f64 = 0.05;
@@ -76,81 +76,6 @@ impl Rng {
     fn below(&mut self, bound: u64) -> u64 {
         self.next() % bound
     }
-}
-
-/// The parsed command line.
-struct Options {
-    /// External daemon to drive; `None` hosts a server in-process.
-    addr: Option<SocketAddr>,
-    connections: usize,
-    requests: u64,
-    distinct: usize,
-    n: usize,
-    /// Open-loop arrival rate in req/s; `0` runs closed-loop.
-    rate: f64,
-    /// Queue depth of a self-hosted server; `0` sizes it to the connection
-    /// count.
-    queue_depth: usize,
-}
-
-/// Takes and parses the value that follows `flag`.
-fn value<T: FromStr>(args: &mut impl Iterator<Item = String>, flag: &str) -> Result<T, String> {
-    let v = args.next().ok_or_else(|| format!("{flag} needs a value"))?;
-    v.parse()
-        .map_err(|_| format!("bad value for {flag}: {v:?}"))
-}
-
-/// Parses the arguments after the program name. An unknown flag, a flag
-/// without its value, a malformed value or an out-of-range count is an
-/// error, never a silent default.
-fn parse_options(args: impl IntoIterator<Item = String>) -> Result<Options, String> {
-    let mut o = Options {
-        addr: None,
-        connections: 16,
-        requests: 256,
-        distinct: 16,
-        n: 12,
-        rate: 0.0,
-        queue_depth: 0,
-    };
-    let mut args = args.into_iter();
-    while let Some(flag) = args.next() {
-        match flag.as_str() {
-            "--addr" => o.addr = Some(value(&mut args, &flag)?),
-            "--connections" => o.connections = value(&mut args, &flag)?,
-            "--requests" => o.requests = value(&mut args, &flag)?,
-            "--distinct" => o.distinct = value(&mut args, &flag)?,
-            "--n" => o.n = value(&mut args, &flag)?,
-            "--rate" => o.rate = value(&mut args, &flag)?,
-            "--queue-depth" => o.queue_depth = value(&mut args, &flag)?,
-            _ => return Err(format!("unknown flag {flag:?}")),
-        }
-    }
-    // Zero requests, matrices or nodes cannot make progress, so each is a
-    // configuration error, not a degenerate load.
-    for (flag, value, why) in [
-        ("requests", o.requests, "an empty run checks nothing"),
-        (
-            "distinct",
-            o.distinct as u64,
-            "at least one matrix is needed",
-        ),
-        ("n", o.n as u64, "matrices need at least one node"),
-    ] {
-        if value == 0 {
-            return Err(format!("--{flag} must be at least 1 ({why})"));
-        }
-    }
-    if o.connections == 0 || o.connections > MAX_CONNECTIONS {
-        return Err(format!(
-            "--connections must be in 1..={MAX_CONNECTIONS}, got {}",
-            o.connections
-        ));
-    }
-    if o.rate < 0.0 || !o.rate.is_finite() {
-        return Err("--rate must be a finite non-negative req/s".into());
-    }
-    Ok(o)
 }
 
 /// One pre-planned workload item: the request to send and the expected
@@ -387,24 +312,50 @@ fn run_point(
 }
 
 fn main() {
-    let o = parse_options(std::env::args().skip(1)).unwrap_or_else(|e| {
-        eprintln!("redistload: {e}");
-        std::process::exit(2);
-    });
-    let (connections, requests, distinct, n, rate) =
-        (o.connections, o.requests, o.distinct, o.n, o.rate);
+    let mut cli = Args::from_env("redistload");
+    // External daemon to drive; `None` hosts a server in-process.
+    let addr: Option<SocketAddr> = cli.value("addr");
+    let connections: usize = cli.value("connections").unwrap_or(16);
+    let requests: u64 = cli.value("requests").unwrap_or(256);
+    let distinct: usize = cli.value("distinct").unwrap_or(16);
+    let n: usize = cli.value("n").unwrap_or(12);
+    // Open-loop arrival rate in req/s; `0` runs closed-loop.
+    let rate: f64 = cli.value("rate").unwrap_or(0.0);
+    // Queue depth of a self-hosted server; `0` sizes it to the connection
+    // count.
+    let queue_depth: usize = cli.value("queue-depth").unwrap_or(0);
+    // Zero requests, matrices or nodes cannot make progress, so each is a
+    // configuration error, not a degenerate load.
+    for (flag, value, why) in [
+        ("requests", requests, "an empty run checks nothing"),
+        ("distinct", distinct as u64, "at least one matrix is needed"),
+        ("n", n as u64, "matrices need at least one node"),
+    ] {
+        if value == 0 {
+            cli.refuse(format!("--{flag} must be at least 1 ({why})"));
+        }
+    }
+    if connections == 0 || connections > MAX_CONNECTIONS {
+        cli.refuse(format!(
+            "--connections must be in 1..={MAX_CONNECTIONS}, got {connections}"
+        ));
+    }
+    if rate < 0.0 || !rate.is_finite() {
+        cli.refuse("--rate must be a finite non-negative req/s");
+    }
+    cli.finish();
 
     let platform = Platform::new(n, n, 100.0, 100.0, 400.0);
     eprintln!("redistload: planning {distinct} cold reference instances (n={n})...");
     let items = build_workload(distinct, n, &platform);
 
     // Self-host unless pointed at an external daemon.
-    let hosted = match o.addr {
+    let hosted = match addr {
         Some(_) => None,
         None => {
             let config = ServerConfig {
-                queue_depth: if o.queue_depth > 0 {
-                    o.queue_depth
+                queue_depth: if queue_depth > 0 {
+                    queue_depth
                 } else {
                     (2 * connections).max(ServerConfig::default().queue_depth)
                 },
@@ -413,9 +364,7 @@ fn main() {
             Some(server::start(config).expect("start in-process server"))
         }
     };
-    let addr = o
-        .addr
-        .unwrap_or_else(|| hosted.as_ref().expect("hosted without --addr").addr());
+    let addr = addr.unwrap_or_else(|| hosted.as_ref().expect("hosted without --addr").addr());
 
     eprintln!(
         "redistload: {requests} requests, {connections} connections{} against {addr}",

@@ -1,9 +1,9 @@
 //! The crate's binaries as a user runs them: the real executables and their
 //! exit status. An unknown flag — including the campaign, session, core and
-//! report flags they no longer have — a flag without its value or a
-//! malformed value is refused with status 2, one stderr line and nothing on
-//! stdout, before anything is hosted, bound or fetched; a small
-//! self-hosted `redistload` run exits 0.
+//! report flags they no longer have — a flag without its value, a
+//! malformed value or a repeated flag is refused with status 2, one stderr
+//! line and nothing on stdout, before anything is hosted, bound or
+//! fetched; a small self-hosted `redistload` run exits 0.
 
 use std::io::Read;
 use std::process::{Command, Output, Stdio};
@@ -70,6 +70,21 @@ fn removed_flags_are_refused() {
     }
 }
 
+#[test]
+fn load_generator_refuses_bad_values_and_repeats() {
+    for (args, want) in [
+        (&["--requests"][..], "--requests needs a value"),
+        (&["--requests", "--n", "4"], "--requests needs a value"),
+        (&["--requests", "x"], "bad value \"x\" for --requests"),
+        (&["--n", "4", "--n", "5"], "--n given more than once"),
+    ] {
+        let out = redistload(args);
+        assert_refused("redistload", args, &out);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(want), "{stderr}");
+    }
+}
+
 /// The daemon refuses what it used to ignore or default: the retired
 /// `--core`, a misspelt flag, a trailing `--workers` and a malformed
 /// worker count. It binds an ephemeral port, so a daemon that did start
@@ -81,6 +96,7 @@ fn daemon_refuses_bad_flags() {
         &["--wrokers", "2"],
         &["--workers"],
         &["--workers", "x"],
+        &["--workers", "2", "--workers", "3"],
     ] {
         let args: Vec<&str> = ["--addr", "127.0.0.1:0"]
             .iter()
@@ -115,6 +131,15 @@ fn admin_cli_refuses_bad_commands_and_flags() {
     }
     // A missing and a malformed value of a flag the command does take.
     cases.push(vec!["metrics", "--addr"]);
+    cases.push(vec![
+        "metrics",
+        "--addr",
+        "127.0.0.1:1",
+        "--addr",
+        "127.0.0.1:2",
+    ]);
+    // A flag of the other command.
+    cases.push(vec!["flight", "--addr", "127.0.0.1:1", "--validate"]);
     cases.push(vec![
         "flight",
         "--addr",

@@ -23,8 +23,9 @@
 //! `--algo` takes any `kpbs::Algo` name (default `oggp`); a bad name is
 //! rejected with the list of valid ones. The matrix and `--beta` pass the
 //! tick-budget checks `redistd` applies to a request before anything is
-//! planned. An unknown flag, a flag without its value or a malformed value
-//! exits with status 2 and one `redistexec: …` line on stderr.
+//! planned. An unknown flag, a flag without its value, a malformed value
+//! or a repeated flag exits with status 2 and one `redistexec: …` line on
+//! stderr.
 //!
 //! Plans the workload, then executes it under the fault plan generated
 //! from `--faults` (omit for a fault-free run). `--trace` records
@@ -47,8 +48,7 @@ use redistexec::{
     plan_topo, ExecConfig, ExecError, ExecMetrics, ExecReport, FaultPlan, FaultSpec,
     LoopbackTransport, PlanRecord, Runtime, SimTransport, Transport,
 };
-use std::fmt::Display;
-use std::str::FromStr;
+use telemetry::cli::Args;
 use telemetry::counters::{self, Counter};
 use telemetry::metrics::Registry;
 use telemetry::{export, spans};
@@ -91,101 +91,6 @@ fn routable_matrix(seed: u64, topo: &Topology, lo_mb: u64, hi_mb: u64) -> Traffi
 fn die(msg: &str) -> ! {
     eprintln!("redistexec: {msg}");
     std::process::exit(2);
-}
-
-/// Everything the command line sets; absent flags keep their defaults.
-struct Options {
-    bench: bool,
-    seeds: u64,
-    out: String,
-    topo: Option<String>,
-    /// Whether any of `--n/--t1/--t2/--backbone` was given.
-    platform_flags: bool,
-    n: usize,
-    t1: f64,
-    t2: f64,
-    backbone: f64,
-    beta: f64,
-    lo_mb: u64,
-    hi_mb: u64,
-    seed: u64,
-    algo: Algo,
-    transport: Option<String>,
-    faults: Option<u64>,
-    timeout: f64,
-    trace: Option<String>,
-    rid: Option<u64>,
-    metrics: Option<String>,
-}
-
-fn value<T: FromStr>(args: &mut impl Iterator<Item = String>, flag: &str) -> Result<T, String>
-where
-    T::Err: Display,
-{
-    let v = args.next().ok_or_else(|| format!("{flag} needs a value"))?;
-    v.parse().map_err(|e| format!("bad value for {flag}: {e}"))
-}
-
-/// Parses the arguments after the program name. An unknown flag, a flag
-/// without its value or a malformed value is an error, never a silent
-/// default.
-fn parse_options(args: impl IntoIterator<Item = String>) -> Result<Options, String> {
-    let mut o = Options {
-        bench: false,
-        seeds: 40,
-        out: "BENCH_exec.json".into(),
-        topo: None,
-        platform_flags: false,
-        n: 8,
-        t1: 100.0,
-        t2: 100.0,
-        backbone: 400.0,
-        beta: 0.05,
-        lo_mb: 5,
-        hi_mb: 30,
-        seed: 1,
-        algo: Algo::Oggp,
-        transport: None,
-        faults: None,
-        timeout: 3_600.0,
-        trace: None,
-        rid: None,
-        metrics: None,
-    };
-    let mut args = args.into_iter();
-    while let Some(flag) = args.next() {
-        let args = &mut args;
-        match flag.as_str() {
-            "--bench" => o.bench = true,
-            "--seeds" => o.seeds = value(args, &flag)?,
-            "--out" => o.out = value(args, &flag)?,
-            "--topo" => o.topo = Some(value(args, &flag)?),
-            "--n" => o.n = value(args, &flag)?,
-            "--t1" => o.t1 = value(args, &flag)?,
-            "--t2" => o.t2 = value(args, &flag)?,
-            "--backbone" => o.backbone = value(args, &flag)?,
-            "--beta" => o.beta = value(args, &flag)?,
-            "--lo-mb" => o.lo_mb = value(args, &flag)?,
-            "--hi-mb" => o.hi_mb = value(args, &flag)?,
-            "--seed" => o.seed = value(args, &flag)?,
-            "--algo" => o.algo = value(args, &flag)?,
-            "--transport" => o.transport = Some(value(args, &flag)?),
-            "--faults" => o.faults = Some(value(args, &flag)?),
-            "--timeout" => o.timeout = value(args, &flag)?,
-            "--trace" => o.trace = Some(value(args, &flag)?),
-            "--rid" => o.rid = Some(value(args, &flag)?),
-            "--metrics" => o.metrics = Some(value(args, &flag)?),
-            _ => return Err(format!("unknown flag {flag:?}")),
-        }
-        o.platform_flags |= matches!(flag.as_str(), "--n" | "--t1" | "--t2" | "--backbone");
-    }
-    if o.topo.is_some() && o.platform_flags {
-        return Err("--topo replaces --n/--t1/--t2/--backbone".into());
-    }
-    if o.lo_mb == 0 || o.lo_mb > o.hi_mb {
-        return Err("need 1 <= --lo-mb <= --hi-mb".into());
-    }
-    Ok(o)
 }
 
 /// Plans `traffic` over `topo` with `config.algo` and executes the plan
@@ -311,14 +216,53 @@ fn bench(seeds: u64, out_path: &str) {
 }
 
 fn main() {
-    let o = parse_options(std::env::args().skip(1)).unwrap_or_else(|e| die(&e));
-    if o.bench {
-        bench(o.seeds.max(1), &o.out);
+    let mut cli = Args::from_env("redistexec");
+    let bench_run = cli.flag("bench");
+    let seeds: u64 = cli.value("seeds").unwrap_or(40);
+    let out: String = cli.value("out").unwrap_or("BENCH_exec.json".into());
+    let topo_path: Option<String> = cli.value("topo");
+    let n: Option<usize> = cli.value("n");
+    let t1: Option<f64> = cli.value("t1");
+    let t2: Option<f64> = cli.value("t2");
+    let backbone: Option<f64> = cli.value("backbone");
+    let beta: f64 = cli.value("beta").unwrap_or(0.05);
+    let lo_mb: u64 = cli.value("lo-mb").unwrap_or(5);
+    let hi_mb: u64 = cli.value("hi-mb").unwrap_or(30);
+    let seed: u64 = cli.value("seed").unwrap_or(1);
+    let algo: Algo = cli.value("algo").unwrap_or(Algo::Oggp);
+    let transport: Option<String> = cli.value("transport");
+    let fault_seed: Option<u64> = cli.value("faults");
+    let timeout: f64 = cli.value("timeout").unwrap_or(3_600.0);
+    let trace: Option<String> = cli.value("trace");
+    let rid: Option<u64> = cli.value("rid");
+    let metrics_path: Option<String> = cli.value("metrics");
+    let platform_flags = n.is_some() || t1.is_some() || t2.is_some() || backbone.is_some();
+    if topo_path.is_some() && platform_flags {
+        cli.refuse("--topo replaces --n/--t1/--t2/--backbone");
+    }
+    if lo_mb == 0 || lo_mb > hi_mb {
+        cli.refuse("need 1 <= --lo-mb <= --hi-mb");
+    }
+    if let Some(other) = transport
+        .as_deref()
+        .filter(|t| !["loopback", "sim"].contains(t))
+    {
+        cli.refuse(format!("unknown --transport {other} (want loopback|sim)"));
+    }
+    cli.finish();
+    let (n, t1, t2, backbone) = (
+        n.unwrap_or(8),
+        t1.unwrap_or(100.0),
+        t2.unwrap_or(100.0),
+        backbone.unwrap_or(400.0),
+    );
+    if bench_run {
+        bench(seeds.max(1), &out);
         return;
     }
 
     // The network, and each source's default transport and fault mix.
-    let (topo, default_transport, spec) = match &o.topo {
+    let (topo, default_transport, spec) = match &topo_path {
         Some(path) => {
             let text = std::fs::read_to_string(path)
                 .unwrap_or_else(|e| die(&format!("cannot read {path}: {e}")));
@@ -332,7 +276,7 @@ fn main() {
             (topo, "sim", spec)
         }
         None => {
-            let topo = Topology::two_cluster(o.n, o.n, o.t1, o.t2, o.backbone);
+            let topo = Topology::two_cluster(n, n, t1, t2, backbone);
             if let Err(e) = topo.validate() {
                 die(&format!("bad platform: {e}"));
             }
@@ -340,46 +284,48 @@ fn main() {
         }
     };
     let (n1, n2) = (topo.senders(), topo.receivers());
-    let traffic = routable_matrix(o.seed, &topo, o.lo_mb, o.hi_mb);
+    let traffic = routable_matrix(seed, &topo, lo_mb, hi_mb);
     // The refusal `redistd`'s decoder applies to a request it cannot plan
     // in ticks.
-    if let Err(e) = traffic.check_tick_budget(&topo.slowest_platform(), o.beta, TickScale::MILLIS) {
+    if let Err(e) = traffic.check_tick_budget(&topo.slowest_platform(), beta, TickScale::MILLIS) {
         die(&format!("cannot plan: {e}"));
     }
-    let faults = o.faults.map_or_else(FaultPlan::none, |fseed| {
+    let faults = fault_seed.map_or_else(FaultPlan::none, |fseed| {
         FaultPlan::generate(fseed, n1, n2, &spec)
     });
     let fault_events = faults.event_count();
 
-    if o.trace.is_some() {
+    if trace.is_some() {
         spans::enable();
     }
     // Spans are labelled with the owning request id; a standalone run's
     // "request" is the workload itself, so the seed doubles as the default.
-    let rid = o.rid.unwrap_or(o.seed);
+    let rid = rid.unwrap_or(seed);
     let registry = Registry::default();
-    let metrics = o.metrics.as_ref().map(|_| ExecMetrics::register(&registry));
+    let metrics = metrics_path
+        .as_ref()
+        .map(|_| ExecMetrics::register(&registry));
     let config = ExecConfig {
-        algo: o.algo,
-        step_timeout_seconds: o.timeout,
+        algo,
+        step_timeout_seconds: timeout,
         ..ExecConfig::default()
     };
 
-    let kind = o.transport.as_deref().unwrap_or(default_transport);
+    let kind = transport.as_deref().unwrap_or(default_transport);
     let (initial, report) = match kind {
         "loopback" => {
             let transport = LoopbackTransport::for_topology(&topo);
             execute(
-                transport, &topo, &traffic, o.beta, faults, config, metrics, rid,
+                transport, &topo, &traffic, beta, faults, config, metrics, rid,
             )
         }
         "sim" => {
             let transport = SimTransport::for_topology(&topo).unwrap_or_else(|e| die(&e));
             execute(
-                transport, &topo, &traffic, o.beta, faults, config, metrics, rid,
+                transport, &topo, &traffic, beta, faults, config, metrics, rid,
             )
         }
-        other => die(&format!("unknown --transport {other} (want loopback|sim)")),
+        _ => unreachable!("--transport is checked before planning"),
     };
 
     match report.verify_against(&traffic) {
@@ -396,7 +342,7 @@ fn main() {
         "topology: {n1}x{n2} over {} backbones ({}), beta={}s, transport={kind}",
         topo.links.len(),
         ks.join(", "),
-        o.beta
+        beta
     );
     println!(
         "plan: {} steps, cost {} ticks; fault plan: {fault_events} events",
@@ -429,7 +375,7 @@ fn main() {
         traffic.total_bytes()
     );
 
-    if let Some(path) = o.trace {
+    if let Some(path) = trace {
         spans::disable();
         let events = spans::drain_all();
         let json = export::chrome_trace(&events);
@@ -440,7 +386,7 @@ fn main() {
         );
     }
 
-    if let Some(path) = o.metrics {
+    if let Some(path) = metrics_path {
         let text = registry.render();
         std::fs::write(&path, &text).expect("write metrics file");
         println!("metrics: exposition written to {path}");

@@ -1,7 +1,8 @@
 //! `redistexec` as a user runs it: the real binary, its exit status and
 //! its output. A β outside the planner's tick range, an unknown `--algo`,
-//! an unknown flag or a flag without its value is refused with status 2
-//! and one line on stderr before anything is planned; every `kpbs::Algo`
+//! an unknown flag, a flag without its value, a malformed value or a
+//! repeated flag is refused with status 2 and one line on stderr before
+//! anything is planned; every `kpbs::Algo`
 //! name executes and delivers; `--topo` runs take the same observability
 //! and transport flags as flag-built platforms.
 
@@ -48,6 +49,13 @@ fn bad_flags_are_refused() {
     assert!(stderr.contains("--seed needs a value"), "{stderr}");
     let stderr = assert_refused(&redistexec(&["--bogus", "1"]), "--bogus 1");
     assert!(stderr.contains("--bogus"), "{stderr}");
+    let stderr = assert_refused(&redistexec(&["--seed", "x"]), "--seed x");
+    assert!(stderr.contains("bad value \"x\" for --seed"), "{stderr}");
+    let repeated = redistexec(&["--seed", "1", "--seed", "2"]);
+    let stderr = assert_refused(&repeated, "repeated --seed");
+    assert!(stderr.contains("--seed given more than once"), "{stderr}");
+    let stderr = assert_refused(&redistexec(&["--transport", "tcp"]), "--transport tcp");
+    assert!(stderr.contains("unknown --transport tcp"), "{stderr}");
     // A topology file and platform flags would describe two networks.
     let both = redistexec(&["--topo", "unread.topo", "--n", "4"]);
     let stderr = assert_refused(&both, "--topo with --n");

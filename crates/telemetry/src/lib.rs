@@ -47,6 +47,11 @@
 //!   so a shed or p99 request can be explained after the fact without
 //!   having had tracing enabled.
 //!
+//! * [`cli`] — the one command-line parser of every binary in the
+//!   workspace: options asked for by name, and one refusal (exit 2, one
+//!   stderr line) for an unknown flag, a missing or malformed value and a
+//!   repeated flag.
+//!
 //! # Quickstart
 //!
 //! ```
@@ -78,6 +83,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod cli;
 pub mod counters;
 pub mod export;
 pub mod flight;

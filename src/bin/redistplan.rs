@@ -19,8 +19,10 @@
 //! `--algo` takes any `kpbs::Algo` name, on the platform and the `--topo`
 //! path alike. The matrices and `--beta` pass the tick-budget checks
 //! `redistd` applies to a request before anything is planned; a failure
-//! exits with status 2, as does an unknown argument or an option without
-//! its value.
+//! exits with status 2. So does, before any input is read, an unknown
+//! flag, a missing or malformed value, a repeated flag other than
+//! `--matrix`, `--blocks` without `--algo hier`, and a platform flag
+//! (`--t1`, `--t2`, `--backbone`, `--simulate`, `--compare`) with `--topo`.
 //!
 //! `--trace <path>` records telemetry spans through planning and simulation
 //! (it implies `--simulate`) and writes a Chrome trace-event JSON loadable
@@ -29,11 +31,12 @@
 //! (worker threads flush their counters when the batch joins, so the table
 //! too is independent of `--jobs`).
 
-use redistribute::cli::{check_args, opt_flag, opt_value, opt_values, parse_matrix_csv};
+use redistribute::cli::parse_matrix_csv;
 use redistribute::kpbs::batch::parallel_map;
 use redistribute::kpbs::hier::HierConfig;
 use redistribute::kpbs::traffic::TickScale;
 use redistribute::kpbs::{plan_topology, Platform, Topology, TrafficMatrix};
+use redistribute::telemetry::cli::Args;
 use redistribute::telemetry::{counters, export, spans};
 use redistribute::{Algo, Plan, Planner};
 
@@ -44,8 +47,8 @@ fn label(algo: Algo) -> String {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if opt_flag(&args, "help") {
+    let mut cli = Args::from_env("redistplan");
+    if cli.flag("help") {
         println!(
             "redistplan — plan a data redistribution from the command line\n\
              \n\
@@ -80,13 +83,44 @@ fn main() {
         return;
     }
 
-    let valued = [
-        "matrix", "t1", "t2", "backbone", "beta", "algo", "jobs", "blocks", "trace", "topo",
-    ];
-    let flags = ["gantt", "simulate", "compare", "counters"];
-    check_args(&args, &valued, &flags).unwrap_or_else(|e| die(&e));
+    let matrix_paths: Vec<String> = cli.values("matrix");
+    let topo_path: Option<String> = cli.value("topo");
+    let t1: Option<f64> = cli.value("t1");
+    let t2: Option<f64> = cli.value("t2");
+    let backbone: Option<f64> = cli.value("backbone");
+    let beta: f64 = cli.value("beta").unwrap_or(0.05);
+    let algo: Algo = cli.value("algo").unwrap_or(Algo::Oggp);
+    let jobs: usize = cli.value("jobs").unwrap_or(1);
+    let blocks: Option<usize> = cli.value("blocks");
+    let trace_path: Option<String> = cli.value("trace");
+    let gantt = cli.flag("gantt");
+    let simulate = cli.flag("simulate");
+    let compare = cli.flag("compare");
+    let want_counters = cli.flag("counters");
+    if jobs == 0 {
+        cli.refuse("--jobs must be at least 1");
+    }
+    if blocks == Some(0) {
+        cli.refuse("--blocks must be at least 1");
+    }
+    if blocks.is_some() && !matches!(algo, Algo::Hier(_)) {
+        cli.refuse("--blocks needs --algo hier");
+    }
+    if topo_path.is_some() {
+        if t1.is_some() || t2.is_some() || backbone.is_some() {
+            cli.refuse("--topo replaces --t1/--t2/--backbone");
+        }
+        for (given, flag) in [(simulate, "--simulate"), (compare, "--compare")] {
+            if given {
+                cli.refuse(format!("{flag} runs on the platform only, not with --topo"));
+            }
+        }
+    }
+    if matrix_paths.iter().filter(|p| *p == "-").count() > 1 {
+        cli.refuse("--matrix - (stdin) can be given at most once");
+    }
+    cli.finish();
 
-    let matrix_paths = opt_values(&args, "matrix");
     let traffics: Vec<TrafficMatrix> = if matrix_paths.is_empty() {
         eprintln!("(no --matrix given; using a 4x4 demo workload)");
         let mut t = TrafficMatrix::zeros(4, 4);
@@ -97,13 +131,10 @@ fn main() {
         }
         vec![t]
     } else {
-        if matrix_paths.iter().filter(|p| **p == "-").count() > 1 {
-            die("--matrix - (stdin) can be given at most once");
-        }
         matrix_paths
             .iter()
             .map(|path| {
-                let text = if *path == "-" {
+                let text = if path == "-" {
                     use std::io::Read;
                     let mut buf = String::new();
                     std::io::stdin()
@@ -118,42 +149,17 @@ fn main() {
             })
             .collect()
     };
-
-    let t1: f64 =
-        opt_value(&args, "t1").map_or(100.0, |v| v.parse().unwrap_or_else(|_| die("bad --t1")));
-    let t2: f64 =
-        opt_value(&args, "t2").map_or(100.0, |v| v.parse().unwrap_or_else(|_| die("bad --t2")));
-    let backbone: f64 = opt_value(&args, "backbone").map_or(t1.max(t2), |v| {
-        v.parse().unwrap_or_else(|_| die("bad --backbone"))
-    });
-    let beta: f64 =
-        opt_value(&args, "beta").map_or(0.05, |v| v.parse().unwrap_or_else(|_| die("bad --beta")));
-    let algo: Algo = opt_value(&args, "algo").map_or(Algo::Oggp, |v| {
-        v.parse().unwrap_or_else(|e| die(&format!("--algo: {e}")))
-    });
-    let jobs: usize = opt_value(&args, "jobs").map_or(1, |v| {
-        let n = v.parse().unwrap_or_else(|_| die("bad --jobs"));
-        if n == 0 {
-            die("--jobs must be at least 1")
-        }
-        n
-    });
-    let blocks: usize = opt_value(&args, "blocks").map_or(0, |v| {
-        let b = v.parse().unwrap_or_else(|_| die("bad --blocks"));
-        if b == 0 {
-            die("--blocks must be at least 1")
-        }
-        b
-    });
     let algo = match algo {
-        Algo::Hier(cfg) => Algo::Hier(HierConfig { blocks, ..cfg }),
+        Algo::Hier(cfg) => Algo::Hier(HierConfig {
+            blocks: blocks.unwrap_or(0),
+            ..cfg
+        }),
         other => other,
     };
+    let label_of = |i: usize| matrix_paths.get(i).map_or("<demo>", String::as_str);
 
     // Telemetry must be armed before planning so the spans and counters see
     // the scheduler's work (worker threads observe the same global switches).
-    let trace_path = opt_value(&args, "trace");
-    let want_counters = opt_flag(&args, "counters");
     if trace_path.is_some() {
         spans::enable();
     }
@@ -161,138 +167,94 @@ fn main() {
         counters::enable();
     }
 
-    if let Some(path) = opt_value(&args, "topo") {
+    if let Some(path) = &topo_path {
         let text = std::fs::read_to_string(path)
             .unwrap_or_else(|e| die(&format!("cannot read {path}: {e}")));
         let topo = Topology::parse(&text).unwrap_or_else(|e| die(&format!("{path}: {e}")));
-        let slowest = topo.slowest_platform();
-        for traffic in &traffics {
-            check_ticks(traffic, &slowest, beta);
+        plan_over_topology(&topo, &traffics, label_of, beta, algo, gantt);
+    } else {
+        let t1 = t1.unwrap_or(100.0);
+        let t2 = t2.unwrap_or(100.0);
+        let backbone = backbone.unwrap_or(t1.max(t2));
+        // Matrices in a batch may differ in shape, so each gets its own
+        // platform.
+        let inputs: Vec<(TrafficMatrix, Platform)> = traffics
+            .into_iter()
+            .map(|t| {
+                let p = Platform::new(t.senders(), t.receivers(), t1, t2, backbone);
+                (t, p)
+            })
+            .collect();
+        for (t, p) in &inputs {
+            check_ticks(t, p, beta);
         }
-        for (i, traffic) in traffics.iter().enumerate() {
-            if traffics.len() > 1 {
-                let path = matrix_paths.get(i).copied().unwrap_or("<demo>");
-                println!("[{}/{}] {path}", i + 1, traffics.len());
+        // --trace implies --simulate on the platform.
+        let simulate = simulate || trace_path.is_some();
+
+        let planner = Planner::new(algo).with_beta(beta);
+        // The fan-out: all plans are computed before anything is printed, and
+        // printed in input order, keeping the output independent of --jobs.
+        let plans: Vec<Plan> = parallel_map(&inputs, jobs, |(t, p)| planner.plan(t, p));
+
+        for (i, plan) in plans.iter().enumerate() {
+            let (traffic, platform) = (&plan.traffic, &plan.platform);
+            if plans.len() > 1 {
+                println!("[{}/{}] {}", i + 1, plans.len(), label_of(i));
             }
-            let plan = plan_topology(traffic, &topo, beta, TickScale::MILLIS, algo)
-                .unwrap_or_else(|e| die(&format!("topology planning failed: {e}")));
             println!(
-                "topology: {} senders, {} receivers, {} backbones; traffic: {} messages, {:.1} MB",
-                topo.senders(),
-                topo.receivers(),
-                topo.links.len(),
+                "platform: {}x{} nodes, t = {:.1} Mbit/s, k = {}; traffic: {} messages, {:.1} MB",
+                platform.n1,
+                platform.n2,
+                platform.transfer_speed(),
+                platform.k(),
                 traffic.message_count(),
                 traffic.total_bytes() as f64 / 1e6
             );
-            for lp in &plan.link_plans {
-                let link = &topo.links[lp.link];
-                println!(
-                    "  link {} ({} -> {}, {:.1} Mbit/s): k_b = {}, {} messages, cost {:.2} s (bound {:.2} s)",
-                    lp.link,
-                    link.connects.0,
-                    link.connects.1,
-                    link.capacity,
-                    lp.k,
-                    lp.messages,
-                    lp.cost as f64 / TickScale::MILLIS.ticks_per_second,
-                    lp.lower_bound as f64 / TickScale::MILLIS.ticks_per_second
-                );
-            }
-            let secs = TickScale::MILLIS.ticks_per_second;
+            plan.schedule
+                .validate(&plan.instance)
+                .unwrap_or_else(|e| die(&format!("internal error: invalid schedule: {e}")));
             println!(
-                "{}: {} composed steps, cost {:.2} s, lower bound {:.2} s, ratio {:.4}",
+                "{}: {} steps, cost {:.2} s, lower bound {:.2} s, ratio {:.4}",
                 label(algo),
                 plan.schedule.num_steps(),
-                plan.schedule.cost() as f64 / secs,
-                plan.lower_bound as f64 / secs,
+                plan.cost_seconds(),
+                plan.lower_bound_seconds(),
                 plan.evaluation_ratio()
             );
-            if opt_flag(&args, "gantt") {
+
+            if gantt {
                 println!("\n{}", plan.schedule.gantt(72));
             }
-        }
-        if want_counters {
-            counters::disable();
-            println!("\nwork counters:");
-            print!("{}", export::counter_summary(&counters::global_snapshot()));
-        }
-        return;
-    }
-
-    // Matrices in a batch may differ in shape, so each gets its own platform.
-    let platforms: Vec<Platform> = traffics
-        .iter()
-        .map(|t| Platform::new(t.senders(), t.receivers(), t1, t2, backbone))
-        .collect();
-    let inputs: Vec<(TrafficMatrix, Platform)> = traffics.into_iter().zip(platforms).collect();
-    for (t, p) in &inputs {
-        check_ticks(t, p, beta);
-    }
-
-    let planner = Planner::new(algo).with_beta(beta);
-    // The fan-out: all plans are computed before anything is printed, and
-    // printed in input order, keeping the output independent of --jobs.
-    let plans: Vec<Plan> = parallel_map(&inputs, jobs, |(t, p)| planner.plan(t, p));
-
-    for (i, plan) in plans.iter().enumerate() {
-        let (traffic, platform) = (&plan.traffic, &plan.platform);
-        if plans.len() > 1 {
-            let path = matrix_paths.get(i).copied().unwrap_or("<demo>");
-            println!("[{}/{}] {path}", i + 1, plans.len());
-        }
-        println!(
-            "platform: {}x{} nodes, t = {:.1} Mbit/s, k = {}; traffic: {} messages, {:.1} MB",
-            platform.n1,
-            platform.n2,
-            platform.transfer_speed(),
-            platform.k(),
-            traffic.message_count(),
-            traffic.total_bytes() as f64 / 1e6
-        );
-        plan.schedule
-            .validate(&plan.instance)
-            .unwrap_or_else(|e| die(&format!("internal error: invalid schedule: {e}")));
-        println!(
-            "{}: {} steps, cost {:.2} s, lower bound {:.2} s, ratio {:.4}",
-            label(algo),
-            plan.schedule.num_steps(),
-            plan.cost_seconds(),
-            plan.lower_bound_seconds(),
-            plan.evaluation_ratio()
-        );
-
-        if opt_flag(&args, "gantt") {
-            println!("\n{}", plan.schedule.gantt(72));
-        }
-        if opt_flag(&args, "simulate") || trace_path.is_some() {
-            let r = plan.simulate_ideal();
-            let steps = r.steps.len();
-            println!(
-                "simulated on the platform network: {:.2} s over {steps} steps ({:.2} s barriers)",
-                r.total_seconds,
-                plan.beta_seconds * steps as f64
-            );
-        }
-        if opt_flag(&args, "compare") {
-            let algos = [
-                Algo::Oggp,
-                Algo::Ggp,
-                Algo::List,
-                Algo::Greedy,
-                Algo::Sequential,
-            ];
-            let compared = parallel_map(&algos, jobs, |&a| {
-                Planner::new(a).with_beta(beta).plan(traffic, platform)
-            });
-            println!("\nall algorithms:");
-            for (a, p) in algos.iter().zip(&compared) {
+            if simulate {
+                let r = plan.simulate_ideal();
+                let steps = r.steps.len();
                 println!(
-                    "  {}: {:>3} steps, {:>8.2} s (ratio {:.4})",
-                    label(*a),
-                    p.schedule.num_steps(),
-                    p.cost_seconds(),
-                    p.evaluation_ratio()
+                    "simulated on the platform network: {:.2} s over {steps} steps ({:.2} s barriers)",
+                    r.total_seconds,
+                    plan.beta_seconds * steps as f64
                 );
+            }
+            if compare {
+                let algos = [
+                    Algo::Oggp,
+                    Algo::Ggp,
+                    Algo::List,
+                    Algo::Greedy,
+                    Algo::Sequential,
+                ];
+                let compared = parallel_map(&algos, jobs, |&a| {
+                    Planner::new(a).with_beta(beta).plan(traffic, platform)
+                });
+                println!("\nall algorithms:");
+                for (a, p) in algos.iter().zip(&compared) {
+                    println!(
+                        "  {}: {:>3} steps, {:>8.2} s (ratio {:.4})",
+                        label(*a),
+                        p.schedule.num_steps(),
+                        p.cost_seconds(),
+                        p.evaluation_ratio()
+                    );
+                }
             }
         }
     }
@@ -301,7 +263,7 @@ fn main() {
         spans::disable();
         let events = spans::drain_all();
         let json = export::chrome_trace(&events);
-        std::fs::write(path, &json).unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
+        std::fs::write(&path, &json).unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
         println!(
             "\ntrace: {} events written to {path} (open in https://ui.perfetto.dev)",
             events.len()
@@ -312,6 +274,63 @@ fn main() {
         counters::disable();
         println!("\nwork counters:");
         print!("{}", export::counter_summary(&counters::global_snapshot()));
+    }
+}
+
+/// Plans each matrix over `topo`: per backbone under its own `k_b`, then
+/// composed.
+fn plan_over_topology<'a>(
+    topo: &Topology,
+    traffics: &[TrafficMatrix],
+    label_of: impl Fn(usize) -> &'a str,
+    beta: f64,
+    algo: Algo,
+    gantt: bool,
+) {
+    let slowest = topo.slowest_platform();
+    for traffic in traffics {
+        check_ticks(traffic, &slowest, beta);
+    }
+    for (i, traffic) in traffics.iter().enumerate() {
+        if traffics.len() > 1 {
+            println!("[{}/{}] {}", i + 1, traffics.len(), label_of(i));
+        }
+        let plan = plan_topology(traffic, topo, beta, TickScale::MILLIS, algo)
+            .unwrap_or_else(|e| die(&format!("topology planning failed: {e}")));
+        println!(
+            "topology: {} senders, {} receivers, {} backbones; traffic: {} messages, {:.1} MB",
+            topo.senders(),
+            topo.receivers(),
+            topo.links.len(),
+            traffic.message_count(),
+            traffic.total_bytes() as f64 / 1e6
+        );
+        for lp in &plan.link_plans {
+            let link = &topo.links[lp.link];
+            println!(
+                "  link {} ({} -> {}, {:.1} Mbit/s): k_b = {}, {} messages, cost {:.2} s (bound {:.2} s)",
+                lp.link,
+                link.connects.0,
+                link.connects.1,
+                link.capacity,
+                lp.k,
+                lp.messages,
+                lp.cost as f64 / TickScale::MILLIS.ticks_per_second,
+                lp.lower_bound as f64 / TickScale::MILLIS.ticks_per_second
+            );
+        }
+        let secs = TickScale::MILLIS.ticks_per_second;
+        println!(
+            "{}: {} composed steps, cost {:.2} s, lower bound {:.2} s, ratio {:.4}",
+            label(algo),
+            plan.schedule.num_steps(),
+            plan.schedule.cost() as f64 / secs,
+            plan.lower_bound as f64 / secs,
+            plan.evaluation_ratio()
+        );
+        if gantt {
+            println!("\n{}", plan.schedule.gantt(72));
+        }
     }
 }
 

@@ -1,5 +1,6 @@
-//! Helpers for the `redistplan` command-line tool: CSV traffic-matrix
-//! parsing and option handling, kept in the library so they are unit-tested.
+//! CSV traffic-matrix parsing for the `redistplan` command-line tool, kept
+//! in the library so it is unit-tested. Options go through
+//! `telemetry::cli`.
 
 use kpbs::TrafficMatrix;
 
@@ -60,51 +61,6 @@ pub fn parse_bytes(s: &str) -> Option<u64> {
     Some((v * mult).round() as u64)
 }
 
-/// Checks an argument list against the options a tool takes: each argument
-/// must be `--name` for a name in `flags`, or `--name value` for a name in
-/// `valued`. The first unknown argument, or a valued option with no value
-/// after it (the list ends, or the next argument is itself an option), is
-/// the error, so a typo is refused instead of silently running on defaults.
-/// The `opt_*` lookups below assume a list that passed this check.
-pub fn check_args(args: &[String], valued: &[&str], flags: &[&str]) -> Result<(), String> {
-    let mut args = args.iter();
-    while let Some(arg) = args.next() {
-        let name = arg.strip_prefix("--").unwrap_or("");
-        if valued.contains(&name) {
-            match args.next() {
-                Some(v) if !v.starts_with("--") => {}
-                _ => return Err(format!("{arg} needs a value")),
-            }
-        } else if !flags.contains(&name) {
-            return Err(format!("unknown argument {arg:?}"));
-        }
-    }
-    Ok(())
-}
-
-/// Looks up `--name value` in an argument list.
-pub fn opt_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
-    args.windows(2)
-        .find(|w| w[0] == format!("--{name}"))
-        .map(|w| w[1].as_str())
-}
-
-/// True when `--name` appears as a flag.
-pub fn opt_flag(args: &[String], name: &str) -> bool {
-    args.iter().any(|a| a == &format!("--{name}"))
-}
-
-/// Collects every value of a repeatable `--name value` option, in order.
-/// `opt_value` returns only the first; batch options like `--matrix` may
-/// appear once per input.
-pub fn opt_values<'a>(args: &'a [String], name: &str) -> Vec<&'a str> {
-    let flag = format!("--{name}");
-    args.windows(2)
-        .filter(|w| w[0] == flag)
-        .map(|w| w[1].as_str())
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -157,50 +113,5 @@ mod tests {
         assert_eq!(parse_bytes("-1"), None);
         assert_eq!(parse_bytes("nan"), None);
         assert_eq!(parse_bytes(""), None);
-    }
-
-    #[test]
-    fn check_args_refuses_unknown_flags_and_missing_values() {
-        let args = |list: &[&str]| list.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        let check = |list: &[&str]| check_args(&args(list), &["beta", "matrix"], &["gantt"]);
-        assert_eq!(check(&[]), Ok(()));
-        assert_eq!(check(&["--beta", "-1", "--gantt", "--matrix", "-"]), Ok(()));
-        assert_eq!(
-            check(&["--bakcbone", "300"]),
-            Err("unknown argument \"--bakcbone\"".into())
-        );
-        assert_eq!(
-            check(&["--gantt", "300"]),
-            Err("unknown argument \"300\"".into())
-        );
-        assert_eq!(check(&["--beta"]), Err("--beta needs a value".into()));
-        assert_eq!(
-            check(&["--beta", "--gantt"]),
-            Err("--beta needs a value".into())
-        );
-        assert_eq!(check(&["--"]), Err("unknown argument \"--\"".into()));
-    }
-
-    #[test]
-    fn option_helpers() {
-        let args: Vec<String> = ["--k", "3", "--gantt"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        assert_eq!(opt_value(&args, "k"), Some("3"));
-        assert_eq!(opt_value(&args, "beta"), None);
-        assert!(opt_flag(&args, "gantt"));
-        assert!(!opt_flag(&args, "simulate"));
-    }
-
-    #[test]
-    fn repeated_options() {
-        let args: Vec<String> = ["--matrix", "a.csv", "--k", "2", "--matrix", "b.csv"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        assert_eq!(opt_values(&args, "matrix"), vec!["a.csv", "b.csv"]);
-        assert_eq!(opt_value(&args, "matrix"), Some("a.csv"));
-        assert!(opt_values(&args, "beta").is_empty());
     }
 }

@@ -1,8 +1,10 @@
 //! `redistplan` as a user runs it: the real binary, its exit status and
 //! its output. A matrix or β outside the planner's tick range is refused
 //! with status 2 and one line on stderr, never planned into a wrapped cost
-//! or a panic, and so is an unknown flag or a flag without its value;
-//! every `--algo` name plans, on the `--topo` path too.
+//! or a panic, and so is an unknown flag, a flag without its value, a
+//! malformed or repeated value and a flag the chosen path ignores; every
+//! `--algo` name plans, on the `--topo` path too, and `--trace` writes its
+//! file on both paths.
 
 use redistribute::Algo;
 use std::process::{Command, Output};
@@ -62,6 +64,54 @@ fn unknown_flags_and_missing_values_are_refused() {
     assert!(stderr.contains("--bakcbone"), "{stderr}");
     let stderr = assert_refused(&redistplan(MATRIX, false, &["--beta"]), "bare --beta");
     assert!(stderr.contains("--beta needs a value"), "{stderr}");
+}
+
+#[test]
+fn malformed_and_repeated_values_are_refused() {
+    // Checked before any input is read: no demo-workload note first.
+    let bare = Command::new(env!("CARGO_BIN_EXE_redistplan"))
+        .args(["--t1", "abc"])
+        .output()
+        .expect("run redistplan");
+    let stderr = assert_refused(&bare, "bare --t1 abc");
+    assert!(stderr.contains("\"abc\" for --t1"), "{stderr}");
+    let stderr = assert_refused(
+        &redistplan(MATRIX, false, &["--jobs", "2", "--jobs", "3"]),
+        "repeated --jobs",
+    );
+    assert!(stderr.contains("--jobs given more than once"), "{stderr}");
+}
+
+#[test]
+fn flags_the_chosen_path_ignores_are_refused() {
+    let stderr = assert_refused(
+        &redistplan(MATRIX, false, &["--algo", "oggp", "--blocks", "4"]),
+        "--blocks without hier",
+    );
+    assert!(stderr.contains("--blocks needs --algo hier"), "{stderr}");
+    for args in [
+        &["--t1", "100"][..],
+        &["--t2", "100"],
+        &["--backbone", "300"],
+        &["--simulate"],
+        &["--compare"],
+    ] {
+        let stderr = assert_refused(&redistplan(MATRIX, true, args), args[0]);
+        assert!(
+            stderr.contains(args[0]) && stderr.contains("--topo"),
+            "{stderr}"
+        );
+    }
+}
+
+#[test]
+fn topo_path_writes_its_trace() {
+    let trace = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("redistplan-topo.json");
+    let _ = std::fs::remove_file(&trace);
+    let out = redistplan(MATRIX, true, &["--trace", trace.to_str().unwrap()]);
+    assert!(out.status.success(), "{out:?}");
+    let json = std::fs::read_to_string(&trace).expect("trace written");
+    assert!(json.contains("\"name\":\"kpbs.topo_plan\""), "{json}");
 }
 
 #[test]
