@@ -81,3 +81,8 @@ fn fig10_fig11_reproduce_results() {
 fn determinism_reproduces_results() {
     check(env!("CARGO_BIN_EXE_determinism"), &[], "determinism.txt");
 }
+
+#[test]
+fn utilization_reproduces_results() {
+    check(env!("CARGO_BIN_EXE_utilization"), &[], "utilization.txt");
+}
