@@ -11,11 +11,11 @@
 //! ```
 
 use bench::row;
-use flowsim::{brute_force_time, NetworkSpec, SimConfig, TcpModel};
+use flowsim::{NetworkSpec, SimConfig, TcpModel};
 use kpbs::traffic::TickScale;
 use kpbs::{oggp, Platform, Topology, TrafficMatrix};
 use rand::{rngs::SmallRng, SeedableRng};
-use redistexec::{execute_fault_free, SimTransport};
+use redistexec::{brute_force, execute_fault_free, SimTransport};
 use telemetry::cli::Args;
 
 fn spread(xs: &[f64]) -> (f64, f64, f64) {
@@ -44,9 +44,11 @@ fn main() {
         let cfg = SimConfig {
             tcp: TcpModel::default(),
             seed,
-            record_trace: false,
         };
-        brute.push(brute_force_time(&traffic, &spec, &cfg));
+        brute.push(brute_force(
+            SimTransport::new(spec.clone(), cfg.clone()),
+            &traffic,
+        ));
         let transport = SimTransport::new(spec.clone(), cfg);
         let report = execute_fault_free(
             transport,

@@ -13,11 +13,11 @@
 //! ```
 
 use bench::{f2, row};
-use flowsim::{brute_force_time, NetworkSpec, SimConfig, TcpModel};
+use flowsim::{NetworkSpec, SimConfig, TcpModel};
 use kpbs::traffic::TickScale;
 use kpbs::{ggp, oggp, Platform, Topology, TrafficMatrix};
 use rand::{rngs::SmallRng, SeedableRng};
-use redistexec::{execute_fault_free, SimTransport};
+use redistexec::{brute_force, execute_fault_free, SimTransport};
 use telemetry::cli::Args;
 
 fn figure(k: usize, seeds: u64, beta: f64, csv: bool) {
@@ -56,16 +56,14 @@ fn figure(k: usize, seeds: u64, beta: f64, csv: bool) {
             let cfg = SimConfig {
                 tcp: TcpModel::default(),
                 seed,
-                record_trace: false,
             };
-            brute_sum += brute_force_time(&traffic, &spec, &cfg);
+            brute_sum += brute_force(SimTransport::new(spec.clone(), cfg), &traffic);
         }
         let brute = brute_sum / seeds as f64;
 
         let lossy = SimConfig {
             tcp: TcpModel::default(),
             seed: 0,
-            record_trace: false,
         };
         let scheduled = |schedule| {
             let transport = SimTransport::new(spec.clone(), lossy.clone());

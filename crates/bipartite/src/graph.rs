@@ -392,28 +392,6 @@ impl Graph {
         self.edges_of_right(r).map(|e| self.weight(e)).sum()
     }
 
-    /// Builds a graph from a dense weight matrix (`matrix[l][r]` = weight,
-    /// zero meaning "no edge"). The paper's communication matrix `C`
-    /// viewed as a graph (Section 2.2).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the rows have inconsistent lengths.
-    pub fn from_matrix(matrix: &[Vec<Weight>]) -> Self {
-        let nl = matrix.len();
-        let nr = matrix.first().map_or(0, |row| row.len());
-        let mut g = Graph::new(nl, nr);
-        for (l, row) in matrix.iter().enumerate() {
-            assert_eq!(row.len(), nr, "ragged matrix");
-            for (r, &w) in row.iter().enumerate() {
-                if w > 0 {
-                    g.add_edge(l, r, w);
-                }
-            }
-        }
-        g
-    }
-
     /// Finds the first (lowest-id) live edge between left node `left` and
     /// right node `right`, if any. O(degree of `left`).
     ///
@@ -443,18 +421,6 @@ impl Graph {
             }
             None => self.add_edge(left, right, weight),
         }
-    }
-
-    /// Returns a compacted copy of the graph containing only live edges,
-    /// together with the mapping from new edge ids to the original ids.
-    pub fn compact(&self) -> (Graph, Vec<EdgeId>) {
-        let mut g = Graph::new(self.left_count(), self.right_count());
-        let mut back = Vec::with_capacity(self.live_edges);
-        for (id, l, r, w) in self.edges() {
-            g.add_edge(l, r, w);
-            back.push(id);
-        }
-        (g, back)
     }
 }
 
@@ -551,36 +517,6 @@ mod tests {
         assert_eq!((l, r), (1, 1));
         g.add_edge(l, r, 4);
         assert_eq!(g.node_weight_left(1), 4);
-    }
-
-    #[test]
-    fn from_matrix_builds_edges() {
-        let g = Graph::from_matrix(&[vec![0, 5], vec![3, 0]]);
-        assert_eq!(g.left_count(), 2);
-        assert_eq!(g.right_count(), 2);
-        assert_eq!(g.edge_count(), 2);
-        assert_eq!(g.node_weight_left(0), 5);
-        assert_eq!(g.node_weight_right(0), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "ragged")]
-    fn from_matrix_rejects_ragged() {
-        Graph::from_matrix(&[vec![1, 2], vec![3]]);
-    }
-
-    #[test]
-    fn compact_preserves_live_edges_and_mapping() {
-        let mut g = Graph::new(2, 2);
-        let e0 = g.add_edge(0, 0, 1);
-        let e1 = g.add_edge(0, 1, 2);
-        let e2 = g.add_edge(1, 1, 3);
-        g.remove_edge(e1);
-        let (c, back) = g.compact();
-        assert_eq!(c.edge_count(), 2);
-        assert_eq!(back, vec![e0, e2]);
-        let weights: Vec<Weight> = c.edges().map(|(_, _, _, w)| w).collect();
-        assert_eq!(weights, vec![1, 3]);
     }
 
     #[test]

@@ -5,7 +5,6 @@ use crate::fairshare::max_min_rates_routed;
 use crate::flow::{Flow, FlowResult};
 use crate::network::{NetworkSpec, BYTES_PER_S_PER_MBPS};
 use crate::tcp::TcpModel;
-use crate::trace::Trace;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use telemetry::counters::{self, Counter};
@@ -17,8 +16,6 @@ pub struct SimConfig {
     pub tcp: TcpModel,
     /// Seed for the jitter of contended flows.
     pub seed: u64,
-    /// Record a rate trace (costs memory; off by default).
-    pub record_trace: bool,
 }
 
 impl Default for SimConfig {
@@ -26,7 +23,6 @@ impl Default for SimConfig {
         SimConfig {
             tcp: TcpModel::ideal(),
             seed: 0,
-            record_trace: false,
         }
     }
 }
@@ -38,8 +34,6 @@ pub struct RunResult {
     pub flows: Vec<FlowResult>,
     /// Completion time of the last flow, seconds.
     pub makespan: f64,
-    /// Optional rate trace.
-    pub trace: Option<Trace>,
 }
 
 /// The simulator.
@@ -88,7 +82,6 @@ impl Engine {
         let mut done = vec![false; n];
         let mut active = n;
         let mut now = 0.0f64;
-        let mut trace = self.config.record_trace.then(Trace::default);
 
         // Safety valve: each iteration completes a flow or crosses a
         // capacity breakpoint; bound iterations generously anyway.
@@ -131,9 +124,6 @@ impl Engine {
                 let eff = self.config.tcp.effective_rate(*a, solo, run_bias, &mut rng);
                 rates[i] = eff * BYTES_PER_S_PER_MBPS;
             }
-            if let Some(t) = trace.as_mut() {
-                t.record(now, &idx, &rates);
-            }
 
             // Time to the next event: earliest completion or profile change.
             let mut dt = f64::INFINITY;
@@ -168,7 +158,6 @@ impl Engine {
                 .map(|(&flow, &finish)| FlowResult { flow, finish })
                 .collect(),
             makespan: now,
-            trace,
         }
     }
 }
@@ -305,7 +294,6 @@ mod tests {
         let cfg = |seed| SimConfig {
             tcp: TcpModel::default(),
             seed,
-            record_trace: false,
         };
         let r1 = Engine::new(spec.clone(), cfg(1)).run(&flows);
         let r2 = Engine::new(spec, cfg(2)).run(&flows);
@@ -313,21 +301,6 @@ mod tests {
         // Within a sane band of each other.
         let ratio = r1.makespan / r2.makespan;
         assert!(ratio > 0.7 && ratio < 1.4, "ratio {ratio}");
-    }
-
-    #[test]
-    fn trace_recorded_when_requested() {
-        let spec = NetworkSpec::uniform(1, 1, 100.0, 100.0, 100.0);
-        let e = Engine::new(
-            spec,
-            SimConfig {
-                record_trace: true,
-                ..Default::default()
-            },
-        );
-        let r = e.run(&[Flow::new(0, 0, 1_000_000.0)]);
-        let t = r.trace.expect("trace requested");
-        assert!(!t.samples.is_empty());
     }
 
     #[test]

@@ -16,26 +16,24 @@
 //! * [`flow`] — flows and per-flow results,
 //! * [`tcp`] — the TCP behaviour model (per-flow overhead + seeded jitter)
 //!   that makes the brute-force baseline lossy and non-deterministic,
-//! * [`engine`] — the event loop,
-//! * [`executor`] — the brute-force TCP baseline: every message at once,
-//!   the transport model left to arbitrate. Schedules (synchronous steps +
-//!   β barriers) execute through `redistexec::Runtime`, whose
-//!   `SimTransport` runs each step on the [`Engine`],
-//! * [`trace`] — time-series of allocations for tests and plots.
+//! * [`engine`] — the event loop.
+//!
+//! The crate runs flows, not redistributions. Both of the paper's arms
+//! execute through `redistexec`'s `SimTransport`, which hands each batch of
+//! transfers to the [`Engine`]: a schedule's synchronous steps one at a
+//! time through `redistexec::Runtime`, and the brute-force baseline (every
+//! message at once) as one batch through `redistexec::brute_force`.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod engine;
-pub mod executor;
 pub mod fairshare;
 pub mod flow;
 pub mod network;
 pub mod tcp;
-pub mod trace;
 
 pub use engine::{Engine, RunResult, SimConfig};
-pub use executor::{brute_force_run, brute_force_time};
 pub use fairshare::{max_min_rates, max_min_rates_routed};
 pub use flow::Flow;
 pub use network::{CapacityProfile, NetworkSpec};

@@ -83,21 +83,6 @@ impl Schedule {
         self.steps.iter().map(|s| s.width()).max().unwrap_or(0)
     }
 
-    /// Fraction of the transmission time during which matched pairs were
-    /// actually transmitting: `volume / (Σ_i width_i · W(M_i))`. 1.0 means
-    /// every step was perfectly square (all slices equal).
-    pub fn slice_efficiency(&self) -> f64 {
-        let busy: Weight = self
-            .steps
-            .iter()
-            .map(|s| s.duration() * s.width() as Weight)
-            .sum();
-        if busy == 0 {
-            return 1.0;
-        }
-        self.volume() as f64 / busy as f64
-    }
-
     /// Checks this schedule against `inst`: 1-port steps, at most
     /// `effective_k` slices per step, positive amounts, and exact coverage of
     /// every edge weight. See [`crate::validate`].
@@ -232,7 +217,6 @@ mod tests {
         assert_eq!(s.cost(), 0);
         assert_eq!(s.num_steps(), 0);
         assert_eq!(s.max_width(), 0);
-        assert!((s.slice_efficiency() - 1.0).abs() < f64::EPSILON);
     }
 
     #[test]
@@ -334,19 +318,5 @@ mod tests {
         let slices = s.byte_slices(&inst, &[1]);
         assert!(slices[0].is_empty());
         assert_eq!(slices[1], vec![(e, 1)]);
-    }
-
-    #[test]
-    fn slice_efficiency_square_steps() {
-        let s = Schedule {
-            steps: vec![step(&[3, 3, 3])],
-            beta: 0,
-        };
-        assert!((s.slice_efficiency() - 1.0).abs() < f64::EPSILON);
-        let ragged = Schedule {
-            steps: vec![step(&[4, 2])],
-            beta: 0,
-        };
-        assert!((ragged.slice_efficiency() - 0.75).abs() < 1e-12);
     }
 }

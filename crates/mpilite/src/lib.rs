@@ -13,12 +13,15 @@
 //!   token buckets — sender NIC, receiver NIC, backbone — mirroring
 //!   `rshaper` ([`shaper`]),
 //! * global [`barrier`]s separate communication steps,
-//! * [`runner`] runs the brute-force all-at-once pattern and holds the
-//!   byte-exact payload check ([`runner::verify`]) every real-byte run
-//!   shares. A `kpbs` [`Schedule`](kpbs::Schedule) executes through
-//!   `redistexec::Runtime` over its `MpiTransport`: one [`World::run`] per
-//!   step, timed by wall clock, the in-process analogue of the paper's
-//!   `ntp_gettime` measurements.
+//! * every received buffer is checked byte for byte against the sender's
+//!   [`payload()`] ([`verify`]).
+//!
+//! The crate moves bytes, it does not plan them. Both of the paper's arms
+//! execute through `redistexec`'s `MpiTransport`, one [`World::run`] per
+//! call, timed by wall clock (the in-process analogue of the paper's
+//! `ntp_gettime` measurements): a `kpbs` schedule one step at a time through
+//! `redistexec::Runtime`, and the brute-force baseline (every message at
+//! once, one thread per connection) through `redistexec::brute_force`.
 //!
 //! Bandwidths are configurable so tests run in milliseconds; the *structure*
 //! (who waits on whom, what is shaped where) matches the paper's setup.
@@ -27,13 +30,11 @@
 #![forbid(unsafe_code)]
 
 pub mod barrier;
-pub mod collective;
 pub mod comm;
 pub mod fabric;
-pub mod runner;
+pub mod payload;
 pub mod shaper;
 
-pub use collective::{alltoallv_recv, alltoallv_send};
 pub use comm::{Comm, Rank, World, WorldConfig};
 pub use fabric::FabricConfig;
-pub use runner::{payload, run_brute_force, verify, RunnerReport};
+pub use payload::{payload, verify};

@@ -10,9 +10,11 @@
 //! runs (§5) — over a pluggable [`Transport`]: [`LoopbackTransport`]
 //! (analytic 1-port timing), [`SimTransport`] (the [`flowsim`] max–min
 //! fair fluid engine) or [`MpiTransport`] (real bytes through
-//! [`mpilite`]'s shaped threaded fabric). With [`FaultPlan::none`] that is plain schedule execution; a
-//! seeded, fully deterministic [`FaultPlan`] injects three kinds of
-//! trouble:
+//! [`mpilite`]'s shaped threaded fabric). The paper's baseline runs over
+//! the same transports: [`brute_force`] hands every message to one
+//! unconstrained [`Transport::deliver`] call. With [`FaultPlan::none`] a
+//! schedule run is plain schedule execution; a seeded, fully deterministic
+//! [`FaultPlan`] injects three kinds of trouble:
 //!
 //! * **transient transfer failures** — retried with capped exponential
 //!   backoff up to a per-transfer attempt budget,
@@ -68,8 +70,8 @@ pub use faults::{FaultPlan, FaultSpec, NodeRef};
 pub use replan::{plan_topo, PlanRecord};
 pub use residual::{outstanding, Liveness};
 pub use runtime::{
-    execute_fault_free, plan_and_execute_topo, ExecConfig, ExecError, ExecMetrics, ExecReport,
-    ExecutedStep, Runtime,
+    brute_force, execute_fault_free, plan_and_execute_topo, ExecConfig, ExecError, ExecMetrics,
+    ExecReport, ExecutedStep, Runtime,
 };
 pub use transport::{
     LoopbackTransport, MpiTransport, SimTransport, StepFaults, TransferOp, Transport,

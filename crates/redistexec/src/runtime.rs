@@ -305,11 +305,6 @@ impl<T: Transport> Runtime<T> {
         self
     }
 
-    /// Consumes the runtime, returning the transport (and its ledger).
-    pub fn into_transport(self) -> T {
-        self.transport
-    }
-
     /// Executes `schedule` — planned for `traffic` over `topo` with the
     /// given `beta_seconds`/`scale` — to completion under the fault plan.
     /// The schedule is validated against the routed instance
@@ -632,6 +627,36 @@ pub fn execute_fault_free<T: Transport>(
     Runtime::new(transport, FaultPlan::none(), config)
         .execute(traffic, topo, beta_seconds, scale, schedule)
         .expect("a fault-free run of a valid schedule completes")
+}
+
+/// Runs the paper's brute-force arm (§5.2) over `transport` and returns its
+/// duration in seconds: every non-zero message of `traffic` starts at once,
+/// in one unconstrained [`Transport::deliver`] call carrying the messages in
+/// row-major order, and the transport's model of the network sorts out the
+/// contention. No schedule, no β and no 1-port or `k` check: that is the
+/// baseline the scheduled arm is measured against.
+///
+/// # Panics
+///
+/// Panics when the transport's ledger afterwards differs from `traffic`
+/// (a transport that already carried bytes, or one that lost some).
+pub fn brute_force<T: Transport>(mut transport: T, traffic: &TrafficMatrix) -> f64 {
+    let _span = spans::span("redistexec.brute_force");
+    let ops: Vec<TransferOp> = (0..traffic.senders())
+        .flat_map(|src| (0..traffic.receivers()).map(move |dst| (src, dst)))
+        .map(|(src, dst)| TransferOp {
+            src,
+            dst,
+            bytes: traffic.get(src, dst),
+        })
+        .filter(|op| op.bytes > 0)
+        .collect();
+    let seconds = transport.deliver(&ops, 1.0);
+    assert!(
+        transport.delivered() == traffic,
+        "brute force delivered other bytes than the traffic matrix"
+    );
+    seconds
 }
 
 #[cfg(test)]

@@ -1,9 +1,11 @@
 //! Pluggable transfer transports.
 //!
-//! The runtime hands a transport one *step* at a time: a set of byte-valued
-//! transfer operations forming a matching (1-port: each node appears at most
-//! once). The transport answers two questions — how long would this step
-//! take ([`Transport::estimate`]), and actually move the bytes
+//! A transport is handed a set of byte-valued transfer operations that run
+//! at the same time. [`Runtime`](crate::Runtime) hands it one validated
+//! *step* at a time (a matching: 1-port, each node at most once);
+//! [`brute_force`](crate::brute_force) hands it every message at once, so
+//! nodes repeat. The transport answers two questions — how long would this
+//! set take ([`Transport::estimate`]), and actually move the bytes
 //! ([`Transport::deliver`]) — and keeps the authoritative ledger of bytes
 //! delivered per `(sender, receiver)` pair, which is exactly the matrix
 //! [`kpbs::residual_matrix`] subtracts from the original demand when the
@@ -17,7 +19,7 @@
 //!   fluid engine (Figures 10–11). Slowdown faults are injected via
 //!   [`NetworkSpec::scaled`] — a uniform capacity scale of `1/s` models a
 //!   platform-wide slowdown of `s` exactly;
-//! * [`MpiTransport`] — every step moves real bytes through an [`mpilite`]
+//! * [`MpiTransport`] — every call moves real bytes through an [`mpilite`]
 //!   world of rank threads and token-bucket shaped NICs, the in-process
 //!   analogue of the paper's MPICH runs, timed by wall clock.
 
@@ -120,6 +122,31 @@ pub trait Transport {
     /// Like [`Transport::deliver`] but under full [`StepFaults`] shaping.
     fn deliver_faulted(&mut self, ops: &[TransferOp], faults: &StepFaults) -> f64 {
         self.deliver(ops, faults.slowdown)
+    }
+}
+
+/// A borrowed transport carries for its owner, who keeps the ledger
+/// afterwards (e.g. to read [`Transport::delivered`] after
+/// [`brute_force`](crate::brute_force) consumed the borrow).
+impl<T: Transport + ?Sized> Transport for &mut T {
+    fn estimate(&mut self, ops: &[TransferOp], slowdown: f64) -> f64 {
+        (**self).estimate(ops, slowdown)
+    }
+
+    fn deliver(&mut self, ops: &[TransferOp], slowdown: f64) -> f64 {
+        (**self).deliver(ops, slowdown)
+    }
+
+    fn delivered(&self) -> &TrafficMatrix {
+        (**self).delivered()
+    }
+
+    fn estimate_faulted(&mut self, ops: &[TransferOp], faults: &StepFaults) -> f64 {
+        (**self).estimate_faulted(ops, faults)
+    }
+
+    fn deliver_faulted(&mut self, ops: &[TransferOp], faults: &StepFaults) -> f64 {
+        (**self).deliver_faulted(ops, faults)
     }
 }
 
@@ -314,12 +341,14 @@ impl Transport for SimTransport {
 /// the fabric's token buckets, and every received buffer checked byte for
 /// byte with [`mpilite::verify`] before it enters the ledger.
 ///
-/// A step is one [`World::run`] on a fresh world: its alignment barrier and
+/// A call is one [`World::run`] on a fresh world: its alignment barrier and
 /// the join of its rank threads are the step barrier, and its wall-clock
-/// duration is what [`Transport::deliver`] returns. Slowdowns run the step
-/// on a fabric whose rates are scaled by `1/s`. [`Transport::estimate`] is
-/// the analytic 1-port time at the slower NIC rate, as in
-/// [`LoopbackTransport`].
+/// duration is what [`Transport::deliver`] returns. Each rank sends or
+/// receives each of its ops on a thread of its own, so a node may appear in
+/// several ops (the brute-force pattern: all connections open at once) and
+/// the fabric arbitrates; a `(sender, receiver)` pair appears at most once. Slowdowns run the call on a fabric whose rates are
+/// scaled by `1/s`. [`Transport::estimate`] is the analytic 1-port time at
+/// the slower NIC rate, as in [`LoopbackTransport`].
 #[derive(Debug, Clone)]
 pub struct MpiTransport {
     fabric: FabricConfig,
@@ -345,24 +374,10 @@ impl Transport for MpiTransport {
 
     /// # Panics
     ///
-    /// Panics when two ops share a node (the 1-port model forbids it, and
-    /// the synchronous sends would deadlock) or when a buffer arrives
-    /// truncated or corrupted.
+    /// Panics when a buffer arrives truncated or corrupted.
     fn deliver(&mut self, ops: &[TransferOp], slowdown: f64) -> f64 {
         let ledger = self.analytic.delivered();
         let (senders, receivers) = (ledger.senders(), ledger.receivers());
-        let mut send_to = vec![None; senders];
-        let mut recv_from = vec![None; receivers];
-        for op in ops {
-            assert!(
-                send_to[op.src].is_none() && recv_from[op.dst].is_none(),
-                "step violates the 1-port model at {}->{}",
-                op.src,
-                op.dst
-            );
-            send_to[op.src] = Some(*op);
-            recv_from[op.dst] = Some(*op);
-        }
         let f = self.fabric;
         let world = World::new(WorldConfig {
             senders,
@@ -374,17 +389,25 @@ impl Transport for MpiTransport {
                 ..f
             },
         });
-        let elapsed = world.run(|comm| match comm.rank() {
-            Rank::Sender(s) => {
-                if let Some(op) = send_to[s] {
-                    comm.send(op.dst, mpilite::payload(s, op.dst, op.bytes));
+        let elapsed = world.run(|comm| {
+            let rank = comm.rank();
+            std::thread::scope(|scope| {
+                for &op in ops {
+                    match rank {
+                        Rank::Sender(s) if s == op.src => {
+                            scope.spawn(move || {
+                                comm.send(op.dst, mpilite::payload(s, op.dst, op.bytes))
+                            });
+                        }
+                        Rank::Receiver(d) if d == op.dst => {
+                            scope.spawn(move || {
+                                mpilite::verify(&comm.recv(op.src), op.src, d, op.bytes)
+                            });
+                        }
+                        _ => {}
+                    }
                 }
-            }
-            Rank::Receiver(d) => {
-                if let Some(op) = recv_from[d] {
-                    mpilite::verify(&comm.recv(op.src), op.src, d, op.bytes);
-                }
-            }
+            });
         });
         self.analytic.deliver(ops, slowdown);
         elapsed.as_secs_f64()
@@ -681,21 +704,76 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "1-port")]
-    fn mpi_transport_rejects_a_shared_sender() {
+    fn mpi_transport_delivers_ops_that_share_a_sender_and_a_receiver() {
+        // Sender 0 sends twice and receiver 0 receives twice in one call:
+        // each op runs on its own thread, every buffer is verified on
+        // arrival, and the ledger carries every op.
         let mut mpi = MpiTransport::new(2, 2, fast_fabric());
         let ops = [
             TransferOp {
                 src: 0,
                 dst: 0,
-                bytes: 100,
+                bytes: 20_000,
             },
             TransferOp {
                 src: 0,
                 dst: 1,
-                bytes: 100,
+                bytes: 5_000,
+            },
+            TransferOp {
+                src: 1,
+                dst: 0,
+                bytes: 12_000,
             },
         ];
-        mpi.deliver(&ops, 1.0);
+        let secs = mpi.deliver(&ops, 1.0);
+        assert!(secs > 0.0);
+        assert_eq!(mpi.delivered().get(0, 0), 20_000);
+        assert_eq!(mpi.delivered().get(0, 1), 5_000);
+        assert_eq!(mpi.delivered().get(1, 0), 12_000);
+        assert_eq!(mpi.delivered().get(1, 1), 0);
+        assert_eq!(mpi.delivered().total_bytes(), 37_000);
+    }
+
+    #[test]
+    fn brute_force_delivers_every_byte() {
+        // Keep volumes small: these move real bytes through real threads.
+        let mut traffic = TrafficMatrix::zeros(4, 4);
+        for i in 0..4 {
+            for j in 0..4 {
+                traffic.set(i, j, 10_000 + ((i * 4 + j) as u64 + 3) * 1000);
+            }
+        }
+        let mut mpi = MpiTransport::new(4, 4, fast_fabric());
+        let secs = crate::brute_force(&mut mpi, &traffic);
+        assert!(secs > 0.0);
+        assert_eq!(mpi.delivered().total_bytes(), traffic.total_bytes());
+    }
+
+    #[test]
+    fn sparse_traffic_supported() {
+        let mut traffic = TrafficMatrix::zeros(3, 3);
+        traffic.set(0, 2, 5000);
+        traffic.set(2, 0, 7000);
+        let mut mpi = MpiTransport::new(3, 3, fast_fabric());
+        crate::brute_force(&mut mpi, &traffic);
+        assert_eq!(mpi.delivered().total_bytes(), 12_000);
+    }
+
+    #[test]
+    fn brute_force_with_ideal_tcp_equals_volume_over_backbone() {
+        // Ideal fluid transport: the backbone is the only binding
+        // constraint of the saturated testbed, so the makespan is close to
+        // total volume / backbone (equal shares drain messages together,
+        // freeing capacity for the rest).
+        use rand::{rngs::SmallRng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(7);
+        let traffic = TrafficMatrix::uniform_mb(&mut rng, 10, 10, 10, 20);
+        let sim = SimTransport::for_platform(&Platform::testbed(3));
+        let seconds = crate::brute_force(sim, &traffic);
+        let volume_bytes = traffic.total_bytes() as f64;
+        let floor = volume_bytes / (100.0 * 1e6 / 8.0);
+        assert!(seconds >= floor * 0.999);
+        assert!(seconds <= floor * 1.25, "brute {seconds} vs floor {floor}");
     }
 }

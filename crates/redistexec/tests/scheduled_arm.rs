@@ -3,14 +3,14 @@
 //! and over [`MpiTransport`] (real bytes through the shaped threaded
 //! fabric), plus the fault model applied to the MPI arm.
 
-use flowsim::{brute_force_time, NetworkSpec, SimConfig, TcpModel};
+use flowsim::{NetworkSpec, SimConfig, TcpModel};
 use kpbs::traffic::TickScale;
 use kpbs::{oggp, Algo, Platform, Schedule, Topology, TrafficMatrix};
 use mpilite::FabricConfig;
 use rand::{rngs::SmallRng, SeedableRng};
 use redistexec::{
-    execute_fault_free, plan_and_execute_topo, ExecConfig, ExecReport, FaultPlan, FaultSpec,
-    MpiTransport, SimTransport, Transport,
+    brute_force, execute_fault_free, plan_and_execute_topo, ExecConfig, ExecReport, FaultPlan,
+    FaultSpec, MpiTransport, SimTransport, Transport,
 };
 
 const SCALE: TickScale = TickScale::MILLIS;
@@ -40,7 +40,6 @@ fn lossy(seed: u64) -> SimConfig {
     SimConfig {
         tcp: TcpModel::default(),
         seed,
-        record_trace: false,
     }
 }
 
@@ -108,7 +107,7 @@ fn scheduled_beats_lossy_brute_force() {
             0.05,
             &schedule,
         );
-        let brute = brute_force_time(&traffic, &spec, &lossy(5));
+        let brute = brute_force(SimTransport::new(spec, lossy(5)), &traffic);
         let improvement = 1.0 - sched.total_seconds / brute;
         assert!(
             improvement > 0.02,
@@ -127,8 +126,8 @@ fn scheduled_beats_lossy_brute_force() {
 fn brute_force_nondeterministic_scheduled_deterministic() {
     let (traffic, platform) = testbed_workload(3, 13, 30);
     let spec = NetworkSpec::from_platform(&platform);
-    let b1 = brute_force_time(&traffic, &spec, &lossy(1));
-    let b2 = brute_force_time(&traffic, &spec, &lossy(2));
+    let b1 = brute_force(SimTransport::new(spec.clone(), lossy(1)), &traffic);
+    let b2 = brute_force(SimTransport::new(spec.clone(), lossy(2)), &traffic);
     assert_ne!(b1, b2);
 
     let schedule = oggp_plan(&traffic, &platform, 0.05);

@@ -1,12 +1,12 @@
-//! Stress tests of the MPI arm through the runtime: bigger worlds,
-//! randomised sparse traffic, repeated and degenerate worlds, every step
+//! Stress tests of the MPI arm: bigger worlds, randomised sparse traffic,
+//! repeated and degenerate worlds and a brute-force fan-in, every message
 //! moving real bytes through an [`MpiTransport`].
 
 use kpbs::traffic::TickScale;
 use kpbs::{oggp, Platform, Topology, TrafficMatrix};
 use mpilite::FabricConfig;
 use rand::{rngs::SmallRng, Rng, SeedableRng};
-use redistexec::{execute_fault_free, MpiTransport};
+use redistexec::{brute_force, execute_fault_free, MpiTransport, Transport};
 
 fn fast_fabric() -> FabricConfig {
     FabricConfig {
@@ -28,6 +28,19 @@ fn run(traffic: &TrafficMatrix, platform: &Platform) -> u64 {
     let report = execute_fault_free(transport, traffic, &topo, 0.0, TickScale::MILLIS, &schedule);
     report.verify_against(traffic).unwrap();
     report.delivered.total_bytes()
+}
+
+#[test]
+fn brute_force_heavy_fanin() {
+    // Every sender hammers one receiver: 1-port is deliberately violated by
+    // the brute-force pattern; the transport must still deliver.
+    let mut traffic = TrafficMatrix::zeros(6, 2);
+    for i in 0..6 {
+        traffic.set(i, 0, 30_000);
+    }
+    let mut transport = MpiTransport::new(6, 2, fast_fabric());
+    brute_force(&mut transport, &traffic);
+    assert_eq!(transport.delivered().total_bytes(), 180_000);
 }
 
 #[test]

@@ -12,8 +12,9 @@
 //! ```
 
 use rand::{rngs::SmallRng, SeedableRng};
-use redistribute::flowsim::{brute_force_time, NetworkSpec, SimConfig, TcpModel};
+use redistribute::flowsim::{NetworkSpec, SimConfig, TcpModel};
 use redistribute::kpbs::{Platform, TrafficMatrix};
+use redistribute::redistexec::{brute_force, SimTransport};
 use redistribute::{Algo, Planner};
 
 fn main() {
@@ -38,10 +39,9 @@ fn main() {
     let lossy = SimConfig {
         tcp: TcpModel::default(),
         seed: 1,
-        record_trace: false,
     };
 
-    let brute = brute_force_time(&traffic, &spec, &lossy);
+    let brute = brute_force(SimTransport::new(spec.clone(), lossy.clone()), &traffic);
     println!("brute-force TCP : {brute:>8.2} s");
 
     for algo in [Algo::Ggp, Algo::Oggp] {
@@ -63,9 +63,8 @@ fn main() {
         let cfg = SimConfig {
             tcp: TcpModel::default(),
             seed,
-            record_trace: false,
         };
-        let t = brute_force_time(&traffic, &spec, &cfg);
+        let t = brute_force(SimTransport::new(spec.clone(), cfg), &traffic);
         println!("  seed {seed}: {t:.2} s");
     }
 }

@@ -1,16 +1,19 @@
-//! Run a schedule on the threaded MPI-like runtime: ranks are threads, the
-//! NICs and backbone are token buckets (the `rshaper` stand-in), sends are
-//! synchronous and each step is one barrier-aligned run of the world — the
-//! in-process version of the paper's MPICH experiments, moving real bytes
-//! through the same executor (`redistexec::Runtime`) every schedule runs
-//! through.
+//! Run a schedule and the brute-force baseline on the threaded MPI-like
+//! runtime: ranks are threads, the NICs and backbone are token buckets (the
+//! `rshaper` stand-in), sends are synchronous and each step is one
+//! barrier-aligned run of the world — the in-process version of the paper's
+//! MPICH experiments. Both arms move real bytes through the same transport
+//! (`redistexec::MpiTransport`): the schedule step by step through
+//! `redistexec::Runtime`, brute force as one call through
+//! `redistexec::brute_force`.
 //!
 //! ```sh
 //! cargo run --release --example mpi_like_transfer
 //! ```
 
 use redistribute::kpbs::{Platform, TrafficMatrix};
-use redistribute::mpilite::{run_brute_force, FabricConfig};
+use redistribute::mpilite::FabricConfig;
+use redistribute::redistexec::{brute_force, MpiTransport, Transport};
 use redistribute::{Algo, Planner};
 
 fn main() {
@@ -52,14 +55,16 @@ fn main() {
         scheduled.delivered.total_bytes()
     );
 
-    let brute = run_brute_force(&traffic, fabric);
+    let mut transport = MpiTransport::new(4, 4, fabric);
+    let brute = brute_force(&mut transport, &traffic);
     println!(
         "brute force     : {:>6.3} s wall clock, {} bytes verified",
-        brute.seconds, brute.bytes_moved
+        brute,
+        transport.delivered().total_bytes()
     );
     println!(
         "scheduled is {:+.1}% vs brute force",
-        (scheduled.total_seconds / brute.seconds - 1.0) * 100.0
+        (scheduled.total_seconds / brute - 1.0) * 100.0
     );
     // Note: the in-process fabric is a lossless token-bucket — it arbitrates
     // fairly without TCP's retransmission overhead — so the two modes come

@@ -4,9 +4,10 @@
 //! continuous test.
 
 use rand::{rngs::SmallRng, SeedableRng};
-use redistribute::flowsim::{brute_force_time, NetworkSpec, SimConfig, TcpModel};
+use redistribute::flowsim::{NetworkSpec, SimConfig, TcpModel};
 use redistribute::kpbs::stats::{run_campaign, CampaignConfig, KChoice};
 use redistribute::kpbs::{Platform, TrafficMatrix};
+use redistribute::redistexec::{brute_force, SimTransport};
 use redistribute::{Algo, Planner};
 
 /// Figure 7 shape: small weights (U[1,20], β = 1). OGGP's average beats
@@ -105,9 +106,8 @@ fn figures_10_11_shape() {
         let lossy = SimConfig {
             tcp: TcpModel::default(),
             seed: 0,
-            record_trace: false,
         };
-        let brute = brute_force_time(&traffic, &spec, &lossy);
+        let brute = brute_force(SimTransport::new(spec.clone(), lossy.clone()), &traffic);
         let sched = plan.simulate(&spec, &lossy).total_seconds;
         let gain = 1.0 - sched / brute;
         assert!(
@@ -154,9 +154,11 @@ fn determinism_claim() {
         let cfg = SimConfig {
             tcp: TcpModel::default(),
             seed,
-            record_trace: false,
         };
-        brutes.push(brute_force_time(&traffic, &spec, &cfg));
+        brutes.push(brute_force(
+            SimTransport::new(spec.clone(), cfg.clone()),
+            &traffic,
+        ));
         scheds.push(plan.simulate(&spec, &cfg).total_seconds);
     }
     let bmin = brutes.iter().cloned().fold(f64::INFINITY, f64::min);
