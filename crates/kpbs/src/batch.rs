@@ -11,8 +11,9 @@
 //!
 //! Results are returned in input order and each instance is scheduled by the
 //! same deterministic code regardless of which worker picks it up, so the
-//! output is **byte-identical for every `jobs` value** (the `redistplan
-//! --jobs` CLI and `scripts/check.sh` gate on exactly that). Work is handed
+//! output is **byte-identical for every `jobs` value** (the root crate's
+//! `tests/cli.rs::jobs_do_not_change_the_output` gates the `redistplan
+//! --jobs` output, counters included, on exactly that). Work is handed
 //! out by an atomic index rather than pre-chunked, so stragglers never
 //! serialise the tail; a caller that knows its item sizes passes them
 //! largest first (as [`mod@crate::hier`] does) to keep that tail short.

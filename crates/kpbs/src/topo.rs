@@ -23,8 +23,8 @@
 //!   bound: node busy times use per-pair speeds and the volume/step terms
 //!   are taken per backbone under its `k_b`.
 //!
-//! The homogeneous two-cluster topology is the *oracle*: it reduces exactly
-//! to [`Platform`] ([`Topology::as_platform`]) and produces byte-identical
+//! The homogeneous two-cluster topology is the *oracle*: it is
+//! [`Topology::from_platform`] of a [`Platform`] and produces byte-identical
 //! instances and schedules — the differential proptests in `tests/topo.rs`
 //! pin that reduction.
 
@@ -117,7 +117,8 @@ impl std::error::Error for TopoError {}
 impl Topology {
     /// The paper's two-cluster platform as a topology: `n1` senders at `t1`
     /// Mbit/s, `n2` receivers at `t2`, one backbone of `backbone` Mbit/s.
-    /// This is the homogeneous oracle — see [`Topology::as_platform`].
+    /// This is the homogeneous oracle: it plans byte-identically to the
+    /// [`Platform`] of the same numbers.
     pub fn two_cluster(n1: usize, n2: usize, t1: f64, t2: f64, backbone: f64) -> Topology {
         let mut nodes = Vec::with_capacity(n1 + n2);
         nodes.extend(std::iter::repeat_n(
@@ -344,30 +345,6 @@ impl Topology {
     pub fn link_ks(&self) -> Vec<usize> {
         counters::add(Counter::TopoDeriveK, self.links.len() as u64);
         (0..self.links.len()).map(|b| self.link_k(b)).collect()
-    }
-
-    /// The [`Platform`] this topology reduces to, when it is exactly the
-    /// paper's shape: two clusters, one backbone, uniform sender egress and
-    /// uniform receiver ingress speeds. The oracle check: planning through
-    /// the topology path and through the platform path must then produce
-    /// byte-identical schedules.
-    pub fn as_platform(&self) -> Option<Platform> {
-        if self.links.len() != 1 || self.validate().is_err() {
-            return None;
-        }
-        let out = self.sender_speeds();
-        let inn = self.receiver_speeds();
-        let (&t1, &t2) = (out.first()?, inn.first()?);
-        if out.iter().any(|&t| t != t1) || inn.iter().any(|&t| t != t2) {
-            return None;
-        }
-        Some(Platform::new(
-            out.len(),
-            inn.len(),
-            t1,
-            t2,
-            self.links[0].capacity,
-        ))
     }
 
     /// A two-cluster platform no faster than any sender–receiver pair of
@@ -851,7 +828,6 @@ mod tests {
         assert!(t.validate().is_ok());
         assert_eq!(t.senders(), 5);
         assert_eq!(t.receivers(), 3);
-        assert_eq!(t.as_platform(), Some(p));
         assert_eq!(t.link_k(0), p.k());
     }
 

@@ -97,8 +97,6 @@ proptest! {
         (traffic, platform, beta) in homogeneous_strategy(),
     ) {
         let topo = Topology::from_platform(&platform);
-        let reduced = topo.as_platform();
-        prop_assert_eq!(reduced.as_ref(), Some(&platform));
         let (instance, endpoints) = traffic.to_instance(&platform, beta, TickScale::MILLIS);
         let routed = topo_instance(&traffic, &topo, beta, TickScale::MILLIS)
             .map_err(|e| TestCaseError::fail(format!("routing failed: {e}")))?;

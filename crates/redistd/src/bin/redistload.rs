@@ -30,9 +30,10 @@
 //!
 //! After the run it scrapes the server's `METRICS` exposition, validates
 //! its well-formedness and prints one summary line. An unknown flag, a
-//! missing, malformed or repeated value exits 2; a wrong response, an invalid exposition, or a
-//! cold cache despite repeated matrices exits 1. Timing the serving path
-//! is the end-to-end benchmark's job (`benchmark/`, the `serve-*` and
+//! missing, malformed or repeated value exits 2; a wrong response, an
+//! invalid exposition, or a cold cache despite repeated matrices exits 1;
+//! `--help` prints the usage and exits 0. Timing the serving path is the
+//! end-to-end benchmark's job (`benchmark/`, the `serve-*` and
 //! `session-delta` workloads); this binary is a correctness check.
 
 use kpbs::traffic::TickScale;
@@ -313,6 +314,28 @@ fn run_point(
 
 fn main() {
     let mut cli = Args::from_env("redistload");
+    if cli.flag("help") {
+        println!(
+            "redistload — load generator and correctness checker for redistd\n\
+             \n\
+             usage: redistload [--addr HOST:PORT] [--connections 16] [--requests 256]\n\
+             \x20                 [--distinct 16] [--n 12] [--rate REQS_PER_SEC] [--queue-depth N]\n\
+             \n\
+             --addr A          drive the daemon at A (default: host one in-process)\n\
+             --connections N   client threads (default 16, max {MAX_CONNECTIONS})\n\
+             --requests N      requests to send in total (default 256)\n\
+             --distinct N      distinct traffic matrices, replayed round-robin\n\
+             \x20                 (default 16)\n\
+             --n N             senders and receivers per matrix (default 12)\n\
+             --rate R          open-loop arrivals at R req/s (default: closed loop)\n\
+             --queue-depth N   admission queue of a self-hosted server\n\
+             \x20                 (default: the connection count)\n\
+             \n\
+             Every response is byte-compared to a cold local plan; a wrong\n\
+             response, an invalid METRICS exposition or a cold cache exits 1."
+        );
+        return;
+    }
     // External daemon to drive; `None` hosts a server in-process.
     let addr: Option<SocketAddr> = cli.value("addr");
     let connections: usize = cli.value("connections").unwrap_or(16);

@@ -3,7 +3,8 @@
 //! report flags they no longer have — a flag without its value, a
 //! malformed value or a repeated flag is refused with status 2, one stderr
 //! line and nothing on stdout, before anything is hosted, bound or
-//! fetched; a small self-hosted `redistload` run exits 0.
+//! fetched; `--help` prints the usage and exits 0, and a small self-hosted
+//! `redistload` run exits 0.
 
 use std::io::Read;
 use std::process::{Command, Output, Stdio};
@@ -160,4 +161,21 @@ fn small_self_hosted_run_passes() {
     assert_eq!(out.status.code(), Some(0), "{stderr}");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.starts_with("redistload: "), "{stdout}");
+}
+
+/// Every binary of the crate answers `--help` with its usage on stdout and
+/// status 0, before it hosts, binds or fetches anything.
+#[test]
+fn help_prints_usage_and_exits_zero() {
+    for (name, bin) in [
+        ("redistd", env!("CARGO_BIN_EXE_redistd")),
+        ("redistctl", env!("CARGO_BIN_EXE_redistctl")),
+        ("redistload", env!("CARGO_BIN_EXE_redistload")),
+    ] {
+        let out = run(bin, &["--help"]);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(out.status.code(), Some(0), "{name}: {out:?}");
+        assert!(out.stderr.is_empty(), "{name}: {out:?}");
+        assert!(stdout.contains(&format!("usage: {name}")), "{stdout}");
+    }
 }

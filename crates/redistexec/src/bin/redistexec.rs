@@ -25,7 +25,7 @@
 //! tick-budget checks `redistd` applies to a request before anything is
 //! planned. An unknown flag, a flag without its value, a malformed value
 //! or a repeated flag exits with status 2 and one `redistexec: …` line on
-//! stderr.
+//! stderr; `--help` prints the usage and exits 0.
 //!
 //! Plans the workload, then executes it under the fault plan generated
 //! from `--faults` (omit for a fault-free run). `--trace` records
@@ -43,10 +43,10 @@
 //! counter totals.
 
 use kpbs::traffic::TickScale;
-use kpbs::{Algo, Topology, TrafficMatrix};
+use kpbs::{plan_topology, Algo, TopoPlan, Topology, TrafficMatrix};
 use redistexec::{
-    plan_topo, ExecConfig, ExecError, ExecMetrics, ExecReport, FaultPlan, FaultSpec,
-    LoopbackTransport, PlanRecord, Runtime, SimTransport, Transport,
+    step_ops, ExecConfig, ExecError, ExecMetrics, ExecReport, FaultPlan, FaultSpec,
+    LoopbackTransport, Runtime, SimTransport, Transport,
 };
 use telemetry::cli::Args;
 use telemetry::counters::{self, Counter};
@@ -106,15 +106,15 @@ fn execute<T: Transport>(
     config: ExecConfig,
     metrics: Option<ExecMetrics>,
     rid: u64,
-) -> (PlanRecord, ExecReport) {
+) -> (TopoPlan, ExecReport) {
     let run = || {
-        let initial = plan_topo(traffic, topo, beta, TickScale::MILLIS, config.algo)
+        let initial = plan_topology(traffic, topo, beta, TickScale::MILLIS, config.algo)
             .map_err(ExecError::PlanningFailed)?;
         let mut rt = Runtime::new(transport, faults, config).with_correlation_id(rid);
         if let Some(m) = metrics {
             rt = rt.with_metrics(m);
         }
-        let report = rt.execute(traffic, topo, beta, TickScale::MILLIS, &initial.schedule)?;
+        let report = rt.run_plan(traffic, topo, beta, TickScale::MILLIS, &initial)?;
         Ok::<_, ExecError>((initial, report))
     };
     run().unwrap_or_else(|e| {
@@ -155,7 +155,7 @@ fn bench(seeds: u64, out_path: &str) {
     // byte_slices expansion of the plan.
     let (initial, base) = run(FaultPlan::none());
     base.verify_against(&traffic).expect("zero-fault invariant");
-    let plain = initial.step_ops();
+    let plain = step_ops(&initial);
     assert_eq!(base.steps.len(), plain.len(), "zero-fault step count");
     for (got, want) in base.steps.iter().zip(&plain) {
         assert_eq!(&got.ops, want, "zero-fault run diverged from plan");
@@ -217,6 +217,28 @@ fn bench(seeds: u64, out_path: &str) {
 
 fn main() {
     let mut cli = Args::from_env("redistexec");
+    if cli.flag("help") {
+        println!(
+            "redistexec — fault-injected schedule execution\n\
+             \n\
+             usage: redistexec [--n 8] [--t1 100] [--t2 100] [--backbone 400]\n\
+             \x20                 [--beta 0.05] [--lo-mb 5] [--hi-mb 30] [--seed 1]\n\
+             \x20                 [--algo {}] [--transport loopback|sim]\n\
+             \x20                 [--faults SEED] [--timeout SECS] [--trace out.json]\n\
+             \x20                 [--rid N] [--metrics out.prom]\n\
+             \x20      redistexec --topo topo.txt [same options, without --n/--t1/--t2/--backbone]\n\
+             \x20      redistexec --bench [--seeds 40] [--out BENCH_exec.json]\n\
+             \n\
+             Plans a seeded workload over the topology (per backbone, under its\n\
+             own k_b) and executes it under the fault plan of --faults (omit for\n\
+             a fault-free run), replanning the residual after each failure.\n\
+             --topo reads 'node OUT IN CLUSTER [COUNT]' and 'link CAP SRC DST'\n\
+             lines ('#' comments allowed) instead of the two-cluster platform.\n\
+             --bench runs the regression campaign behind BENCH_exec.json.",
+            Algo::NAMES.join("|")
+        );
+        return;
+    }
     let bench_run = cli.flag("bench");
     let seeds: u64 = cli.value("seeds").unwrap_or(40);
     let out: String = cli.value("out").unwrap_or("BENCH_exec.json".into());

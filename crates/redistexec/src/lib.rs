@@ -26,15 +26,15 @@
 //! *residual* traffic matrix — original demand minus the transport's
 //! delivery ledger, restricted to surviving nodes (see [`kpbs::residual`])
 //! — re-plans it over the same topology with the configured [`kpbs::Algo`]
-//! ([`plan_topo`], the planner of the initial plan too), validates the
-//! fresh schedule and splices its steps in place of everything not yet
-//! executed.
+//! ([`kpbs::plan_topology`], the planner of the initial plan too, which
+//! validates the fresh schedule) and splices its steps ([`step_ops`]) in
+//! place of everything not yet executed.
 //!
 //! The delivery invariant, enforced across a 200-seed fault campaign by
 //! proptest: pairs whose endpoints survive receive **exactly** their bytes,
 //! no pair ever over-delivers, every spliced schedule passes
-//! [`kpbs::validate`], and a zero-fault run executes exactly the steps of
-//! [`PlanRecord::step_ops`].
+//! [`kpbs::validate`], and a zero-fault run executes exactly the
+//! [`step_ops`] of the initial plan.
 //!
 //! # Quickstart
 //!
@@ -67,7 +67,10 @@ pub mod runtime;
 pub mod transport;
 
 pub use faults::{FaultPlan, FaultSpec, NodeRef};
-pub use replan::{plan_topo, PlanRecord};
+/// Alias of [`kpbs::TopoPlan`], the one plan record, for callers that name
+/// it `PlanRecord` (the end-to-end benchmark's `exec` workload does).
+pub use kpbs::TopoPlan as PlanRecord;
+pub use replan::step_ops;
 pub use residual::{outstanding, Liveness};
 pub use runtime::{
     brute_force, execute_fault_free, plan_and_execute_topo, ExecConfig, ExecError, ExecMetrics,

@@ -1,87 +1,42 @@
-//! Planning and re-planning traffic with any [`Algo`] over a [`Topology`].
+//! A plan as the runtime executes it: byte-valued steps.
 //!
-//! Both the initial plan and every residual replan go through the same entry
-//! point, [`plan_topo`]: matrix → [`kpbs::plan_topology`] (route, plan every
-//! backbone under its own `k_b`, compose, validate) → byte-valued steps.
-//! The paper's platform is the two-cluster topology
-//! ([`Topology::from_platform`]), on which the plan is byte-identical to
-//! [`Algo::plan`] of [`TrafficMatrix::to_instance`]. Each plan records the
-//! caller's `local_snapshot` work-counter delta, which includes the work of
-//! any fan-out inside the planner (see [`kpbs::batch`]).
+//! The initial plan and every residual replan are [`kpbs::TopoPlan`]s from
+//! one planner, [`kpbs::plan_topology`] (route, plan every backbone under
+//! its own `k_b`, compose, validate). [`step_ops`] expands such a plan into
+//! the transfer operations the [`Transport`](crate::Transport) carries. The
+//! paper's platform is the two-cluster topology
+//! ([`kpbs::Topology::from_platform`]), on which the plan is byte-identical
+//! to [`kpbs::Algo::plan`] of [`kpbs::TrafficMatrix::to_instance`].
 
 use crate::transport::TransferOp;
-use kpbs::{plan_topology, Algo, Instance, Schedule, TrafficMatrix};
-use kpbs::{TopoError, Topology};
-use telemetry::counters::{self, Snapshot};
+use kpbs::TopoPlan;
 
-/// One planning round: the instance it scheduled, the mapping from edge id
-/// to `(sender, receiver)`, the validated schedule, and the work it cost.
-#[derive(Debug, Clone)]
-pub struct PlanRecord {
-    /// The K-PBS instance derived from the planned matrix.
-    pub instance: Instance,
-    /// `(sender, receiver)` behind each dense edge id.
-    pub endpoints: Vec<(usize, usize)>,
-    /// Byte volume behind each dense edge id.
-    pub bytes: Vec<u64>,
-    /// The schedule, already validated against `instance`.
-    pub schedule: Schedule,
-    /// Work-counter delta of this planning round.
-    pub work: Snapshot,
-}
-
-impl PlanRecord {
-    /// The byte-valued transfer operations of each step, in execution
-    /// order, via the exact cumulative-floor apportioning of
-    /// [`Schedule::byte_slices`]. Per-pair byte sums equal the planned
-    /// matrix exactly; steps whose slices all round to zero bytes come out
-    /// empty (and still occupy a step slot).
-    pub fn step_ops(&self) -> Vec<Vec<TransferOp>> {
-        self.schedule
-            .byte_slices(&self.instance, &self.bytes)
-            .into_iter()
-            .map(|slices| {
-                slices
-                    .into_iter()
-                    .map(|(edge, bytes)| {
-                        let (src, dst) = self.endpoints[edge.index()];
-                        TransferOp { src, dst, bytes }
-                    })
-                    .collect()
-            })
-            .collect()
-    }
-}
-
-/// Plans `traffic` over `topo` with the chosen algorithm: every traffic
-/// block is routed to its governing backbone, planned under that backbone's
-/// own preemption bound `k_b`, and the per-link schedules are composed and
-/// validated ([`kpbs::plan_topology`]). Used for the initial plan and for
-/// every residual replan.
-pub fn plan_topo(
-    traffic: &TrafficMatrix,
-    topo: &Topology,
-    beta_seconds: f64,
-    scale: kpbs::traffic::TickScale,
-    algo: Algo,
-) -> Result<PlanRecord, TopoError> {
-    let before = counters::local_snapshot();
-    let plan = plan_topology(traffic, topo, beta_seconds, scale, algo)?;
-    let work = counters::local_snapshot().delta(&before);
-    Ok(PlanRecord {
-        instance: plan.instance,
-        endpoints: plan.endpoints,
-        bytes: plan.bytes,
-        schedule: plan.schedule,
-        work,
-    })
+/// The byte-valued transfer operations of each step of `plan`, in execution
+/// order, via the exact cumulative-floor apportioning of
+/// [`kpbs::Schedule::byte_slices`]. Per-pair byte sums equal the planned
+/// matrix exactly; steps whose slices all round to zero bytes come out
+/// empty (and still occupy a step slot).
+pub fn step_ops(plan: &TopoPlan) -> Vec<Vec<TransferOp>> {
+    plan.schedule
+        .byte_slices(&plan.instance, &plan.bytes)
+        .into_iter()
+        .map(|slices| {
+            slices
+                .into_iter()
+                .map(|(edge, bytes)| {
+                    let (src, dst) = plan.endpoints[edge.index()];
+                    TransferOp { src, dst, bytes }
+                })
+                .collect()
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use kpbs::traffic::TickScale;
-    use kpbs::Platform;
+    use kpbs::{plan_topology, Algo, Platform, TopoError, Topology, TrafficMatrix};
 
     fn traffic() -> (TrafficMatrix, Platform) {
         let mut m = TrafficMatrix::zeros(3, 3);
@@ -92,21 +47,26 @@ mod tests {
         (m, Platform::new(3, 3, 100.0, 100.0, 200.0))
     }
 
+    /// Sums the bytes of every step op per pair.
+    fn delivered(plan: &TopoPlan, n1: usize, n2: usize) -> TrafficMatrix {
+        let mut seen = TrafficMatrix::zeros(n1, n2);
+        for step in step_ops(plan) {
+            for op in step {
+                seen.set(op.src, op.dst, seen.get(op.src, op.dst) + op.bytes);
+            }
+        }
+        seen
+    }
+
     #[test]
     fn plan_validates_and_covers_bytes() {
         let (m, p) = traffic();
         let topo = Topology::from_platform(&p);
         for algo in Algo::NAMES.map(|n| n.parse::<Algo>().unwrap()) {
-            let rec = plan_topo(&m, &topo, 0.05, TickScale::MILLIS, algo).unwrap();
-            assert!(rec.schedule.validate(&rec.instance).is_ok());
+            let plan = plan_topology(&m, &topo, 0.05, TickScale::MILLIS, algo).unwrap();
+            assert!(plan.schedule.validate(&plan.instance).is_ok());
             // Per-pair byte sums across step ops equal the matrix exactly.
-            let mut seen = TrafficMatrix::zeros(3, 3);
-            for step in rec.step_ops() {
-                for op in step {
-                    seen.set(op.src, op.dst, seen.get(op.src, op.dst) + op.bytes);
-                }
-            }
-            assert_eq!(seen, m, "{algo:?} byte coverage");
+            assert_eq!(delivered(&plan, 3, 3), m, "{algo:?} byte coverage");
         }
     }
 
@@ -117,7 +77,7 @@ mod tests {
         let (instance, endpoints) = m.to_instance(&p, 0.05, TickScale::MILLIS);
         let bytes: Vec<u64> = endpoints.iter().map(|&(i, j)| m.get(i, j)).collect();
         for algo in Algo::NAMES.map(|n| n.parse::<Algo>().unwrap()) {
-            let via_topo = plan_topo(&m, &topo, 0.05, TickScale::MILLIS, algo).unwrap();
+            let via_topo = plan_topology(&m, &topo, 0.05, TickScale::MILLIS, algo).unwrap();
             assert_eq!(via_topo.schedule, algo.plan(&instance), "{algo:?} oracle");
             assert_eq!(via_topo.endpoints, endpoints);
             assert_eq!(via_topo.bytes, bytes);
@@ -132,26 +92,24 @@ mod tests {
         m.set(1, 0, 4_000_000);
         m.set(2, 3, 6_000_000);
         m.set(3, 2, 2_000_000);
-        let rec = plan_topo(&m, &topo, 0.05, TickScale::MILLIS, Algo::Oggp).unwrap();
-        rec.schedule.validate(&rec.instance).unwrap();
-        let mut seen = TrafficMatrix::zeros(4, 4);
-        for step in rec.step_ops() {
-            for op in step {
-                seen.set(op.src, op.dst, seen.get(op.src, op.dst) + op.bytes);
-            }
-        }
-        assert_eq!(seen, m, "byte coverage through composition");
+        let plan = plan_topology(&m, &topo, 0.05, TickScale::MILLIS, Algo::Oggp).unwrap();
+        plan.schedule.validate(&plan.instance).unwrap();
+        assert_eq!(
+            delivered(&plan, 4, 4),
+            m,
+            "byte coverage through composition"
+        );
 
         // Unroutable traffic is a planning error, not a silent drop.
         m.set(0, 3, 1_000_000);
-        let err = plan_topo(&m, &topo, 0.05, TickScale::MILLIS, Algo::Oggp).unwrap_err();
+        let err = plan_topology(&m, &topo, 0.05, TickScale::MILLIS, Algo::Oggp).unwrap_err();
         assert!(matches!(err, TopoError::Unroutable { .. }), "{err}");
     }
 
     #[test]
     fn empty_matrix_plans_to_empty_schedule() {
         let topo = Topology::two_cluster(2, 2, 100.0, 100.0, 200.0);
-        let rec = plan_topo(
+        let plan = plan_topology(
             &TrafficMatrix::zeros(2, 2),
             &topo,
             0.05,
@@ -159,7 +117,7 @@ mod tests {
             Algo::Oggp,
         )
         .unwrap();
-        assert_eq!(rec.schedule.num_steps(), 0);
-        assert!(rec.step_ops().is_empty());
+        assert_eq!(plan.schedule.num_steps(), 0);
+        assert!(step_ops(&plan).is_empty());
     }
 }

@@ -1,7 +1,9 @@
 //! The step-driven execution loop.
 //!
-//! [`Runtime::execute`] drives a validated schedule to completion over a
-//! [`Transport`], consulting a [`FaultPlan`] at every step:
+//! [`Runtime::run_plan`] drives a [`TopoPlan`] to completion over a
+//! [`Transport`], consulting a [`FaultPlan`] at every step
+//! ([`Runtime::execute`] routes and validates a schedule planned elsewhere
+//! first):
 //!
 //! 1. **Node drops** due at the current slot mark nodes dead and force a
 //!    residual replan before anything else runs.
@@ -16,8 +18,8 @@
 //! A *replan* computes the residual matrix (original demand minus the
 //! transport's delivery ledger, restricted to surviving nodes — see
 //! [`kpbs::residual`]), schedules it over the run's [`Topology`] with
-//! [`ExecConfig::algo`] through [`replan::plan_topo`] (the same planner as
-//! the initial plan, so every backbone keeps its own `k_b`), and splices
+//! [`ExecConfig::algo`] through [`kpbs::plan_topology`] (the same planner
+//! as the initial plan, so every backbone keeps its own `k_b`), and splices
 //! the new steps in place of everything not yet executed. Execution slots
 //! keep counting across splices, so later fault events land on spliced
 //! steps.
@@ -29,19 +31,18 @@
 //! [`ExecError::BudgetExhausted`] instead of a loop.
 //!
 //! With an empty fault plan the loop degenerates to plain schedule
-//! execution: the executed steps are byte-identical to
-//! [`kpbs::Schedule::byte_slices`] of the initial plan — the invariant the
-//! campaign proptest pins.
+//! execution: the executed steps are byte-identical to [`step_ops`] of the
+//! initial plan — the invariant the campaign proptest pins.
 
 use std::collections::VecDeque;
 
 use crate::faults::FaultPlan;
-use crate::replan::{self, PlanRecord};
+use crate::replan::step_ops;
 use crate::residual::{outstanding, Liveness};
 use crate::transport::{TransferOp, Transport};
 use kpbs::traffic::TickScale;
 use kpbs::validate::ValidationError;
-use kpbs::{Algo, Schedule, TopoError, Topology, TrafficMatrix};
+use kpbs::{plan_topology, Algo, Schedule, TopoError, TopoPlan, Topology, TrafficMatrix};
 use telemetry::counters::{self, Counter};
 use telemetry::metrics::{CounterHandle, Registry};
 use telemetry::spans;
@@ -191,7 +192,7 @@ pub struct ExecReport {
     /// Per-receiver liveness at the end of the run.
     pub receivers_alive: Vec<bool>,
     /// Every residual replan round, in order (initial plan excluded).
-    pub plans: Vec<PlanRecord>,
+    pub plans: Vec<TopoPlan>,
     /// Final per-pair delivery ledger.
     pub delivered: TrafficMatrix,
 }
@@ -308,8 +309,7 @@ impl<T: Transport> Runtime<T> {
     /// Executes `schedule` — planned for `traffic` over `topo` with the
     /// given `beta_seconds`/`scale` — to completion under the fault plan.
     /// The schedule is validated against the routed instance
-    /// ([`kpbs::topo_instance`]) first; residual replans go through
-    /// [`replan::plan_topo`] on the same topology.
+    /// ([`kpbs::topo_instance`]) first, then run by [`Runtime::run_plan`].
     pub fn execute(
         &mut self,
         traffic: &TrafficMatrix,
@@ -323,31 +323,39 @@ impl<T: Transport> Runtime<T> {
         schedule
             .validate(&routed.instance)
             .map_err(ExecError::InvalidSchedule)?;
-        let initial = PlanRecord {
+        // Only the schedule is read from here on: the per-link summaries and
+        // the bound stay empty.
+        let initial = TopoPlan {
             instance: routed.instance,
             endpoints: routed.endpoints,
             bytes: routed.bytes,
             schedule: schedule.clone(),
-            work: Default::default(),
+            link_plans: Vec::new(),
+            lower_bound: 0,
         };
         self.run_plan(traffic, topo, beta_seconds, scale, &initial)
     }
 
-    /// The execution loop over an already validated plan.
-    fn run_plan(
+    /// Executes `initial` — [`plan_topology`] of `traffic` over `topo` with
+    /// the given `beta_seconds`/`scale`, so already routed and validated —
+    /// to completion under the fault plan. This is the one pre-planned
+    /// entry: [`plan_and_execute_topo`] and [`Runtime::execute`] both end
+    /// here, and residual replans go through [`plan_topology`] on the same
+    /// topology.
+    pub fn run_plan(
         &mut self,
         traffic: &TrafficMatrix,
         topo: &Topology,
         beta_seconds: f64,
         scale: TickScale,
-        initial: &PlanRecord,
+        initial: &TopoPlan,
     ) -> Result<ExecReport, ExecError> {
         let budget = if self.config.replan_budget > 0 {
             self.config.replan_budget as u64
         } else {
             self.faults.event_count() as u64 + 4
         };
-        let mut queue: VecDeque<Vec<TransferOp>> = initial.step_ops().into();
+        let mut queue: VecDeque<Vec<TransferOp>> = step_ops(initial).into();
         let mut liveness = Liveness::all_alive(traffic.senders(), traffic.receivers());
         let mut report = ExecReport {
             steps: Vec::new(),
@@ -429,10 +437,9 @@ impl<T: Transport> Runtime<T> {
                 let residual = outstanding(traffic, &self.transport, &liveness);
                 queue.clear();
                 if residual.total_bytes() > 0 {
-                    let rec =
-                        replan::plan_topo(&residual, topo, beta_seconds, scale, self.config.algo)
-                            .map_err(ExecError::PlanningFailed)?;
-                    let steps = rec.step_ops();
+                    let rec = plan_topology(&residual, topo, beta_seconds, scale, self.config.algo)
+                        .map_err(ExecError::PlanningFailed)?;
+                    let steps = step_ops(&rec);
                     report.steps_spliced += steps.len() as u64;
                     counters::add(Counter::ExecStepsSpliced, steps.len() as u64);
                     if let Some(m) = &self.metrics {
@@ -591,8 +598,8 @@ pub fn plan_and_execute_topo<T: Transport>(
     transport: T,
     faults: FaultPlan,
     config: ExecConfig,
-) -> Result<(PlanRecord, ExecReport), ExecError> {
-    let initial = replan::plan_topo(traffic, topo, beta_seconds, scale, config.algo)
+) -> Result<(TopoPlan, ExecReport), ExecError> {
+    let initial = plan_topology(traffic, topo, beta_seconds, scale, config.algo)
         .map_err(ExecError::PlanningFailed)?;
     let report = Runtime::new(transport, faults, config).run_plan(
         traffic,
@@ -700,7 +707,7 @@ mod tests {
         rid: u64,
     ) -> (TrafficMatrix, ExecReport) {
         let (m, topo) = workload();
-        let initial = replan::plan_topo(&m, &topo, 0.05, TickScale::MILLIS, Algo::Oggp).unwrap();
+        let initial = plan_topology(&m, &topo, 0.05, TickScale::MILLIS, Algo::Oggp).unwrap();
         let transport = LoopbackTransport::for_topology(&topo);
         let mut rt =
             Runtime::new(transport, faults, ExecConfig::default()).with_correlation_id(rid);
@@ -708,7 +715,7 @@ mod tests {
             rt = rt.with_metrics(metrics);
         }
         let report = rt
-            .execute(&m, &topo, 0.05, TickScale::MILLIS, &initial.schedule)
+            .run_plan(&m, &topo, 0.05, TickScale::MILLIS, &initial)
             .unwrap();
         (m, report)
     }
@@ -716,7 +723,7 @@ mod tests {
     #[test]
     fn zero_faults_is_plain_execution() {
         let (m, topo) = workload();
-        let initial = replan::plan_topo(&m, &topo, 0.05, TickScale::MILLIS, Algo::Oggp).unwrap();
+        let initial = plan_topology(&m, &topo, 0.05, TickScale::MILLIS, Algo::Oggp).unwrap();
         let transport = LoopbackTransport::for_topology(&topo);
         let mut rt = Runtime::new(transport, FaultPlan::none(), ExecConfig::default());
         let report = rt
@@ -729,7 +736,7 @@ mod tests {
         assert_eq!(report.steps_spliced, 0);
         assert_eq!(report.timeouts, 0);
         // Byte-identical to the plain byte_slices expansion of the plan.
-        let plain = initial.step_ops();
+        let plain = step_ops(&initial);
         assert_eq!(report.steps.len(), plain.len());
         for (got, want) in report.steps.iter().zip(&plain) {
             assert_eq!(&got.ops, want);

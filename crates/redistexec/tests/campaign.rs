@@ -19,7 +19,8 @@ use kpbs::traffic::TickScale;
 use kpbs::{topo_lower_bound, Algo, Platform, Topology, TrafficMatrix};
 use proptest::prelude::*;
 use redistexec::{
-    plan_and_execute_topo, ExecConfig, FaultPlan, FaultSpec, LoopbackTransport, SimTransport,
+    plan_and_execute_topo, step_ops, ExecConfig, FaultPlan, FaultSpec, LoopbackTransport,
+    SimTransport,
 };
 
 /// A random workload small enough to plan 200 times but rich enough to
@@ -180,7 +181,7 @@ proptest! {
         prop_assert_eq!(report.delivered.total_bytes(), traffic.total_bytes());
 
         // Byte-identical to the plain byte_slices expansion of the plan.
-        let plain = initial.step_ops();
+        let plain = step_ops(&initial);
         prop_assert_eq!(report.steps.len(), plain.len());
         for (got, want) in report.steps.iter().zip(&plain) {
             prop_assert_eq!(&got.ops, want, "zero-fault step diverged");

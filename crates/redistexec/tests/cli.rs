@@ -4,7 +4,7 @@
 //! repeated flag is refused with status 2 and one line on stderr before
 //! anything is planned; every `kpbs::Algo`
 //! name executes and delivers; `--topo` runs take the same observability
-//! and transport flags as flag-built platforms.
+//! and transport flags as flag-built platforms; `--help` prints the usage.
 
 use kpbs::Algo;
 use std::process::{Command, Output};
@@ -103,4 +103,15 @@ fn every_algo_executes_and_delivers() {
         assert!(out.status.success(), "{name}: {out:?}");
         assert!(stdout.contains("delivery invariant: OK"), "{stdout}");
     }
+}
+
+#[test]
+fn help_prints_usage_and_exits_zero() {
+    let out = redistexec(&["--help"]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    assert!(out.stderr.is_empty(), "{out:?}");
+    assert!(stdout.starts_with("redistexec — "), "{stdout}");
+    assert!(stdout.contains("usage: redistexec"), "{stdout}");
+    assert!(stdout.contains(&Algo::NAMES.join("|")), "{stdout}");
 }

@@ -13,7 +13,7 @@
 
 use rand::{rngs::SmallRng, SeedableRng};
 use redistribute::flowsim::{NetworkSpec, SimConfig, TcpModel};
-use redistribute::kpbs::{Platform, TrafficMatrix};
+use redistribute::kpbs::{Platform, Topology, TrafficMatrix};
 use redistribute::redistexec::{brute_force, SimTransport};
 use redistribute::{Algo, Planner};
 
@@ -45,7 +45,9 @@ fn main() {
     println!("brute-force TCP : {brute:>8.2} s");
 
     for algo in [Algo::Ggp, Algo::Oggp] {
-        let plan = Planner::new(algo).plan(&traffic, &platform);
+        let plan = Planner::new(algo)
+            .plan(&traffic, &Topology::from_platform(&platform))
+            .expect("every pair of the testbed is routable");
         let run = plan.simulate(&spec, &lossy);
         println!(
             "{:>15?} : {:>8.2} s ({} steps, ratio to bound {:.4}, {:+.1}% vs brute force)",

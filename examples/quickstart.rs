@@ -5,19 +5,18 @@
 //! cargo run --example quickstart
 //! ```
 
-use redistribute::kpbs::{Platform, TrafficMatrix};
+use redistribute::kpbs::{Topology, TrafficMatrix};
 use redistribute::{Algo, Planner};
 
 fn main() {
     // Two clusters of 4 nodes each, 100 Mbit/s NICs, a 200 Mbit/s backbone:
     // at most k = 2 simultaneous transfers avoid congestion.
-    let platform = Platform::new(4, 4, 100.0, 100.0, 200.0);
+    let topo = Topology::two_cluster(4, 4, 100.0, 100.0, 200.0);
     println!(
-        "platform: {}x{} nodes, t = {} Mbit/s, k = {}",
-        platform.n1,
-        platform.n2,
-        platform.transfer_speed(),
-        platform.k()
+        "platform: {}x{} nodes, t = 100 Mbit/s, k = {}",
+        topo.senders(),
+        topo.receivers(),
+        topo.link_k(0)
     );
 
     // The application's redistribution pattern, in bytes.
@@ -35,14 +34,14 @@ fn main() {
     );
 
     for algo in [Algo::Oggp, Algo::Ggp, Algo::Sequential] {
-        let plan = Planner::new(algo).plan(&traffic, &platform);
-        plan.schedule
-            .validate(&plan.instance)
-            .expect("planner output must be feasible");
+        // `plan_topology` validates every schedule it returns.
+        let plan = Planner::new(algo)
+            .plan(&traffic, &topo)
+            .expect("every pair of the two clusters is routable");
         println!(
             "{:>10?}: {:>2} steps, cost {:>6.2} s, lower bound {:>6.2} s, ratio {:.4}",
             algo,
-            plan.schedule.num_steps(),
+            plan.topo_plan.schedule.num_steps(),
             plan.cost_seconds(),
             plan.lower_bound_seconds(),
             plan.evaluation_ratio()
@@ -50,14 +49,14 @@ fn main() {
     }
 
     // Show the OGGP schedule step by step.
-    let plan = Planner::new(Algo::Oggp).plan(&traffic, &platform);
+    let plan = Planner::new(Algo::Oggp).plan(&traffic, &topo).unwrap();
     println!("\nOGGP schedule (β = {} s):", plan.beta_seconds);
-    for (i, step) in plan.schedule.steps.iter().enumerate() {
+    for (i, step) in plan.topo_plan.schedule.steps.iter().enumerate() {
         let slices: Vec<String> = step
             .transfers
             .iter()
             .map(|t| {
-                let (s, d) = plan.endpoints[t.edge.index()];
+                let (s, d) = plan.topo_plan.endpoints[t.edge.index()];
                 format!("{s}->{d} ({:.2}s)", plan.scale.to_seconds(t.amount))
             })
             .collect();
@@ -70,7 +69,7 @@ fn main() {
     }
 
     println!("\nGantt ('#' transmitting, '.' idle within the step):");
-    print!("{}", plan.schedule.gantt(60));
+    print!("{}", plan.topo_plan.schedule.gantt(60));
 
     // And simulate it on the platform's network.
     let report = plan.simulate_ideal();

@@ -5,6 +5,7 @@
 //!            [--beta 0.05] [--algo oggp|ggp|hier|sequential|list|greedy] \
 //!            [--blocks B] [--jobs N] [--gantt] [--simulate] [--compare] \
 //!            [--trace out.json] [--counters]
+//! redistplan --matrix traffic.csv --topo topo.txt [same options, without --t1/--t2/--backbone]
 //! ```
 //!
 //! The CSV holds one row per sender with per-receiver byte counts
@@ -14,15 +15,19 @@
 //! of redistributions in one invocation; `--jobs N` schedules the batch (and
 //! the `--compare` sweep) on `N` worker threads. Planning is deterministic
 //! per instance and results are printed in input order, so the output is
-//! identical for every `--jobs` value — only the wall time changes.
+//! identical for every `--jobs` value — only the wall time changes
+//! (`tests/cli.rs`'s `jobs_do_not_change_the_output` checks it).
 //!
-//! `--algo` takes any `kpbs::Algo` name, on the platform and the `--topo`
-//! path alike. The matrices and `--beta` pass the tick-budget checks
-//! `redistd` applies to a request before anything is planned; a failure
-//! exits with status 2. So does, before any input is read, an unknown
-//! flag, a missing or malformed value, a repeated flag other than
-//! `--matrix`, `--blocks` without `--algo hier`, and a platform flag
-//! (`--t1`, `--t2`, `--backbone`, `--simulate`, `--compare`) with `--topo`.
+//! Every matrix is planned over a `kpbs::Topology` by `kpbs::plan_topology`:
+//! the `--topo` file, or else the paper's two-cluster platform at the
+//! matrix's shape, `--t1`/`--t2` NICs behind one `--backbone`
+//! (`Topology::two_cluster`). Both print the same report, and every other
+//! option works on both. The matrices and `--beta` pass the tick-budget
+//! check `redistd` applies to a request before anything is planned; a
+//! failure exits with status 2. So does, before any input is read, an
+//! unknown flag, a missing or malformed value, a repeated flag other than
+//! `--matrix`, `--blocks` without `--algo hier`, and `--t1`, `--t2` or
+//! `--backbone` with `--topo`.
 //!
 //! `--trace <path>` records telemetry spans through planning and simulation
 //! (it implies `--simulate`) and writes a Chrome trace-event JSON loadable
@@ -35,7 +40,7 @@ use redistribute::cli::parse_matrix_csv;
 use redistribute::kpbs::batch::parallel_map;
 use redistribute::kpbs::hier::HierConfig;
 use redistribute::kpbs::traffic::TickScale;
-use redistribute::kpbs::{plan_topology, Platform, Topology, TrafficMatrix};
+use redistribute::kpbs::{Topology, TrafficMatrix};
 use redistribute::telemetry::cli::Args;
 use redistribute::telemetry::{counters, export, spans};
 use redistribute::{Algo, Plan, Planner};
@@ -106,15 +111,8 @@ fn main() {
     if blocks.is_some() && !matches!(algo, Algo::Hier(_)) {
         cli.refuse("--blocks needs --algo hier");
     }
-    if topo_path.is_some() {
-        if t1.is_some() || t2.is_some() || backbone.is_some() {
-            cli.refuse("--topo replaces --t1/--t2/--backbone");
-        }
-        for (given, flag) in [(simulate, "--simulate"), (compare, "--compare")] {
-            if given {
-                cli.refuse(format!("{flag} runs on the platform only, not with --topo"));
-            }
-        }
+    if topo_path.is_some() && (t1.is_some() || t2.is_some() || backbone.is_some()) {
+        cli.refuse("--topo replaces --t1/--t2/--backbone");
     }
     if matrix_paths.iter().filter(|p| *p == "-").count() > 1 {
         cli.refuse("--matrix - (stdin) can be given at most once");
@@ -167,94 +165,117 @@ fn main() {
         counters::enable();
     }
 
-    if let Some(path) = &topo_path {
-        let text = std::fs::read_to_string(path)
+    // Each matrix gets its own network: the --topo file, or the two-cluster
+    // platform at its shape (matrices in a batch may differ in shape).
+    let topo_file = topo_path.map(|path| {
+        let text = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| die(&format!("cannot read {path}: {e}")));
-        let topo = Topology::parse(&text).unwrap_or_else(|e| die(&format!("{path}: {e}")));
-        plan_over_topology(&topo, &traffics, label_of, beta, algo, gantt);
-    } else {
-        let t1 = t1.unwrap_or(100.0);
-        let t2 = t2.unwrap_or(100.0);
-        let backbone = backbone.unwrap_or(t1.max(t2));
-        // Matrices in a batch may differ in shape, so each gets its own
-        // platform.
-        let inputs: Vec<(TrafficMatrix, Platform)> = traffics
-            .into_iter()
-            .map(|t| {
-                let p = Platform::new(t.senders(), t.receivers(), t1, t2, backbone);
-                (t, p)
-            })
-            .collect();
-        for (t, p) in &inputs {
-            check_ticks(t, p, beta);
+        Topology::parse(&text).unwrap_or_else(|e| die(&format!("{path}: {e}")))
+    });
+    let t1 = t1.unwrap_or(100.0);
+    let t2 = t2.unwrap_or(100.0);
+    let backbone = backbone.unwrap_or(t1.max(t2));
+    let inputs: Vec<(TrafficMatrix, Topology)> = traffics
+        .into_iter()
+        .map(|t| {
+            let topo = topo_file.clone().unwrap_or_else(|| {
+                Topology::two_cluster(t.senders(), t.receivers(), t1, t2, backbone)
+            });
+            (t, topo)
+        })
+        .collect();
+    for (traffic, topo) in &inputs {
+        if let Err(e) = topo.validate() {
+            die(&format!("bad platform: {e}"));
         }
-        // --trace implies --simulate on the platform.
-        let simulate = simulate || trace_path.is_some();
+        // The refusal `redistd`'s decoder applies to a request it cannot
+        // plan in ticks.
+        if let Err(e) = traffic.check_tick_budget(&topo.slowest_platform(), beta, TickScale::MILLIS)
+        {
+            die(&format!("cannot plan: {e}"));
+        }
+    }
+    let simulate = simulate || trace_path.is_some();
 
-        let planner = Planner::new(algo).with_beta(beta);
-        // The fan-out: all plans are computed before anything is printed, and
-        // printed in input order, keeping the output independent of --jobs.
-        let plans: Vec<Plan> = parallel_map(&inputs, jobs, |(t, p)| planner.plan(t, p));
+    let planner = Planner::new(algo).with_beta(beta);
+    // The fan-out: all plans are computed before anything is printed, and
+    // printed in input order, keeping the output independent of --jobs.
+    let plans: Vec<Plan> = parallel_map(&inputs, jobs, |(t, topo)| planner.plan(t, topo))
+        .into_iter()
+        .collect::<Result<_, _>>()
+        .unwrap_or_else(|e| die(&format!("topology planning failed: {e}")));
 
-        for (i, plan) in plans.iter().enumerate() {
-            let (traffic, platform) = (&plan.traffic, &plan.platform);
-            if plans.len() > 1 {
-                println!("[{}/{}] {}", i + 1, plans.len(), label_of(i));
-            }
+    for (i, plan) in plans.iter().enumerate() {
+        let (traffic, topo) = (&plan.traffic, &plan.topology);
+        if plans.len() > 1 {
+            println!("[{}/{}] {}", i + 1, plans.len(), label_of(i));
+        }
+        println!(
+            "topology: {} senders, {} receivers, {} backbones; traffic: {} messages, {:.1} MB",
+            topo.senders(),
+            topo.receivers(),
+            topo.links.len(),
+            traffic.message_count(),
+            traffic.total_bytes() as f64 / 1e6
+        );
+        for lp in &plan.topo_plan.link_plans {
+            let link = &topo.links[lp.link];
             println!(
-                "platform: {}x{} nodes, t = {:.1} Mbit/s, k = {}; traffic: {} messages, {:.1} MB",
-                platform.n1,
-                platform.n2,
-                platform.transfer_speed(),
-                platform.k(),
-                traffic.message_count(),
-                traffic.total_bytes() as f64 / 1e6
+                "  link {} ({} -> {}, {:.1} Mbit/s): k_b = {}, {} messages, cost {:.2} s (bound {:.2} s)",
+                lp.link,
+                link.connects.0,
+                link.connects.1,
+                link.capacity,
+                lp.k,
+                lp.messages,
+                plan.scale.to_seconds(lp.cost),
+                plan.scale.to_seconds(lp.lower_bound)
             );
-            plan.schedule
-                .validate(&plan.instance)
-                .unwrap_or_else(|e| die(&format!("internal error: invalid schedule: {e}")));
-            println!(
-                "{}: {} steps, cost {:.2} s, lower bound {:.2} s, ratio {:.4}",
-                label(algo),
-                plan.schedule.num_steps(),
-                plan.cost_seconds(),
-                plan.lower_bound_seconds(),
-                plan.evaluation_ratio()
-            );
+        }
+        println!(
+            "{}: {} steps, cost {:.2} s, lower bound {:.2} s, ratio {:.4}",
+            label(algo),
+            plan.topo_plan.schedule.num_steps(),
+            plan.cost_seconds(),
+            plan.lower_bound_seconds(),
+            plan.evaluation_ratio()
+        );
 
-            if gantt {
-                println!("\n{}", plan.schedule.gantt(72));
-            }
-            if simulate {
-                let r = plan.simulate_ideal();
-                let steps = r.steps.len();
+        if gantt {
+            println!("\n{}", plan.gantt());
+        }
+        if simulate {
+            let r = plan.simulate_ideal();
+            let steps = r.steps.len();
+            println!(
+                "simulated on the topology's network: {:.2} s over {steps} steps ({:.2} s barriers)",
+                r.total_seconds,
+                plan.beta_seconds * steps as f64
+            );
+        }
+        if compare {
+            let algos = [
+                Algo::Oggp,
+                Algo::Ggp,
+                Algo::List,
+                Algo::Greedy,
+                Algo::Sequential,
+            ];
+            let compared = parallel_map(&algos, jobs, |&a| {
+                Planner::new(a)
+                    .with_beta(beta)
+                    .plan(traffic, topo)
+                    .unwrap_or_else(|e| die(&format!("topology planning failed: {e}")))
+            });
+            println!("\nall algorithms:");
+            for (a, p) in algos.iter().zip(&compared) {
                 println!(
-                    "simulated on the platform network: {:.2} s over {steps} steps ({:.2} s barriers)",
-                    r.total_seconds,
-                    plan.beta_seconds * steps as f64
+                    "  {}: {:>3} steps, {:>8.2} s (ratio {:.4})",
+                    label(*a),
+                    p.topo_plan.schedule.num_steps(),
+                    p.cost_seconds(),
+                    p.evaluation_ratio()
                 );
-            }
-            if compare {
-                let algos = [
-                    Algo::Oggp,
-                    Algo::Ggp,
-                    Algo::List,
-                    Algo::Greedy,
-                    Algo::Sequential,
-                ];
-                let compared = parallel_map(&algos, jobs, |&a| {
-                    Planner::new(a).with_beta(beta).plan(traffic, platform)
-                });
-                println!("\nall algorithms:");
-                for (a, p) in algos.iter().zip(&compared) {
-                    println!(
-                        "  {}: {:>3} steps, {:>8.2} s (ratio {:.4})",
-                        label(*a),
-                        p.schedule.num_steps(),
-                        p.cost_seconds(),
-                        p.evaluation_ratio()
-                    );
-                }
             }
         }
     }
@@ -274,71 +295,6 @@ fn main() {
         counters::disable();
         println!("\nwork counters:");
         print!("{}", export::counter_summary(&counters::global_snapshot()));
-    }
-}
-
-/// Plans each matrix over `topo`: per backbone under its own `k_b`, then
-/// composed.
-fn plan_over_topology<'a>(
-    topo: &Topology,
-    traffics: &[TrafficMatrix],
-    label_of: impl Fn(usize) -> &'a str,
-    beta: f64,
-    algo: Algo,
-    gantt: bool,
-) {
-    let slowest = topo.slowest_platform();
-    for traffic in traffics {
-        check_ticks(traffic, &slowest, beta);
-    }
-    for (i, traffic) in traffics.iter().enumerate() {
-        if traffics.len() > 1 {
-            println!("[{}/{}] {}", i + 1, traffics.len(), label_of(i));
-        }
-        let plan = plan_topology(traffic, topo, beta, TickScale::MILLIS, algo)
-            .unwrap_or_else(|e| die(&format!("topology planning failed: {e}")));
-        println!(
-            "topology: {} senders, {} receivers, {} backbones; traffic: {} messages, {:.1} MB",
-            topo.senders(),
-            topo.receivers(),
-            topo.links.len(),
-            traffic.message_count(),
-            traffic.total_bytes() as f64 / 1e6
-        );
-        for lp in &plan.link_plans {
-            let link = &topo.links[lp.link];
-            println!(
-                "  link {} ({} -> {}, {:.1} Mbit/s): k_b = {}, {} messages, cost {:.2} s (bound {:.2} s)",
-                lp.link,
-                link.connects.0,
-                link.connects.1,
-                link.capacity,
-                lp.k,
-                lp.messages,
-                lp.cost as f64 / TickScale::MILLIS.ticks_per_second,
-                lp.lower_bound as f64 / TickScale::MILLIS.ticks_per_second
-            );
-        }
-        let secs = TickScale::MILLIS.ticks_per_second;
-        println!(
-            "{}: {} composed steps, cost {:.2} s, lower bound {:.2} s, ratio {:.4}",
-            label(algo),
-            plan.schedule.num_steps(),
-            plan.schedule.cost() as f64 / secs,
-            plan.lower_bound as f64 / secs,
-            plan.evaluation_ratio()
-        );
-        if gantt {
-            println!("\n{}", plan.schedule.gantt(72));
-        }
-    }
-}
-
-/// Refuses a matrix or β the planner cannot take in ticks, the way
-/// `redistd`'s decoder refuses such a request.
-fn check_ticks(traffic: &TrafficMatrix, platform: &Platform, beta: f64) {
-    if let Err(e) = traffic.check_tick_budget(platform, beta, TickScale::MILLIS) {
-        die(&format!("cannot plan: {e}"));
     }
 }
 

@@ -19,21 +19,23 @@
 //!
 //! The [`Planner`]/[`Plan`] pair on this crate is the "fully working
 //! redistribution library" of the paper's conclusion: hand it a traffic
-//! matrix and a platform description, get a feasible schedule, inspect its
-//! cost against the lower bound, then run it — simulated or threaded, both
-//! through [`redistexec::Runtime`].
+//! matrix and a [`kpbs::Topology`] (the paper's platform is
+//! [`Topology::two_cluster`](kpbs::Topology::two_cluster)), get a feasible
+//! schedule from [`kpbs::plan_topology`], inspect its cost against the
+//! lower bound, then run it — simulated or threaded, both through
+//! [`redistexec::Runtime`].
 //!
 //! ```
 //! use redistribute::{Algo, Planner};
-//! use redistribute::kpbs::{Platform, TrafficMatrix};
+//! use redistribute::kpbs::{Topology, TrafficMatrix};
 //!
-//! let platform = Platform::new(4, 4, 100.0, 100.0, 200.0); // k = 2
+//! let topo = Topology::two_cluster(4, 4, 100.0, 100.0, 200.0); // k = 2
 //! let mut traffic = TrafficMatrix::zeros(4, 4);
 //! traffic.set(0, 0, 20_000_000);
 //! traffic.set(0, 3, 5_000_000);
 //! traffic.set(2, 1, 12_000_000);
 //!
-//! let plan = Planner::new(Algo::Oggp).plan(&traffic, &platform);
+//! let plan = Planner::new(Algo::Oggp).plan(&traffic, &topo).unwrap();
 //! assert!(plan.evaluation_ratio() < 2.0);
 //! let report = plan.simulate_ideal();
 //! assert!(report.total_seconds > 0.0);
@@ -54,7 +56,7 @@ pub mod cli;
 
 use flowsim::{NetworkSpec, SimConfig};
 use kpbs::traffic::TickScale;
-use kpbs::{Instance, Platform, Schedule, Topology, TrafficMatrix};
+use kpbs::{plan_topology, TopoError, TopoPlan, Topology, TrafficMatrix};
 use redistexec::{execute_fault_free, ExecReport, MpiTransport, SimTransport, Transport};
 
 /// Builds [`Plan`]s from traffic matrices.
@@ -89,37 +91,31 @@ impl Planner {
         self
     }
 
-    /// Schedules `traffic` on `platform`.
-    pub fn plan(&self, traffic: &TrafficMatrix, platform: &Platform) -> Plan {
-        let (instance, endpoints) = traffic.to_instance(platform, self.beta_seconds, self.scale);
-        let schedule = self.algo.plan(&instance);
-        debug_assert!(schedule.validate(&instance).is_ok());
-        Plan {
+    /// Schedules `traffic` over `topo` with [`kpbs::plan_topology`]; fails
+    /// when the topology is invalid, the shapes differ or a message has no
+    /// backbone.
+    pub fn plan(&self, traffic: &TrafficMatrix, topo: &Topology) -> Result<Plan, TopoError> {
+        let topo_plan = plan_topology(traffic, topo, self.beta_seconds, self.scale, self.algo)?;
+        Ok(Plan {
             traffic: traffic.clone(),
-            platform: *platform,
-            instance,
-            endpoints,
-            schedule,
+            topology: topo.clone(),
+            topo_plan,
             beta_seconds: self.beta_seconds,
             scale: self.scale,
-        }
+        })
     }
 }
 
-/// A planned redistribution: the schedule plus everything needed to execute
-/// or evaluate it.
+/// A planned redistribution: the [`TopoPlan`] plus everything needed to
+/// execute or evaluate it.
 #[derive(Debug, Clone)]
 pub struct Plan {
     /// The traffic matrix the plan was built for.
     pub traffic: TrafficMatrix,
-    /// The platform description.
-    pub platform: Platform,
-    /// The K-PBS instance (graph in ticks, k, β).
-    pub instance: Instance,
-    /// `(sender, receiver)` behind each edge id.
-    pub endpoints: Vec<(usize, usize)>,
-    /// The schedule.
-    pub schedule: Schedule,
+    /// The network it was planned over.
+    pub topology: Topology,
+    /// The instance, endpoints, validated schedule and lower bound.
+    pub topo_plan: TopoPlan,
     /// β in seconds.
     pub beta_seconds: f64,
     /// Tick resolution.
@@ -129,32 +125,26 @@ pub struct Plan {
 impl Plan {
     /// Analytic cost of the schedule in seconds, `Σ (β + step duration)`.
     pub fn cost_seconds(&self) -> f64 {
-        self.scale.to_seconds(self.schedule.cost())
+        self.scale.to_seconds(self.topo_plan.schedule.cost())
     }
 
-    /// The Cohen–Jeannot–Padoy lower bound in seconds.
+    /// The lower bound in seconds ([`kpbs::topo_lower_bound`], the
+    /// Cohen–Jeannot–Padoy bound on the two-cluster topology).
     pub fn lower_bound_seconds(&self) -> f64 {
-        self.scale.to_seconds(kpbs::lower_bound(&self.instance))
+        self.scale.to_seconds(self.topo_plan.lower_bound)
     }
 
     /// The paper's evaluation ratio: cost / lower bound (1.0 for an empty
     /// plan).
     pub fn evaluation_ratio(&self) -> f64 {
-        let lb = self.lower_bound_seconds();
-        if lb == 0.0 {
-            1.0
-        } else {
-            self.cost_seconds() / lb
-        }
+        self.topo_plan.evaluation_ratio()
     }
 
-    /// Simulates the plan on the platform's network with an ideal fluid
+    /// Simulates the plan on the topology's network with an ideal fluid
     /// transport.
     pub fn simulate_ideal(&self) -> ExecReport {
-        self.simulate(
-            &NetworkSpec::from_platform(&self.platform),
-            &SimConfig::default(),
-        )
+        let spec = NetworkSpec::from_topology(&self.topology).expect("a planned topology is valid");
+        self.simulate(&spec, &SimConfig::default())
     }
 
     /// Simulates the plan on an arbitrary network and transport model:
@@ -163,18 +153,19 @@ impl Plan {
         self.execute(SimTransport::new(spec.clone(), config.clone()))
     }
 
-    /// ASCII Gantt chart of the schedule (see [`Schedule::gantt`]).
+    /// ASCII Gantt chart of the schedule (see [`kpbs::Schedule::gantt`]).
     pub fn gantt(&self) -> String {
-        self.schedule.gantt(72)
+        self.topo_plan.schedule.gantt(72)
     }
 
     /// Estimated makespan if the global barriers were weakened into
     /// per-node dependencies (the paper's §2.1 post-processing), in seconds.
     pub fn relaxed_estimate_seconds(&self) -> f64 {
+        let plan = &self.topo_plan;
         let r = kpbs::relax::relax_k(
-            &self.schedule,
-            &self.instance.graph,
-            self.instance.effective_k(),
+            &plan.schedule,
+            &plan.instance.graph,
+            plan.instance.effective_k(),
         );
         self.scale.to_seconds(r.makespan)
     }
@@ -183,20 +174,19 @@ impl Plan {
     /// bytes; each step's duration is measured wall-clock time, and β is
     /// paid per step on top.
     pub fn execute_threaded(&self, fabric: mpilite::FabricConfig) -> ExecReport {
-        let (n1, n2) = (self.platform.n1, self.platform.n2);
+        let (n1, n2) = (self.topology.senders(), self.topology.receivers());
         self.execute(MpiTransport::new(n1, n2, fabric))
     }
 
-    /// Runs the plan fault-free over `transport`, on the platform's
-    /// two-cluster topology ([`execute_fault_free`]).
+    /// Runs the plan fault-free over `transport` ([`execute_fault_free`]).
     fn execute<T: Transport>(&self, transport: T) -> ExecReport {
         execute_fault_free(
             transport,
             &self.traffic,
-            &Topology::from_platform(&self.platform),
+            &self.topology,
             self.beta_seconds,
             self.scale,
-            &self.schedule,
+            &self.topo_plan.schedule,
         )
     }
 }
@@ -205,14 +195,14 @@ impl Plan {
 mod tests {
     use super::*;
 
-    fn demo_traffic() -> (TrafficMatrix, Platform) {
-        let platform = Platform::new(3, 3, 100.0, 100.0, 200.0);
+    fn demo_traffic() -> (TrafficMatrix, Topology) {
+        let topo = Topology::two_cluster(3, 3, 100.0, 100.0, 200.0);
         let mut t = TrafficMatrix::zeros(3, 3);
         t.set(0, 0, 10_000_000);
         t.set(0, 1, 4_000_000);
         t.set(1, 1, 8_000_000);
         t.set(2, 2, 6_000_000);
-        (t, platform)
+        (t, topo)
     }
 
     #[test]
@@ -220,9 +210,10 @@ mod tests {
         let (t, p) = demo_traffic();
         for name in Algo::NAMES {
             let algo: Algo = name.parse().unwrap();
-            let plan = Planner::new(algo).plan(&t, &p);
-            plan.schedule
-                .validate(&plan.instance)
+            let plan = Planner::new(algo).plan(&t, &p).unwrap();
+            plan.topo_plan
+                .schedule
+                .validate(&plan.topo_plan.instance)
                 .unwrap_or_else(|e| panic!("{algo:?}: {e}"));
             assert!(plan.evaluation_ratio() >= 1.0 - 1e-9, "{algo:?}");
         }
@@ -231,30 +222,40 @@ mod tests {
     #[test]
     fn hier_blocks_one_matches_oggp() {
         let (t, p) = demo_traffic();
-        let hier = Planner::new(Algo::Hier(kpbs::HierConfig::new(1))).plan(&t, &p);
-        let oggp = Planner::new(Algo::Oggp).plan(&t, &p);
-        assert_eq!(hier.schedule, oggp.schedule);
+        let hier = Planner::new(Algo::Hier(kpbs::HierConfig::new(1)))
+            .plan(&t, &p)
+            .unwrap();
+        let oggp = Planner::new(Algo::Oggp).plan(&t, &p).unwrap();
+        assert_eq!(hier.topo_plan.schedule, oggp.topo_plan.schedule);
     }
 
     #[test]
     fn oggp_not_worse_than_sequential() {
         let (t, p) = demo_traffic();
-        let oggp = Planner::new(Algo::Oggp).plan(&t, &p);
-        let seq = Planner::new(Algo::Sequential).plan(&t, &p);
+        let oggp = Planner::new(Algo::Oggp).plan(&t, &p).unwrap();
+        let seq = Planner::new(Algo::Sequential).plan(&t, &p).unwrap();
         assert!(oggp.cost_seconds() <= seq.cost_seconds());
     }
 
     #[test]
     fn beta_zero_supported() {
         let (t, p) = demo_traffic();
-        let plan = Planner::new(Algo::Oggp).with_beta(0.0).plan(&t, &p);
-        assert!(plan.schedule.validate(&plan.instance).is_ok());
+        let plan = Planner::new(Algo::Oggp)
+            .with_beta(0.0)
+            .plan(&t, &p)
+            .unwrap();
+        assert_eq!(plan.topo_plan.instance.beta, 0);
+        assert!(plan
+            .topo_plan
+            .schedule
+            .validate(&plan.topo_plan.instance)
+            .is_ok());
     }
 
     #[test]
     fn simulation_close_to_analytic_cost() {
         let (t, p) = demo_traffic();
-        let plan = Planner::new(Algo::Oggp).plan(&t, &p);
+        let plan = Planner::new(Algo::Oggp).plan(&t, &p).unwrap();
         let sim = plan.simulate_ideal();
         let analytic = plan.cost_seconds();
         let rel = (sim.total_seconds - analytic).abs() / analytic;
@@ -268,7 +269,7 @@ mod tests {
     #[test]
     fn plan_sugar() {
         let (t, p) = demo_traffic();
-        let plan = Planner::new(Algo::Oggp).plan(&t, &p);
+        let plan = Planner::new(Algo::Oggp).plan(&t, &p).unwrap();
         let g = plan.gantt();
         assert!(g.contains('#'), "gantt renders transmissions:\n{g}");
         let relaxed = plan.relaxed_estimate_seconds();
@@ -278,10 +279,10 @@ mod tests {
 
     #[test]
     fn empty_traffic_trivial_plan() {
-        let p = Platform::new(2, 2, 100.0, 100.0, 200.0);
+        let p = Topology::two_cluster(2, 2, 100.0, 100.0, 200.0);
         let t = TrafficMatrix::zeros(2, 2);
-        let plan = Planner::new(Algo::Oggp).plan(&t, &p);
-        assert_eq!(plan.schedule.num_steps(), 0);
+        let plan = Planner::new(Algo::Oggp).plan(&t, &p).unwrap();
+        assert_eq!(plan.topo_plan.schedule.num_steps(), 0);
         assert_eq!(plan.evaluation_ratio(), 1.0);
     }
 }

@@ -1,15 +1,15 @@
-//! End-to-end integration: traffic matrix → platform → schedule →
+//! End-to-end integration: traffic matrix → topology → schedule →
 //! execution. The analytic cost is checked against the one executor
 //! (`redistexec::Runtime`) over both of its network transports: the fluid
 //! simulation and the threaded runtime moving real bytes.
 
 use redistribute::flowsim::{NetworkSpec, SimConfig};
-use redistribute::kpbs::{Platform, TrafficMatrix};
+use redistribute::kpbs::{Topology, TrafficMatrix};
 use redistribute::mpilite::FabricConfig;
 use redistribute::{Algo, Planner};
 
-fn workload() -> (TrafficMatrix, Platform) {
-    let platform = Platform::new(5, 5, 100.0, 100.0, 300.0); // k = 3
+fn workload() -> (TrafficMatrix, Topology) {
+    let topo = Topology::two_cluster(5, 5, 100.0, 100.0, 300.0); // k = 3
     let mut t = TrafficMatrix::zeros(5, 5);
     let mut v = 1_000_000u64;
     for i in 0..5 {
@@ -20,14 +20,15 @@ fn workload() -> (TrafficMatrix, Platform) {
             }
         }
     }
-    (t, platform)
+    (t, topo)
 }
 
 #[test]
 fn plan_simulate_execute_agree() {
-    let (traffic, platform) = workload();
-    let plan = Planner::new(Algo::Oggp).plan(&traffic, &platform);
-    plan.schedule.validate(&plan.instance).unwrap();
+    let (traffic, topo) = workload();
+    let plan = Planner::new(Algo::Oggp).plan(&traffic, &topo).unwrap();
+    let planned = &plan.topo_plan;
+    planned.schedule.validate(&planned.instance).unwrap();
 
     // Analytic cost vs ideal fluid simulation: within tick rounding.
     let sim = plan.simulate_ideal();
@@ -49,7 +50,7 @@ fn plan_simulate_execute_agree() {
     let run = plan.execute_threaded(fabric);
     run.verify_against(&traffic).unwrap();
     assert_eq!(run.delivered.total_bytes(), traffic.total_bytes());
-    assert_eq!(run.steps.len(), plan.schedule.num_steps());
+    assert_eq!(run.steps.len(), planned.schedule.num_steps());
     assert_eq!(
         sim.steps.len(),
         run.steps.len(),
@@ -59,8 +60,8 @@ fn plan_simulate_execute_agree() {
 
 #[test]
 fn every_algorithm_end_to_end() {
-    let (traffic, platform) = workload();
-    let spec = NetworkSpec::from_platform(&platform);
+    let (traffic, topo) = workload();
+    let spec = NetworkSpec::from_topology(&topo).unwrap();
     for algo in [
         Algo::Ggp,
         Algo::Oggp,
@@ -68,9 +69,10 @@ fn every_algorithm_end_to_end() {
         Algo::List,
         Algo::Greedy,
     ] {
-        let plan = Planner::new(algo).plan(&traffic, &platform);
-        plan.schedule
-            .validate(&plan.instance)
+        let plan = Planner::new(algo).plan(&traffic, &topo).unwrap();
+        plan.topo_plan
+            .schedule
+            .validate(&plan.topo_plan.instance)
             .unwrap_or_else(|e| panic!("{algo:?}: {e}"));
         let sim = plan.simulate(&spec, &SimConfig::default());
         assert!(sim.total_seconds > 0.0, "{algo:?}");
@@ -87,10 +89,12 @@ fn every_algorithm_end_to_end() {
 
 #[test]
 fn schedulers_dominate_sequential_strawman() {
-    let (traffic, platform) = workload();
-    let seq = Planner::new(Algo::Sequential).plan(&traffic, &platform);
+    let (traffic, topo) = workload();
+    let seq = Planner::new(Algo::Sequential)
+        .plan(&traffic, &topo)
+        .unwrap();
     for algo in [Algo::Ggp, Algo::Oggp, Algo::List] {
-        let plan = Planner::new(algo).plan(&traffic, &platform);
+        let plan = Planner::new(algo).plan(&traffic, &topo).unwrap();
         assert!(
             plan.cost_seconds() <= seq.cost_seconds() * 1.001,
             "{algo:?} worse than fully sequential"
@@ -100,13 +104,17 @@ fn schedulers_dominate_sequential_strawman() {
 
 #[test]
 fn planner_options_respected() {
-    let (traffic, platform) = workload();
+    let (traffic, topo) = workload();
     let p0 = Planner::new(Algo::Oggp)
         .with_beta(0.0)
-        .plan(&traffic, &platform);
+        .plan(&traffic, &topo)
+        .unwrap()
+        .topo_plan;
     let p1 = Planner::new(Algo::Oggp)
         .with_beta(0.5)
-        .plan(&traffic, &platform);
+        .plan(&traffic, &topo)
+        .unwrap()
+        .topo_plan;
     assert_eq!(p0.instance.beta, 0);
     assert_eq!(p1.instance.beta, 500); // ms ticks
                                        // A large β discourages preemption: no more slices than edges + steps.
@@ -116,14 +124,17 @@ fn planner_options_respected() {
 #[test]
 fn asymmetric_clusters_supported() {
     // 8 senders, 3 receivers, mismatched NIC speeds.
-    let platform = Platform::new(8, 3, 10.0, 100.0, 40.0); // t = 10, k = 3 (receiver-capped)
-    assert_eq!(platform.k(), 3);
+    let topo = Topology::two_cluster(8, 3, 10.0, 100.0, 40.0); // t = 10, k = 3 (receiver-capped)
+    assert_eq!(topo.link_k(0), 3);
     let mut t = TrafficMatrix::zeros(8, 3);
     for i in 0..8 {
         t.set(i, i % 3, 500_000 + i as u64 * 100_000);
     }
-    let plan = Planner::new(Algo::Oggp).plan(&t, &platform);
-    plan.schedule.validate(&plan.instance).unwrap();
+    let plan = Planner::new(Algo::Oggp).plan(&t, &topo).unwrap();
+    plan.topo_plan
+        .schedule
+        .validate(&plan.topo_plan.instance)
+        .unwrap();
     assert!(plan.evaluation_ratio() < 2.0);
     let sim = plan.simulate_ideal();
     assert!(sim.total_seconds > 0.0);

@@ -6,7 +6,7 @@
 use rand::{rngs::SmallRng, SeedableRng};
 use redistribute::flowsim::{NetworkSpec, SimConfig, TcpModel};
 use redistribute::kpbs::stats::{run_campaign, CampaignConfig, KChoice};
-use redistribute::kpbs::{Platform, TrafficMatrix};
+use redistribute::kpbs::{Platform, Topology, TrafficMatrix};
 use redistribute::redistexec::{brute_force, SimTransport};
 use redistribute::{Algo, Planner};
 
@@ -102,7 +102,9 @@ fn figures_10_11_shape() {
         let spec = NetworkSpec::from_platform(&platform);
         let mut rng = SmallRng::seed_from_u64(1100 + k as u64);
         let traffic = TrafficMatrix::uniform_mb(&mut rng, 10, 10, 10, 40);
-        let plan = Planner::new(Algo::Oggp).plan(&traffic, &platform);
+        let plan = Planner::new(Algo::Oggp)
+            .plan(&traffic, &Topology::from_platform(&platform))
+            .unwrap();
         let lossy = SimConfig {
             tcp: TcpModel::default(),
             seed: 0,
@@ -127,9 +129,16 @@ fn steps_and_time_claim() {
     let spec = NetworkSpec::from_platform(&platform);
     let mut rng = SmallRng::seed_from_u64(55);
     let traffic = TrafficMatrix::uniform_mb(&mut rng, 10, 10, 10, 40);
-    let pg = Planner::new(Algo::Ggp).plan(&traffic, &platform);
-    let po = Planner::new(Algo::Oggp).plan(&traffic, &platform);
-    let (sg, so) = (pg.schedule.num_steps(), po.schedule.num_steps());
+    let pg = Planner::new(Algo::Ggp)
+        .plan(&traffic, &Topology::from_platform(&platform))
+        .unwrap();
+    let po = Planner::new(Algo::Oggp)
+        .plan(&traffic, &Topology::from_platform(&platform))
+        .unwrap();
+    let (sg, so) = (
+        pg.topo_plan.schedule.num_steps(),
+        po.topo_plan.schedule.num_steps(),
+    );
     assert!((so as f64) < 0.7 * sg as f64, "OGGP {so} steps vs GGP {sg}");
     let cfg = SimConfig::default();
     let tg = pg.simulate(&spec, &cfg).total_seconds;
@@ -146,7 +155,9 @@ fn determinism_claim() {
     let spec = NetworkSpec::from_platform(&platform);
     let mut rng = SmallRng::seed_from_u64(66);
     let traffic = TrafficMatrix::uniform_mb(&mut rng, 10, 10, 10, 30);
-    let plan = Planner::new(Algo::Oggp).plan(&traffic, &platform);
+    let plan = Planner::new(Algo::Oggp)
+        .plan(&traffic, &Topology::from_platform(&platform))
+        .unwrap();
 
     let mut brutes = Vec::new();
     let mut scheds = Vec::new();
