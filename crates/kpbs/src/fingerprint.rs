@@ -19,52 +19,55 @@
 //! server can probe its cache straight from a decoded frame and build the
 //! instance only on a miss.
 //!
-//! The hash is two independent 64-bit FNV-1a streams over the same byte
-//! sequence, concatenated into a `u128`. FNV is not cryptographic; the
-//! serving layer guards against adversarial collisions by storing the full
-//! canonical byte encoding's length alongside (and a 2⁻¹²⁸ accidental
-//! collision is below any operational concern).
+//! The hash is a two-lane word mixer: every field of the tuple is one
+//! `u64` word (an edge's endpoints share one word), and each lane folds a
+//! word in as `lane = rotl((lane ^ word) · M, r)` with its own odd
+//! multiplier `M` and rotation `r`, then ends with the splitmix64
+//! finaliser. For a fixed word each step is a bijection of the lane
+//! state, and so is the finaliser, so two tuples of equal length that
+//! differ in exactly one word never share either 64-bit half. The halves
+//! are concatenated into a `u128`. The mixer is not cryptographic: keys
+//! are for telling honest requests apart, and an accidental collision of
+//! both lanes sits far below any operational concern.
 
 use crate::problem::Instance;
 use bipartite::Weight;
 
-/// 64-bit FNV-1a offset basis.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// 64-bit FNV-1a prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-/// A second, independent offset for the high half of the 128-bit key
-/// (FNV-1a with a different starting state; streams stay decorrelated).
-const FNV_OFFSET_HI: u64 = 0x6c62_272e_07bb_0142;
+/// Start state, odd multiplier and rotation of the low lane.
+const LO: (u64, u64, u32) = (0xcbf2_9ce4_8422_2325, 0x9e37_79b9_7f4a_7c15, 29);
+/// Start state, odd multiplier and rotation of the high lane: constants
+/// unrelated to the low lane's, so the halves stay decorrelated.
+const HI: (u64, u64, u32) = (0x6c62_272e_07bb_0142, 0xd6e8_feb8_6659_fd93, 37);
 
-/// An incremental two-stream FNV-1a hasher producing a 128-bit digest.
+/// An incremental two-lane word mixer producing a 128-bit digest.
 #[derive(Debug, Clone)]
-struct Fnv2 {
+struct Mix2 {
     lo: u64,
     hi: u64,
 }
 
-impl Fnv2 {
+impl Mix2 {
     fn new() -> Self {
-        Fnv2 {
-            lo: FNV_OFFSET,
-            hi: FNV_OFFSET_HI,
-        }
+        Mix2 { lo: LO.0, hi: HI.0 }
     }
 
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.lo = (self.lo ^ b as u64).wrapping_mul(FNV_PRIME);
-            self.hi = (self.hi ^ b as u64).wrapping_mul(FNV_PRIME);
-        }
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        self.write(&v.to_le_bytes());
+    #[inline]
+    fn word(&mut self, w: u64) {
+        self.lo = (self.lo ^ w).wrapping_mul(LO.1).rotate_left(LO.2);
+        self.hi = (self.hi ^ w).wrapping_mul(HI.1).rotate_left(HI.2);
     }
 
     fn digest(&self) -> u128 {
-        ((self.hi as u128) << 64) | self.lo as u128
+        ((avalanche(self.hi) as u128) << 64) | avalanche(self.lo) as u128
     }
+}
+
+/// The splitmix64 finaliser: a bijection on `u64` in which every input
+/// bit flips about half of the output bits.
+fn avalanche(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
 }
 
 /// The canonical 128-bit fingerprint of an instance: a hash of
@@ -72,7 +75,7 @@ impl Fnv2 {
 /// instances on which every scheduler in this crate produces identical
 /// schedules; see the module docs for the canonical-construction caveat.
 pub fn fingerprint(inst: &Instance) -> u128 {
-    let mut h = Fnv2::new();
+    let mut h = Mix2::new();
     write_instance(&mut h, inst);
     h.digest()
 }
@@ -81,8 +84,8 @@ pub fn fingerprint(inst: &Instance) -> u128 {
 /// layer's cache key, where `tag` encodes the algorithm (and any future
 /// planner option) so OGGP and GGP plans for one instance never collide.
 pub fn cache_key(inst: &Instance, tag: u64) -> u128 {
-    let mut h = Fnv2::new();
-    h.write_u64(tag);
+    let mut h = Mix2::new();
+    h.word(tag);
     write_instance(&mut h, inst);
     h.digest()
 }
@@ -103,13 +106,13 @@ pub fn cache_key_from_edges(
     k: usize,
     beta: Weight,
 ) -> u128 {
-    let mut h = Fnv2::new();
-    h.write_u64(tag);
+    let mut h = Mix2::new();
+    h.word(tag);
     write_tuple(&mut h, n1, n2, m, edges, k, beta);
     h.digest()
 }
 
-fn write_instance(h: &mut Fnv2, inst: &Instance) {
+fn write_instance(h: &mut Mix2, inst: &Instance) {
     let g = &inst.graph;
     write_tuple(
         h,
@@ -122,10 +125,12 @@ fn write_instance(h: &mut Fnv2, inst: &Instance) {
     );
 }
 
-/// The one definition of the hashed byte sequence; every key in this
-/// module, instance-based or streaming, goes through it.
+/// The one definition of the hashed word sequence; every key in this
+/// module, instance-based or streaming, goes through it. An edge's
+/// endpoints share one word, `l` in the high half: both are below 2³² (the
+/// graph stores them as `u32`, the wire carries them as `u32`).
 fn write_tuple(
-    h: &mut Fnv2,
+    h: &mut Mix2,
     n1: usize,
     n2: usize,
     m: usize,
@@ -133,16 +138,16 @@ fn write_tuple(
     k: usize,
     beta: Weight,
 ) {
-    h.write_u64(n1 as u64);
-    h.write_u64(n2 as u64);
-    h.write_u64(m as u64);
+    h.word(n1 as u64);
+    h.word(n2 as u64);
+    h.word(m as u64);
     for (l, r, w) in edges {
-        h.write_u64(l as u64);
-        h.write_u64(r as u64);
-        h.write_u64(w);
+        debug_assert!(l <= u32::MAX as usize && r <= u32::MAX as usize);
+        h.word(((l as u64) << 32) | r as u64);
+        h.word(w);
     }
-    h.write_u64(k as u64);
-    h.write_u64(beta);
+    h.word(k as u64);
+    h.word(beta);
 }
 
 #[cfg(test)]

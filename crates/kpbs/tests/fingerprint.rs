@@ -3,8 +3,10 @@
 //! collision-freedom between canonically distinct instances.
 
 use bipartite::Graph;
-use kpbs::{cache_key, fingerprint, Instance};
+use kpbs::{cache_key, cache_key_from_edges, fingerprint, Instance};
+use proptest::collection::vec;
 use proptest::prelude::*;
+use std::collections::HashSet;
 
 /// An instance plus the raw tuple it was built from, so tests can rebuild
 /// or perturb it field by field.
@@ -42,8 +44,88 @@ fn raw_strategy() -> impl Strategy<Value = Raw> {
         })
 }
 
+/// A raw key tuple `(tag, n1, n2, m, (l, r, w)*, k, β)`, hashed through
+/// the streaming entry point (so fields need not form a valid instance).
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+struct Tuple {
+    tag: u64,
+    n1: usize,
+    n2: usize,
+    edges: Vec<(usize, usize, u64)>,
+    k: usize,
+    beta: u64,
+}
+
+impl Tuple {
+    fn key(&self) -> u128 {
+        cache_key_from_edges(
+            self.tag,
+            self.n1,
+            self.n2,
+            self.edges.len(),
+            self.edges.iter().copied(),
+            self.k,
+            self.beta,
+        )
+    }
+}
+
+/// Endpoints below 2³¹ (an edge's endpoints share one hashed word, so each
+/// must stay below 2³² after the one-field flips below), any weight and β.
+fn tuple_strategy() -> impl Strategy<Value = Tuple> {
+    let edge = (0usize..1 << 31, 0usize..1 << 31, 1u64..=u64::MAX);
+    let sides = (1usize..1 << 31, 1usize..1 << 31);
+    (
+        0u64..=u64::MAX,
+        sides,
+        vec(edge, 1..=16),
+        1usize..=64,
+        0u64..=u64::MAX,
+    )
+        .prop_map(|(tag, (n1, n2), edges, k, beta)| Tuple {
+            tag,
+            n1,
+            n2,
+            edges,
+            k,
+            beta,
+        })
+}
+
+/// The 64-bit halves of a key.
+fn halves(key: u128) -> (u64, u64) {
+    (key as u64, (key >> 64) as u64)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(200))]
+
+    /// Flipping any bits of one field — the tag, a side, `k`, β, or one
+    /// edge's endpoint or weight — changes one hashed word, and each lane
+    /// step is a bijection for a fixed word: both halves always move.
+    #[test]
+    fn changing_one_field_moves_both_halves(
+        t in tuple_strategy(),
+        field in 0usize..8,
+        pick in 0usize..16,
+        flip in 1u64..=u32::MAX as u64,
+    ) {
+        let mut u = t.clone();
+        let e = pick % u.edges.len();
+        match field {
+            0 => u.tag ^= flip,
+            1 => u.n1 ^= flip as usize,
+            2 => u.n2 ^= flip as usize,
+            3 => u.k ^= flip as usize,
+            4 => u.beta ^= flip,
+            5 => u.edges[e].0 ^= flip as usize,
+            6 => u.edges[e].1 ^= flip as usize,
+            _ => u.edges[e].2 ^= flip,
+        }
+        let (a, b) = (halves(t.key()), halves(u.key()));
+        prop_assert!(a.0 != b.0, "low half unmoved by field {}", field);
+        prop_assert!(a.1 != b.1, "high half unmoved by field {}", field);
+    }
 
     #[test]
     fn identical_instances_hash_stably(raw in raw_strategy(), tag in 0u64..=8) {
@@ -95,4 +177,47 @@ proptest! {
         // Different algorithm tags never collide for the same instance.
         prop_assert_ne!(cache_key(&base, tag), cache_key(&base, tag + 1));
     }
+}
+
+/// 2¹⁸ random distinct tuples of the serving layer's shape (small sides,
+/// a few edges, small weights, `k` and β) share no low half and no high
+/// half: at 64 bits each, a collision among 2¹⁸ honest keys has odds of
+/// about 2⁻²⁹.
+#[test]
+fn random_distinct_tuples_collide_in_neither_half() {
+    let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+    let mut next = |bound: u64| {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state % bound
+    };
+    let mut tuples = HashSet::new();
+    while tuples.len() < 1 << 18 {
+        let (n1, n2) = (1 + next(64) as usize, 1 + next(64) as usize);
+        let edges = (0..next(7))
+            .map(|_| {
+                (
+                    next(n1 as u64) as usize,
+                    next(n2 as u64) as usize,
+                    1 + next(1000),
+                )
+            })
+            .collect();
+        tuples.insert(Tuple {
+            tag: next(2),
+            n1,
+            n2,
+            edges,
+            k: 1 + next(8) as usize,
+            beta: next(100),
+        });
+    }
+    let (mut lo, mut hi) = (HashSet::new(), HashSet::new());
+    for t in &tuples {
+        let (l, h) = halves(t.key());
+        lo.insert(l);
+        hi.insert(h);
+    }
+    assert_eq!((lo.len(), hi.len()), (tuples.len(), tuples.len()));
 }
