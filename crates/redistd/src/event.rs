@@ -637,3 +637,18 @@ impl std::fmt::Debug for CompletionSink {
             .finish()
     }
 }
+
+#[cfg(test)]
+impl CompletionSink {
+    /// A sink no I/O thread reads, for driving admission directly in tests.
+    pub(crate) fn detached() -> CompletionSink {
+        CompletionSink {
+            io: Arc::new(IoShared {
+                wakeup: WakeFd::new().unwrap(),
+                inbox: Inbox::new(),
+            }),
+            token: 0,
+            generation: 0,
+        }
+    }
+}

@@ -20,9 +20,9 @@
 //! * [`cache`] — a sharded plan cache keyed by [`mod@kpbs::fingerprint`]'s
 //!   canonical instance hash: one mutex-guarded `HashMap` and clock ring
 //!   per shard, second-chance-clock eviction; the server keys
-//!   it straight from the decoded wire matrix and stores plans already
+//!   it in its one walk of a plan frame's bytes and stores plans already
 //!   encoded, so a hit is answered at admission — byte-identical to a cold
-//!   run — without a worker hop;
+//!   run — without a worker hop or a copy of the matrix;
 //! * [`session`] — live delta-planning sessions: each wire-v3 `OPEN`
 //!   pins a [`kpbs::DeltaPlanner`] that repairs its committed schedule
 //!   in place under `DELTA` batches (repair → re-peel → cold-fallback
@@ -45,8 +45,9 @@
 //! sufficient for a planner whose unit of work is milliseconds of
 //! matching, and the absence of a dependency tree keeps the serving
 //! layer as auditable as the scheduler it wraps. The library denies
-//! `unsafe` everywhere except that shim (`sys`); the only other
-//! `unsafe` in the workspace is the `redistd` binary's `signal(2)` hookup.
+//! `unsafe` everywhere except that shim (`sys`) and the unit tests'
+//! counting allocator; the binaries' only `unsafe` is the `redistd`
+//! daemon's `signal(2)` hookup.
 //!
 //! The server is built on `epoll` and `eventfd`, so the crate builds only
 //! on Linux; any other target fails to compile with one message.
@@ -82,6 +83,9 @@
 #[cfg(not(target_os = "linux"))]
 compile_error!("redistd serves over epoll(7) and eventfd(2): it builds only on Linux");
 
+#[cfg(test)]
+#[allow(unsafe_code)]
+mod alloc_count;
 pub mod cache;
 pub mod client;
 pub(crate) mod event;

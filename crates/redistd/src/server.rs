@@ -7,9 +7,9 @@
 //!                        │  epoll I/O threads         │
 //!                        │  (event.rs)                │
 //!                        └──────────┬─────────────────┘
-//!                                   │ decode + validate
+//!                                   │ walk: validate + key, one pass
 //!                                   │ reject: matrix_too_large
-//!                                   │ key from the wire matrix, probe ──▶ cache
+//!                                   │ probe ──▶ cache
 //!                                   │ hit: reply now (no queue, no worker)
 //!                                   │ miss: try_push (never blocks)
 //!                                   │ reject: queue_full
@@ -26,14 +26,16 @@
 //!                        front-end writes the response frame
 //! ```
 //!
-//! A plan request's cache key is streamed from the decoded CSR matrix
-//! ([`wire::PlanRequest::cache_key`]) and probed in `admit_frame`, on the
-//! I/O thread that decoded the frame. A hit is answered there — a decode,
-//! a hash and a copy of the cached, already encoded schedule — and never
-//! sees the queue, a worker wake-up or the completion hand-off; **hits
-//! therefore bypass a full queue**. A miss carries its key to the worker,
-//! which probes once more (a duplicate queued behind the request that
-//! planned the matrix still hits) and only then builds the instance.
+//! A plan frame is checked and keyed in one walk of its bytes
+//! ([`wire::walk_frame`]) on the I/O thread that read it, and `admit_frame`
+//! probes the cache with that key before any of the matrix is copied. A
+//! hit is answered there — the walk, a probe and one response frame
+//! around the cached, already encoded schedule — and never sees the
+//! queue, a worker wake-up or the completion hand-off; **hits therefore
+//! bypass a full queue**. A miss copies the matrix out of the frame and
+//! carries the key the walk computed to the worker, which probes once
+//! more (a duplicate queued behind the request that planned the matrix
+//! still hits) and only then builds the instance.
 //!
 //! The design reuses the discipline of [`kpbs::batch`]: work is handed to a
 //! fixed pool through one queue, each request's work counters are measured
@@ -50,7 +52,7 @@ use crate::event::{self, CompletionSink};
 use crate::queue::{BoundedQueue, PushError};
 use crate::session::{DeltaError, Session, SessionTable};
 use crate::wire::{
-    self, Algo, PlanRequest, PlanResponse, RejectReason, Request, SessionLevel, SessionOp,
+    self, Algo, Frame, PlanRequest, PlanResponse, RejectReason, SessionLevel, SessionOp,
     SessionRejectReason, SessionRequest, VERSION,
 };
 use kpbs::{DeltaPlanner, RepairLevel};
@@ -633,7 +635,7 @@ impl ServerHandle {
     }
 }
 
-/// Decodes and admits one frame: decode → validate → key → probe →
+/// Walks and admits one frame: validate + key (one walk) → probe →
 /// {reply | queue}. `reply` routes the answer of a queued frame back to its
 /// connection; it is dropped unused when the frame is answered here.
 pub(crate) fn admit_frame(
@@ -645,8 +647,8 @@ pub(crate) fn admit_frame(
     shared.registry.tick();
     let rid = shared.mint_rid();
     shared.metrics.admissions_total.inc();
-    let req = match wire::decode_frame(payload) {
-        Ok(r) => r,
+    let frame = match wire::walk_frame(payload) {
+        Ok(f) => f,
         Err(e) => {
             shared.metrics.requests_error.inc();
             let client_id = peek_request_id(payload);
@@ -663,14 +665,27 @@ pub(crate) fn admit_frame(
             ));
         }
     };
-    let request_id = req.request_id();
-    let matrix = request_matrix(&req);
+    // The shape and total bytes of the traffic matrix a frame carries
+    // (stateless plans and session `OPEN`s): admission and flight
+    // accounting read them.
+    let (request_id, matrix) = match &frame {
+        Frame::Plan { request_id, body } => {
+            let p = &body.platform;
+            (*request_id, Some((p.n1, p.n2, body.total_bytes)))
+        }
+        Frame::Session(req) => match &req.op {
+            SessionOp::Open { matrix: m, .. } => {
+                (req.request_id, Some((m.n1, m.n2, m.total_bytes())))
+            }
+            _ => (req.request_id, None),
+        },
+    };
     let mut rec = FlightRecord::new(rid, FlightOutcome::Error);
     rec.client_id = request_id;
-    rec.bytes = matrix.map_or(0, |m| m.total_bytes());
-    rec.n1 = matrix.map_or(0, |m| m.n1);
-    rec.n2 = matrix.map_or(0, |m| m.n2);
     rec.queue_depth = shared.queue.len() as u32;
+    if let Some((n1, n2, bytes)) = matrix {
+        (rec.n1, rec.n2, rec.bytes) = (n1, n2, bytes);
+    }
     let reject = |reason| {
         Admission::Immediate(wire::encode_response(
             &PlanResponse::Rejected { request_id, reason },
@@ -682,7 +697,7 @@ pub(crate) fn admit_frame(
     // immediately — the whole point is never to buffer beyond the bound.
     // Matrix-bearing frames (stateless plans, session OPENs) are bounded
     // here; session growth re-checks the same limit on the worker.
-    if matrix.is_some_and(|m| m.cells() > shared.config.max_cells) {
+    if matrix.is_some_and(|(n1, n2, _)| n1 as u64 * n2 as u64 > shared.config.max_cells) {
         counters::incr(Counter::ServeRejected);
         shared.metrics.requests_shed_too_large.inc();
         rec.outcome = FlightOutcome::ShedTooLarge;
@@ -691,21 +706,23 @@ pub(crate) fn admit_frame(
     }
     shared.metrics.request_bytes.add(rec.bytes);
 
-    let work = match req {
-        Request::Plan(req) => {
-            // The decoder bounded every tick conversion, so the key is
-            // total — nothing a socket sends can panic this thread.
-            let key = req.cache_key();
-            if let Some(hit) = shared.cache.get_if_present(key) {
+    let work = match frame {
+        Frame::Plan { body, .. } => {
+            // The walk bounded every tick conversion before it let the key
+            // out — nothing a socket sends can panic this thread.
+            if let Some(hit) = shared.cache.get_if_present(body.key) {
                 counters::incr(Counter::ServeRequests);
                 rec.outcome = FlightOutcome::CacheHit;
-                let frame = hit_frame(&req, &hit, rid);
+                let frame = hit_frame(request_id, &hit, rid);
                 shared.record_served(rec, start);
                 return Admission::Immediate(frame);
             }
-            Work::Plan { req, key }
+            Work::Plan {
+                req: body.to_request(request_id),
+                key: body.key,
+            }
         }
-        Request::Session(req) => Work::Session(req),
+        Frame::Session(req) => Work::Session(req),
     };
     let job = Job {
         work,
@@ -773,18 +790,6 @@ fn serve(shared: &Arc<Shared>, work: &Work, rid: u64) -> (Vec<u8>, FlightOutcome
     }
 }
 
-/// The traffic matrix a frame carries, when it carries one (stateless
-/// plans and session `OPEN`s); admission and flight accounting share it.
-fn request_matrix(req: &Request) -> Option<&wire::CsrMatrix> {
-    match req {
-        Request::Plan(p) => Some(&p.matrix),
-        Request::Session(s) => match &s.op {
-            SessionOp::Open { matrix, .. } => Some(matrix),
-            _ => None,
-        },
-    }
-}
-
 /// The work-counter deltas accumulated on this thread since `before`, in
 /// the fixed [`telemetry::counters::Counter::ALL`] wire order.
 fn work_since(before: &telemetry::counters::Snapshot) -> [u64; COUNTER_COUNT] {
@@ -797,15 +802,15 @@ fn work_since(before: &telemetry::counters::Snapshot) -> [u64; COUNTER_COUNT] {
 }
 
 /// Counts a served hit (`ServeCacheHits`, the `redistd.cache_hit` instant)
-/// and builds the `Ok` frame answering `req` from cache entry `hit` — at
+/// and builds the `Ok` frame answering `request_id` from cache entry `hit` — at
 /// admission or on a worker's re-probe. A hit does no planning work, so the
 /// work delta is genuinely zero; `rid` becomes the response's `server_id`,
 /// tying it to the span timeline and the flight record.
-fn hit_frame(req: &PlanRequest, hit: &PlanOutcome, rid: u64) -> Vec<u8> {
+fn hit_frame(request_id: u64, hit: &PlanOutcome, rid: u64) -> Vec<u8> {
     counters::incr(Counter::ServeCacheHits);
     telemetry::instant_with("redistd.cache_hit", &[("rid", rid)]);
     wire::encode_ok(
-        req.request_id,
+        request_id,
         true,
         &hit.schedule,
         hit.cost,
@@ -830,7 +835,10 @@ fn plan_request(
     let _span = telemetry::span_with("redistd.plan", &[("rid", rid)]);
     counters::incr(Counter::ServeRequests);
     if let Some(hit) = shared.cache.get(key) {
-        return (hit_frame(req, &hit, rid), FlightOutcome::CacheHit);
+        return (
+            hit_frame(req.request_id, &hit, rid),
+            FlightOutcome::CacheHit,
+        );
     }
     telemetry::instant_with("redistd.cache_miss", &[("rid", rid)]);
 
@@ -1055,6 +1063,7 @@ fn peek_request_id(payload: &[u8]) -> u64 {
 mod tests {
     use super::*;
     use crate::client::{self, Client};
+    use crate::event::CompletionSink;
     use kpbs::TrafficMatrix;
 
     /// A request carrying this id makes the worker that serves it panic.
@@ -1094,5 +1103,86 @@ mod tests {
         );
         let stats = handle.shutdown();
         assert_eq!(stats.errors, 1);
+    }
+
+    /// Every frame of `wire::tests::refused_frames` is answered at
+    /// admission with the error frame its decoder message makes, under
+    /// the client's request id as far as it can be read; the bytes of all
+    /// the answers are pinned by a digest.
+    #[test]
+    fn refused_frames_get_their_error_frames_at_admission() {
+        let handle = start(ServerConfig {
+            workers: 1,
+            io_threads: 1,
+            ..ServerConfig::default()
+        })
+        .unwrap();
+        let mut answers = Vec::new();
+        for (i, (payload, message)) in wire::tests::refused_frames().into_iter().enumerate() {
+            let sink = CompletionSink::detached();
+            let Admission::Immediate(frame) = admit_frame(&handle.shared, &payload, sink) else {
+                panic!("frame {i} was queued");
+            };
+            let expected = wire::encode_response(
+                &PlanResponse::Error {
+                    request_id: peek_request_id(&payload),
+                    message: message.into(),
+                },
+                VERSION,
+            );
+            assert_eq!(frame, expected, "frame {i}");
+            answers.extend(frame);
+        }
+        let h = answers.iter().fold(0xcbf2_9ce4_8422_2325_u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        assert_eq!((answers.len(), h), (3875, 0x28b4_6932_2aa8_0b3d));
+        let stats = handle.shutdown();
+        assert_eq!(stats.errors, wire::tests::refused_frames().len() as u64);
+    }
+
+    /// An admitted hit allocates one thing, its response frame: the walk
+    /// checks and keys the frame in place, the probe clones an `Arc`, and
+    /// the flight record and metrics write preallocated slots.
+    #[test]
+    fn an_admitted_hit_allocates_only_its_response_frame() {
+        let handle = start(ServerConfig {
+            workers: 1,
+            io_threads: 1,
+            ..ServerConfig::default()
+        })
+        .unwrap();
+        let platform = kpbs::Platform::new(8, 8, 100.0, 100.0, 300.0);
+        let mut traffic = TrafficMatrix::zeros(8, 8);
+        for i in 0..8 {
+            traffic.set(i, (3 * i) % 8, 1_000_000 * (i as u64 + 1));
+            traffic.set(i, (5 * i + 1) % 8, 2_500_000);
+        }
+        let req = client::request(1, Algo::Oggp, &traffic, &platform, 0.05);
+        let mut conn = Client::connect(handle.addr()).unwrap();
+        assert!(matches!(
+            conn.plan(&req).unwrap(),
+            PlanResponse::Ok { cached: false, .. }
+        ));
+        let payload = wire::encode_request(&req)[4..].to_vec();
+        // The metrics registry starts a new window every 10 s, which may
+        // allocate once; of three hits in a row at most one can pay for it.
+        let fewest = (0..3)
+            .map(|_| {
+                let sink = CompletionSink::detached();
+                let (admission, allocs) =
+                    crate::alloc_count::allocations(|| admit_frame(&handle.shared, &payload, sink));
+                let Admission::Immediate(frame) = admission else {
+                    panic!("a hit is answered at admission");
+                };
+                assert!(matches!(
+                    wire::decode_response(&frame[4..]),
+                    Ok(PlanResponse::Ok { cached: true, .. })
+                ));
+                allocs
+            })
+            .min();
+        assert_eq!(fewest, Some(1));
+        handle.shutdown();
     }
 }

@@ -142,7 +142,7 @@ pub struct WirePlatform {
 
 impl WirePlatform {
     /// The [`kpbs::Platform`] these parameters describe. Decoded platforms
-    /// have passed `Topology::validate`, so the constructor's positivity
+    /// have finite, positive speeds, so the constructor's positivity
     /// assertions hold.
     pub fn to_platform(&self) -> Platform {
         Platform::new(
@@ -249,74 +249,6 @@ impl CsrMatrix {
             platform.k(),
             scale.to_ticks(beta_seconds),
         )
-    }
-
-    /// Rejects a matrix whose tick conversion is not total on `platform`:
-    /// a cell (or β) whose duration is non-finite or does not fit `u64`
-    /// ticks, or totals beyond [`kpbs::traffic::plan_ticks_fit`]. Speeds
-    /// like `1e-300` pass `Topology::validate` yet make
-    /// [`kpbs::traffic::message_ticks`] panic, and merely slow ones
-    /// overflow `k·W(G)` inside the planner; after this check neither the
-    /// admission-time key nor the worker's plan can.
-    ///
-    /// Ticks are monotone in bytes, so the largest cell speaks for every
-    /// cell, and `Σ ticks(bᵢ) ≤ ticks(Σ bᵢ) + nnz` (each cell rounds up by
-    /// less than one tick) bounds the total — one integer pass and two
-    /// conversions instead of a division per cell. The float rounding in
-    /// that bound is parts in 10¹⁵ against the budget's factor-4 headroom.
-    fn check_tick_budget(&self, platform: &Platform, beta_seconds: f64) -> Result<(), WireError> {
-        let beta = TICK_SCALE
-            .try_to_ticks(beta_seconds)
-            .ok_or_else(|| WireError::new("beta overflows the tick range"))?;
-        let largest = self.bytes.iter().copied().max().unwrap_or(0);
-        traffic::try_message_ticks(platform, TICK_SCALE, largest)
-            .ok_or_else(|| WireError::new("cell duration overflows the tick range"))?;
-        let over_budget = || WireError::new("matrix exceeds the planner's tick budget");
-        let nnz = self.bytes.len();
-        let total = u64::try_from(self.bytes.iter().map(|&b| b as u128).sum::<u128>())
-            .ok()
-            .and_then(|sum| traffic::try_message_ticks(platform, TICK_SCALE, sum))
-            .and_then(|ticks| ticks.checked_add(nnz as u64))
-            .ok_or_else(over_budget)?;
-        let (n1, n2) = (self.n1 as usize, self.n2 as usize);
-        if !traffic::plan_ticks_fit(n1, n2, platform.k(), nnz, total, beta) {
-            return Err(over_budget());
-        }
-        Ok(())
-    }
-
-    /// Structural validation: offsets monotone and in range, columns
-    /// strictly ascending per row and `< n2`, byte counts positive.
-    pub fn validate(&self) -> Result<(), WireError> {
-        if self.row_ptr.len() != self.n1 as usize + 1 {
-            return Err(WireError::new("row_ptr length mismatch"));
-        }
-        if self.row_ptr[0] != 0 || *self.row_ptr.last().unwrap() as usize != self.cols.len() {
-            return Err(WireError::new("row_ptr endpoints invalid"));
-        }
-        if self.cols.len() != self.bytes.len() {
-            return Err(WireError::new("cols/bytes length mismatch"));
-        }
-        for w in self.row_ptr.windows(2) {
-            if w[0] > w[1] {
-                return Err(WireError::new("row_ptr not monotone"));
-            }
-        }
-        for i in 0..self.n1 as usize {
-            let row = &self.cols[self.row_ptr[i] as usize..self.row_ptr[i + 1] as usize];
-            for pair in row.windows(2) {
-                if pair[0] >= pair[1] {
-                    return Err(WireError::new(format!("row {i} columns not ascending")));
-                }
-            }
-            if row.iter().any(|&c| c >= self.n2) {
-                return Err(WireError::new(format!("row {i} column out of range")));
-            }
-        }
-        if self.bytes.contains(&0) {
-            return Err(WireError::new("zero-byte entry"));
-        }
-        Ok(())
     }
 }
 
@@ -691,7 +623,7 @@ pub fn encode_request(req: &PlanRequest) -> Vec<u8> {
 }
 
 /// Appends the algo/platform/matrix body shared by plan and `OPEN` frames
-/// (everything after the request id): what [`decode_plan_body`] reads.
+/// (everything after the request id): what `walk_plan_body` reads.
 fn put_plan_body(p: &mut Vec<u8>, algo: Algo, platform: &WirePlatform, matrix: &CsrMatrix) {
     p.push(algo as u8);
     put_u32(p, platform.n1);
@@ -767,20 +699,98 @@ pub fn encode_session_request(req: &SessionRequest) -> Vec<u8> {
 }
 
 /// Decodes any binary request payload — a stateless plan (kind 0) or a
-/// session op (kinds 1–4).
+/// session op (kinds 1–4): [`walk_frame`], with a plan's matrix copied
+/// out of the frame.
 pub fn decode_frame(payload: &[u8]) -> Result<Request, WireError> {
+    Ok(match walk(payload, false)? {
+        Frame::Plan { request_id, body } => Request::Plan(body.to_request(request_id)),
+        Frame::Session(req) => Request::Session(req),
+    })
+}
+
+/// A plan or `OPEN` body that passed every check of the decoder in one
+/// walk of its bytes, keyed in that same walk; its CSR sections are still
+/// the frame's bytes. Admission probes the plan cache with
+/// [`PlanBody::key`] and copies the matrix out ([`PlanBody::to_request`])
+/// only when the probe misses.
+#[derive(Debug, Clone, Copy)]
+pub struct PlanBody<'a> {
+    /// Requested algorithm.
+    pub algo: Algo,
+    /// Platform parameters.
+    pub platform: WirePlatform,
+    /// Total payload bytes, saturating (as [`CsrMatrix::total_bytes`]).
+    pub total_bytes: u64,
+    /// The plan-cache key: [`PlanRequest::cache_key`] of the request this
+    /// body decodes into.
+    pub key: u128,
+    /// `n1 + 1` big-endian `u32` row offsets.
+    row_ptr: &'a [u8],
+    /// `nnz` entries, each a big-endian `u32` column and `u64` byte count.
+    entries: &'a [u8],
+}
+
+impl PlanBody<'_> {
+    /// The checked CSR matrix, copied out of the frame.
+    fn matrix(&self) -> CsrMatrix {
+        let entries = self.entries.chunks_exact(12);
+        CsrMatrix {
+            n1: self.platform.n1,
+            n2: self.platform.n2,
+            row_ptr: self.row_ptr.chunks_exact(4).map(be_u32).collect(),
+            cols: entries.clone().map(be_u32).collect(),
+            bytes: entries.map(|e| be_u64(&e[4..])).collect(),
+        }
+    }
+
+    /// The request [`decode_frame`] makes of this body in a plan frame
+    /// carrying `request_id`.
+    pub fn to_request(&self, request_id: u64) -> PlanRequest {
+        PlanRequest {
+            request_id,
+            algo: self.algo,
+            platform: self.platform,
+            matrix: self.matrix(),
+        }
+    }
+}
+
+/// A binary request frame after [`walk_frame`]: a plan checked and keyed
+/// in place, or a decoded session op.
+#[derive(Debug, Clone)]
+pub enum Frame<'a> {
+    /// A stateless plan request (kind 0), checked and keyed, not yet
+    /// copied out of the frame.
+    Plan {
+        /// Client-chosen identifier, echoed in the response.
+        request_id: u64,
+        /// The walked body.
+        body: PlanBody<'a>,
+    },
+    /// A session operation (kinds 1–4).
+    Session(SessionRequest),
+}
+
+/// Checks any binary request payload in one walk of its bytes. A plan
+/// (kind 0) is keyed in that walk and borrowed from `payload`, so a cache
+/// hit never copies its matrix and a valid plan frame costs no
+/// allocation; a session op is decoded. Every frame [`decode_frame`]
+/// refuses is refused here with the same error.
+pub fn walk_frame(payload: &[u8]) -> Result<Frame<'_>, WireError> {
+    walk(payload, true)
+}
+
+/// [`walk_frame`], keying a plan only when `keyed`: a decoded request
+/// recomputes its key on demand ([`PlanRequest::cache_key`]), and an
+/// `OPEN` is never looked up in the plan cache.
+fn walk(payload: &[u8], keyed: bool) -> Result<Frame<'_>, WireError> {
     let mut c = Cursor::new(payload);
     check_header(&mut c)?;
     let kind = c.u8()?;
     if kind == 0 {
         let request_id = c.u64()?;
-        let (algo, platform, matrix) = decode_plan_body(&mut c, payload)?;
-        return Ok(Request::Plan(PlanRequest {
-            request_id,
-            algo,
-            platform,
-            matrix,
-        }));
+        let body = walk_plan_body(&mut c, keyed)?;
+        return Ok(Frame::Plan { request_id, body });
     }
     if !(1..=4).contains(&kind) {
         return Err(WireError::new(format!("unknown request kind {kind}")));
@@ -788,11 +798,11 @@ pub fn decode_frame(payload: &[u8]) -> Result<Request, WireError> {
     let request_id = c.u64()?;
     let op = match kind {
         1 => {
-            let (algo, platform, matrix) = decode_plan_body(&mut c, payload)?;
+            let body = walk_plan_body(&mut c, false)?;
             SessionOp::Open {
-                algo,
-                platform,
-                matrix,
+                algo: body.algo,
+                platform: body.platform,
+                matrix: body.matrix(),
             }
         }
         2 => {
@@ -829,15 +839,29 @@ pub fn decode_frame(payload: &[u8]) -> Result<Request, WireError> {
             SessionOp::Close { session_id }
         }
     };
-    Ok(Request::Session(SessionRequest { request_id, op }))
+    Ok(Frame::Session(SessionRequest { request_id, op }))
 }
 
-/// Decodes the algo/platform/matrix body shared by plan and `OPEN` frames
-/// (everything after the request id), consuming the cursor to the end.
-fn decode_plan_body(
-    c: &mut Cursor,
-    payload: &[u8],
-) -> Result<(Algo, WirePlatform, CsrMatrix), WireError> {
+fn be_u32(b: &[u8]) -> u32 {
+    u32::from_be_bytes(b[..4].try_into().unwrap())
+}
+
+fn be_u64(b: &[u8]) -> u64 {
+    u64::from_be_bytes(b[..8].try_into().unwrap())
+}
+
+/// The one checker of the algo/platform/matrix body shared by plan and
+/// `OPEN` frames (everything after the request id), consuming the cursor
+/// to the end. Errors come in a fixed order — platform, section length,
+/// row offsets, then per row column order and range, zero bytes, and the
+/// tick budget — whatever else is wrong with the frame.
+///
+/// The entries are read once: each is checked and, when `keyed`, streamed
+/// as `(row, col, message_ticks)` into [`kpbs::cache_key_from_edges`] in
+/// the same pass, which also gathers what the tick budget needs. A cell
+/// whose ticks do not convert is hashed as 0 ticks; such a frame is
+/// refused below, so no key of it escapes. Unkeyed, the body's key is 0.
+fn walk_plan_body<'a>(c: &mut Cursor<'a>, keyed: bool) -> Result<PlanBody<'a>, WireError> {
     let algo = Algo::from_u8(c.u8()?)?;
     let n1 = c.u32()?;
     let n2 = c.u32()?;
@@ -848,41 +872,28 @@ fn decode_plan_body(
     if n1 == 0 || n2 == 0 {
         return Err(WireError::new("empty cluster"));
     }
-    // Wire-decoded platforms go through the same validation choke point as
-    // every other topology construction (non-finite / non-positive speeds
-    // and capacities rejected before anything downstream sees them).
-    kpbs::Topology::two_cluster(n1 as usize, n2 as usize, t1, t2, backbone)
-        .validate()
-        .map_err(|_| WireError::new("invalid platform throughputs"))?;
+    // What `Topology::validate` accepts of a two-cluster topology with
+    // both clusters populated: finite, positive speeds.
+    if ![t1, t2, backbone].iter().all(|s| s.is_finite() && *s > 0.0) {
+        return Err(WireError::new("invalid platform throughputs"));
+    }
     if !(beta_seconds >= 0.0 && beta_seconds.is_finite()) {
         return Err(WireError::new("invalid beta"));
     }
     let nnz = c.u32()? as usize;
-    // Cheap structural bound before allocating: every offset/entry must fit
-    // in the remaining payload.
-    let need = (n1 as usize + 1) * 4 + nnz * 12;
-    if payload.len() - c.pos != need {
+    let rows = n1 as usize;
+    if c.buf.len() - c.pos != (rows + 1) * 4 + nnz * 12 {
         return Err(WireError::new("matrix section length mismatch"));
     }
-    let mut row_ptr = Vec::with_capacity(n1 as usize + 1);
-    for _ in 0..=n1 {
-        row_ptr.push(c.u32()?);
+    let row_ptr = c.take((rows + 1) * 4)?;
+    let entries = c.take(nnz * 12)?;
+    let offset = |i: usize| be_u32(&row_ptr[4 * i..]) as usize;
+    if offset(0) != 0 || offset(rows) != nnz {
+        return Err(WireError::new("row_ptr endpoints invalid"));
     }
-    let mut cols = Vec::with_capacity(nnz);
-    let mut bytes = Vec::with_capacity(nnz);
-    for _ in 0..nnz {
-        cols.push(c.u32()?);
-        bytes.push(c.u64()?);
+    if (0..rows).any(|i| offset(i) > offset(i + 1)) {
+        return Err(WireError::new("row_ptr not monotone"));
     }
-    c.done()?;
-    let matrix = CsrMatrix {
-        n1,
-        n2,
-        row_ptr,
-        cols,
-        bytes,
-    };
-    matrix.validate()?;
     let platform = WirePlatform {
         n1,
         n2,
@@ -891,8 +902,104 @@ fn decode_plan_body(
         backbone,
         beta_seconds,
     };
-    matrix.check_tick_budget(&platform.to_platform(), beta_seconds)?;
-    Ok((algo, platform, matrix))
+    let p = platform.to_platform();
+    let beta = TICK_SCALE.try_to_ticks(beta_seconds);
+    let out_of_range = |row| WireError::new(format!("row {row} column out of range"));
+
+    let (mut row, mut row_end, mut last_col) = (0, offset(1), None::<u32>);
+    let (mut fault, mut zero, mut largest, mut sum) = (None, false, 0u64, 0u128);
+    let edges = entries
+        .chunks_exact(12)
+        .enumerate()
+        .map_while(|(e, entry)| {
+            // Close the rows that end here. Columns ascend inside a row, so
+            // its last column speaks for its range.
+            while e == row_end {
+                if last_col.is_some_and(|col| col >= n2) {
+                    fault = Some(out_of_range(row));
+                    return None;
+                }
+                row += 1;
+                row_end = offset(row + 1);
+                last_col = None;
+            }
+            let col = be_u32(entry);
+            if last_col.is_some_and(|prev| prev >= col) {
+                fault = Some(WireError::new(format!("row {row} columns not ascending")));
+                return None;
+            }
+            last_col = Some(col);
+            let bytes = be_u64(&entry[4..]);
+            zero |= bytes == 0;
+            largest = largest.max(bytes);
+            sum += u128::from(bytes);
+            let ticks = if keyed {
+                traffic::try_message_ticks(&p, TICK_SCALE, bytes).unwrap_or(0)
+            } else {
+                0
+            };
+            Some((row, col as usize, ticks))
+        });
+    let key = if keyed {
+        let (n2, beta) = (n2 as usize, beta.unwrap_or(0));
+        kpbs::cache_key_from_edges(algo as u64, rows, n2, nnz, edges, p.k(), beta)
+    } else {
+        edges.for_each(drop);
+        0
+    };
+    if let Some(fault) = fault {
+        return Err(fault);
+    }
+    if last_col.is_some_and(|col| col >= n2) {
+        return Err(out_of_range(row));
+    }
+    if zero {
+        return Err(WireError::new("zero-byte entry"));
+    }
+    check_tick_budget(&p, beta, nnz, largest, sum)?;
+    Ok(PlanBody {
+        algo,
+        platform,
+        total_bytes: u64::try_from(sum).unwrap_or(u64::MAX),
+        key,
+        row_ptr,
+        entries,
+    })
+}
+
+/// Rejects a matrix whose tick conversion is not total on `platform`: a
+/// β (`beta`, `None` when it did not convert) or cell whose duration is
+/// non-finite or does not fit `u64` ticks, or totals beyond
+/// [`kpbs::traffic::plan_ticks_fit`]. Speeds like `1e-300` pass the
+/// platform check yet make [`kpbs::traffic::message_ticks`] panic, and
+/// merely slow ones overflow `k·W(G)` inside the planner; after this check
+/// neither the admission-time key nor the worker's plan can.
+///
+/// Ticks are monotone in bytes, so the `largest` cell speaks for every
+/// cell, and `Σ ticks(bᵢ) ≤ ticks(Σ bᵢ) + nnz` (each cell rounds up by
+/// less than one tick) bounds the total from the byte `sum` — two
+/// conversions instead of a division per cell. The float rounding in that
+/// bound is parts in 10¹⁵ against the budget's factor-4 headroom.
+fn check_tick_budget(
+    platform: &Platform,
+    beta: Option<u64>,
+    nnz: usize,
+    largest: u64,
+    sum: u128,
+) -> Result<(), WireError> {
+    let beta = beta.ok_or_else(|| WireError::new("beta overflows the tick range"))?;
+    traffic::try_message_ticks(platform, TICK_SCALE, largest)
+        .ok_or_else(|| WireError::new("cell duration overflows the tick range"))?;
+    let over_budget = || WireError::new("matrix exceeds the planner's tick budget");
+    let total = u64::try_from(sum)
+        .ok()
+        .and_then(|sum| traffic::try_message_ticks(platform, TICK_SCALE, sum))
+        .and_then(|ticks| ticks.checked_add(nnz as u64))
+        .ok_or_else(over_budget)?;
+    if !traffic::plan_ticks_fit(platform.n1, platform.n2, platform.k(), nnz, total, beta) {
+        return Err(over_budget());
+    }
+    Ok(())
 }
 
 /// The deterministic byte encoding of a schedule — the exact bytes an `Ok`
@@ -1355,7 +1462,7 @@ impl FrameDecoder {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use kpbs::{Step, Transfer};
 
@@ -1407,7 +1514,8 @@ mod tests {
         t.set(3, 0, 9);
         let csr = CsrMatrix::from_traffic(&t);
         assert_eq!(csr.cells(), 16);
-        csr.validate().unwrap();
+        let back = decode_plan(&csr_payload(4, &csr.row_ptr, &csr.cols, &csr.bytes)).unwrap();
+        assert_eq!(back.matrix, csr);
         assert_eq!(csr.to_traffic(), t);
     }
 
@@ -1437,26 +1545,14 @@ mod tests {
 
     #[test]
     fn unsorted_columns_rejected() {
-        let m = CsrMatrix {
-            n1: 1,
-            n2: 3,
-            row_ptr: vec![0, 2],
-            cols: vec![2, 1],
-            bytes: vec![5, 5],
-        };
-        assert!(m.validate().is_err());
+        let err = decode_plan(&csr_payload(3, &[0, 2], &[2, 1], &[5, 5])).unwrap_err();
+        assert_eq!(err.0, "row 0 columns not ascending");
     }
 
     #[test]
     fn zero_bytes_rejected() {
-        let m = CsrMatrix {
-            n1: 1,
-            n2: 3,
-            row_ptr: vec![0, 1],
-            cols: vec![0],
-            bytes: vec![0],
-        };
-        assert!(m.validate().is_err());
+        let err = decode_plan(&csr_payload(3, &[0, 1], &[0], &[0])).unwrap_err();
+        assert_eq!(err.0, "zero-byte entry");
     }
 
     /// A 2×2 request with every cell `bytes` on NICs of `speed` Mbit/s.
@@ -1972,5 +2068,219 @@ mod tests {
         d.extend(b"HT\n");
         assert!(matches!(d.poll().unwrap(), Some(Incoming::Flight)));
         assert!(!d.is_mid_message());
+    }
+
+    /// A plan frame's payload around a hand-built, possibly malformed
+    /// matrix on a sane platform (encoding checks nothing).
+    fn csr_payload(n2: u32, row_ptr: &[u32], cols: &[u32], bytes: &[u64]) -> Vec<u8> {
+        let n1 = row_ptr.len() as u32 - 1;
+        let req = PlanRequest {
+            request_id: 77,
+            algo: Algo::Oggp,
+            platform: WirePlatform {
+                n1,
+                n2,
+                t1: 100.0,
+                t2: 100.0,
+                backbone: 200.0,
+                beta_seconds: 0.05,
+            },
+            matrix: CsrMatrix {
+                n1,
+                n2,
+                row_ptr: row_ptr.to_vec(),
+                cols: cols.to_vec(),
+                bytes: bytes.to_vec(),
+            },
+        };
+        encode_request(&req)[4..].to_vec()
+    }
+
+    /// Every malformed or extreme frame of these tests, with the error the
+    /// decoder refuses it with: header, kind, algorithm, platform, β,
+    /// section length, row offsets, column order and range, zero bytes and
+    /// the tick budget, alone and in pairs (the first error in the fixed
+    /// order wins), as plans and as session `OPEN`s.
+    pub(crate) fn refused_frames() -> Vec<(Vec<u8>, &'static str)> {
+        let sample = encode_request(&sample_request())[4..].to_vec();
+        let with = |at: usize, patch: &[u8]| {
+            let mut p = sample.clone();
+            p[at..at + patch.len()].copy_from_slice(patch);
+            p
+        };
+        // Payload offsets: magic 0, version 4, kind 6, id 7, algo 15,
+        // n1 16, n2 20, t1 24, t2 32, T 40, β 48, nnz 56, row_ptr 60.
+        let f = |v: f64| v.to_bits().to_be_bytes();
+        let extreme = |speed, backbone, beta, bytes| {
+            encode_request(&extreme_request(speed, backbone, beta, bytes))[4..].to_vec()
+        };
+        let mut frames = vec![
+            (with(0, b"X"), "bad magic"),
+            (with(4, &99u16.to_be_bytes()), "unsupported version 99"),
+            (with(6, &[9]), "unknown request kind 9"),
+            (with(15, &[2]), "unknown algorithm 2"),
+            (with(16, &0u32.to_be_bytes()), "empty cluster"),
+            (with(20, &0u32.to_be_bytes()), "empty cluster"),
+            (with(24, &f(0.0)), "invalid platform throughputs"),
+            (with(32, &f(-1.0)), "invalid platform throughputs"),
+            (with(40, &f(f64::NAN)), "invalid platform throughputs"),
+            (with(24, &f(f64::INFINITY)), "invalid platform throughputs"),
+            (with(48, &f(-0.5)), "invalid beta"),
+            (with(48, &f(f64::NAN)), "invalid beta"),
+            (with(48, &f(f64::INFINITY)), "invalid beta"),
+            (
+                with(56, &4u32.to_be_bytes()),
+                "matrix section length mismatch",
+            ),
+            (
+                [&sample[..], &[0]].concat(),
+                "matrix section length mismatch",
+            ),
+            (
+                sample[..sample.len() - 1].to_vec(),
+                "matrix section length mismatch",
+            ),
+            (
+                csr_payload(3, &[1, 1], &[0], &[5]),
+                "row_ptr endpoints invalid",
+            ),
+            (
+                csr_payload(3, &[0, 0], &[0], &[5]),
+                "row_ptr endpoints invalid",
+            ),
+            (
+                csr_payload(3, &[0, 2, 1, 2], &[0, 1], &[5, 5]),
+                "row_ptr not monotone",
+            ),
+            (
+                csr_payload(3, &[0, 2], &[2, 1], &[5, 5]),
+                "row 0 columns not ascending",
+            ),
+            (
+                csr_payload(3, &[0, 2], &[1, 1], &[5, 5]),
+                "row 0 columns not ascending",
+            ),
+            (
+                csr_payload(3, &[0, 1], &[3], &[5]),
+                "row 0 column out of range",
+            ),
+            (
+                csr_payload(3, &[0, 0, 1], &[7], &[5]),
+                "row 1 column out of range",
+            ),
+            (
+                csr_payload(3, &[0, 1, 1], &[3], &[5]),
+                "row 0 column out of range",
+            ),
+            (csr_payload(3, &[0, 1], &[0], &[0]), "zero-byte entry"),
+            // Column order beats range inside a row; rows come in order.
+            (
+                csr_payload(3, &[0, 2], &[5, 1], &[5, 5]),
+                "row 0 columns not ascending",
+            ),
+            (
+                csr_payload(3, &[0, 1, 3], &[4, 2, 1], &[5, 5, 5]),
+                "row 0 column out of range",
+            ),
+            (
+                csr_payload(3, &[0, 1, 3], &[0, 2, 1], &[0, 5, 5]),
+                "row 1 columns not ascending",
+            ),
+            // Structure beats zero bytes, zero bytes beat the tick budget.
+            (
+                csr_payload(3, &[0, 1, 2], &[0, 3], &[0, 5]),
+                "row 1 column out of range",
+            ),
+            (
+                csr_payload(3, &[0, 2], &[0, 1], &[u64::MAX, 0]),
+                "zero-byte entry",
+            ),
+            (
+                csr_payload(3, &[0, 1, 3], &[0, 2, 2], &[u64::MAX, 5, 5]),
+                "row 1 columns not ascending",
+            ),
+            (
+                extreme(1e-300, 1.0, 0.05, u64::MAX),
+                "cell duration overflows the tick range",
+            ),
+            (
+                extreme(1e-3, 1.0, 0.05, u64::MAX),
+                "cell duration overflows the tick range",
+            ),
+            (
+                extreme(1e-3, 1.0, 0.0, 100_000_000_000_000_000),
+                "matrix exceeds the planner's tick budget",
+            ),
+            (
+                extreme(1e12, 1e12, 0.0, u64::MAX),
+                "matrix exceeds the planner's tick budget",
+            ),
+            (
+                extreme(100.0, 200.0, 1e300, 1_000_000),
+                "beta overflows the tick range",
+            ),
+            (
+                extreme(100.0, 200.0, 1e15, 1_000_000),
+                "matrix exceeds the planner's tick budget",
+            ),
+            // β is checked before the cells.
+            (
+                extreme(1e-300, 1.0, 1e300, u64::MAX),
+                "beta overflows the tick range",
+            ),
+        ];
+        for cut in [3, 5, 10, 14, 20, 59] {
+            frames.push((sample[..cut].to_vec(), "truncated frame"));
+        }
+        // The same bodies behind a session `OPEN` (kind 1) are refused alike.
+        let opens: Vec<_> = frames
+            .iter()
+            .filter(|(p, _)| p.len() > 15 && p[..4] == MAGIC && p[6] == 0)
+            .map(|(p, err)| ([&p[..6], &[1], &p[7..]].concat(), *err))
+            .collect();
+        frames.extend(opens);
+        frames
+    }
+
+    /// The walk and the decoder refuse each frame with the message the
+    /// table names (the messages the decoder gave before the walk existed).
+    #[test]
+    fn refused_frames_keep_their_errors() {
+        for (i, (payload, expected)) in refused_frames().iter().enumerate() {
+            assert_eq!(walk_frame(payload).unwrap_err().0, *expected, "frame {i}");
+            assert_eq!(decode_frame(payload).unwrap_err().0, *expected, "frame {i}");
+        }
+    }
+
+    /// A valid plan frame costs the walk no allocation: it checks and keys
+    /// the matrix where it lies in the frame.
+    #[test]
+    fn walking_a_valid_plan_frame_allocates_nothing() {
+        let mut t = TrafficMatrix::zeros(32, 32);
+        for i in 0..32 {
+            for j in (i % 3..32).step_by(3) {
+                t.set(i, j, 1 + (i * 32 + j) as u64 * 7_919);
+            }
+        }
+        let req = PlanRequest {
+            matrix: CsrMatrix::from_traffic(&t),
+            platform: WirePlatform {
+                n1: 32,
+                n2: 32,
+                ..sample_request().platform
+            },
+            ..sample_request()
+        };
+        for frame in [encode_request(&sample_request()), encode_request(&req)] {
+            let (key, allocs) = crate::alloc_count::allocations(|| match walk_frame(&frame[4..]) {
+                Ok(Frame::Plan { body, .. }) => Some(body.key),
+                _ => None,
+            });
+            assert_eq!(allocs, 0);
+            let Request::Plan(decoded) = decode_frame(&frame[4..]).unwrap() else {
+                panic!("a plan frame decodes as a plan");
+            };
+            assert_eq!(key, Some(decoded.cache_key()));
+        }
     }
 }

@@ -11,7 +11,7 @@ use kpbs::{Platform, TrafficMatrix};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use redistd::client;
-use redistd::wire::{Algo, CsrMatrix};
+use redistd::wire::{self, Algo, CsrMatrix, Frame, Request};
 
 const SCALE: TickScale = TickScale::MILLIS;
 
@@ -70,9 +70,22 @@ proptest! {
     fn streamed_key_equals_the_instance_key(case in case_strategy()) {
         for algo in [Algo::Oggp, Algo::Ggp] {
             prop_assert_eq!(case.streamed(algo), case.canonical(algo));
-            // The server's own entry point: the request a client builds.
+            // The server's own entry points: the request a client builds,
+            // and the key admission computes in its one walk of the frame
+            // — equal to the decoded request's.
             let req = client::request(7, algo, &case.traffic, &case.platform, case.beta_seconds);
             prop_assert_eq!(req.cache_key(), case.canonical(algo));
+            let frame = wire::encode_request(&req);
+            let Ok(Frame::Plan { body, .. }) = wire::walk_frame(&frame[4..]) else {
+                panic!("a client's plan frame walks as a plan");
+            };
+            prop_assert_eq!(body.key, case.canonical(algo));
+            prop_assert_eq!(body.total_bytes, req.matrix.total_bytes());
+            let Ok(Request::Plan(decoded)) = wire::decode_frame(&frame[4..]) else {
+                panic!("a client's plan frame decodes as a plan");
+            };
+            prop_assert_eq!(decoded.cache_key(), body.key);
+            prop_assert_eq!(body.to_request(7), decoded);
         }
     }
 

@@ -68,13 +68,25 @@ ADDR="$(cat "$PORT_FILE")"
 # Open-loop mode against the same daemon (latency from scheduled send).
 ./target/release/redistload --addr "$ADDR" \
   --requests 100 --connections 8 --rate 400 --distinct 4 --n 10
-# The daemon must have admitted every frame the two runs sent (512 + 100),
-# the exposition must be well-formed, and the flight recorder must have a
-# record for every one of those requests.
+# A hot burst in serve-hot's shape (n = 32, four distinct matrices) drives
+# the shipped binary's admission-time hit path at the benchmark's frame
+# size. Only a matrix's first sight on each of the two workers may miss,
+# so at least 256 - 4 * 2 of the 256 requests must hit.
+HITS_BEFORE="$(./target/release/redistctl metrics --addr "$ADDR" --field redistd_cache_hits)"
+./target/release/redistload --addr "$ADDR" \
+  --requests 256 --connections 8 --distinct 4 --n 32
+HITS_AFTER="$(./target/release/redistctl metrics --addr "$ADDR" --field redistd_cache_hits)"
+[ $((HITS_AFTER - HITS_BEFORE)) -ge 248 ] || {
+  echo "expected >= 248 cache hits from the hot burst, daemon counts $((HITS_AFTER - HITS_BEFORE))" >&2
+  exit 1
+}
+# The daemon must have admitted every frame the three runs sent
+# (512 + 100 + 256), the exposition must be well-formed, and the flight
+# recorder must have a record for every one of those requests.
 ADMITTED="$(./target/release/redistctl metrics --addr "$ADDR" --field redistd_admissions_total)"
-[ "$ADMITTED" -ge 612 ] || { echo "expected >= 612 admissions, daemon reports '$ADMITTED'" >&2; exit 1; }
+[ "$ADMITTED" -ge 868 ] || { echo "expected >= 868 admissions, daemon reports '$ADMITTED'" >&2; exit 1; }
 ./target/release/redistctl metrics --addr "$ADDR" --validate > /dev/null
-./target/release/redistctl flight --addr "$ADDR" --expect-requests 612 > /dev/null
+./target/release/redistctl flight --addr "$ADDR" --expect-requests 868 > /dev/null
 kill -TERM "$REDISTD_PID"
 wait "$REDISTD_PID"
 [ -s "$FLIGHT_DUMP" ] || { echo "redistd wrote no flight dump on drain" >&2; exit 1; }
