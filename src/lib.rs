@@ -57,7 +57,9 @@ pub mod cli;
 use flowsim::{NetworkSpec, SimConfig};
 use kpbs::traffic::TickScale;
 use kpbs::{plan_topology, TopoError, TopoPlan, Topology, TrafficMatrix};
-use redistexec::{execute_fault_free, ExecReport, MpiTransport, SimTransport, Transport};
+use redistexec::{
+    ExecConfig, ExecReport, FaultPlan, MpiTransport, Runtime, SimTransport, Transport,
+};
 
 /// Builds [`Plan`]s from traffic matrices.
 #[derive(Debug, Clone, Copy)]
@@ -178,16 +180,23 @@ impl Plan {
         self.execute(MpiTransport::new(n1, n2, fabric))
     }
 
-    /// Runs the plan fault-free over `transport` ([`execute_fault_free`]).
+    /// Runs the held plan fault-free over `transport`, with no step
+    /// timeout. [`plan_topology`] already routed and validated it, so it
+    /// goes straight to [`Runtime::run_plan`].
     fn execute<T: Transport>(&self, transport: T) -> ExecReport {
-        execute_fault_free(
-            transport,
-            &self.traffic,
-            &self.topology,
-            self.beta_seconds,
-            self.scale,
-            &self.topo_plan.schedule,
-        )
+        let config = ExecConfig {
+            step_timeout_seconds: f64::INFINITY,
+            ..ExecConfig::default()
+        };
+        Runtime::new(transport, FaultPlan::none(), config)
+            .run_plan(
+                &self.traffic,
+                &self.topology,
+                self.beta_seconds,
+                self.scale,
+                &self.topo_plan,
+            )
+            .expect("a fault-free run of a planned schedule completes")
     }
 }
 
