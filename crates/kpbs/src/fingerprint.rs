@@ -1,37 +1,22 @@
-//! Canonical instance fingerprints — the cache key of the serving layer.
+//! The two-lane word mixer behind the serving layer's plan-cache keys.
 //!
-//! A long-lived planner (`redistd`) wants to answer a repeated request from
-//! a plan cache, but a cached answer is only usable when it is *the* answer:
-//! byte-identical to what a cold run would produce. The schedulers here are
-//! deterministic functions of the instance — node counts, `k`, `β`, and the
-//! edge list **in edge-id order** (edge ids appear in [`crate::Schedule`]
-//! transfers, so two instances with the same edge multiset but different
-//! insertion orders yield differently-labelled schedules). The fingerprint
-//! therefore hashes exactly that tuple, and nothing else.
+//! A long-lived planner (`redistd`) answers a repeated request from a plan
+//! cache, so it needs a 128-bit key that two honest requests share only
+//! when they plan equal. [`Mixer`] hashes a sequence of `u64` words: each
+//! lane folds a word in as `lane = rotl((lane ^ word) · M, r)` with its
+//! own odd multiplier `M` and rotation `r`, and [`Mixer::digest`] ends
+//! each lane with the splitmix64 finaliser. For a fixed word each step is
+//! a bijection of the lane state, and so is the finaliser, so two
+//! sequences of equal length that differ in exactly one word never share
+//! either 64-bit half. The halves are concatenated into a `u128`. The
+//! mixer is not cryptographic: keys are for telling honest requests
+//! apart, and an accidental collision of both lanes sits far below any
+//! operational concern.
 //!
-//! Instances built through a canonical constructor —
-//! [`crate::TrafficMatrix::to_instance`] emits edges in row-major
-//! `(sender, receiver)` order, as does the `redistd` wire decoder — hash
-//! equal iff they plan equal, which is the property the cache needs:
-//! equal fingerprints → byte-identical schedules (up to the 128-bit
-//! collision bound), different fingerprints → at worst a needless miss.
-//! [`cache_key_from_edges`] computes the same key from the raw tuple, so a
-//! server can probe its cache straight from a decoded frame and build the
-//! instance only on a miss.
-//!
-//! The hash is a two-lane word mixer: every field of the tuple is one
-//! `u64` word (an edge's endpoints share one word), and each lane folds a
-//! word in as `lane = rotl((lane ^ word) · M, r)` with its own odd
-//! multiplier `M` and rotation `r`, then ends with the splitmix64
-//! finaliser. For a fixed word each step is a bijection of the lane
-//! state, and so is the finaliser, so two tuples of equal length that
-//! differ in exactly one word never share either 64-bit half. The halves
-//! are concatenated into a `u128`. The mixer is not cryptographic: keys
-//! are for telling honest requests apart, and an accidental collision of
-//! both lanes sits far below any operational concern.
+//! Which words a key hashes is the caller's choice; `redistd` hashes a
+//! request's own words (`redistd::wire::PlanRequest::cache_key`).
 
 use crate::problem::Instance;
-use bipartite::Weight;
 
 /// Start state, odd multiplier and rotation of the low lane.
 const LO: (u64, u64, u32) = (0xcbf2_9ce4_8422_2325, 0x9e37_79b9_7f4a_7c15, 29);
@@ -41,23 +26,33 @@ const HI: (u64, u64, u32) = (0x6c62_272e_07bb_0142, 0xd6e8_feb8_6659_fd93, 37);
 
 /// An incremental two-lane word mixer producing a 128-bit digest.
 #[derive(Debug, Clone)]
-struct Mix2 {
+pub struct Mixer {
     lo: u64,
     hi: u64,
 }
 
-impl Mix2 {
-    fn new() -> Self {
-        Mix2 { lo: LO.0, hi: HI.0 }
+impl Default for Mixer {
+    fn default() -> Self {
+        Mixer::new()
+    }
+}
+
+impl Mixer {
+    /// A mixer that has hashed no word yet.
+    pub fn new() -> Self {
+        Mixer { lo: LO.0, hi: HI.0 }
     }
 
+    /// Folds one word into both lanes.
     #[inline]
-    fn word(&mut self, w: u64) {
+    pub fn word(&mut self, w: u64) {
         self.lo = (self.lo ^ w).wrapping_mul(LO.1).rotate_left(LO.2);
         self.hi = (self.hi ^ w).wrapping_mul(HI.1).rotate_left(HI.2);
     }
 
-    fn digest(&self) -> u128 {
+    /// The 128-bit digest of the words hashed so far: the finalised high
+    /// lane above the finalised low lane.
+    pub fn digest(&self) -> u128 {
         ((avalanche(self.hi) as u128) << 64) | avalanche(self.lo) as u128
     }
 }
@@ -70,84 +65,24 @@ fn avalanche(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// The canonical 128-bit fingerprint of an instance: a hash of
-/// `(n1, n2, k, β, edges in id order)`. Equal fingerprints identify
-/// instances on which every scheduler in this crate produces identical
-/// schedules; see the module docs for the canonical-construction caveat.
-pub fn fingerprint(inst: &Instance) -> u128 {
-    let mut h = Mix2::new();
-    write_instance(&mut h, inst);
-    h.digest()
-}
-
-/// Fingerprint extended with a caller-chosen domain tag — the serving
-/// layer's cache key, where `tag` encodes the algorithm (and any future
-/// planner option) so OGGP and GGP plans for one instance never collide.
+/// A key of a built instance: [`Mixer`] over `(tag, n1, n2, m, (l, r, w)*
+/// in edge-id order, k, β)`, an edge's endpoints sharing one word with `l`
+/// in the high half. No product code keys a cache with it; it stays only
+/// because the end-to-end benchmark (`benchmark/`) replays it as a layer.
 pub fn cache_key(inst: &Instance, tag: u64) -> u128 {
-    let mut h = Mix2::new();
-    h.word(tag);
-    write_instance(&mut h, inst);
-    h.digest()
-}
-
-/// The streaming form of [`cache_key`]: the **same `u128`** computed from
-/// the raw tuple `(tag, n1, n2, m, (l, r, ticks)*, k, β)` instead of a built
-/// [`Instance`]. `edges` must yield the `m` edges in edge-id order — for a
-/// canonically constructed instance that is row-major `(sender, receiver)`
-/// order, which is exactly how a CSR matrix stores its cells — so a server
-/// can key its plan cache straight from a decoded frame and only build the
-/// instance (dense matrix, adjacency lists) when the probe misses.
-pub fn cache_key_from_edges(
-    tag: u64,
-    n1: usize,
-    n2: usize,
-    m: usize,
-    edges: impl IntoIterator<Item = (usize, usize, Weight)>,
-    k: usize,
-    beta: Weight,
-) -> u128 {
-    let mut h = Mix2::new();
-    h.word(tag);
-    write_tuple(&mut h, n1, n2, m, edges, k, beta);
-    h.digest()
-}
-
-fn write_instance(h: &mut Mix2, inst: &Instance) {
     let g = &inst.graph;
-    write_tuple(
-        h,
-        g.left_count(),
-        g.right_count(),
-        g.edge_count(),
-        g.edges().map(|(_, l, r, w)| (l, r, w)),
-        inst.k,
-        inst.beta,
-    );
-}
-
-/// The one definition of the hashed word sequence; every key in this
-/// module, instance-based or streaming, goes through it. An edge's
-/// endpoints share one word, `l` in the high half: both are below 2³² (the
-/// graph stores them as `u32`, the wire carries them as `u32`).
-fn write_tuple(
-    h: &mut Mix2,
-    n1: usize,
-    n2: usize,
-    m: usize,
-    edges: impl IntoIterator<Item = (usize, usize, Weight)>,
-    k: usize,
-    beta: Weight,
-) {
-    h.word(n1 as u64);
-    h.word(n2 as u64);
-    h.word(m as u64);
-    for (l, r, w) in edges {
-        debug_assert!(l <= u32::MAX as usize && r <= u32::MAX as usize);
+    let mut h = Mixer::new();
+    let (n1, n2, m) = (g.left_count(), g.right_count(), g.edge_count());
+    for w in [tag, n1 as u64, n2 as u64, m as u64] {
+        h.word(w);
+    }
+    for (_, l, r, w) in g.edges() {
         h.word(((l as u64) << 32) | r as u64);
         h.word(w);
     }
-    h.word(k as u64);
-    h.word(beta);
+    h.word(inst.k as u64);
+    h.word(inst.beta);
+    h.digest()
 }
 
 #[cfg(test)]
@@ -167,7 +102,6 @@ mod tests {
     fn identical_instances_hash_equal() {
         let a = inst(&[(0, 0, 5), (1, 2, 3)], 2, 1);
         let b = inst(&[(0, 0, 5), (1, 2, 3)], 2, 1);
-        assert_eq!(fingerprint(&a), fingerprint(&b));
         assert_eq!(cache_key(&a, 7), cache_key(&b, 7));
     }
 
@@ -182,17 +116,17 @@ mod tests {
             inst(&[(0, 0, 5)], 2, 1),            // edge count
         ];
         for (i, v) in variants.iter().enumerate() {
-            assert_ne!(fingerprint(&base), fingerprint(v), "variant {i}");
+            assert_ne!(cache_key(&base, 0), cache_key(v, 0), "variant {i}");
         }
     }
 
     #[test]
     fn edge_order_is_significant() {
         // Edge ids label the schedule's transfers, so insertion order is
-        // part of the instance identity — the fingerprint must see it.
+        // part of the instance identity — the key must see it.
         let a = inst(&[(0, 0, 5), (1, 2, 3)], 2, 1);
         let b = inst(&[(1, 2, 3), (0, 0, 5)], 2, 1);
-        assert_ne!(fingerprint(&a), fingerprint(&b));
+        assert_ne!(cache_key(&a, 0), cache_key(&b, 0));
     }
 
     #[test]
@@ -202,8 +136,8 @@ mod tests {
         let mut g2 = Graph::new(3, 2);
         g2.add_edge(0, 0, 5);
         assert_ne!(
-            fingerprint(&Instance::new(g1, 1, 0)),
-            fingerprint(&Instance::new(g2, 1, 0))
+            cache_key(&Instance::new(g1, 1, 0), 0),
+            cache_key(&Instance::new(g2, 1, 0), 0)
         );
     }
 
@@ -211,24 +145,22 @@ mod tests {
     fn tag_separates_domains() {
         let a = inst(&[(0, 0, 5)], 1, 0);
         assert_ne!(cache_key(&a, 0), cache_key(&a, 1));
-        assert_ne!(fingerprint(&a), cache_key(&a, 0));
     }
 
     #[test]
     fn streaming_key_equals_instance_key() {
-        let edges = [(0, 0, 5), (1, 2, 3), (3, 1, 9)];
-        let a = inst(&edges, 2, 1);
-        for tag in [0, 1, 7] {
-            assert_eq!(
-                cache_key_from_edges(tag, 4, 4, edges.len(), edges, 2, 1),
-                cache_key(&a, tag)
-            );
+        // The instance key is the mixer over its documented word sequence.
+        let a = inst(&[(0, 0, 5), (1, 2, 3), (3, 1, 9)], 2, 1);
+        let mut h = Mixer::new();
+        for w in [7, 4, 4, 3, 0, 5, (1 << 32) | 2, 3, (3 << 32) | 1, 9, 2, 1] {
+            h.word(w);
         }
+        assert_eq!(h.digest(), cache_key(&a, 7));
     }
 
     #[test]
     fn halves_are_decorrelated() {
-        let a = fingerprint(&inst(&[(0, 0, 5)], 1, 0));
+        let a = cache_key(&inst(&[(0, 0, 5)], 1, 0), 0);
         assert_ne!(a as u64, (a >> 64) as u64);
     }
 }

@@ -58,6 +58,9 @@ use telemetry::counters::{self, Counter};
 /// peeling itself expensive.
 const COARSE_SCALE: Weight = 8;
 
+/// Affinity-refinement sweeps of the partition pass.
+const SWEEPS: usize = 2;
+
 /// Configuration of the hierarchical planner.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HierConfig {
@@ -65,8 +68,6 @@ pub struct HierConfig {
     /// flat OGGP byte-for-byte; `0` picks [`default_blocks`] of the larger
     /// side of each instance planned).
     pub blocks: usize,
-    /// Affinity-refinement sweeps of the partition pass.
-    pub sweeps: usize,
     /// Workers for the per-block planning fan-out, the calling thread
     /// included. The composed schedule, the report and the work counted on
     /// the calling thread are identical for every value (see
@@ -75,14 +76,13 @@ pub struct HierConfig {
 }
 
 impl HierConfig {
-    /// A config with `blocks` blocks (`0`: sized per instance), the
-    /// default 2 refinement sweeps and block planning on every available
-    /// core ([`std::thread::available_parallelism`]). Called inside another
+    /// A config with `blocks` blocks (`0`: sized per instance) and block
+    /// planning on every available core
+    /// ([`std::thread::available_parallelism`]). Called inside another
     /// [`crate::batch`] fan-out, the block plans run inline instead.
     pub fn new(blocks: usize) -> Self {
         HierConfig {
             blocks,
-            sweeps: 2,
             jobs: available_jobs(),
         }
     }
@@ -151,7 +151,7 @@ pub fn hier_report(inst: &Instance, cfg: &HierConfig) -> HierReport {
     // Phase 1: block partition.
     let part = {
         let _s = telemetry::span("kpbs.hier_partition");
-        partition_affinity(&inst.graph, blocks, cfg.sweeps)
+        partition_affinity(&inst.graph, blocks, SWEEPS)
     };
     let b = part.blocks;
 

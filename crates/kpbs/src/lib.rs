@@ -75,7 +75,7 @@ pub mod wrgp;
 pub use algo::Algo as TopoAlgo;
 pub use algo::Algo;
 pub use delta::{DeltaPlanner, MatrixDelta, RepairLevel, ReplanOutcome};
-pub use fingerprint::{cache_key, cache_key_from_edges, fingerprint};
+pub use fingerprint::cache_key;
 pub use ggp::ggp;
 pub use hier::{hier, hier_report, HierConfig, HierReport};
 pub use lower_bound::lower_bound;

@@ -33,7 +33,7 @@ use crate::lower_bound;
 use crate::platform::Platform;
 use crate::problem::Instance;
 use crate::schedule::{Schedule, Step, Transfer};
-use crate::traffic::{TickScale, TrafficMatrix};
+use crate::traffic::{ticks_at, TickScale, TrafficMatrix};
 use crate::validate::ValidationError;
 use bipartite::{properties, EdgeId, Graph, Weight};
 use telemetry::counters::{self, Counter};
@@ -547,11 +547,10 @@ fn route(traffic: &TrafficMatrix, topo: &Topology, scale: TickScale) -> Result<R
                     receiver: j,
                 });
             };
-            // The exact per-cell conversion of `TrafficMatrix::to_instance`,
-            // at the pair speed instead of the platform-wide minimum.
+            // The conversion of `TrafficMatrix::to_instance`, at the pair
+            // speed instead of the platform-wide minimum.
             let speed = topo.nodes[si].nic_out.min(topo.nodes[rj].nic_in);
-            let speed_bytes_per_s = speed * 1e6 / 8.0;
-            let w = scale.to_ticks(b as f64 / speed_bytes_per_s);
+            let w = ticks_at(speed, scale, b);
             let e = graph.add_edge(i, j, w);
             endpoints.push((i, j));
             bytes.push(b);

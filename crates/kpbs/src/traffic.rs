@@ -62,21 +62,31 @@ impl TickScale {
 /// delta-planning server can patch instance weights consistently with the
 /// cold construction (zero bytes → zero ticks, i.e. "no edge").
 pub fn message_ticks(platform: &Platform, scale: TickScale, bytes: u64) -> Weight {
-    scale.to_ticks(message_seconds(platform, bytes))
+    ticks_at(platform.transfer_speed(), scale, bytes)
 }
 
 /// [`message_ticks`] for sizes and speeds that come from outside the
 /// program: `None` where `message_ticks` would panic or saturate (see
 /// [`TickScale::try_to_ticks`]), otherwise exactly `message_ticks`.
 pub fn try_message_ticks(platform: &Platform, scale: TickScale, bytes: u64) -> Option<Weight> {
-    scale.try_to_ticks(message_seconds(platform, bytes))
+    scale.try_to_ticks(seconds_at(platform.transfer_speed(), bytes))
 }
 
-fn message_seconds(platform: &Platform, bytes: u64) -> f64 {
+/// The duration, in ticks, of `bytes` bytes moving at `speed` Mbit/s: the
+/// one byte-to-tick conversion of the crate (`c_ij = m_ij / t`).
+/// [`message_ticks`] applies it at the platform's per-transfer speed,
+/// [`crate::topo`] at each pair's speed.
+#[inline]
+pub(crate) fn ticks_at(speed: f64, scale: TickScale, bytes: u64) -> Weight {
+    scale.to_ticks(seconds_at(speed, bytes))
+}
+
+#[inline]
+fn seconds_at(speed: f64, bytes: u64) -> f64 {
     if bytes == 0 {
         return 0.0;
     }
-    let speed_bytes_per_s = platform.transfer_speed() * 1e6 / 8.0;
+    let speed_bytes_per_s = speed * 1e6 / 8.0;
     bytes as f64 / speed_bytes_per_s
 }
 
@@ -113,6 +123,68 @@ pub fn plan_ticks_fit(
         .and_then(|setup| setup.checked_add(total_ticks))
         .and_then(|span| span.checked_mul((k as u64).saturating_add(1)))
         .is_some_and(|v| v <= MAX_PLAN_TICKS)
+}
+
+/// Why a matrix and β from outside the program cannot be planned in
+/// ticks ([`check_tick_budget`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TickBudgetError {
+    /// β does not fit `u64` ticks.
+    Beta,
+    /// The largest cell's duration is non-finite or does not fit `u64`
+    /// ticks.
+    Cell,
+    /// The totals exceed [`plan_ticks_fit`].
+    Total,
+}
+
+impl TickBudgetError {
+    /// The one-line refusal every entry point answers with.
+    pub fn message(self) -> &'static str {
+        match self {
+            TickBudgetError::Beta => "beta overflows the tick range",
+            TickBudgetError::Cell => "cell duration overflows the tick range",
+            TickBudgetError::Total => "matrix exceeds the planner's tick budget",
+        }
+    }
+}
+
+/// The planner's tick budget, the one check applied to a matrix and a
+/// finite, non-negative β that come from outside the program: the
+/// `redistd` frame walk and both CLIs (through
+/// [`TrafficMatrix::check_tick_budget`]). The matrix enters as its `nnz`
+/// non-zero cells, its `largest` cell and its byte `sum`. After `Ok`, every
+/// cell and β convert to ticks on `platform` without panicking or
+/// saturating, and planning the instance cannot overflow. Speeds like
+/// `1e-300` are valid yet make durations non-finite, and merely slow ones
+/// overflow `k·W(G)` inside the planner.
+///
+/// O(1): ticks are monotone in bytes, so the `largest` cell speaks for
+/// every cell, and `Σ ticks(bᵢ) ≤ ticks(Σ bᵢ) + nnz` (each cell rounds up
+/// by less than one tick) bounds the total from the byte `sum`. That is at
+/// most `nnz` ticks stricter than summing the cells. The float rounding in
+/// the bound is parts in 10¹⁵ against the budget's factor-4 headroom.
+pub fn check_tick_budget(
+    platform: &Platform,
+    scale: TickScale,
+    beta_seconds: f64,
+    nnz: usize,
+    largest: u64,
+    sum: u128,
+) -> Result<(), TickBudgetError> {
+    let beta = scale
+        .try_to_ticks(beta_seconds)
+        .ok_or(TickBudgetError::Beta)?;
+    try_message_ticks(platform, scale, largest).ok_or(TickBudgetError::Cell)?;
+    let total = u64::try_from(sum)
+        .ok()
+        .and_then(|sum| try_message_ticks(platform, scale, sum))
+        .and_then(|ticks| ticks.checked_add(nnz as u64))
+        .ok_or(TickBudgetError::Total)?;
+    if !plan_ticks_fit(platform.n1, platform.n2, platform.k(), nnz, total, beta) {
+        return Err(TickBudgetError::Total);
+    }
+    Ok(())
 }
 
 /// A dense traffic matrix in bytes, row-major (`n1` senders × `n2`
@@ -223,37 +295,26 @@ impl TrafficMatrix {
         (Instance::new(g, platform.k(), beta), endpoints)
     }
 
-    /// The checks `redistd`'s frame decoder applies, for a matrix and β
-    /// that come from outside the program: β and every message convert to
-    /// ticks on `platform` without panicking or saturating, and the
-    /// instance [`to_instance`](Self::to_instance) would build fits
-    /// [`plan_ticks_fit`]. After `Ok`, planning it cannot overflow.
+    /// [`check_tick_budget`] of this matrix, its figures gathered in one
+    /// pass, with the refusal as its message; first, as `redistd`'s walk
+    /// does, a negative or non-finite β is refused as `"invalid beta"`.
     pub fn check_tick_budget(
         &self,
         platform: &Platform,
         beta_seconds: f64,
         scale: TickScale,
     ) -> Result<(), &'static str> {
-        let beta = scale
-            .try_to_ticks(beta_seconds)
-            .ok_or("beta must be a finite, non-negative number of seconds within the tick range")?;
-        let mut total: Weight = 0;
+        if !(beta_seconds >= 0.0 && beta_seconds.is_finite()) {
+            return Err("invalid beta");
+        }
+        let (mut nnz, mut largest, mut sum) = (0, 0, 0u128);
         for &b in self.bytes.iter().filter(|&&b| b > 0) {
-            total = try_message_ticks(platform, scale, b)
-                .and_then(|ticks| total.checked_add(ticks))
-                .ok_or("message durations overflow the tick range")?;
+            nnz += 1;
+            largest = largest.max(b);
+            sum += u128::from(b);
         }
-        if !plan_ticks_fit(
-            self.n1,
-            self.n2,
-            platform.k(),
-            self.message_count(),
-            total,
-            beta,
-        ) {
-            return Err("the matrix and beta exceed the planner's tick budget");
-        }
-        Ok(())
+        check_tick_budget(platform, scale, beta_seconds, nnz, largest, sum)
+            .map_err(TickBudgetError::message)
     }
 }
 
@@ -305,13 +366,36 @@ mod tests {
         // the sum of two past the budget.
         m.set(0, 1, 100_000_000_000_000_000);
         assert_eq!(m.check_tick_budget(&p, 0.05, TickScale::MILLIS), Ok(()));
-        for beta in [-1.0, f64::NAN, f64::INFINITY, 1e300] {
-            assert!(m.check_tick_budget(&p, beta, TickScale::MILLIS).is_err());
+        for beta in [-1.0, f64::NAN, f64::INFINITY] {
+            assert_eq!(
+                m.check_tick_budget(&p, beta, TickScale::MILLIS),
+                Err("invalid beta")
+            );
         }
+        let refusal = |m: &TrafficMatrix, p: &Platform, beta| {
+            m.check_tick_budget(p, beta, TickScale::MILLIS).unwrap_err()
+        };
+        assert_eq!(refusal(&m, &p, 1e300), TickBudgetError::Beta.message());
         m.set(1, 0, 100_000_000_000_000_000);
-        assert!(m.check_tick_budget(&p, 0.0, TickScale::MILLIS).is_err());
+        assert_eq!(refusal(&m, &p, 0.0), TickBudgetError::Total.message());
         let crawl = Platform::new(2, 2, 1e-300, 100.0, 200.0);
-        assert!(m.check_tick_budget(&crawl, 0.0, TickScale::MILLIS).is_err());
+        assert_eq!(refusal(&m, &crawl, 0.0), TickBudgetError::Cell.message());
+    }
+
+    #[test]
+    fn the_byte_sum_bound_is_within_nnz_ticks_of_the_cell_sum() {
+        // What `check_tick_budget` charges, `ticks(Σ b) + nnz`, never
+        // undercuts the cells' own tick sum and exceeds it by at most nnz.
+        let p = Platform::new(4, 4, 8.0, 8.0, 8.0); // 1 MB/s: 1 000 B a tick
+        let s = TickScale::MILLIS;
+        let mut rng = SmallRng::seed_from_u64(9);
+        for _ in 0..1_000 {
+            let n = rng.gen_range(1..16);
+            let cells: Vec<u64> = (0..n).map(|_| rng.gen_range(1..10_000_000)).collect();
+            let exact: u64 = cells.iter().map(|&b| message_ticks(&p, s, b)).sum();
+            let bound = message_ticks(&p, s, cells.iter().sum()) + n as u64;
+            assert!(exact <= bound && bound - exact <= n as u64, "{cells:?}");
+        }
     }
 
     #[test]

@@ -1,9 +1,11 @@
-//! Property tests of the instance fingerprint / cache key: stability on
-//! identical instances, sensitivity to every field the planners read, and
-//! collision-freedom between canonically distinct instances.
+//! Property tests of the two-lane word mixer and the instance key built on
+//! it: stability on identical instances, sensitivity to every field the
+//! planners read, and collision-freedom between canonically distinct
+//! instances.
 
 use bipartite::Graph;
-use kpbs::{cache_key, cache_key_from_edges, fingerprint, Instance};
+use kpbs::fingerprint::Mixer;
+use kpbs::{cache_key, Instance};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use std::collections::HashSet;
@@ -44,8 +46,8 @@ fn raw_strategy() -> impl Strategy<Value = Raw> {
         })
 }
 
-/// A raw key tuple `(tag, n1, n2, m, (l, r, w)*, k, β)`, hashed through
-/// the streaming entry point (so fields need not form a valid instance).
+/// A raw key tuple `(tag, n1, n2, m, (l, r, w)*, k, β)`, hashed word by
+/// word through the mixer (so fields need not form a valid instance).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct Tuple {
     tag: u64,
@@ -58,15 +60,18 @@ struct Tuple {
 
 impl Tuple {
     fn key(&self) -> u128 {
-        cache_key_from_edges(
-            self.tag,
-            self.n1,
-            self.n2,
-            self.edges.len(),
-            self.edges.iter().copied(),
-            self.k,
-            self.beta,
-        )
+        let mut h = Mixer::new();
+        for w in [self.tag, self.n1 as u64, self.n2 as u64] {
+            h.word(w);
+        }
+        h.word(self.edges.len() as u64);
+        for &(l, r, w) in &self.edges {
+            h.word(((l as u64) << 32) | r as u64);
+            h.word(w);
+        }
+        h.word(self.k as u64);
+        h.word(self.beta);
+        h.digest()
     }
 }
 
@@ -133,11 +138,10 @@ proptest! {
         // stability a plan cache needs to ever hit.
         let a = raw.build();
         let b = raw.build();
-        prop_assert_eq!(fingerprint(&a), fingerprint(&b));
         prop_assert_eq!(cache_key(&a, tag), cache_key(&b, tag));
         // And hashing is a pure function: rehashing the same instance
         // yields the same digest.
-        prop_assert_eq!(fingerprint(&a), fingerprint(&a));
+        prop_assert_eq!(cache_key(&a, tag), cache_key(&a, tag));
     }
 
     #[test]
@@ -146,8 +150,8 @@ proptest! {
         raw_b in raw_strategy(),
         tag in 0u64..=8,
     ) {
-        // Canonically different instances must not share a cache key (an
-        // FNV collision in 200 small random cases would be astronomically
+        // Canonically different instances must not share a cache key (a
+        // collision in 200 small random cases would be astronomically
         // unlucky and *would* be a cache-poisoning bug worth hearing
         // about).
         let same = raw_a.n1 == raw_b.n1
@@ -158,7 +162,6 @@ proptest! {
         prop_assume!(!same);
         let a = raw_a.build();
         let b = raw_b.build();
-        prop_assert_ne!(fingerprint(&a), fingerprint(&b));
         prop_assert_ne!(cache_key(&a, tag), cache_key(&b, tag));
     }
 
@@ -170,8 +173,6 @@ proptest! {
         let mut bumped_beta = raw.clone();
         bumped_beta.beta += 1;
         // k and beta must each be part of the key.
-        prop_assert_ne!(fingerprint(&base), fingerprint(&bumped_k.build()));
-        prop_assert_ne!(fingerprint(&base), fingerprint(&bumped_beta.build()));
         prop_assert_ne!(cache_key(&base, tag), cache_key(&bumped_k.build(), tag));
         prop_assert_ne!(cache_key(&base, tag), cache_key(&bumped_beta.build(), tag));
         // Different algorithm tags never collide for the same instance.

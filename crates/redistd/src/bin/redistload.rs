@@ -446,7 +446,7 @@ fn main() {
         std::process::exit(1);
     }
     // With requests > distinct every repeat should be a hit; a stone-cold
-    // cache means the fingerprint key or the LRU is broken.
+    // cache means the request key or the LRU is broken.
     if requests > distinct as u64 && outcome.hits == 0 {
         eprintln!("redistload: no cache hits despite repeated matrices");
         std::process::exit(1);

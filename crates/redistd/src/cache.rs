@@ -1,11 +1,11 @@
 //! A sharded, bounded plan cache with second-chance-clock eviction.
 //!
-//! Keys are the 128-bit canonical fingerprints of [`mod@kpbs::fingerprint`]
-//! (algorithm tag mixed in via [`kpbs::cache_key`]), values are immutable
-//! `Arc`s shared with whoever is answering the request. Because the
-//! planners are deterministic functions of the canonical instance, a hit
-//! is guaranteed byte-identical to a cold plan (the loopback test verifies
-//! exactly that), so the cache only has to be a bounded map.
+//! Keys are 128-bit request keys ([`crate::wire::PlanRequest::cache_key`]),
+//! values are immutable `Arc`s shared with whoever is answering the
+//! request. Because the planners are deterministic functions of the words
+//! a key hashes, a hit is guaranteed byte-identical to a cold plan (the
+//! loopback test verifies exactly that), so the cache only has to be a
+//! bounded map.
 //!
 //! # Layout: one mutex per shard
 //!
@@ -40,7 +40,7 @@ struct Shard<V> {
     ring: VecDeque<u128>,
 }
 
-/// A sharded, bounded map from fingerprint to plan with
+/// A sharded, bounded map from request key to plan with
 /// second-chance-clock eviction.
 pub struct ShardedLru<V> {
     shards: Box<[Mutex<Shard<V>>]>,

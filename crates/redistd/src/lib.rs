@@ -17,9 +17,9 @@
 //! * [`queue`] — the bounded MPMC queue that *is* the admission-control
 //!   policy: `try_push` or reject, never buffer unboundedly — plus the
 //!   unbounded [`queue::Inbox`] mailboxes of the I/O threads;
-//! * [`cache`] — a sharded plan cache keyed by [`mod@kpbs::fingerprint`]'s
-//!   canonical instance hash: one mutex-guarded `HashMap` and clock ring
-//!   per shard, second-chance-clock eviction; the server keys
+//! * [`cache`] — a sharded plan cache keyed by
+//!   [`wire::PlanRequest::cache_key`]: one mutex-guarded `HashMap` and
+//!   clock ring per shard, second-chance-clock eviction; the server keys
 //!   it in its one walk of a plan frame's bytes and stores plans already
 //!   encoded, so a hit is answered at admission — byte-identical to a cold
 //!   run — without a worker hop or a copy of the matrix;

@@ -708,8 +708,9 @@ pub(crate) fn admit_frame(
 
     let work = match frame {
         Frame::Plan { body, .. } => {
-            // The walk bounded every tick conversion before it let the key
-            // out — nothing a socket sends can panic this thread.
+            // The walk checked the body, its tick budget included, before
+            // it let the key out — nothing a socket sends can panic this
+            // thread or the worker that plans it.
             if let Some(hit) = shared.cache.get_if_present(body.key) {
                 counters::incr(Counter::ServeRequests);
                 rec.outcome = FlightOutcome::CacheHit;
@@ -847,7 +848,7 @@ fn plan_request(
         req.platform.beta_seconds,
         wire::TICK_SCALE,
     );
-    debug_assert_eq!(key, kpbs::cache_key(&inst, req.algo as u64));
+    debug_assert_eq!(key, req.cache_key());
     let before = counters::local_snapshot();
     let schedule = kpbs::Algo::from(req.algo).plan(&inst);
     let work = work_since(&before);

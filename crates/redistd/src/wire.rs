@@ -68,10 +68,11 @@
 //!
 //! The CSR encoding is the *canonical* construction: rows in sender order,
 //! strictly ascending columns inside a row, all byte counts positive. The
-//! decoder rejects anything else, which is what lets the server key its
-//! plan cache on [`mod@kpbs::fingerprint`] — equal matrices always decode into
-//! identical instances (see that module's docs).
+//! decoder rejects anything else, and a matrix that is too slow or too
+//! large to plan in ticks ([`kpbs::traffic::check_tick_budget`]). The
+//! plan-cache key is [`PlanRequest::cache_key`].
 
+use kpbs::fingerprint::Mixer;
 use kpbs::traffic::{self, TickScale};
 use kpbs::{Platform, Schedule, TrafficMatrix};
 use std::io::{self, Read, Write};
@@ -85,8 +86,8 @@ pub const VERSION: u16 = 3;
 /// must not make the server allocate unboundedly.
 pub const MAX_FRAME: u32 = 16 << 20;
 /// The discretisation every frame is planned at: bytes and β seconds become
-/// millisecond ticks. Fixed here because the decoder's tick-budget check,
-/// the admission-time cache key and the worker's instance must all agree.
+/// millisecond ticks. Fixed here because the decoder's tick-budget check
+/// and the worker's instance must agree.
 pub const TICK_SCALE: TickScale = TickScale::MILLIS;
 /// The plaintext admin command requesting Prometheus text exposition.
 pub const METRICS_COMMAND: &[u8] = b"METRICS\n";
@@ -220,36 +221,6 @@ impl CsrMatrix {
     pub fn total_bytes(&self) -> u64 {
         self.bytes.iter().fold(0, |acc, &b| acc.saturating_add(b))
     }
-
-    /// The plan-cache key of this matrix on `platform`: the same `u128` as
-    /// `kpbs::cache_key(&self.to_traffic().to_instance(platform,
-    /// beta_seconds, scale).0, tag)`, streamed straight from the CSR arrays
-    /// — no dense matrix, no graph. Row-major CSR order *is* the canonical
-    /// edge order, and ticks go through the same
-    /// [`kpbs::traffic::message_ticks`] choke point.
-    pub fn cache_key(
-        &self,
-        platform: &Platform,
-        beta_seconds: f64,
-        scale: TickScale,
-        tag: u64,
-    ) -> u128 {
-        let edges = (0..self.n1 as usize).flat_map(|i| {
-            (self.row_ptr[i] as usize..self.row_ptr[i + 1] as usize).map(move |e| {
-                let ticks = traffic::message_ticks(platform, scale, self.bytes[e]);
-                (i, self.cols[e] as usize, ticks)
-            })
-        });
-        kpbs::cache_key_from_edges(
-            tag,
-            self.n1 as usize,
-            self.n2 as usize,
-            self.cols.len(),
-            edges,
-            platform.k(),
-            scale.to_ticks(beta_seconds),
-        )
-    }
 }
 
 /// A decoded planning request.
@@ -266,16 +237,45 @@ pub struct PlanRequest {
 }
 
 impl PlanRequest {
-    /// The plan-cache key of this request at the server's [`TICK_SCALE`]
-    /// (see [`CsrMatrix::cache_key`]). Total for any decoded request.
+    /// The plan-cache key of this request: [`Mixer`] over the request's
+    /// own words in frame order — `algo`, `n1`, `n2`, the bits of `t1`,
+    /// `t2`, `T` and β, `nnz`, then each cell as `row << 32 | col`
+    /// followed by its `bytes`. These words determine the plan, so equal
+    /// keys mean byte-identical plans. The key is finer than the instance:
+    /// two requests that build one instance (say β `0.0` and `-0.0`) may
+    /// get two cache entries, but two that plan differently never share
+    /// one. No tick conversion runs; the walk of a frame computes the same
+    /// key ([`PlanBody::key`]).
     pub fn cache_key(&self) -> u128 {
-        self.matrix.cache_key(
-            &self.platform.to_platform(),
-            self.platform.beta_seconds,
-            TICK_SCALE,
-            self.algo as u64,
-        )
+        let m = &self.matrix;
+        let mut h = key_start(self.algo, &self.platform, m.cols.len());
+        for row in 0..m.n1 as usize {
+            for e in m.row_ptr[row] as usize..m.row_ptr[row + 1] as usize {
+                key_cell(&mut h, row, m.cols[e], m.bytes[e]);
+            }
+        }
+        h.digest()
     }
+}
+
+/// The words of a request's key before its cells ([`PlanRequest::cache_key`]).
+fn key_start(algo: Algo, p: &WirePlatform, nnz: usize) -> Mixer {
+    let mut h = Mixer::new();
+    for w in [algo as u64, p.n1.into(), p.n2.into()] {
+        h.word(w);
+    }
+    for f in [p.t1, p.t2, p.backbone, p.beta_seconds] {
+        h.word(f.to_bits());
+    }
+    h.word(nnz as u64);
+    h
+}
+
+/// Folds one cell into a request's key ([`PlanRequest::cache_key`]).
+#[inline]
+fn key_cell(h: &mut Mixer, row: usize, col: u32, bytes: u64) {
+    h.word(((row as u64) << 32) | u64::from(col));
+    h.word(bytes);
 }
 
 /// One sparse matrix edit carried by a `DELTA` frame. Cell amounts are in
@@ -702,7 +702,7 @@ pub fn encode_session_request(req: &SessionRequest) -> Vec<u8> {
 /// session op (kinds 1–4): [`walk_frame`], with a plan's matrix copied
 /// out of the frame.
 pub fn decode_frame(payload: &[u8]) -> Result<Request, WireError> {
-    Ok(match walk(payload, false)? {
+    Ok(match walk_frame(payload)? {
         Frame::Plan { request_id, body } => Request::Plan(body.to_request(request_id)),
         Frame::Session(req) => Request::Session(req),
     })
@@ -777,19 +777,12 @@ pub enum Frame<'a> {
 /// allocation; a session op is decoded. Every frame [`decode_frame`]
 /// refuses is refused here with the same error.
 pub fn walk_frame(payload: &[u8]) -> Result<Frame<'_>, WireError> {
-    walk(payload, true)
-}
-
-/// [`walk_frame`], keying a plan only when `keyed`: a decoded request
-/// recomputes its key on demand ([`PlanRequest::cache_key`]), and an
-/// `OPEN` is never looked up in the plan cache.
-fn walk(payload: &[u8], keyed: bool) -> Result<Frame<'_>, WireError> {
     let mut c = Cursor::new(payload);
     check_header(&mut c)?;
     let kind = c.u8()?;
     if kind == 0 {
         let request_id = c.u64()?;
-        let body = walk_plan_body(&mut c, keyed)?;
+        let body = walk_plan_body(&mut c)?;
         return Ok(Frame::Plan { request_id, body });
     }
     if !(1..=4).contains(&kind) {
@@ -798,7 +791,7 @@ fn walk(payload: &[u8], keyed: bool) -> Result<Frame<'_>, WireError> {
     let request_id = c.u64()?;
     let op = match kind {
         1 => {
-            let body = walk_plan_body(&mut c, false)?;
+            let body = walk_plan_body(&mut c)?;
             SessionOp::Open {
                 algo: body.algo,
                 platform: body.platform,
@@ -856,12 +849,11 @@ fn be_u64(b: &[u8]) -> u64 {
 /// row offsets, then per row column order and range, zero bytes, and the
 /// tick budget — whatever else is wrong with the frame.
 ///
-/// The entries are read once: each is checked and, when `keyed`, streamed
-/// as `(row, col, message_ticks)` into [`kpbs::cache_key_from_edges`] in
-/// the same pass, which also gathers what the tick budget needs. A cell
-/// whose ticks do not convert is hashed as 0 ticks; such a frame is
-/// refused below, so no key of it escapes. Unkeyed, the body's key is 0.
-fn walk_plan_body<'a>(c: &mut Cursor<'a>, keyed: bool) -> Result<PlanBody<'a>, WireError> {
+/// The entries are read once: each is checked and hashed into the key
+/// ([`PlanRequest::cache_key`]) in the same pass, which also gathers what
+/// [`kpbs::traffic::check_tick_budget`] needs. No cell is converted to
+/// ticks.
+fn walk_plan_body<'a>(c: &mut Cursor<'a>) -> Result<PlanBody<'a>, WireError> {
     let algo = Algo::from_u8(c.u8()?)?;
     let n1 = c.u32()?;
     let n2 = c.u32()?;
@@ -902,53 +894,32 @@ fn walk_plan_body<'a>(c: &mut Cursor<'a>, keyed: bool) -> Result<PlanBody<'a>, W
         backbone,
         beta_seconds,
     };
-    let p = platform.to_platform();
-    let beta = TICK_SCALE.try_to_ticks(beta_seconds);
     let out_of_range = |row| WireError::new(format!("row {row} column out of range"));
 
+    let mut key = key_start(algo, &platform, nnz);
     let (mut row, mut row_end, mut last_col) = (0, offset(1), None::<u32>);
-    let (mut fault, mut zero, mut largest, mut sum) = (None, false, 0u64, 0u128);
-    let edges = entries
-        .chunks_exact(12)
-        .enumerate()
-        .map_while(|(e, entry)| {
-            // Close the rows that end here. Columns ascend inside a row, so
-            // its last column speaks for its range.
-            while e == row_end {
-                if last_col.is_some_and(|col| col >= n2) {
-                    fault = Some(out_of_range(row));
-                    return None;
-                }
-                row += 1;
-                row_end = offset(row + 1);
-                last_col = None;
+    let (mut zero, mut largest, mut sum) = (false, 0u64, 0u128);
+    for (e, entry) in entries.chunks_exact(12).enumerate() {
+        // Close the rows that end here. Columns ascend inside a row, so
+        // its last column speaks for its range.
+        while e == row_end {
+            if last_col.is_some_and(|col| col >= n2) {
+                return Err(out_of_range(row));
             }
-            let col = be_u32(entry);
-            if last_col.is_some_and(|prev| prev >= col) {
-                fault = Some(WireError::new(format!("row {row} columns not ascending")));
-                return None;
-            }
-            last_col = Some(col);
-            let bytes = be_u64(&entry[4..]);
-            zero |= bytes == 0;
-            largest = largest.max(bytes);
-            sum += u128::from(bytes);
-            let ticks = if keyed {
-                traffic::try_message_ticks(&p, TICK_SCALE, bytes).unwrap_or(0)
-            } else {
-                0
-            };
-            Some((row, col as usize, ticks))
-        });
-    let key = if keyed {
-        let (n2, beta) = (n2 as usize, beta.unwrap_or(0));
-        kpbs::cache_key_from_edges(algo as u64, rows, n2, nnz, edges, p.k(), beta)
-    } else {
-        edges.for_each(drop);
-        0
-    };
-    if let Some(fault) = fault {
-        return Err(fault);
+            row += 1;
+            row_end = offset(row + 1);
+            last_col = None;
+        }
+        let col = be_u32(entry);
+        if last_col.is_some_and(|prev| prev >= col) {
+            return Err(WireError::new(format!("row {row} columns not ascending")));
+        }
+        last_col = Some(col);
+        let bytes = be_u64(&entry[4..]);
+        zero |= bytes == 0;
+        largest = largest.max(bytes);
+        sum += u128::from(bytes);
+        key_cell(&mut key, row, col, bytes);
     }
     if last_col.is_some_and(|col| col >= n2) {
         return Err(out_of_range(row));
@@ -956,50 +927,17 @@ fn walk_plan_body<'a>(c: &mut Cursor<'a>, keyed: bool) -> Result<PlanBody<'a>, W
     if zero {
         return Err(WireError::new("zero-byte entry"));
     }
-    check_tick_budget(&p, beta, nnz, largest, sum)?;
+    let p = platform.to_platform();
+    traffic::check_tick_budget(&p, TICK_SCALE, beta_seconds, nnz, largest, sum)
+        .map_err(|e| WireError::new(e.message()))?;
     Ok(PlanBody {
         algo,
         platform,
         total_bytes: u64::try_from(sum).unwrap_or(u64::MAX),
-        key,
+        key: key.digest(),
         row_ptr,
         entries,
     })
-}
-
-/// Rejects a matrix whose tick conversion is not total on `platform`: a
-/// β (`beta`, `None` when it did not convert) or cell whose duration is
-/// non-finite or does not fit `u64` ticks, or totals beyond
-/// [`kpbs::traffic::plan_ticks_fit`]. Speeds like `1e-300` pass the
-/// platform check yet make [`kpbs::traffic::message_ticks`] panic, and
-/// merely slow ones overflow `k·W(G)` inside the planner; after this check
-/// neither the admission-time key nor the worker's plan can.
-///
-/// Ticks are monotone in bytes, so the `largest` cell speaks for every
-/// cell, and `Σ ticks(bᵢ) ≤ ticks(Σ bᵢ) + nnz` (each cell rounds up by
-/// less than one tick) bounds the total from the byte `sum` — two
-/// conversions instead of a division per cell. The float rounding in that
-/// bound is parts in 10¹⁵ against the budget's factor-4 headroom.
-fn check_tick_budget(
-    platform: &Platform,
-    beta: Option<u64>,
-    nnz: usize,
-    largest: u64,
-    sum: u128,
-) -> Result<(), WireError> {
-    let beta = beta.ok_or_else(|| WireError::new("beta overflows the tick range"))?;
-    traffic::try_message_ticks(platform, TICK_SCALE, largest)
-        .ok_or_else(|| WireError::new("cell duration overflows the tick range"))?;
-    let over_budget = || WireError::new("matrix exceeds the planner's tick budget");
-    let total = u64::try_from(sum)
-        .ok()
-        .and_then(|sum| traffic::try_message_ticks(platform, TICK_SCALE, sum))
-        .and_then(|ticks| ticks.checked_add(nnz as u64))
-        .ok_or_else(over_budget)?;
-    if !traffic::plan_ticks_fit(platform.n1, platform.n2, platform.k(), nnz, total, beta) {
-        return Err(over_budget());
-    }
-    Ok(())
 }
 
 /// The deterministic byte encoding of a schedule — the exact bytes an `Ok`

@@ -405,3 +405,36 @@ fn overflowing_delta_is_refused_and_the_session_survives() {
     }
     handle.shutdown();
 }
+
+/// One 1×1 matrix on either side of the planner's tick budget, at
+/// 0.004 Mbit/s (500 B/s, so a megabyte is 2·10⁶ ticks) and β = 50 ms.
+/// `redistplan` (`tests/cli.rs`) and `redistexec`
+/// (`crates/redistexec/tests/cli.rs`) pin the same two matrices.
+const INSIDE_MB: u64 = 1_152_921_504_606;
+
+#[test]
+fn the_walk_draws_the_one_tick_budget_line() {
+    let platform = Platform::new(1, 1, 0.004, 0.004, 0.004);
+    for (mb, fits) in [(INSIDE_MB, true), (INSIDE_MB + 1, false)] {
+        let bytes = mb * 1_000_000;
+        let verdict = kpbs::traffic::check_tick_budget(
+            &platform,
+            TickScale::MILLIS,
+            BETA,
+            1,
+            bytes,
+            bytes.into(),
+        );
+        assert_eq!(verdict.is_ok(), fits, "{mb} MB");
+        let traffic = TrafficMatrix::from_rows(1, 1, vec![bytes]);
+        let frame =
+            wire::encode_request(&client::request(1, Algo::Oggp, &traffic, &platform, BETA));
+        match wire::walk_frame(&frame[4..]) {
+            Ok(_) => assert!(fits, "{mb} MB walked"),
+            Err(e) => {
+                assert!(!fits, "{mb} MB refused: {e}");
+                assert_eq!(e.0, "matrix exceeds the planner's tick budget");
+            }
+        }
+    }
+}

@@ -330,7 +330,6 @@ fn main() {
     let config = ExecConfig {
         algo,
         step_timeout_seconds: timeout,
-        ..ExecConfig::default()
     };
 
     let kind = transport.as_deref().unwrap_or(default_transport);

@@ -36,7 +36,7 @@ pub struct FaultSpec {
     /// Number of transient transfer-failure events.
     pub transients: usize,
     /// Consecutive failures per transient event are drawn from
-    /// `1..=max_consecutive` (crossing a runtime's `max_attempts` turns the
+    /// `1..=max_consecutive` (reaching the runtime's four attempts turns the
     /// event into a permanent failure).
     pub max_consecutive: u32,
     /// Number of permanent node-drop events.

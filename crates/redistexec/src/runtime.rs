@@ -12,7 +12,7 @@
 //!    forced.
 //! 3. **Transient failures** hit individual transfers: each failed attempt
 //!    is retried with capped exponential backoff (virtual time, in ticks)
-//!    up to `max_attempts`; exhaustion turns the failure permanent, the
+//!    up to four attempts; exhaustion turns the failure permanent, the
 //!    op's bytes fall through to the residual, and a replan is forced.
 //!
 //! A *replan* computes the residual matrix (original demand minus the
@@ -25,8 +25,8 @@
 //! steps.
 //!
 //! Termination is structural: every replan is triggered by the consumption
-//! of at least one event of the (finite) fault plan, and a budget —
-//! `event_count() + 4` by default — turns any pathological configuration
+//! of at least one event of the (finite) fault plan, and a budget of
+//! `event_count() + 4` replans turns any pathological configuration
 //! (e.g. a timeout shorter than any step can run) into
 //! [`ExecError::BudgetExhausted`] instead of a loop.
 //!
@@ -47,35 +47,29 @@ use telemetry::counters::{self, Counter};
 use telemetry::metrics::{CounterHandle, Registry};
 use telemetry::spans;
 
-/// Retry, backoff, timeout and re-planning knobs.
+/// Attempts per transfer before a transient failure turns permanent (the
+/// first attempt counts).
+const MAX_ATTEMPTS: u32 = 4;
+/// Backoff before the first retry, in ticks.
+const BACKOFF_BASE_TICKS: u64 = 50;
+/// Backoff ceiling, in ticks (`min(cap, base << attempt)`).
+const BACKOFF_CAP_TICKS: u64 = 1_600;
+
+/// The planner and step-timeout knobs of a run.
 #[derive(Debug, Clone)]
 pub struct ExecConfig {
     /// Planner for the initial plan and every residual replan.
     pub algo: Algo,
-    /// Attempts per transfer before a transient failure turns permanent
-    /// (≥ 1; the first attempt counts).
-    pub max_attempts: u32,
-    /// Backoff before the first retry, in ticks.
-    pub backoff_base_ticks: u64,
-    /// Backoff ceiling, in ticks (`min(cap, base << attempt)`).
-    pub backoff_cap_ticks: u64,
     /// A step whose projected duration exceeds this is aborted and
     /// re-planned.
     pub step_timeout_seconds: f64,
-    /// Maximum replan rounds; `0` means automatic
-    /// (`fault_plan.event_count() + 4`).
-    pub replan_budget: usize,
 }
 
 impl Default for ExecConfig {
     fn default() -> Self {
         ExecConfig {
             algo: Algo::Oggp,
-            max_attempts: 4,
-            backoff_base_ticks: 50,
-            backoff_cap_ticks: 1_600,
             step_timeout_seconds: 3_600.0,
-            replan_budget: 0,
         }
     }
 }
@@ -281,7 +275,6 @@ pub struct Runtime<T: Transport> {
 impl<T: Transport> Runtime<T> {
     /// Builds a runtime from a transport, a fault plan and config.
     pub fn new(transport: T, faults: FaultPlan, config: ExecConfig) -> Self {
-        assert!(config.max_attempts >= 1, "need at least one attempt");
         Runtime {
             transport,
             faults,
@@ -350,11 +343,7 @@ impl<T: Transport> Runtime<T> {
         scale: TickScale,
         initial: &TopoPlan,
     ) -> Result<ExecReport, ExecError> {
-        let budget = if self.config.replan_budget > 0 {
-            self.config.replan_budget as u64
-        } else {
-            self.faults.event_count() as u64 + 4
-        };
+        let budget = self.faults.event_count() as u64 + 4;
         let mut queue: VecDeque<Vec<TransferOp>> = step_ops(initial).into();
         let mut liveness = Liveness::all_alive(traffic.senders(), traffic.receivers());
         let mut report = ExecReport {
@@ -520,19 +509,15 @@ impl<T: Transport> Runtime<T> {
                         ("dst", op.dst as u64),
                     ],
                 );
-                let permanent = fails >= self.config.max_attempts;
-                let retry_count = if permanent {
-                    self.config.max_attempts - 1
-                } else {
-                    fails
-                };
+                let permanent = fails >= MAX_ATTEMPTS;
+                let retry_count = if permanent { MAX_ATTEMPTS - 1 } else { fails };
                 report.retries += retry_count as u64;
                 counters::add(Counter::ExecRetries, retry_count as u64);
                 let mut op_ticks: u64 = 0;
-                let mut b = self.config.backoff_base_ticks;
+                let mut b = BACKOFF_BASE_TICKS;
                 for _ in 0..retry_count {
-                    op_ticks += b.min(self.config.backoff_cap_ticks);
-                    b = b.saturating_mul(2).min(self.config.backoff_cap_ticks);
+                    op_ticks += b.min(BACKOFF_CAP_TICKS);
+                    b = b.saturating_mul(2).min(BACKOFF_CAP_TICKS);
                 }
                 backoff_ticks += op_ticks;
                 if op_ticks > 0 {

@@ -41,6 +41,44 @@ fn out_of_range_inputs_are_refused() {
     assert!(stderr.contains(&Algo::NAMES.join("|")), "{stderr}");
 }
 
+/// The matrix `redistd`'s walk (`crates/redistd/tests/admission.rs`) and
+/// `redistplan` (`tests/cli.rs`) pin: one cell just inside the planner's
+/// tick budget at 0.004 Mbit/s and β = 50 ms, and one megabyte more just
+/// past it.
+const INSIDE_MB: u64 = 1_152_921_504_606;
+
+#[test]
+fn the_tick_budget_line_is_the_walks() {
+    let run = |mb: u64| {
+        let mb = mb.to_string();
+        redistexec(&[
+            "--n",
+            "1",
+            "--t1",
+            "0.004",
+            "--t2",
+            "0.004",
+            "--backbone",
+            "0.004",
+            "--beta",
+            "0.05",
+            "--lo-mb",
+            &mb,
+            "--hi-mb",
+            &mb,
+            "--timeout",
+            "inf",
+        ])
+    };
+    let inside = run(INSIDE_MB);
+    assert!(inside.status.success(), "{inside:?}");
+    let stderr = assert_refused(&run(INSIDE_MB + 1), "one megabyte past the budget");
+    assert!(
+        stderr.contains("matrix exceeds the planner's tick budget"),
+        "{stderr}"
+    );
+}
+
 #[test]
 fn bad_flags_are_refused() {
     let stderr = assert_refused(&redistexec(&["--tranport", "sim"]), "misspelt flag");

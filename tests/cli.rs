@@ -77,6 +77,34 @@ fn out_of_range_inputs_are_refused() {
     assert!(stderr.contains(&Algo::NAMES.join("|")), "{stderr}");
 }
 
+/// The matrix `redistd`'s walk (`crates/redistd/tests/admission.rs`) and
+/// `redistexec` (`crates/redistexec/tests/cli.rs`) pin: one cell just
+/// inside the planner's tick budget at 0.004 Mbit/s and β = 50 ms, and one
+/// megabyte more just past it.
+const INSIDE_MB: u64 = 1_152_921_504_606;
+
+#[test]
+fn the_tick_budget_line_is_the_walks() {
+    let speed = [
+        "--t1",
+        "0.004",
+        "--t2",
+        "0.004",
+        "--backbone",
+        "0.004",
+        "--beta",
+        "0.05",
+    ];
+    let inside = redistplan(&format!("{INSIDE_MB}000000\n"), false, &speed);
+    assert!(inside.status.success(), "{inside:?}");
+    let past = redistplan(&format!("{}000000\n", INSIDE_MB + 1), false, &speed);
+    let stderr = assert_refused(&past, "one megabyte past the budget");
+    assert!(
+        stderr.contains("matrix exceeds the planner's tick budget"),
+        "{stderr}"
+    );
+}
+
 #[test]
 fn unknown_flags_and_missing_values_are_refused() {
     let stderr = assert_refused(&redistplan(MATRIX, false, &["--bakcbone", "300"]), "typo");
