@@ -60,8 +60,12 @@ impl Session {
     /// sums, and a panicked worker is a lost worker — so a malformed batch
     /// leaves the session intact. The tick budget is checked against an
     /// upper bound of the edited instance (every `SetCell` counted as a new
-    /// edge on top of the current total), the same
-    /// [`kpbs::traffic::plan_ticks_fit`] the frame decoder applies.
+    /// edge on top of the current total) plus one tick per edge, through
+    /// the same [`kpbs::traffic::plan_ticks_fit`] the frame walk applies.
+    /// The walk bounds a matrix by `ticks(Σ bytes) + nnz`; since
+    /// `⌈Σx⌉ ≤ Σ⌈x⌉`, the sum checked here is at least that bound, so a
+    /// `DELTA` never grows a session into a matrix its own `OPEN` would
+    /// refuse.
     pub fn convert_deltas(
         &self,
         deltas: &[WireDelta],
@@ -132,6 +136,7 @@ impl Session {
                 }
             }
         }
+        let total = total.and_then(|t| t.checked_add(edges as u64));
         if !total.is_some_and(|t| plan_ticks_fit(n1, n2, inst.k, edges, t, inst.beta)) {
             return Err(DeltaError::TickOverflow(
                 "deltas exceed the planner's tick budget".into(),

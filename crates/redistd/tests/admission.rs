@@ -406,6 +406,68 @@ fn overflowing_delta_is_refused_and_the_session_survives() {
     handle.shutdown();
 }
 
+/// A `DELTA` is held to the budget its session's `OPEN` applies. On a
+/// 1×2 platform at 0.004 Mbit/s and β = 306 ms the budget's tick limit
+/// falls exactly on a tick value a whole cell converts to, so one cell of
+/// `PAST` bytes fits the exact tick sum while `OPEN`'s
+/// `ticks(Σ bytes) + nnz` refuses it; `INSIDE` bytes (one tick value
+/// lower) fit both.
+#[test]
+fn a_delta_never_admits_what_open_refuses() {
+    const INSIDE: u64 = 1_152_921_504_606_846_000;
+    const PAST: u64 = 1_152_921_504_606_846_144;
+    let handle = start(ServerConfig::default());
+    let mut c = Client::connect(handle.addr()).unwrap();
+    let platform = Platform::new(1, 2, 0.004, 0.004, 0.004);
+    let beta = 0.306;
+    let one_cell = |bytes| TrafficMatrix::from_rows(1, 2, vec![bytes, 0]);
+    for (bytes, fits) in [(INSIDE, true), (PAST, false)] {
+        match c
+            .session(&client::session_open(1, &one_cell(bytes), &platform, beta))
+            .unwrap()
+        {
+            PlanResponse::Session { session_id, .. } => {
+                assert!(fits, "{bytes} B opened");
+                c.session(&client::session_close(2, session_id)).unwrap();
+            }
+            PlanResponse::Error { message, .. } => {
+                assert!(!fits, "{bytes} B refused: {message}");
+                assert!(message.contains("tick budget"), "{message}");
+            }
+            other => panic!("{bytes} B: {other:?}"),
+        }
+    }
+    let open = client::session_open(3, &TrafficMatrix::zeros(1, 2), &platform, beta);
+    let session_id = match c.session(&open).unwrap() {
+        PlanResponse::Session { session_id, .. } => session_id,
+        other => panic!("{other:?}"),
+    };
+    let set = |bytes| {
+        vec![WireDelta::SetCell {
+            sender: 0,
+            receiver: 0,
+            bytes,
+        }]
+    };
+    match c
+        .session(&client::session_delta(4, session_id, set(PAST)))
+        .unwrap()
+    {
+        PlanResponse::Error { message, .. } => {
+            assert!(message.contains("tick budget"), "{message}")
+        }
+        other => panic!("a DELTA admitted the matrix OPEN refuses: {other:?}"),
+    }
+    match c
+        .session(&client::session_delta(5, session_id, set(INSIDE)))
+        .unwrap()
+    {
+        PlanResponse::Session { generation, .. } => assert_eq!(generation, 1),
+        other => panic!("the matrix OPEN admits was refused: {other:?}"),
+    }
+    handle.shutdown();
+}
+
 /// One 1×1 matrix on either side of the planner's tick budget, at
 /// 0.004 Mbit/s (500 B/s, so a megabyte is 2·10⁶ ticks) and β = 50 ms.
 /// `redistplan` (`tests/cli.rs`) and `redistexec`
