@@ -29,27 +29,12 @@
 //! `target/BENCH_scale_smoke.json` so the checked-in file is never
 //! clobbered.
 
-use bench::{row, validate_jobs};
+use bench::{row, scale_instance, validate_jobs, SCALE_BETA, SCALE_K};
 use kpbs::hier::{default_blocks, hier_report, HierConfig};
 use kpbs::lower_bound::lower_bound;
 use kpbs::oggp::oggp;
-use kpbs::{instances, Instance};
-use rand::{rngs::SmallRng, SeedableRng};
 use std::time::Instant;
 use telemetry::cli::Args;
-
-/// Backbone width shared by every size: a fixed physical backbone is the
-/// paper's setting, and it keeps the planners' step widths comparable as n
-/// grows.
-const K: usize = 32;
-const BETA: u64 = 1;
-
-fn instance_at(n: usize) -> Instance {
-    // One seeded generator per size keeps every row reproducible on its own.
-    let mut rng = SmallRng::seed_from_u64(0x5ca1e + n as u64);
-    let clusters = default_blocks(n);
-    instances::sparse_clustered(&mut rng, n, clusters, 8, 0.1, 10_000, K, BETA)
-}
 
 /// Best-of-`reps` wall time of `f`, in milliseconds.
 fn time_ms<R, F: FnMut() -> R>(mut f: F, reps: usize) -> f64 {
@@ -117,7 +102,7 @@ fn main() {
         "flat/lb".into(),
     ]);
     for &n in sizes {
-        let inst = instance_at(n);
+        let inst = scale_instance(n);
         let blocks = default_blocks(n);
         let cfg = HierConfig::new(blocks).with_jobs(jobs);
 
@@ -170,8 +155,8 @@ fn main() {
             ),
             n,
             inst.graph.edge_count(),
-            K,
-            BETA,
+            SCALE_K,
+            SCALE_BETA,
             report.blocks,
             report.active_pairs,
             report.macro_steps,
@@ -212,8 +197,8 @@ fn main() {
             "  \"sub_quadratic\": {}\n",
             "}}\n"
         ),
-        K,
-        BETA,
+        SCALE_K,
+        SCALE_BETA,
         reps,
         jobs,
         entries.join(",\n"),
