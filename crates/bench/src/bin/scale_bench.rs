@@ -6,12 +6,16 @@
 //! flat OGGP up to the largest size flat can finish in reasonable time, and
 //! writes `BENCH_scale.json` with:
 //!
-//! * best-of-`reps` planning wall times for both planners,
-//! * the least-squares exponent of `log(time)` vs `log(n)` for each (the
-//!   headline claim: hier's fitted exponent stays below 2 and below flat's,
-//!   and the absolute speedup over flat widens with n),
+//! * best-of-`reps` planning wall times for both planners (the absolute
+//!   speedup over flat widens with n),
+//! * the least-squares exponent of `log(time)` vs `log(n)` for flat OGGP
+//!   only. Hier gets none: at n = 256 most of its pairs get several
+//!   channels and run OGGP, from n = 1024 up most get one and run no
+//!   planner, so one fit across the sizes would mix two regimes,
 //! * the evaluation-ratio price of hierarchy (hier cost / lower bound, flat
 //!   cost / lower bound, hier / flat where flat completes).
+//!
+//! The times are wall-clock and machine-dependent; no test gates them.
 //!
 //! Every hierarchical schedule is checked with `kpbs::validate` before its
 //! row is written. The checked-in copy at the repository root is regenerated
@@ -89,7 +93,6 @@ fn main() {
     cli.finish();
     let sizes: &[usize] = if smoke { &[256] } else { &[256, 1024, 4096] };
 
-    let mut hier_points: Vec<(f64, f64)> = Vec::new();
     let mut flat_points: Vec<(f64, f64)> = Vec::new();
     let mut entries: Vec<String> = Vec::new();
     row(&[
@@ -112,7 +115,6 @@ fn main() {
             .validate(&inst)
             .unwrap_or_else(|e| panic!("n={n}: hier schedule invalid: {e}"));
         let hier_ms = time_ms(|| hier_report(&inst, &cfg), reps);
-        hier_points.push((n as f64, hier_ms));
 
         let lb = lower_bound(&inst) as f64;
         let hier_cost = report.schedule.cost() as f64;
@@ -173,12 +175,7 @@ fn main() {
         ));
     }
 
-    let hier_exp = fit_exponent(&hier_points);
     let flat_exp = fit_exponent(&flat_points);
-    let sub_quadratic = hier_exp.map(|e| e < 2.0);
-    if let Some(e) = hier_exp {
-        println!("hier fitted exponent: {e:.3} (sub-quadratic: {})", e < 2.0);
-    }
     if let Some(e) = flat_exp {
         println!("flat fitted exponent: {e:.3}");
     }
@@ -192,9 +189,7 @@ fn main() {
             "  \"timing\": \"best of {} runs, ms\",\n",
             "  \"jobs\": {},\n",
             "  \"rows\": [\n{}\n  ],\n",
-            "  \"hier_fitted_exponent\": {},\n",
-            "  \"flat_fitted_exponent\": {},\n",
-            "  \"sub_quadratic\": {}\n",
+            "  \"flat_fitted_exponent\": {}\n",
             "}}\n"
         ),
         SCALE_K,
@@ -202,9 +197,7 @@ fn main() {
         reps,
         jobs,
         entries.join(",\n"),
-        json_opt(hier_exp),
         json_opt(flat_exp),
-        sub_quadratic.map_or("null".into(), |b| b.to_string()),
     );
     std::fs::write(&out_path, json).unwrap_or_else(|e| panic!("write {out_path}: {e}"));
     println!("wrote {out_path}");

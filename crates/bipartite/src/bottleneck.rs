@@ -6,15 +6,15 @@
 //! communication in its matching, so maximising that minimum lengthens steps
 //! and reduces their number.
 //!
-//! Two equivalent implementations are provided:
-//!
-//! * [`max_min_matching_incremental`] — the paper's own algorithm (Fig. 6):
-//!   insert edges in decreasing weight order, maintaining a matching by
-//!   augmentation, and stop at the first prefix whose maximum matching has
-//!   full cardinality. `O(m^2·sqrt(n))` worst case.
-//! * [`max_min_matching`] — a threshold binary search over the distinct edge
-//!   weights using Hopcroft–Karp, `O(m·sqrt(n)·log m)`. This is the one the
-//!   scheduler uses; tests assert both agree on the achieved minimum.
+//! [`max_min_matching`] is the from-scratch solver: a threshold binary
+//! search over the distinct edge weights using Hopcroft–Karp,
+//! `O(m·sqrt(n)·log m)`, checked against exhaustive search by the property
+//! tests. The planners run the incremental engine instead
+//! ([`crate::engine::MatchingEngine::max_min_matching`]), whose cold descent
+//! is the paper's own Fig. 6 sweep: insert edges in decreasing weight order
+//! from the empty graph, growing a matching by augmentation, until it
+//! reaches full cardinality. Both end with [`canonical_matching_at`], so they
+//! return the same matching, and the cold solver is the engine's oracle.
 
 use crate::csr::{CsrAdj, SearchState, NIL};
 use crate::graph::{EdgeId, Graph, Weight};
@@ -114,71 +114,6 @@ pub fn canonical_matching_at(g: &Graph, t: Weight) -> Matching {
     hopcroft_karp::gather(&match_left, &via_left)
 }
 
-/// The paper's Figure 6 algorithm: insert edges in decreasing weight order,
-/// growing a matching by single augmenting-path searches, until the matching
-/// reaches the maximum cardinality of the whole graph.
-pub fn max_min_matching_incremental(g: &Graph) -> Matching {
-    let target = hopcroft_karp::maximum_matching(g).len();
-    if target == 0 {
-        return Matching::new();
-    }
-    let mut order: Vec<(EdgeId, usize, usize, Weight)> = g.edges().collect();
-    order.sort_unstable_by(|a, b| b.3.cmp(&a.3).then(a.0.cmp(&b.0)));
-
-    let nl = g.left_count();
-    let nr = g.right_count();
-    // CSR layout sized from the full degrees, rows filled by descending
-    // weight as the sweep inserts edges (one O(1) push each).
-    let mut adj = CsrAdj::new();
-    adj.build_where(g, |_| false);
-    let mut match_left: Vec<u32> = vec![NIL; nl];
-    let mut match_right: Vec<u32> = vec![NIL; nr];
-    let mut via_left: Vec<EdgeId> = vec![EdgeId(0); nl];
-    let mut search = SearchState::new();
-    search.prepare(nl);
-    let mut size = 0usize;
-
-    for &(id, l, r, _) in &order {
-        adj.push(l, r as u32, id);
-        if size == target {
-            unreachable!("loop exits as soon as the target size is reached");
-        }
-        // A new augmenting path must use the inserted edge, but searching from
-        // every free left node is simple and correct: at most one augmentation
-        // can succeed per insertion. The visited set is shared across the free
-        // nodes of one insertion and invalidated in O(1) for the next.
-        search.next_epoch();
-        for free in 0..nl {
-            if match_left[free] != NIL {
-                continue;
-            }
-            counters::incr(Counter::KuhnAttempts);
-            if hopcroft_karp::kuhn_augment(
-                free,
-                &adj,
-                &mut match_left,
-                &mut match_right,
-                &mut via_left,
-                &mut search,
-            ) {
-                size += 1;
-                break;
-            }
-        }
-        if size == target {
-            break;
-        }
-    }
-
-    let mut m = Matching::new();
-    for l in 0..nl {
-        if match_left[l] != NIL {
-            m.push(via_left[l]);
-        }
-    }
-    m
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -187,7 +122,6 @@ mod tests {
     fn empty_graph() {
         let g = Graph::new(2, 2);
         assert!(max_min_matching(&g).is_empty());
-        assert!(max_min_matching_incremental(&g).is_empty());
     }
 
     #[test]
@@ -201,8 +135,6 @@ mod tests {
         let m = max_min_matching(&g);
         assert_eq!(m.len(), 2);
         assert_eq!(m.min_weight(&g), Some(4));
-        let mi = max_min_matching_incremental(&g);
-        assert_eq!(mi.min_weight(&g), Some(4));
     }
 
     #[test]
@@ -245,15 +177,12 @@ mod tests {
                 );
             }
             let a = max_min_matching(&g);
-            let b = max_min_matching_incremental(&g);
-            assert_eq!(a.len(), b.len(), "cardinality must agree");
             assert_eq!(
-                a.min_weight(&g),
-                b.min_weight(&g),
-                "achieved bottleneck must agree"
+                a.len(),
+                hopcroft_karp::maximum_matching(&g).len(),
+                "cardinality must agree"
             );
             assert!(a.is_valid(&g));
-            assert!(b.is_valid(&g));
         }
     }
 

@@ -305,9 +305,9 @@ impl MatchingEngine {
     }
 
     /// Maximum-cardinality matching grown from a heaviest-first greedy seed,
-    /// identical to `wrgp::GreedySeeded`'s from-scratch computation but with
-    /// the seed derived from the maintained order (no per-peel sort) and all
-    /// scratch recycled.
+    /// identical to `kpbs::wrgp::GreedySeeded`'s from-scratch computation but
+    /// with the seed derived from the maintained order (no per-peel sort) and
+    /// all scratch recycled.
     pub fn greedy_seeded_matching(&mut self, g: &Graph) -> Matching {
         self.debug_check_adj(g);
         self.ensure_full_order(g);

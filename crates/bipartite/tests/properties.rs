@@ -109,14 +109,6 @@ proptest! {
     }
 
     #[test]
-    fn incremental_bottleneck_agrees(g in graph_strategy(5, 10)) {
-        let a = bottleneck::max_min_matching(&g);
-        let b = bottleneck::max_min_matching_incremental(&g);
-        prop_assert_eq!(a.len(), b.len());
-        prop_assert_eq!(a.min_weight(&g), b.min_weight(&g));
-    }
-
-    #[test]
     fn greedy_is_maximal_half_of_maximum(g in graph_strategy(6, 15)) {
         let m = greedy::maximal_matching(&g);
         prop_assert!(m.is_valid(&g));

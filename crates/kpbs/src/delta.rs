@@ -33,7 +33,7 @@
 //! schedule that silently under- or over-delivers must never reach a
 //! caller.
 
-use crate::ggp::schedule_with_mut;
+use crate::ggp::schedule_with;
 use crate::lower_bound::lower_bound;
 use crate::oggp::oggp;
 use crate::problem::Instance;
@@ -164,7 +164,7 @@ impl DeltaPlanner {
             );
         }
         let mut strategy = IncrementalMaxMin::new();
-        let schedule = schedule_with_mut(&inst, &mut strategy);
+        let schedule = schedule_with(&inst, &mut strategy);
         counters::incr(Counter::DeltaSessionsOpened);
         DeltaPlanner {
             inst,
@@ -437,7 +437,7 @@ impl DeltaPlanner {
                     back.push(self.inst.graph.find_edge(i, j).unwrap());
                 }
                 let res_inst = Instance::new(res_g, self.inst.k, self.inst.beta);
-                let patch = schedule_with_mut(&res_inst, &mut self.strategy);
+                let patch = schedule_with(&res_inst, &mut self.strategy);
                 for step in patch.steps {
                     self.schedule.steps.push(Step {
                         transfers: step

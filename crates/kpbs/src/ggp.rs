@@ -4,14 +4,16 @@
 //! (Section 4.2.2), peel it with WRGP, keep the real slices of each peel,
 //! and map quanta back to real ticks. GGP is a 2-approximation of K-PBS
 //! (Theorem 1) with complexity `O((m+n)²·sqrt(n))`.
+//!
+//! [`schedule_with`] is that pipeline for GGP and OGGP alike: the two differ
+//! only in the [`MatchingStrategy`] each peel runs.
 
 use crate::normalize::{denormalize, normalize};
 use crate::problem::Instance;
 use crate::regularize::{regularize, EdgeKind};
 use crate::schedule::{Schedule, Step, Transfer};
 use crate::wrgp::{
-    peel_all, peel_all_incremental, IncrementalAnyPerfect, IncrementalGreedySeeded,
-    MatchingStrategy, MatchingStrategyMut, Peel,
+    peel_all_incremental, IncrementalAnyPerfect, IncrementalGreedySeeded, MatchingStrategy, Peel,
 };
 
 /// Schedules `inst` with the Generic Graph Peeling algorithm.
@@ -21,7 +23,7 @@ use crate::wrgp::{
 /// matching is grown from the survivors of the previous one.
 pub fn ggp(inst: &Instance) -> Schedule {
     let _s = telemetry::span("kpbs.ggp");
-    schedule_with_mut(inst, &mut IncrementalAnyPerfect::new())
+    schedule_with(inst, &mut IncrementalAnyPerfect::new())
 }
 
 /// GGP with a heaviest-first-seeded matching: the same algorithm (and
@@ -30,40 +32,14 @@ pub fn ggp(inst: &Instance) -> Schedule {
 /// bench and EXPERIMENTS.md.
 pub fn ggp_seeded(inst: &Instance) -> Schedule {
     let _s = telemetry::span("kpbs.ggp_seeded");
-    schedule_with_mut(inst, &mut IncrementalGreedySeeded::new())
+    schedule_with(inst, &mut IncrementalGreedySeeded::new())
 }
 
-/// The shared GGP/OGGP pipeline over a stateless, from-scratch matching
-/// strategy. This is the reference oracle the differential tests compare
-/// the incremental engine against; the production entry points go through
-/// [`schedule_with_mut`].
-pub fn schedule_with<S: MatchingStrategy>(inst: &Instance, strategy: &S) -> Schedule {
-    if inst.is_trivial() {
-        return Schedule::new(inst.beta);
-    }
-    let norm = {
-        let _s = telemetry::span("kpbs.normalize");
-        normalize(inst)
-    };
-    let reg = {
-        let _s = telemetry::span("kpbs.regularize");
-        regularize(&norm.graph, norm.k)
-    };
-    // Peeling consumes the regular graph in place (extraction only needs the
-    // edge kinds), so the embedding is never cloned.
-    let mut work = reg.graph;
-    let peels = {
-        let _s = telemetry::span("kpbs.peel");
-        peel_all(&mut work, strategy)
-    };
-    let _s = telemetry::span("kpbs.extract");
-    extract(inst, &reg.kinds, peels)
-}
-
-/// The shared GGP/OGGP pipeline, parameterised by a stateful per-peel
-/// matching strategy (Fig. 5 steps 1–4). Used by [`ggp`], [`ggp_seeded`],
-/// [`crate::oggp::oggp`] and the ablation benches.
-pub fn schedule_with_mut<S: MatchingStrategyMut>(inst: &Instance, strategy: &mut S) -> Schedule {
+/// The one GGP/OGGP pipeline (Fig. 5 steps 1–4), parameterised by the
+/// per-peel matching strategy. Used by [`ggp`], [`ggp_seeded`],
+/// [`crate::oggp::oggp`], [`crate::oggp::oggp_reference`] and
+/// [`crate::delta::DeltaPlanner`].
+pub fn schedule_with<S: MatchingStrategy>(inst: &Instance, strategy: &mut S) -> Schedule {
     if inst.is_trivial() {
         return Schedule::new(inst.beta);
     }

@@ -3,11 +3,12 @@
 //! Identical to GGP except for the matching extracted at each peel: OGGP
 //! picks the perfect matching whose *minimum* edge weight is maximal
 //! (Figure 6), so each step is as long as possible and fewer steps (hence
-//! fewer β setups) are paid. Still a 2-approximation — any OGGP solution is
+//! fewer β setups) are paid. Both run GGP's one pipeline,
+//! [`schedule_with`], with a different strategy. Still a 2-approximation — any OGGP solution is
 //! also a GGP solution — but empirically much closer to the lower bound
 //! (Figures 7–9 of the paper).
 
-use crate::ggp::{schedule_with, schedule_with_mut};
+use crate::ggp::schedule_with;
 use crate::problem::Instance;
 use crate::schedule::Schedule;
 use crate::wrgp::{IncrementalMaxMin, MaxMinPerfect};
@@ -21,15 +22,16 @@ use crate::wrgp::{IncrementalMaxMin, MaxMinPerfect};
 /// peels.
 pub fn oggp(inst: &Instance) -> Schedule {
     let _s = telemetry::span("kpbs.oggp");
-    schedule_with_mut(inst, &mut IncrementalMaxMin::new())
+    schedule_with(inst, &mut IncrementalMaxMin::new())
 }
 
-/// The from-scratch OGGP pipeline: one cold bottleneck matching per peel.
-/// Kept as the reference oracle for differential tests and benches; agrees
-/// with [`oggp`] schedule-for-schedule.
+/// OGGP with one cold bottleneck matching per peel ([`MaxMinPerfect`]),
+/// through the same pipeline and peel loop as [`oggp`]. Kept as the
+/// reference oracle of the differential and isolation tests; agrees with
+/// [`oggp`] schedule for schedule.
 pub fn oggp_reference(inst: &Instance) -> Schedule {
     let _s = telemetry::span("kpbs.oggp_reference");
-    schedule_with(inst, &MaxMinPerfect)
+    schedule_with(inst, &mut MaxMinPerfect)
 }
 
 #[cfg(test)]

@@ -8,43 +8,35 @@
 //! and the residual graph stays weight-regular because a uniform `w` is
 //! removed from every node.
 //!
-//! The choice of perfect matching is pluggable via [`MatchingStrategy`]:
-//! GGP uses any maximum matching ([`AnyPerfect`]); OGGP uses the bottleneck
-//! matching ([`MaxMinPerfect`]) that maximises `w` and thereby minimises the
-//! number of steps.
-//!
-//! Each stateless strategy also has an incremental twin driven through
-//! [`MatchingStrategyMut`] and [`peel_all_incremental`]: a
-//! [`bipartite::MatchingEngine`] carries the surviving matching, the
-//! bottleneck threshold and every scratch buffer from one peel to the next
-//! instead of recomputing from scratch. The stateless entry points remain
-//! the reference oracle the differential tests compare against.
+//! The choice of perfect matching is pluggable via [`MatchingStrategy`].
+//! The planners' strategies drive a [`bipartite::MatchingEngine`] that
+//! carries the surviving matching, the bottleneck threshold and every
+//! scratch buffer from one peel to the next: [`IncrementalAnyPerfect`]
+//! (GGP), [`IncrementalGreedySeeded`] (heaviest-first-seeded GGP) and
+//! [`IncrementalMaxMin`] (OGGP, the bottleneck matching of Fig. 6 that
+//! maximises `w` and thereby minimises the number of steps). Two
+//! from-scratch strategies stay as oracles the differential tests compare
+//! the engine against: [`MaxMinPerfect`] and [`GreedySeeded`]. All of them
+//! run through the one loop, [`peel_all_incremental`].
 
 use bipartite::{
     bottleneck, greedy, hopcroft_karp, EdgeId, Graph, Matching, MatchingEngine, Weight,
 };
 use telemetry::counters::{self, Counter};
 
-/// How WRGP picks the perfect matching of each peel.
+/// How WRGP picks the perfect matching of each peel. The peeling loop calls
+/// [`begin`](MatchingStrategy::begin) once, then alternates
+/// [`matching`](MatchingStrategy::matching) with
+/// [`observe_peel`](MatchingStrategy::observe_peel) after subtracting each
+/// quantum. A from-scratch strategy implements only `matching`.
 pub trait MatchingStrategy {
-    /// Returns a maximum-cardinality matching of `g` (perfect whenever the
-    /// peeling invariant holds).
-    fn matching(&self, g: &Graph) -> Matching;
-}
-
-/// Stateful variant of [`MatchingStrategy`] for strategies that carry state
-/// from peel to peel (the incremental engine strategies below). The peeling
-/// loop calls [`begin`](MatchingStrategyMut::begin) once, then alternates
-/// [`matching`](MatchingStrategyMut::matching) with
-/// [`observe_peel`](MatchingStrategyMut::observe_peel) after subtracting
-/// each quantum.
-pub trait MatchingStrategyMut {
     /// Called once before the first peel of a run over `g`.
     fn begin(&mut self, g: &Graph) {
         let _ = g;
     }
 
-    /// Returns a maximum-cardinality matching of the residual graph.
+    /// Returns a maximum-cardinality matching of the residual graph
+    /// (perfect whenever the peeling invariant holds).
     fn matching(&mut self, g: &Graph) -> Matching;
 
     /// Called after the caller subtracted `quantum` from every edge of
@@ -54,53 +46,39 @@ pub trait MatchingStrategyMut {
     }
 }
 
-/// Every stateless strategy is trivially a stateful one; this lets the
-/// differential tests run cold strategies through the incremental loop.
-impl<S: MatchingStrategy> MatchingStrategyMut for S {
-    fn matching(&mut self, g: &Graph) -> Matching {
-        MatchingStrategy::matching(self, g)
-    }
-}
-
-/// Any perfect matching (Hopcroft–Karp). This is plain GGP.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct AnyPerfect;
-
-impl MatchingStrategy for AnyPerfect {
-    fn matching(&self, g: &Graph) -> Matching {
-        hopcroft_karp::maximum_matching(g)
-    }
-}
-
-/// The perfect matching whose minimum edge weight is maximal (Figure 6).
-/// This is the OGGP refinement.
+/// The perfect matching whose minimum edge weight is maximal (Figure 6),
+/// computed from scratch every peel: the oracle of [`IncrementalMaxMin`]
+/// and of [`crate::oggp::oggp_reference`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MaxMinPerfect;
 
 impl MatchingStrategy for MaxMinPerfect {
-    fn matching(&self, g: &Graph) -> Matching {
+    fn matching(&mut self, g: &Graph) -> Matching {
         bottleneck::max_min_matching(g)
     }
 }
 
-/// A perfect matching grown from a heaviest-first greedy seed: still "any
-/// perfect matching" as far as GGP's correctness goes, but biased towards
-/// heavy edges. Quantifies how much of OGGP's advantage a cheap heuristic
-/// in the matching routine already captures — the paper leaves the matching
-/// algorithm open, so reported GGP numbers depend on exactly this choice.
+/// A perfect matching grown from a heaviest-first greedy seed, computed
+/// from scratch every peel: the oracle of [`IncrementalGreedySeeded`].
+/// Still "any perfect matching" as far as GGP's correctness goes, but
+/// biased towards heavy edges. Quantifies how much of OGGP's advantage a
+/// cheap heuristic in the matching routine already captures — the paper
+/// leaves the matching algorithm open, so reported GGP numbers depend on
+/// exactly this choice.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct GreedySeeded;
 
 impl MatchingStrategy for GreedySeeded {
-    fn matching(&self, g: &Graph) -> Matching {
+    fn matching(&mut self, g: &Graph) -> Matching {
         let seed = greedy::maximal_matching_heaviest_first(g);
         hopcroft_karp::maximum_matching_seeded(g, &seed)
     }
 }
 
-/// Incremental [`AnyPerfect`]: each peel's matching is grown from the
-/// survivors of the previous one on recycled engine buffers, equivalent to
-/// re-running `maximum_matching_seeded` with the surviving pairs as seed.
+/// Plain GGP's any perfect matching: each peel's matching is grown from
+/// the survivors of the previous one on recycled engine buffers,
+/// equivalent to re-running `maximum_matching_seeded` with the surviving
+/// pairs as seed.
 #[derive(Debug, Default)]
 pub struct IncrementalAnyPerfect {
     engine: MatchingEngine,
@@ -113,7 +91,7 @@ impl IncrementalAnyPerfect {
     }
 }
 
-impl MatchingStrategyMut for IncrementalAnyPerfect {
+impl MatchingStrategy for IncrementalAnyPerfect {
     fn begin(&mut self, g: &Graph) {
         self.engine.begin(g);
     }
@@ -143,7 +121,7 @@ impl IncrementalMaxMin {
     }
 }
 
-impl MatchingStrategyMut for IncrementalMaxMin {
+impl MatchingStrategy for IncrementalMaxMin {
     fn begin(&mut self, g: &Graph) {
         self.engine.begin(g);
     }
@@ -172,7 +150,7 @@ impl IncrementalGreedySeeded {
     }
 }
 
-impl MatchingStrategyMut for IncrementalGreedySeeded {
+impl MatchingStrategy for IncrementalGreedySeeded {
     fn begin(&mut self, g: &Graph) {
         self.engine.begin(g);
     }
@@ -196,52 +174,17 @@ pub struct Peel {
     pub quantum: Weight,
 }
 
-/// Runs the WRGP loop on `g`, consuming all its weight. `g` must be
-/// weight-regular with equal side sizes (every isolated node has weight 0
-/// only when the whole graph is empty).
+/// Runs the WRGP loop on `g`, consuming all its weight: the strategy picks
+/// each peel's perfect matching and is told about every peel, so it can
+/// carry matchings, thresholds and scratch buffers to the next one. `g`
+/// must be weight-regular with equal side sizes (every isolated node has
+/// weight 0 only when the whole graph is empty).
 ///
 /// # Panics
 ///
 /// Panics if the invariant breaks (no perfect matching found on a non-empty
 /// graph) — that indicates the input was not weight-regular.
-pub fn peel_all<S: MatchingStrategy>(g: &mut Graph, strategy: &S) -> Vec<Peel> {
-    let mut peels = Vec::new();
-    let side = g.left_count();
-    while !g.is_empty() {
-        counters::incr(Counter::Peels);
-        let m = strategy.matching(g);
-        assert_eq!(
-            m.len(),
-            side,
-            "WRGP invariant violated: no perfect matching in a {}-node side graph \
-             ({} live edges) — input was not weight-regular",
-            side,
-            g.edge_count()
-        );
-        let quantum = m.min_weight(g).expect("non-empty matching");
-        debug_assert!(quantum > 0);
-        for &e in m.edges() {
-            g.decrease_weight(e, quantum);
-        }
-        peels.push(Peel {
-            edges: m.into_edges(),
-            quantum,
-        });
-    }
-    peels
-}
-
-/// The incremental WRGP loop: like [`peel_all`], but driving a stateful
-/// [`MatchingStrategyMut`] — the strategy is told about every peel so it can
-/// carry matchings, thresholds and scratch buffers to the next one. With the
-/// `Incremental*` strategies this is the fast path GGP/OGGP use; with a
-/// stateless strategy (via the blanket impl) it degenerates to [`peel_all`].
-///
-/// # Panics
-///
-/// Panics if the invariant breaks (no perfect matching found on a non-empty
-/// graph) — that indicates the input was not weight-regular.
-pub fn peel_all_incremental<S: MatchingStrategyMut>(g: &mut Graph, strategy: &mut S) -> Vec<Peel> {
+pub fn peel_all_incremental<S: MatchingStrategy>(g: &mut Graph, strategy: &mut S) -> Vec<Peel> {
     strategy.begin(g);
     let mut peels = Vec::new();
     let side = g.left_count();
@@ -288,7 +231,7 @@ mod tests {
     #[test]
     fn peels_consume_everything() {
         let mut g = regular_4cycle();
-        let peels = peel_all(&mut g, &AnyPerfect);
+        let peels = peel_all_incremental(&mut g, &mut IncrementalAnyPerfect::new());
         assert!(g.is_empty());
         let volume: Weight = peels
             .iter()
@@ -301,7 +244,9 @@ mod tests {
     fn residual_stays_weight_regular() {
         let mut g = regular_4cycle();
         // One manual peel.
-        let m = AnyPerfect.matching(&g);
+        let mut strategy = IncrementalAnyPerfect::new();
+        strategy.begin(&g);
+        let m = strategy.matching(&g);
         let q = m.min_weight(&g).unwrap();
         for &e in m.edges() {
             g.decrease_weight(e, q);
@@ -314,7 +259,7 @@ mod tests {
         // In a weight-regular graph of node weight R, WRGP transmits for
         // exactly R ticks: every step is square and every node always busy.
         let mut g = regular_4cycle();
-        let peels = peel_all(&mut g, &AnyPerfect);
+        let peels = peel_all_incremental(&mut g, &mut IncrementalAnyPerfect::new());
         let total: Weight = peels.iter().map(|p| p.quantum).sum();
         assert_eq!(total, 5);
     }
@@ -332,8 +277,8 @@ mod tests {
             g.add_edge(2, 0, 2);
             g
         };
-        let p_any = peel_all(&mut build(), &AnyPerfect);
-        let p_mm = peel_all(&mut build(), &MaxMinPerfect);
+        let p_any = peel_all_incremental(&mut build(), &mut IncrementalAnyPerfect::new());
+        let p_mm = peel_all_incremental(&mut build(), &mut MaxMinPerfect);
         assert!(p_mm.len() <= p_any.len());
         // Both transmit exactly R = 6.
         assert_eq!(p_mm.iter().map(|p| p.quantum).sum::<Weight>(), 6);
@@ -343,7 +288,7 @@ mod tests {
     #[test]
     fn empty_graph_no_peels() {
         let mut g = Graph::new(0, 0);
-        assert!(peel_all(&mut g, &AnyPerfect).is_empty());
+        assert!(peel_all_incremental(&mut g, &mut IncrementalAnyPerfect::new()).is_empty());
     }
 
     #[test]
@@ -353,7 +298,7 @@ mod tests {
         let mut g = Graph::new(2, 2);
         g.add_edge(0, 0, 3);
         g.add_edge(0, 1, 3);
-        peel_all(&mut g, &AnyPerfect);
+        peel_all_incremental(&mut g, &mut IncrementalAnyPerfect::new());
     }
 
     #[test]
@@ -380,7 +325,7 @@ mod tests {
                 }
             }
             assert_eq!(properties::regular_weight(&g), Some(expected_r));
-            let peels = peel_all(&mut g, &MaxMinPerfect);
+            let peels = peel_all_incremental(&mut g, &mut MaxMinPerfect);
             let total: Weight = peels.iter().map(|p| p.quantum).sum();
             assert_eq!(total, expected_r, "transmission equals node weight");
         }

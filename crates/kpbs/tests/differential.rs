@@ -1,16 +1,17 @@
 //! Differential tests of the incremental peeling engine against the
-//! from-scratch oracle strategies: identical schedules (hence identical
-//! cost, step count and validity), peel for peel, on random instances and
-//! on regularised graphs full of filler/pad edges.
+//! from-scratch oracle strategies, both run through the one peel loop and
+//! pipeline: identical schedules (hence identical cost, step count and
+//! validity), peel for peel, on random instances and on regularised graphs
+//! full of filler/pad edges.
 
 use bipartite::{hopcroft_karp, EdgeId, Graph, Matching};
-use kpbs::ggp::{ggp, ggp_seeded, schedule_with, schedule_with_mut};
+use kpbs::ggp::{ggp, ggp_seeded, schedule_with};
 use kpbs::normalize::normalize;
 use kpbs::oggp::{oggp, oggp_reference};
 use kpbs::regularize::regularize;
 use kpbs::wrgp::{
-    peel_all, peel_all_incremental, GreedySeeded, IncrementalMaxMin, MatchingStrategyMut,
-    MaxMinPerfect,
+    peel_all_incremental, GreedySeeded, IncrementalAnyPerfect, IncrementalMaxMin, MatchingStrategy,
+    MaxMinPerfect, Peel,
 };
 use kpbs::Instance;
 use proptest::prelude::*;
@@ -44,7 +45,7 @@ struct ColdSeededChain {
     carry: Vec<EdgeId>,
 }
 
-impl MatchingStrategyMut for ColdSeededChain {
+impl MatchingStrategy for ColdSeededChain {
     fn matching(&mut self, g: &Graph) -> Matching {
         let survivors = Matching::from_edges(
             self.carry
@@ -57,6 +58,20 @@ impl MatchingStrategyMut for ColdSeededChain {
         self.carry = m.edges().to_vec();
         m
     }
+}
+
+/// Peels a copy of `g` with a cold oracle and another with an engine
+/// strategy, both through the one WRGP loop; returns both peel sequences
+/// and the engine's peeled-out graph.
+fn peel_pair<C: MatchingStrategy, F: MatchingStrategy>(
+    g: &Graph,
+    mut cold: C,
+    mut fast: F,
+) -> (Vec<Peel>, Vec<Peel>, Graph) {
+    let cold_peels = peel_all_incremental(&mut g.clone(), &mut cold);
+    let mut fast_g = g.clone();
+    let fast_peels = peel_all_incremental(&mut fast_g, &mut fast);
+    (cold_peels, fast_peels, fast_g)
 }
 
 proptest! {
@@ -75,7 +90,7 @@ proptest! {
     #[test]
     fn incremental_ggp_matches_seeded_chain_oracle(inst in instance_strategy(8, 30, 40, 4)) {
         let fast = ggp(&inst);
-        let oracle = schedule_with_mut(&inst, &mut ColdSeededChain::default());
+        let oracle = schedule_with(&inst, &mut ColdSeededChain::default());
         prop_assert!(fast.validate(&inst).is_ok());
         prop_assert_eq!(fast.cost(), oracle.cost());
         prop_assert_eq!(fast.num_steps(), oracle.num_steps());
@@ -85,7 +100,7 @@ proptest! {
     #[test]
     fn incremental_greedy_seeded_schedule_identical(inst in instance_strategy(8, 30, 40, 4)) {
         let fast = ggp_seeded(&inst);
-        let oracle = schedule_with(&inst, &GreedySeeded);
+        let oracle = schedule_with(&inst, &mut GreedySeeded);
         prop_assert!(fast.validate(&inst).is_ok());
         prop_assert_eq!(fast.cost(), oracle.cost());
         prop_assert_eq!(fast.num_steps(), oracle.num_steps());
@@ -96,8 +111,11 @@ proptest! {
     fn peels_identical_on_regularized_graphs(inst in instance_strategy(7, 25, 30, 0)) {
         // Drive the peeling kernel directly on the regularised graph, so the
         // filler/pad edges of Section 4.2.2 are part of the matchings and of
-        // the incremental bookkeeping. The graph is the one the planners
-        // peel: normalised, isolated nodes dropped, `k` clamped to match.
+        // the incremental bookkeeping, and the filler-only peels that
+        // extraction drops are compared too. The graph is the one the
+        // planners peel: normalised, isolated nodes dropped, `k` clamped to
+        // match. Both of the engine's per-peel modes run against their cold
+        // oracles: OGGP's max–min and GGP's seeded any-perfect.
         let norm = normalize(&inst);
         let reg = regularize(&norm.graph, norm.k);
         let endpoints: Vec<(usize, usize)> = reg
@@ -105,22 +123,24 @@ proptest! {
             .edges()
             .map(|(_, l, r, _)| (l, r))
             .collect();
-        let mut cold_g = reg.graph.clone();
-        let mut fast_g = reg.graph.clone();
-        let cold = peel_all(&mut cold_g, &MaxMinPerfect);
-        let fast = peel_all_incremental(&mut fast_g, &mut IncrementalMaxMin::new());
-        prop_assert_eq!(cold.len(), fast.len(), "peel counts differ");
-        for (a, b) in cold.iter().zip(fast.iter()) {
-            prop_assert_eq!(a.quantum, b.quantum);
-            prop_assert_eq!(&a.edges, &b.edges);
-        }
-        // Edge-id stability: after the graph has been peeled to nothing,
-        // every id recorded in a peel still resolves to the endpoints it had
-        // before peeling — Schedule transfers rely on exactly this.
-        for peel in &fast {
-            for &e in &peel.edges {
-                prop_assert_eq!(fast_g.left_of(e), endpoints[e.index()].0);
-                prop_assert_eq!(fast_g.right_of(e), endpoints[e.index()].1);
+        let runs = [
+            peel_pair(&reg.graph, MaxMinPerfect, IncrementalMaxMin::new()),
+            peel_pair(&reg.graph, ColdSeededChain::default(), IncrementalAnyPerfect::new()),
+        ];
+        for (cold, fast, fast_g) in &runs {
+            prop_assert_eq!(cold.len(), fast.len(), "peel counts differ");
+            for (a, b) in cold.iter().zip(fast.iter()) {
+                prop_assert_eq!(a.quantum, b.quantum);
+                prop_assert_eq!(&a.edges, &b.edges);
+            }
+            // Edge-id stability: after the graph has been peeled to nothing,
+            // every id recorded in a peel still resolves to the endpoints it
+            // had before peeling — Schedule transfers rely on exactly this.
+            for peel in fast {
+                for &e in &peel.edges {
+                    prop_assert_eq!(fast_g.left_of(e), endpoints[e.index()].0);
+                    prop_assert_eq!(fast_g.right_of(e), endpoints[e.index()].1);
+                }
             }
         }
     }
