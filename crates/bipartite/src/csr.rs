@@ -19,7 +19,7 @@
 //! rebuilds (WRGP peeling removes edges, never adds them), so the layout
 //! built once per peeling run serves every peel: removal is an
 //! order-preserving shift within the row ([`CsrAdj::remove`]), re-adding
-//! for threshold probes is an O(1) [`CsrAdj::push`]. One contiguous block
+//! for threshold probes an id-ordered [`CsrAdj::insert_by_id`]. One contiguous block
 //! means one allocation amortised across the run and linear scans that
 //! prefetch, where the nested layout chased a pointer per row.
 //!
@@ -57,7 +57,7 @@ pub(crate) const INF: u32 = u32::MAX;
 /// Built with [`build`](CsrAdj::build)/[`build_where`](CsrAdj::build_where)
 /// (each counted as one [`Counter::AdjRebuilds`]) and then maintained in
 /// place: [`remove`](CsrAdj::remove) for dying edges,
-/// [`push`](CsrAdj::push)/[`clear_rows`](CsrAdj::clear_rows) for probe
+/// [`insert_by_id`](CsrAdj::insert_by_id)/[`clear_rows`](CsrAdj::clear_rows) for probe
 /// subsets sharing the same row layout via
 /// [`clone_layout`](CsrAdj::clone_layout).
 #[derive(Debug, Clone, Default)]
@@ -90,8 +90,8 @@ impl CsrAdj {
 
     /// Like [`build`](CsrAdj::build), but keeps only edges satisfying
     /// `keep`. Row capacities still cover the *full* live degree, so edges
-    /// filtered out now can be [`push`](CsrAdj::push)ed later without
-    /// reallocation.
+    /// filtered out now can be inserted later
+    /// ([`insert_by_id`](CsrAdj::insert_by_id)) without reallocation.
     pub fn build_where<F: FnMut(EdgeId) -> bool>(&mut self, g: &Graph, mut keep: F) {
         counters::incr(Counter::AdjRebuilds);
         let nl = g.left_count();
@@ -138,23 +138,6 @@ impl CsrAdj {
     /// Empties every row in O(rows), keeping the layout.
     pub fn clear_rows(&mut self) {
         self.len.fill(0);
-    }
-
-    /// Appends `(r, e)` to row `l` in O(1).
-    ///
-    /// # Panics
-    ///
-    /// Debug-panics if the row's fixed capacity is exceeded (cannot happen
-    /// for edge subsets of the graph the layout was built from).
-    #[inline]
-    pub fn push(&mut self, l: usize, r: u32, e: EdgeId) {
-        let slot = self.offsets[l] + self.len[l];
-        debug_assert!(
-            slot < self.offsets[l + 1],
-            "row {l} exceeds its fixed capacity"
-        );
-        self.targets[slot as usize] = (r, e);
-        self.len[l] += 1;
     }
 
     /// Inserts `(r, e)` into row `l` at the position keeping the row sorted
@@ -318,9 +301,10 @@ mod tests {
         adj.build_where(&g, |e| g.weight(e) >= 3);
         assert_eq!(adj.row(0), &[]);
         assert_eq!(adj.row(2), &[(1, EdgeId(2)), (2, EdgeId(3))]);
-        // Rows filtered at build time still accept their full degree.
-        adj.push(0, 0, EdgeId(0));
-        adj.push(0, 1, EdgeId(1));
+        // Rows filtered at build time still accept their full degree,
+        // kept in id order whatever order the entries arrive in.
+        adj.insert_by_id(0, 1, EdgeId(1));
+        adj.insert_by_id(0, 0, EdgeId(0));
         assert_eq!(adj.row(0), &[(0, EdgeId(0)), (1, EdgeId(1))]);
     }
 
@@ -345,10 +329,11 @@ mod tests {
         probe.clone_layout(&adj);
         assert_eq!(probe.rows(), 3);
         assert_eq!(probe.live_entries(), 0);
-        probe.push(2, 2, EdgeId(3));
-        probe.push(2, 1, EdgeId(2));
-        // Insertion order, not id order: probes push heaviest first.
-        assert_eq!(probe.row(2), &[(2, EdgeId(3)), (1, EdgeId(2))]);
+        probe.insert_by_id(2, 2, EdgeId(3));
+        probe.insert_by_id(2, 1, EdgeId(2));
+        // Id order, not insertion order: probes insert heaviest first.
+        assert_eq!(probe.row(2), &[(1, EdgeId(2)), (2, EdgeId(3))]);
+        assert_eq!(probe.row(0), &[]);
         probe.clear_rows();
         assert_eq!(probe.live_entries(), 0);
     }

@@ -18,13 +18,20 @@
 //!   sets, planned by the warm incremental engine (the
 //!   [`IncrementalMaxMin`] strategy keeps its scratch allocations across
 //!   replans) and appended as extra steps.
-//! * **Level 2 — cold fallback** ([`RepairLevel::Cold`]): when the
-//!   residual exceeds the re-peel budget, or a patched schedule drifts
-//!   past [`REPLAN_COST_FACTOR`] × the lower bound, the planner rebuilds
-//!   the instance canonically (row-major, like
+//! * **Level 2 — cold fallback** ([`RepairLevel::Cold`]): the planner
+//!   rebuilds the instance canonically (row-major, like
 //!   [`TrafficMatrix::to_instance`](crate::traffic::TrafficMatrix)) and
 //!   re-plans with OGGP — so a cold fallback is byte-identical to what a
-//!   stateless server would have produced for the post-delta matrix.
+//!   stateless server would have produced for the post-delta matrix. It
+//!   fires on any of three triggers:
+//!   - the residual exceeds the re-peel budget;
+//!   - a patched schedule costs more than [`REPLAN_COST_FACTOR`] × the
+//!     lower bound (the outer ceiling);
+//!   - a patched schedule's cost / lower bound drifts past
+//!     [`REBASE_PERCENT`] % of the last cold plan's (the OPEN plan or the
+//!     last cold fallback). This rebase keeps a session young: the rebuild
+//!     renumbers edges densely and drops the tombstones of removed cells,
+//!     and the fresh plan sheds the slivers repairs appended.
 //!
 //! Every replan, at every level, re-establishes the subsystem invariant
 //! before returning: the patched schedule passes [`crate::validate`] and
@@ -51,7 +58,19 @@ use telemetry::counters::{self, Counter};
 /// plan. OGGP itself is a 2-approximation, so a healthy repaired schedule
 /// sits well under the ceiling; repeated trims that strand tiny amounts
 /// across many β-paying steps are what this catches.
+///
+/// This is the outer ceiling of the Level 2 triggers. The others are a
+/// residual larger than the re-peel budget, and a cost / lower bound that
+/// drifts past [`REBASE_PERCENT`] % of the last cold plan's.
 pub const REPLAN_COST_FACTOR: u64 = 3;
+
+/// A repaired or re-peeled schedule whose cost / lower bound exceeds this
+/// percentage of the last cold plan's ratio is rebased on a fresh cold
+/// plan: the rebase fires when `cost · lb_cold · 100 > REBASE_PERCENT ·
+/// cost_cold · lb`, evaluated in `u128`. Measured against the last cold
+/// plan, not against the lower bound alone, so an instance whose cold plan
+/// itself sits far above its bound is not re-planned every round.
+pub const REBASE_PERCENT: u64 = 115;
 
 /// Default bound on the number of residual cells level 1 will re-peel;
 /// larger edit batches go straight to a cold plan.
@@ -136,6 +155,9 @@ pub struct DeltaPlanner {
     strategy: IncrementalMaxMin,
     generation: u64,
     repeel_budget: usize,
+    /// Cost and lower bound (each at least 1) of the last cold plan: the
+    /// OPEN plan, or the last [`RepairLevel::Cold`] rung.
+    cold: (u64, u64),
 }
 
 impl DeltaPlanner {
@@ -166,12 +188,14 @@ impl DeltaPlanner {
         let mut strategy = IncrementalMaxMin::new();
         let schedule = schedule_with(&inst, &mut strategy);
         counters::incr(Counter::DeltaSessionsOpened);
+        let cold = cold_record(schedule.cost(), lower_bound(&inst));
         DeltaPlanner {
             inst,
             schedule,
             strategy,
             generation: 0,
             repeel_budget,
+            cold,
         }
     }
 
@@ -462,14 +486,24 @@ impl DeltaPlanner {
             .steps
             .retain(|step| !step.transfers.is_empty());
 
-        // Phase 5 — cost ceiling, then the unconditional re-check. A cold
-        // fallback is canonical, so it needs no ceiling of its own.
+        // Phase 5 — cost ceiling and drift past the last cold plan, then
+        // the unconditional re-check. A cold fallback is canonical, so it
+        // needs no ceiling of its own; it renumbers edges densely, drops
+        // tombstones and becomes the reference the next drift is measured
+        // against.
         let lb = lower_bound(&self.inst);
-        if level != RepairLevel::Cold && self.schedule.cost() > REPLAN_COST_FACTOR * lb.max(1) {
-            level = RepairLevel::Cold;
+        if level != RepairLevel::Cold {
+            let cost = self.schedule.cost();
+            let (cold_cost, cold_lb) = self.cold;
+            let drifted = u128::from(cost) * u128::from(cold_lb) * 100
+                > u128::from(REBASE_PERCENT) * u128::from(cold_cost) * u128::from(lb);
+            if cost > REPLAN_COST_FACTOR * lb.max(1) || drifted {
+                level = RepairLevel::Cold;
+            }
         }
         if level == RepairLevel::Cold {
             self.rebuild_cold();
+            self.cold = cold_record(self.schedule.cost(), lb);
         }
         counters::incr(match level {
             RepairLevel::Repair => Counter::DeltaRepairs,
@@ -525,6 +559,13 @@ impl DeltaPlanner {
             panic!("delta replan delivery mismatch: {under} ticks under, {over} ticks over");
         }
     }
+}
+
+/// The drift reference of a cold plan. An empty instance's plan has cost and
+/// lower bound 0; it is recorded as ratio 1, so growth from nothing is held
+/// within [`REBASE_PERCENT`] % of the bound itself.
+fn cold_record(cost: u64, lb: u64) -> (u64, u64) {
+    (cost.max(1), lb.max(1))
 }
 
 /// Per-step port occupancy as one flat bitmap: `steps × ⌈nodes/64⌉` words,
@@ -664,6 +705,24 @@ mod tests {
         let out = p.replan(&[set(0, 1, 400)]);
         assert!(matches!(out.level, RepairLevel::RePeel | RepairLevel::Cold));
         assert_eq!(p.cell(0, 1), 400);
+    }
+
+    #[test]
+    fn drift_past_the_last_cold_plan_rebases() {
+        // One step of two 10-tick cells, β = 10: cost 20 = lb. Raising
+        // (0, 0) to 20 re-peels a second step (cost 40 against lb 30), a
+        // ratio past `REBASE_PERCENT` of the open plan's 1.0 though under
+        // the ceiling, so the planner rebases.
+        let mut g = Graph::new(2, 2);
+        g.add_edge(0, 0, 10);
+        g.add_edge(1, 1, 10);
+        let mut p = DeltaPlanner::new(Instance::new(g, 2, 10));
+        assert_eq!(p.cold, (20, 20));
+        let out = p.replan(&[set(0, 0, 20)]);
+        assert_eq!(out.level, RepairLevel::Cold);
+        assert_eq!(p.cold, (out.cost, out.lower_bound));
+        // The rebase is the new reference: the same matrix again repairs.
+        assert_eq!(p.replan(&[set(0, 0, 20)]).level, RepairLevel::Repair);
     }
 
     #[test]

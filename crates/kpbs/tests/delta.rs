@@ -2,12 +2,14 @@
 //! the stateless planners: whatever rung of the repair ladder a replan
 //! lands on, the committed schedule must validate, deliver exactly the
 //! post-delta matrix, and cost no more than the worse of the replan
-//! ceiling and a cold OGGP plan of the same matrix — and the whole
-//! process must be deterministic, because `redistd`'s loopback and load
-//! tests byte-compare server schedules against client mirrors.
+//! ceiling and a cold OGGP plan of the same matrix, never drift past
+//! [`REBASE_PERCENT`] of the last cold plan's cost / lower bound without a
+//! rebase — and the whole process must be deterministic, because
+//! `redistd`'s loopback and load tests byte-compare server schedules
+//! against client mirrors.
 
 use bipartite::Graph;
-use kpbs::delta::REPLAN_COST_FACTOR;
+use kpbs::delta::{REBASE_PERCENT, REPLAN_COST_FACTOR};
 use kpbs::{oggp, DeltaPlanner, Instance, MatrixDelta, RepairLevel};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -100,6 +102,13 @@ fn cold_reference(planner: &DeltaPlanner) -> (Instance, kpbs::Schedule) {
     (inst, schedule)
 }
 
+/// Whether `(cost, lb)` sits within [`REBASE_PERCENT`] of the cost / lower
+/// bound of the cold plan `(cold_cost, cold_lb)`, both recorded at least 1.
+fn within_drift(cost: u64, lb: u64, (cold_cost, cold_lb): (u64, u64)) -> bool {
+    u128::from(cost) * u128::from(cold_lb) * 100
+        <= u128::from(REBASE_PERCENT) * u128::from(cold_cost) * u128::from(lb)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(200))]
 
@@ -107,9 +116,29 @@ proptest! {
     fn replan_matches_its_contract((raw, batches) in campaign_strategy()) {
         let mut planner = DeltaPlanner::new(raw.build());
         let mut twin = DeltaPlanner::new(raw.build());
+        // The last cold plan's cost and lower bound, tracked from outside:
+        // the OPEN plan, then every `Cold` answer.
+        let mut cold_ratio = (
+            planner.schedule().cost().max(1),
+            kpbs::lower_bound(planner.instance()).max(1),
+        );
         for (bi, batch) in batches.iter().enumerate() {
             let outcome = planner.replan(batch);
             prop_assert_eq!(outcome.generation, (bi + 1) as u64);
+
+            // Drift: a repaired or re-peeled schedule stays within
+            // `REBASE_PERCENT` of the last cold plan's cost / lower bound;
+            // past it the planner rebases, and the rebase is the new
+            // reference.
+            if outcome.level == RepairLevel::Cold {
+                cold_ratio = (outcome.cost.max(1), outcome.lower_bound.max(1));
+            } else {
+                prop_assert!(
+                    within_drift(outcome.cost, outcome.lower_bound, cold_ratio),
+                    "batch {}: cost {} / lb {} drifted past the last cold plan {:?} (level {:?})",
+                    bi, outcome.cost, outcome.lower_bound, cold_ratio, outcome.level
+                );
+            }
 
             // Feasibility: the committed schedule validates against the
             // live post-delta instance.
@@ -178,6 +207,44 @@ proptest! {
             prop_assert!(outcome.cost <= before);
         }
         prop_assert_eq!(planner.delivered_matrix(), planner.target_matrix());
+    }
+}
+
+/// A rebase is measured against the last cold plan, not against the lower
+/// bound alone: on a β-heavy instance whose cold plan sits far above its
+/// bound, a no-op batch right after a rebase answers `Repair`, round after
+/// round, instead of re-planning cold every time.
+#[test]
+fn a_no_op_after_a_rebase_repairs_instead_of_looping_cold() {
+    // Two disjoint cells, k = 2, β = 50: OGGP splits them over β-paying
+    // steps, so the cold plan costs ~1.6× the lower bound.
+    let mut g = Graph::new(2, 2);
+    g.add_edge(0, 1, 21);
+    g.add_edge(1, 0, 54);
+    // A re-peel budget of 0 sends any growth past slack to the cold rung.
+    let mut planner = DeltaPlanner::with_repeel_budget(Instance::new(g, 2, 50), 0);
+    let grow = MatrixDelta::Set {
+        sender: 0,
+        receiver: 1,
+        ticks: 200,
+    };
+    let rebase = planner.replan(&[grow]);
+    assert_eq!(rebase.level, RepairLevel::Cold);
+    assert!(
+        rebase.cost * 100 > REBASE_PERCENT * rebase.lower_bound,
+        "the cold plan must sit past the drift factor of its own bound          (cost {}, lb {})",
+        rebase.cost,
+        rebase.lower_bound
+    );
+    let schedule = planner.schedule().clone();
+    for _ in 0..3 {
+        let same = planner.replan(&[grow]);
+        assert_eq!(same.level, RepairLevel::Repair);
+        assert_eq!(
+            (same.cost, same.lower_bound),
+            (rebase.cost, rebase.lower_bound)
+        );
+        assert_eq!(planner.schedule(), &schedule);
     }
 }
 
