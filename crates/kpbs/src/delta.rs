@@ -67,9 +67,10 @@ pub const REPLAN_COST_FACTOR: u64 = 3;
 /// A repaired or re-peeled schedule whose cost / lower bound exceeds this
 /// percentage of the last cold plan's ratio is rebased on a fresh cold
 /// plan: the rebase fires when `cost · lb_cold · 100 > REBASE_PERCENT ·
-/// cost_cold · lb`, evaluated in `u128`. Measured against the last cold
-/// plan, not against the lower bound alone, so an instance whose cold plan
-/// itself sits far above its bound is not re-planned every round.
+/// cost_cold · lb`, evaluated in saturating `u128`. Measured against the
+/// last cold plan, not against the lower bound alone, so an instance whose
+/// cold plan itself sits far above its bound is not re-planned every
+/// round.
 pub const REBASE_PERCENT: u64 = 115;
 
 /// Default bound on the number of residual cells level 1 will re-peel;
@@ -495,8 +496,12 @@ impl DeltaPlanner {
         if level != RepairLevel::Cold {
             let cost = self.schedule.cost();
             let (cold_cost, cold_lb) = self.cold;
-            let drifted = u128::from(cost) * u128::from(cold_lb) * 100
-                > u128::from(REBASE_PERCENT) * u128::from(cold_cost) * u128::from(lb);
+            // Each product fits u128; the percentage factors saturate, so
+            // only when both sides pass u128::MAX (ticks near 2^60) does
+            // the drift test stay off and leave the ceiling to act alone.
+            let drifted = (u128::from(cost) * u128::from(cold_lb)).saturating_mul(100)
+                > (u128::from(cold_cost) * u128::from(lb))
+                    .saturating_mul(u128::from(REBASE_PERCENT));
             if cost > REPLAN_COST_FACTOR * lb.max(1) || drifted {
                 level = RepairLevel::Cold;
             }
