@@ -3,7 +3,7 @@
 //! lands on, the committed schedule must validate, deliver exactly the
 //! post-delta matrix, and cost no more than the worse of the replan
 //! ceiling and a cold OGGP plan of the same matrix, never drift past
-//! [`REBASE_PERCENT`] of the last cold plan's cost / lower bound without a
+//! [`REBASE_PERCENT`] % of the last cold plan's cost / lower bound without a
 //! rebase — and the whole process must be deterministic, because
 //! `redistd`'s loopback and load tests byte-compare server schedules
 //! against client mirrors.
@@ -102,7 +102,7 @@ fn cold_reference(planner: &DeltaPlanner) -> (Instance, kpbs::Schedule) {
     (inst, schedule)
 }
 
-/// Whether `(cost, lb)` sits within [`REBASE_PERCENT`] of the cost / lower
+/// Whether `(cost, lb)` sits within [`REBASE_PERCENT`] % of the cost / lower
 /// bound of the cold plan `(cold_cost, cold_lb)`, both recorded at least 1.
 fn within_drift(cost: u64, lb: u64, (cold_cost, cold_lb): (u64, u64)) -> bool {
     u128::from(cost) * u128::from(cold_lb) * 100
